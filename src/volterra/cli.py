@@ -25,7 +25,8 @@ from .criteria import LadderConfig, classify
 from .estimation import (compactness_probe, lower_bound_details, tg_min_upper_bound,
                          tg_upper_bound)
 from .operators import OperatorKind
-from .report import ReportConfig, build_report, report_exit_code, to_csv, to_json, to_text
+from .report import (ReportConfig, _verdict_payload, build_report, report_exit_code, to_csv,
+                     to_json, to_text)
 from .sector import SectorParams, build_sector_map, estimate_density_bound
 from .spaces import SpacePair, bloch_norm, weighted_sup_details
 from .symbols import get_symbol, ground_truth_table, registry
@@ -59,7 +60,8 @@ def _operator(value: str) -> OperatorKind:
         raise argparse.ArgumentTypeError("operator must be Tg or Sg") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="volterra",
         description="Boundedness/compactness classification of Volterra-type "
@@ -122,14 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list", help="registry symbols, metadata, ground-truth rows")
     add_common(p)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, argv):
-    """Let a config file preset defaults; explicit flags still win."""
-    if "--config" not in argv:
-        return
-    path = Path(argv[argv.index("--config") + 1])
+def _read_config(path: Path) -> dict:
+    """``key = value`` pairs of a config file, keys spelled as option dests."""
     presets = {}
     for line in path.read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -139,21 +138,27 @@ def _apply_config_file(parser, argv):
             raise ValueError(f"config line without '=': {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         presets[key.replace("-", "_")] = value
-    for action_group in parser._subparsers._group_actions:
-        for sub_parser in action_group.choices.values():
-            known = {a.dest: a for a in sub_parser._actions}
-            coerced = {}
-            for key, raw in presets.items():
-                if key in known and known[key].dest != "config":
-                    action = known[key]
-                    if action.type is not None:
-                        coerced[key] = action.type(raw)
-                    elif isinstance(action.default, bool):
-                        coerced[key] = raw.lower() in ("1", "true", "yes")
-                    else:
-                        coerced[key] = raw
-            if coerced:
-                sub_parser.set_defaults(**coerced)
+    return presets
+
+
+def _parse(argv):
+    """Parse once to find the subcommand and its ``--config`` file, then again
+    with the file's values as that subcommand's defaults.  argparse converts
+    string defaults with the option's type, so file values are checked like
+    flags; explicit flags win, and keys that are not options are ignored."""
+    parser, commands = _build_parser()
+    first, _ = parser.parse_known_args(argv)
+    if first.config is None:
+        return parser.parse_args(argv)
+    known = vars(first)
+    presets = {}
+    for key, raw in _read_config(first.config).items():
+        if key in known and key not in ("command", "config"):
+            # store_true switches take a truth word, not a typed value
+            presets[key] = (raw.lower() in ("1", "true", "yes")
+                            if isinstance(known[key], bool) else raw)
+    commands[first.command].set_defaults(**presets)
+    return parser.parse_args(argv)
 
 
 def _emit(payload: str, output) -> None:
@@ -177,12 +182,8 @@ def cmd_classify(args) -> int:
         payload = json.dumps({
             "symbol": rep.symbol, "op": rep.operator.value,
             "alpha": rep.alpha, "beta": rep.beta,
-            "boundedness": {"tag": rep.boundedness.tag.value, "value": rep.boundedness.value,
-                            "evidence": list(rep.boundedness.evidence),
-                            "reason": rep.boundedness.reason},
-            "compactness": {"tag": rep.compactness.tag.value, "value": rep.compactness.value,
-                            "evidence": list(rep.compactness.evidence),
-                            "reason": rep.compactness.reason},
+            "boundedness": _verdict_payload(rep.boundedness),
+            "compactness": _verdict_payload(rep.compactness),
             "cross_check_agreement": rep.cross_check_agreement,
             "notes": list(rep.notes),
         }, indent=2, sort_keys=True) + "\n"
@@ -338,10 +339,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse reserves 2 for usage errors; our exit-code contract uses 1
         # for errors and 2 for Inconclusive verdicts

@@ -31,11 +31,9 @@ import numpy as np
 from .errors import HypothesisError
 from .quadrature import QuadratureConfig, QuadResult, gauss_legendre, integrate_radial
 from .series import OVERFLOW_CLAMP
-from .spaces import DiskGrid, SpacePair, weighted_sup_details
+from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_details
 from .symbols import SymbolSpec
 from .operators import OperatorKind
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class VerdictTag(Enum):
@@ -125,6 +123,9 @@ class CriterionReport:
     pointwise: dict
     cross_check_agreement: bool
     notes: tuple = ()
+    # the T_g ladder engine classify built for this (symbol, pair, cfg), kept
+    # so the split upper bound reuses it; None when no T_g ladder ran
+    tg_engine: Optional["_LadderEngine"] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +143,21 @@ def one_minus_z(r, s, theta):
 
 
 def _abs_matrix_fun(symbol: SymbolSpec, which: str) -> Callable:
-    """Vectorized ``(r, s, thetas) -> |g'|`` (or ``|g|``) on an outer-product grid."""
+    """Vectorized ``(r, s, theta) -> |g'|`` (or ``|g|``), broadcasting its arguments:
+    grids pass ``r[:, None]`` and ``thetas[None, :]``, golden batches paired arrays."""
     polar = _POLAR_FORMS.get((symbol.name.split("~")[0], which))
     phi = _rotation_angle(symbol)
     if polar is not None:
-        def matrix(r, s, thetas, _p=polar, _phi=phi):
-            return _p(r[:, None], s[:, None], thetas[None, :] + _phi)
-        return matrix
+        def absfun(r, s, theta, _p=polar, _phi=phi):
+            return _p(r, s, theta + _phi)
+        return absfun
     f = symbol.deriv if which == "deriv" else symbol.eval
 
-    def matrix(r, s, thetas, _f=f):
-        z = r[:, None] * np.exp(1j * thetas[None, :])
+    def absfun(r, s, theta, _f=f):
+        z = r * np.exp(1j * theta)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.abs(_f(z))
-    return matrix
+    return absfun
 
 
 def _rotation_angle(symbol: SymbolSpec) -> float:
@@ -263,7 +265,7 @@ class _LadderEngine:
     def _cell_row(self, j: int, panels: int):
         """Integral of the weighted integrand over cell j, per grid angle."""
         r, s, w = self._nodes_for_cell(j, panels)
-        vals = self.absmat(r, s, self._thetas)
+        vals = self.absmat(r[:, None], s[:, None], self._thetas[None, :])
         if self.weight_exponent != 0.0:
             wgt = (s * (2.0 - s)) ** -self.weight_exponent
             w = w * wgt
@@ -324,7 +326,8 @@ class _LadderEngine:
         """Prefix integrals I(t_k, theta) for k = 0..k_max at given angles."""
         if len(thetas) == 0:
             return np.zeros((self.cfg.k_max + 1, 0))
-        vals = self.absmat(self._node_r, self._node_s, np.asarray(thetas))
+        vals = self.absmat(self._node_r[:, None], self._node_s[:, None],
+                           np.asarray(thetas)[None, :])
         bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
         if np.any(bad):
             vals = np.where(bad, OVERFLOW_CLAMP, vals)
@@ -351,37 +354,10 @@ class _LadderEngine:
         items = sorted(deepest.items())
         center = np.asarray([self._thetas[j] for j, _ in items])
         rung = np.asarray([k for _, k in items])
+        cols = np.arange(len(center))
         dtheta = 2.0 * np.pi / cfg.n_angles
-        a = center - dtheta
-        b = center + dtheta
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
-
-        def batch(th):
-            pref = self._prefix_at(th)
-            return pref[rung, np.arange(len(th))]
-
-        fc = batch(c)
-        fd = batch(d)
-        best_t = np.where(fc >= fd, c, d)
-        best_v = np.maximum(fc, fd)
-        for _ in range(cfg.refine_iters):
-            left = fc >= fd
-            old_c, old_d, old_fc, old_fd = c, d, fc, fd
-            b = np.where(left, old_d, b)
-            a = np.where(left, a, old_c)
-            span = b - a
-            new_c = b - _INV_GOLDEN * span
-            new_d = a + _INV_GOLDEN * span
-            probe = np.where(left, new_c, new_d)
-            fp = batch(probe)
-            c = np.where(left, new_c, old_d)
-            d = np.where(left, old_c, new_d)
-            fc = np.where(left, fp, old_fd)
-            fd = np.where(left, old_fc, fp)
-            upd = fp > best_v
-            best_t = np.where(upd, probe, best_t)
-            best_v = np.maximum(best_v, fp)
+        best_t, _ = golden_max(lambda th: self._prefix_at(th)[rung, cols],
+                               center - dtheta, center + dtheta, cfg.refine_iters)
         return best_t
 
     # -- derived quantities -----------------------------------------------
@@ -500,20 +476,31 @@ def _tail_classify(engine: _LadderEngine, cfg: LadderConfig, criterion: str) -> 
     outer = np.array([max(engine.tail_sup(m, k) for k in inner_ks if k > m)
                       for m in outer_ms])
     diag = {"criterion": criterion, "outer_first": float(outer[0]), "outer_last": float(outer[-1])}
-    tw = min(cfg.trend_window, len(outer))
-    trail = outer[-tw:]
-    last = float(outer[-1])
+    return _trend_classify(outer, cfg, criterion, diag, "tail limit estimate", "tail_limit")
+
+
+def _trend_classify(seq, cfg: LadderConfig, criterion: str, diag: dict, what: str,
+                    limit_key: Optional[str] = None) -> Verdict:
+    """Vanishing-limit rule on the last ``trend_window`` values of ``seq``: Compact
+    below ``compact_tol`` on a nonincreasing trail, NotCompact on a plateau or a
+    rise above ``not_compact_factor * compact_tol``."""
+    tw = min(cfg.trend_window, len(seq))
+    trail = seq[-tw:]
+    last = float(trail[-1])
     nonincreasing = bool(np.all(np.diff(trail) <= 1e-12 + 1e-9 * np.abs(trail[:-1])))
     if last < cfg.compact_tol and nonincreasing:
-        diag["tail_limit"] = last
-        return Verdict(VerdictTag.COMPACT, value=last, evidence=(criterion,), diagnostics=diag)
-    plateau = bool(np.max(np.abs(np.diff(trail))) <= 0.25 * max(abs(last), 1e-300))
-    if last > cfg.not_compact_factor * cfg.compact_tol and (plateau or trail[-1] >= trail[0]):
-        diag["tail_limit"] = last
-        return Verdict(VerdictTag.NOT_COMPACT, value=last, evidence=(criterion,), diagnostics=diag)
-    return Verdict(VerdictTag.INCONCLUSIVE,
-                   reason=f"tail limit estimate {last:.3e} between thresholds",
-                   evidence=(criterion,), diagnostics=diag)
+        tag = VerdictTag.COMPACT
+    else:
+        plateau = bool(np.max(np.abs(np.diff(trail))) <= 0.25 * max(abs(last), 1e-300))
+        if not (last > cfg.not_compact_factor * cfg.compact_tol
+                and (plateau or trail[-1] >= trail[0])):
+            return Verdict(VerdictTag.INCONCLUSIVE,
+                           reason=f"{what} {last:.3e} between thresholds",
+                           evidence=(criterion,), diagnostics=diag)
+        tag = VerdictTag.NOT_COMPACT
+    if limit_key is not None:
+        diag[limit_key] = last
+    return Verdict(tag, value=last, evidence=(criterion,), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +511,7 @@ def _single_angle_integrand(symbol: SymbolSpec, which: str, alpha_int: float, th
     absmat = _abs_matrix_fun(symbol, which)
 
     def f(r, s):
-        vals = absmat(np.asarray(r), np.asarray(s), np.array([theta]))[:, 0]
+        vals = absmat(np.asarray(r), np.asarray(s), theta)
         if alpha_int != 0.0:
             vals = vals * (s * (2.0 - s)) ** -alpha_int
         return vals
@@ -629,14 +616,22 @@ def full_integral_sup(g: SymbolSpec, cfg: Optional[LadderConfig] = None,
 # pointwise criteria
 # ---------------------------------------------------------------------------
 
+def _pointwise_form(operator: OperatorKind, pair: SpacePair):
+    """``(which, exponent)`` of the weighted modulus in the pointwise criteria."""
+    if operator is OperatorKind.Tg:
+        return "deriv", pair.beta + 1.0 - pair.alpha
+    return "eval", pair.beta - pair.alpha
+
+
 def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderConfig):
-    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``."""
+    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``;
+    each rung's top ``refine_top`` grid angles are refined, all in one batch."""
     absmat = _abs_matrix_fun(g, which)
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
     r = 1.0 - s
     thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
-    vals = absmat(r, s, thetas)
+    vals = absmat(r[:, None], s[:, None], thetas[None, :])
     bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
     clamped = bool(np.any(bad))
     if clamped:
@@ -644,38 +639,21 @@ def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderCo
         # push the profile over the divergence threshold, never hide growth
         vals = np.where(bad, OVERFLOW_CLAMP, vals)
     sup_raw = np.max(vals, axis=1)
-    dtheta = 2.0 * np.pi / cfg.n_angles
-    for i, k in enumerate(ks):
-        order = np.argsort(-vals[i], kind="stable")[: cfg.refine_top]
-        for j in order:
-            lo, hi = thetas[j] - dtheta, thetas[j] + dtheta
+    if cfg.refine_top > 0:
+        order = np.argsort(-vals, axis=1, kind="stable")[:, : cfg.refine_top]
+        rows = np.repeat(np.arange(len(ks)), order.shape[1])
+        center = thetas[order.ravel()]
+        dtheta = 2.0 * np.pi / cfg.n_angles
 
-            def obj(th, _i=i):
-                v = absmat(r[_i:_i + 1], s[_i:_i + 1], np.array([th]))[0, 0]
-                return float(v) if np.isfinite(v) else OVERFLOW_CLAMP
-            t_best, v_best = _golden_scalar(obj, lo, hi, cfg.refine_iters)
-            sup_raw[i] = max(sup_raw[i], v_best)
+        def obj(th):
+            v = absmat(r[rows], s[rows], th)
+            return np.where(np.isfinite(v), v, OVERFLOW_CLAMP)
+        _, best = golden_max(obj, center - dtheta, center + dtheta, cfg.refine_iters)
+        sup_raw = np.maximum(sup_raw, np.max(best.reshape(order.shape), axis=1))
     with np.errstate(over="ignore"):
         weights = (s * (2.0 - s)) ** exponent
         profile = weights * sup_raw
     return ks, profile, clamped
-
-
-def _golden_scalar(fn, lo, hi, iters):
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
 
 
 def _pointwise_value(g: SymbolSpec, which: str, exponent: float,
@@ -689,69 +667,58 @@ def _pointwise_value(g: SymbolSpec, which: str, exponent: float,
     return max(profile_max, interior)
 
 
-def tg_pointwise(g: SymbolSpec, pair: SpacePair,
-                 cfg: Optional[LadderConfig] = None,
-                 grid: Optional[DiskGrid] = None) -> Verdict:
-    """Weighted-derivative sup criterion ``sup (1-|z|^2)^(beta+1-alpha) |g'|`` (beta > 0)."""
+def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
+                   cfg: Optional[LadderConfig], grid: Optional[DiskGrid], profile) -> Verdict:
     if pair.beta <= 0:
-        raise HypothesisError("the pointwise derivative criterion applies only for beta > 0")
+        kind = "derivative" if operator is OperatorKind.Tg else "symbol"
+        raise HypothesisError(f"the pointwise {kind} criterion applies only for beta > 0")
     cfg = cfg or DEFAULT_LADDER
-    exponent = pair.beta + 1.0 - pair.alpha
-    ks, profile, _ = _pointwise_profile(g, "deriv", exponent, cfg)
-    verdict = _slope_classify(ks, profile, np.ones(len(ks), dtype=bool), cfg,
-                              "tg-pointwise-sup")
+    which, exponent = _pointwise_form(operator, pair)
+    if profile is None:
+        profile = _pointwise_profile(g, which, exponent, cfg)
+    ks, values, _ = profile
+    criterion = f"{operator.value.lower()}-pointwise-sup"
+    verdict = _slope_classify(ks, values, np.ones(len(ks), dtype=bool), cfg, criterion)
     if verdict.tag is VerdictTag.BOUNDED:
-        value = _pointwise_value(g, "deriv", exponent, float(np.max(profile)), grid)
+        value = _pointwise_value(g, which, exponent, float(np.max(values)), grid)
         verdict = Verdict(VerdictTag.BOUNDED, value=value, evidence=verdict.evidence,
                           diagnostics=verdict.diagnostics)
     return verdict
+
+
+def tg_pointwise(g: SymbolSpec, pair: SpacePair,
+                 cfg: Optional[LadderConfig] = None,
+                 grid: Optional[DiskGrid] = None, profile=None) -> Verdict:
+    """Weighted-derivative sup criterion ``sup (1-|z|^2)^(beta+1-alpha) |g'|`` (beta > 0);
+    ``profile`` may be the :func:`_pointwise_profile` already built for it."""
+    return _pointwise_sup(g, pair, OperatorKind.Tg, cfg, grid, profile)
 
 
 def sg_pointwise(g: SymbolSpec, pair: SpacePair,
                  cfg: Optional[LadderConfig] = None,
-                 grid: Optional[DiskGrid] = None) -> Verdict:
-    """Weighted-symbol sup criterion ``sup (1-|z|^2)^(beta-alpha) |g|`` (beta > 0)."""
-    if pair.beta <= 0:
-        raise HypothesisError("the pointwise symbol criterion applies only for beta > 0")
-    cfg = cfg or DEFAULT_LADDER
-    exponent = pair.beta - pair.alpha
-    ks, profile, _ = _pointwise_profile(g, "eval", exponent, cfg)
-    verdict = _slope_classify(ks, profile, np.ones(len(ks), dtype=bool), cfg,
-                              "sg-pointwise-sup")
-    if verdict.tag is VerdictTag.BOUNDED:
-        value = _pointwise_value(g, "eval", exponent, float(np.max(profile)), grid)
-        verdict = Verdict(VerdictTag.BOUNDED, value=value, evidence=verdict.evidence,
-                          diagnostics=verdict.diagnostics)
-    return verdict
+                 grid: Optional[DiskGrid] = None, profile=None) -> Verdict:
+    """Weighted-symbol sup criterion ``sup (1-|z|^2)^(beta-alpha) |g|`` (beta > 0);
+    ``profile`` is as in :func:`tg_pointwise`."""
+    return _pointwise_sup(g, pair, OperatorKind.Sg, cfg, grid, profile)
 
 
 def pointwise_compactness(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
-                          cfg: Optional[LadderConfig] = None) -> Verdict:
+                          cfg: Optional[LadderConfig] = None, profile=None) -> Verdict:
     """Vanishing weighted modulus at the boundary (beta > 0): outer-rung maxima
-    must fall below tolerance with a decreasing trend."""
+    must fall below tolerance with a decreasing trend; ``profile`` is as in
+    :func:`tg_pointwise`."""
     if pair.beta <= 0:
         if operator is OperatorKind.Sg:
             raise HypothesisError("for an unweighted target use the zero-symbol rule")
         raise HypothesisError("the pointwise compactness criterion applies only for beta > 0")
     cfg = cfg or DEFAULT_LADDER
-    if operator is OperatorKind.Tg:
-        which, exponent, criterion = "deriv", pair.beta + 1.0 - pair.alpha, "tg-pointwise-vanishing"
-    else:
-        which, exponent, criterion = "eval", pair.beta - pair.alpha, "sg-pointwise-vanishing"
-    ks, profile, _ = _pointwise_profile(g, which, exponent, cfg)
-    tw = min(cfg.trend_window, len(profile))
-    trail = profile[-tw:]
-    last = float(trail[-1])
-    diag = {"criterion": criterion, "profile_last": last, "profile_max": float(np.max(profile))}
-    nonincreasing = bool(np.all(np.diff(trail) <= 1e-12 + 1e-9 * np.abs(trail[:-1])))
-    if last < cfg.compact_tol and nonincreasing:
-        return Verdict(VerdictTag.COMPACT, value=last, evidence=(criterion,), diagnostics=diag)
-    plateau = bool(np.max(np.abs(np.diff(trail))) <= 0.25 * max(abs(last), 1e-300))
-    if last > cfg.not_compact_factor * cfg.compact_tol and (plateau or trail[-1] >= trail[0]):
-        return Verdict(VerdictTag.NOT_COMPACT, value=last, evidence=(criterion,), diagnostics=diag)
-    return Verdict(VerdictTag.INCONCLUSIVE,
-                   reason=f"boundary profile {last:.3e} between thresholds",
-                   evidence=(criterion,), diagnostics=diag)
+    if profile is None:
+        profile = _pointwise_profile(g, *_pointwise_form(operator, pair), cfg)
+    _, values, _ = profile
+    criterion = f"{operator.value.lower()}-pointwise-vanishing"
+    diag = {"criterion": criterion, "profile_last": float(values[-1]),
+            "profile_max": float(np.max(values))}
+    return _trend_classify(values, cfg, criterion, diag, "boundary profile")
 
 
 def sg_zero_symbol_compactness(g: SymbolSpec) -> Verdict:
@@ -826,20 +793,27 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
 
     Two applicable criteria that decide differently downgrade the verdict to
     Inconclusive: the theory proves they agree, so disagreement flags a
-    numerical fault rather than a property of the symbol.
+    numerical fault rather than a property of the symbol.  Each ladder engine
+    and the pointwise profile are built once and shared by the criteria that
+    read them.
     """
     cfg = cfg or DEFAULT_LADDER
     ladders, pointwise, notes = {}, {}, []
+    tg_engine = None
+    profile = None
+    if pair.beta > 0:
+        profile = _pointwise_profile(g, *_pointwise_form(operator, pair), cfg)
 
     if operator is OperatorKind.Tg:
         outcome = tg_boundedness(g, pair, cfg)
+        tg_engine = outcome.engine
         ladders["tg-radial-ladder"] = outcome.ladder
         bound_claims = [_sufficiency_only(outcome.verdict, _tg_necessity_ok(g),
                                           "log g' in the Bloch space")]
         if not _tg_necessity_ok(g):
             notes.append("ladder evidence is one-sided: log g' Bloch membership unknown")
         if pair.beta > 0:
-            pw = tg_pointwise(g, pair, cfg, grid)
+            pw = tg_pointwise(g, pair, cfg, grid, profile=profile)
             pointwise["tg-pointwise-sup"] = pw.value if pw.value is not None else math.nan
             bound_claims.append(pw)
         boundedness, agree_b = _merge(bound_claims, "no boundedness criterion applied")
@@ -857,12 +831,13 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                            diagnostics=tail.diagnostics)
         compact_claims.append(tail)
         if pair.beta > 0:
-            compact_claims.append(pointwise_compactness(g, pair, operator, cfg))
+            compact_claims.append(pointwise_compactness(g, pair, operator, cfg, profile=profile))
         compactness, agree_c = _merge(compact_claims, "no compactness criterion applied")
 
     else:
         if pair.alpha == 0.0 and pair.beta == 0.0:
             fwd = tg_boundedness(g, pair, cfg)
+            tg_engine = fwd.engine
             ladders["tg-radial-ladder"] = fwd.ladder
             v = _sufficiency_only(fwd.verdict, _tg_necessity_ok(g), "log g' in the Bloch space")
             boundedness = Verdict(v.tag, v.value,
@@ -882,7 +857,7 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                     notes.append("companion ladder evidence is one-sided: "
                                  "log g Bloch membership unknown")
             if pair.beta > 0.0:
-                pw = sg_pointwise(g, pair, cfg, grid)
+                pw = sg_pointwise(g, pair, cfg, grid, profile=profile)
                 pointwise["sg-pointwise-sup"] = pw.value if pw.value is not None else math.nan
                 bound_claims.append(pw)
             boundedness, agree_b = _merge(bound_claims, "no boundedness criterion applied")
@@ -894,7 +869,7 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
         if pair.beta == 0.0:
             compact_claims.append(sg_zero_symbol_compactness(g))
         else:
-            compact_claims.append(pointwise_compactness(g, pair, operator, cfg))
+            compact_claims.append(pointwise_compactness(g, pair, operator, cfg, profile=profile))
         compactness, agree_c = _merge(compact_claims, "no compactness criterion applied")
 
     # compact operators are bounded; reconcile the two verdicts
@@ -915,4 +890,5 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
         ladders=ladders, pointwise=pointwise,
         cross_check_agreement=bool(agree_b and agree_c),
         notes=tuple(notes),
+        tg_engine=tg_engine,
     )

@@ -28,14 +28,13 @@ from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator
 from .series import FunctionHandle, TaylorSeries
-from .spaces import DiskGrid, SpacePair, weighted_sup_norm
+from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norm
 from .symbols import DEFAULT_DEGREE, SymbolSpec
 
 # coarser polar grid for battery/probe image norms; series images are
 # additionally sampled on the boundary ring when the target weight vanishes,
 # which pins the polynomial sup-norms exactly, so refinement is skipped
-ESTIMATION_GRID = DiskGrid(radial_k=80, n_angles=128, refine_passes=0,
-                           refine_top=2, outer_rungs=4)
+ESTIMATION_GRID = DiskGrid(radial_k=80, n_angles=128, refine_top=0, outer_rungs=4)
 
 # peaking-parameter schedule lambda = 1 - 2^{-j} and aim directions
 PEAK_RUNGS = (1, 2, 3, 4, 5, 6)
@@ -74,26 +73,14 @@ def _radial_max(mag_coeffs: np.ndarray, alpha: float) -> float:
     i = int(np.argmax(prof))
     lo = r[max(i - 1, 0)]
     hi = r[min(i + 1, len(r) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def f(x):
         sx = 1.0 - x
         wx = (sx * (2.0 - sx)) ** alpha if alpha else 1.0
-        return wx * float(np.polyval(mag_coeffs[::-1], x))
+        return wx * np.polyval(mag_coeffs[::-1], x)
 
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return max(best, fc, fd)
+    _, peak = golden_max(f, [lo], [hi], 60)
+    return max(best, float(peak[0]))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ Integrand callables receive ``(r, s)`` with ``s = 1 - r`` carried exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -48,8 +49,12 @@ class QuadResult:
         return self.value
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int):
+    """Nodes and weights of the n-point rule on [-1, 1], memoised and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 

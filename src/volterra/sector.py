@@ -18,6 +18,7 @@ ratio keeps full precision arbitrarily close to the vertex.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .series import FunctionHandle
 
 # 2-D Kronecker (R2) sequence constants: 1/g and 1/g^2 for the plastic number g
 _R2_A1 = 0.7548776662466927
@@ -69,11 +69,7 @@ class SectorMap:
     one_minus_abs2: Callable     # stable 1 - |psi|^2
     center_residual: float       # |psi| at the half-radius bisector point
     vertex_solve_residual: float  # |normalized vertex image - e^{i theta}|
-    mobius_center: complex       # chain image mapped to 0
     rotation: complex            # final unimodular factor
-
-    def psi_handle(self) -> FunctionHandle:
-        return FunctionHandle.closed_form(self.psi, self.dpsi, domain_radius=1.0)
 
     def vertex_residuals(self, eps_values=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
         """|psi(eps e^{i theta}) - e^{i theta}| along the bisector."""
@@ -98,12 +94,17 @@ def _chain_deriv(w1, w2, w3, theta: float, p: float):
 
 
 def build_sector_map(params: SectorParams) -> SectorMap:
-    """Construct the normalized map; fails if the normalization residual is off."""
+    """Construct the normalized map; fails if the normalization residual is off
+    or, at small apertures, the half-radius point's image is lost to underflow."""
     theta, p = params.theta, math.pi / params.eta
     bis = complex(math.cos(theta), math.sin(theta))
 
-    _, _, _, a = _chain(0.5 * bis, theta, p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, _, _, a = _chain(0.5 * bis, theta, p)
     a = complex(a)
+    if not cmath.isfinite(a) or a == 1.0:
+        raise ConstructionError(f"aperture {params.eta:g} too small: the half-radius "
+                                f"point's image {a} is not finite or is the vertex image")
     # vertex: w2 -> 0 forces w3 -> infinity, hence w4 -> 1 along the chain
     b = (1.0 - a) / (1.0 - a.conjugate())
     rho = bis / b
@@ -131,8 +132,7 @@ def build_sector_map(params: SectorParams) -> SectorMap:
             f"normalization residuals {center_residual:.3e}/{vertex_residual:.3e}")
     return SectorMap(params=params, psi=psi, dpsi=dpsi, one_minus_abs2=one_minus_abs2,
                      center_residual=center_residual,
-                     vertex_solve_residual=vertex_residual,
-                     mobius_center=a, rotation=rho)
+                     vertex_solve_residual=vertex_residual, rotation=rho)
 
 
 def density_ratio(smap: SectorMap, z: complex) -> float:
@@ -166,10 +166,16 @@ def estimate_density_bound(gamma: float, eta: float, n_samples: int,
     """Empirical max of the density ratio over the half-radius gamma-subsector.
 
     Requires ``0 < gamma < eta < pi``.  Nondecreasing in ``n_samples`` by
-    construction of the nested sample.
+    construction of the nested sample.  Raises ConstructionError when the
+    ratio is not finite at some sample (``np.max`` propagates NaN), as happens
+    near the vertex at small apertures.
     """
     if not (0.0 < gamma < eta < math.pi):
         raise ValueError("need 0 < gamma < eta < pi")
     smap = build_sector_map(SectorParams(eta=eta, theta=theta))
     zs = sector_sample(gamma, theta, n_samples)
-    return float(np.max(density_ratio(smap, zs)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = float(np.max(density_ratio(smap, zs)))
+    if not math.isfinite(bound):
+        raise ConstructionError(f"density ratio not finite on the sample at aperture {eta:g}")
+    return bound

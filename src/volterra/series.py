@@ -83,12 +83,6 @@ class TaylorSeries:
         cs = [self.coefficient(k) + other.coefficient(k) for k in range(n + 1)]
         return TaylorSeries(tuple(cs), self.truncated or other.truncated)
 
-    def truncate(self, degree: int) -> "TaylorSeries":
-        if degree >= self.degree:
-            return self
-        dropped = any(c != 0 for c in self.coeffs[degree + 1 :])
-        return TaylorSeries(self.coeffs[: degree + 1], self.truncated or dropped)
-
 
 def evaluate_polynomial(coeffs: Sequence[complex], z):
     """Horner evaluation, vectorized over ``z``; overflow is clamp-tagged."""

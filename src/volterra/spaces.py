@@ -1,10 +1,11 @@
 """Weighted sup-norms on the disk and the grids used to estimate suprema.
 
 The weight is ``(1-|z|^2)^alpha``.  Maxima in this problem family concentrate at
-the boundary, so the radial grid is geometrically graded toward ``|z| = 1`` and a
-golden-section pass in the angle refines the best candidates on the outermost
-rungs.  All sweeps are pure and deterministic; refinement can only increase the
-reported supremum.
+the boundary, so the radial grid is geometrically graded toward ``|z| = 1``, and
+one batched golden-section search refines the best candidates: in the angle on
+the outermost rungs, then in the radius at each refined angle.  The same
+:func:`golden_max` kernel serves every refinement in the package.  All sweeps
+are pure and deterministic; refinement can only increase the reported supremum.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ class DiskGrid:
     """Polar sampling grid with geometric grading toward the boundary.
 
     Radial rungs are ``r_k = 1 - 2^(-k/4)`` for ``k = 0..radial_k``; angles are
-    uniform.  ``refine_passes`` golden-section rounds are run around the top
-    ``refine_top`` angular maxima of the outermost ``outer_rungs`` rungs.
+    uniform.  Golden-section search refines the top ``refine_top`` angular
+    maxima of the outermost ``outer_rungs`` rungs (and the interior maximum);
+    ``refine_top = 0`` turns refinement off.
     """
 
     radial_k: int = 96
     n_angles: int = 512
-    refine_passes: int = 3
     refine_top: int = 3
     refine_iters: int = 40
     outer_rungs: int = 8
@@ -90,38 +91,42 @@ def _weight(one_minus_r, alpha: float):
     return (s * (2.0 - s)) ** alpha
 
 
-def _abs_at(f, r: float, theta):
-    vals = evaluate(f, r * np.exp(1j * np.asarray(theta, dtype=float)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.abs(vals)
+def golden_max(fn, lo, hi, iters: int):
+    """Golden-section maximization on a batch of brackets ``[lo[i], hi[i]]``.
 
-
-def _golden_max(fn, lo: float, hi: float, iters: int):
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    a, b = lo, hi
+    ``fn`` maps an array of points, one per bracket, to their values.  Returns
+    the best point and value evaluated in each bracket, arrays shaped like
+    ``lo``; for a unimodal objective these are the bracket's maximum to within
+    ``0.618^iters`` of its width.
+    """
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
+    best_t = np.where(fc >= fd, c, d)
+    best_v = np.maximum(fc, fd)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        # keep [a, d] when f(c) >= f(d), else [c, b]; one new probe per step
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        fp = fn(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+        best_t = np.where(fp > best_v, probe, best_t)
+        best_v = np.maximum(best_v, fp)
+    return best_t, best_v
 
 
 def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
                          grid: Optional[DiskGrid] = None) -> SupremumReport:
     """Estimate ``sup (1-|z|^2)^alpha |f(z)|`` over the disk.
 
-    Sweeps the polar grid, then refines the angle around the best candidates on
-    the outermost rungs.  For ``alpha = 0`` the weight is short-circuited, and a
-    series handle is additionally sampled on the boundary circle (a polynomial
-    attains its sup-norm there).
+    Sweeps the polar grid, then refines the best candidates by golden-section
+    search unless ``grid.refine_top`` is 0.  For ``alpha = 0`` the weight is
+    short-circuited, and a series handle is additionally sampled on the
+    boundary circle (a polynomial attains its sup-norm there).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -148,39 +153,38 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
     i_best = int(np.argmax(rung_max))
     best_val = float(rung_max[i_best])
     best_z = radii[i_best] * np.exp(1j * thetas[rung_arg[i_best]])
-    top = []  # (rung index, angle index) seeds for refinement
-    for i in range(max(0, len(radii) - grid.outer_rungs), len(radii)):
-        order = np.argsort(-vals[i], kind="stable")[: grid.refine_top]
-        top.extend((i, int(j2)) for j2 in order)
-    if i_best < len(radii) - grid.outer_rungs:
-        top.append((i_best, int(rung_arg[i_best])))  # interior maximum seed
+    if grid.refine_top > 0:
+        # seeds: the top angles of the outermost rungs, plus the grid maximum
+        # when it lies inside them; each is searched in the angle at its rung,
+        # then in the radius between the neighboring rungs at the refined
+        # angle (for maxima attained strictly inside the disk)
+        n = len(radii)
+        outer = np.arange(max(0, n - grid.outer_rungs), n)
+        order = np.argsort(-vals[outer], axis=1, kind="stable")[:, : grid.refine_top]
+        rung, col = np.repeat(outer, order.shape[1]), order.ravel()
+        if i_best < n - grid.outer_rungs:
+            rung, col = np.append(rung, i_best), np.append(col, rung_arg[i_best])
 
-    def weighted_abs(r, t):
-        w = 1.0 if alpha == 0.0 else (1.0 - r * r) ** alpha
-        m = float(_abs_at(f, r, t))
-        return w * m if math.isfinite(m) else math.inf
+        def weighted_abs(r, t):
+            with np.errstate(invalid="ignore", over="ignore"):
+                m = np.abs(evaluate(f, r * np.exp(1j * t)))
+            w = 1.0 if alpha == 0.0 else (1.0 - r * r) ** alpha
+            return np.where(np.isfinite(m), w * m, np.inf)
 
-    dtheta = 2.0 * np.pi / grid.n_angles
-    for _ in range(grid.refine_passes):
-        for i, j in top:
-            r = radii[i]
-            center = thetas[j]
-            t_star, v_star = _golden_max(lambda t, _r=r: weighted_abs(_r, t),
-                                         center - dtheta, center + dtheta,
-                                         grid.refine_iters)
-            if v_star > best_val:
-                best_val = v_star
-                best_z = r * np.exp(1j * t_star)
-            # radial pass between the neighboring rungs at the refined angle,
-            # for maxima attained strictly inside the disk
-            r_lo = radii[i - 1] if i > 0 else 0.0
-            r_hi = radii[i + 1] if i + 1 < len(radii) else radii[i]
-            if r_hi > r_lo:
-                r_star, v_star = _golden_max(lambda rr, _t=t_star: weighted_abs(rr, _t),
-                                             r_lo, r_hi, grid.refine_iters)
-                if v_star > best_val:
-                    best_val = v_star
-                    best_z = r_star * np.exp(1j * t_star)
+        r = radii[rung]
+        dtheta = 2.0 * np.pi / grid.n_angles
+        t_star, v_ang = golden_max(lambda t: weighted_abs(r, t), thetas[col] - dtheta,
+                                   thetas[col] + dtheta, grid.refine_iters)
+        r_lo = np.where(rung > 0, radii[np.maximum(rung - 1, 0)], 0.0)
+        r_star, v_rad = golden_max(lambda rr: weighted_abs(rr, t_star), r_lo,
+                                   radii[np.minimum(rung + 1, n - 1)], grid.refine_iters)
+        # candidates in seed order, angular before radial; argmax keeps the
+        # first of equal maxima
+        cand_v = np.column_stack([v_ang, v_rad]).ravel()
+        k = int(np.argmax(cand_v))
+        if cand_v[k] > best_val:
+            best_val = float(cand_v[k])
+            best_z = np.column_stack([r, r_star]).ravel()[k] * np.exp(1j * t_star[k // 2])
 
     divergent = False
     if clamped > 0:

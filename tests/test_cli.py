@@ -121,6 +121,55 @@ def test_config_file_presets_and_flag_precedence(tmp_path, capsys):
     assert code == 0  # explicit flag wins
 
 
+def test_config_equals_form_is_applied(tmp_path, capsys):
+    cfg = tmp_path / "starved.cfg"
+    cfg.write_text("kmax = 4\n")
+    cell = ("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0")
+    assert run(capsys, *cell)[0] == 0
+    assert run(capsys, *cell, "--config", str(cfg))[0] == 2
+    assert run(capsys, *cell, f"--config={cfg}")[0] == 2
+
+
+def test_config_without_value_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "classify", "--symbol", "identity", "--op", "Tg",
+                       "--alpha", "0", "--beta", "0", "--config")
+    assert code == 1
+    assert "--config" in err
+    assert "Traceback" not in err
+
+
+def test_config_value_is_checked_like_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kmax = 100\n")
+    code, _, err = run(capsys, "classify", "--symbol", "identity", "--op", "Tg",
+                       "--alpha", "0", "--beta", "0", "--config", str(cfg))
+    assert code == 1
+    assert "kmax must lie in [4, 40]" in err
+
+
+def test_report_builds_one_engine_per_tg_row(monkeypatch):
+    from volterra import criteria, report
+    from volterra.operators import OperatorKind
+    built, per_row = [], []
+    real_engine, real_row = criteria._ladder_engine, report._row_result
+
+    def engine(*args):
+        built.append(args[1])
+        return real_engine(*args)
+
+    def row(r, *args):
+        before = len(built)
+        out = real_row(r, *args)
+        per_row.append((r.operator, len(built) - before))
+        return out
+    monkeypatch.setattr(criteria, "_ladder_engine", engine)
+    monkeypatch.setattr(report, "_row_result", row)
+    build_report(ReportConfig(k_max=6, probe_n_max=16, degree=64, n_angles=128, workers=1))
+    tg_counts = [n for op, n in per_row if op is OperatorKind.Tg]
+    assert tg_counts and set(tg_counts) == {1}
+    assert all(n <= 1 for _, n in per_row)
+
+
 def test_csv_header_is_frozen():
     assert CSV_HEADER == ["symbol", "op", "alpha", "beta", "verdict", "value",
                           "lower", "upper", "probe_exp", "agree"]

@@ -284,3 +284,74 @@ def test_verdict_requires_reason_when_inconclusive():
     from volterra.criteria import Verdict
     with pytest.raises(ValueError):
         Verdict(VerdictTag.INCONCLUSIVE)
+
+
+# -- the batched pointwise profile -------------------------------------------
+
+def _golden_scalar(fn, lo, hi, iters):
+    # the classic one-bracket golden-section loop, kept here as a reference
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _profile_reference(g, which, exponent, cfg):
+    """The pointwise profile refined one rung and one bracket at a time."""
+    from volterra.criteria import _abs_matrix_fun
+    from volterra.series import OVERFLOW_CLAMP
+    absfun = _abs_matrix_fun(g, which)
+    s = 2.0 ** -cfg.rung_ks().astype(float)
+    r = 1.0 - s
+    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+    vals = absfun(r[:, None], s[:, None], thetas[None, :])
+    vals = np.where(~np.isfinite(vals) | (vals > OVERFLOW_CLAMP), OVERFLOW_CLAMP, vals)
+    sup = np.max(vals, axis=1)
+    dtheta = 2.0 * np.pi / cfg.n_angles
+    for i in range(len(s)):
+        for j in np.argsort(-vals[i], kind="stable")[: cfg.refine_top]:
+            def obj(th, _i=i):
+                v = float(absfun(r[_i], s[_i], th))
+                return v if math.isfinite(v) else OVERFLOW_CLAMP
+            _, best = _golden_scalar(obj, thetas[j] - dtheta, thetas[j] + dtheta,
+                                     cfg.refine_iters)
+            sup[i] = max(sup[i], best)
+    return (s * (2.0 - s)) ** exponent * sup
+
+
+@pytest.mark.parametrize("name", ["zero", "one", "identity", "monomial", "log", "koebe1",
+                                  "koebe2", "koebe3", "affine", "cayley", "lacunary"])
+def test_batched_profile_matches_scalar_reference(name):
+    from volterra.criteria import _pointwise_profile
+    cfg = LadderConfig(k_max=24, n_angles=64, refine_top=2, refine_iters=40)
+    g = get_symbol(name).rotated(0.9)
+    for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
+        _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
+        ref = _profile_reference(g, which, exponent, cfg)
+        np.testing.assert_allclose(profile, ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("op", [T, S])
+def test_classify_builds_the_pointwise_profile_once(monkeypatch, op):
+    from volterra import criteria
+    real = criteria._pointwise_profile
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(criteria, "_pointwise_profile", counting)
+    rep = classify(get_symbol("cayley"), op, _pair(1, 2), FAST)
+    assert len(calls) == 1
+    assert any(e.endswith("pointwise-sup") for e in rep.boundedness.evidence)
+    assert any(e.endswith("pointwise-vanishing") for e in rep.compactness.evidence)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from volterra.errors import DomainError
+from volterra.errors import ConstructionError, DomainError
 from volterra.sector import (SectorParams, build_sector_map, density_ratio,
                              estimate_density_bound, sector_sample)
 
@@ -146,3 +146,27 @@ def test_sample_is_nested():
     a = sector_sample(1.0, 0.0, 100)
     b = sector_sample(1.0, 0.0, 1000)
     assert np.allclose(a, b[:100], rtol=0, atol=0)
+
+
+def test_small_aperture_fails_loudly_in_the_map():
+    # at eta = 0.04 the half-radius point rounds to the vertex image 1
+    with pytest.raises(ConstructionError):
+        build_sector_map(SectorParams(eta=0.04))
+    with pytest.raises(ConstructionError):
+        estimate_density_bound(0.02, 0.04, 1000)
+
+
+def test_small_aperture_fails_loudly_in_the_density_bound():
+    # at eta = 0.1 the map builds, but the chain underflows near the vertex
+    build_sector_map(SectorParams(eta=0.1))
+    with pytest.raises(ConstructionError):
+        estimate_density_bound(0.05, 0.1, 1000)
+
+
+@pytest.mark.parametrize("eta", [0.04, 0.1])
+def test_lemma2_small_aperture_exits_one(capsys, eta):
+    from volterra.cli import main
+    code = main(["lemma2", "--gamma", str(eta / 2), "--eta", str(eta)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volterra.errors import DomainError
 from volterra.series import (DIVERGENT_SAMPLE, FunctionHandle, TaylorSeries,
@@ -76,14 +76,18 @@ def test_antiderivative_inverts_derivative_example():
 
 @settings(max_examples=60, deadline=None)
 @given(coeff_lists(max_degree=200))
+@example([0j, 0j, 2.225073858507203e-309 + 0j])
 def test_derivative_of_antiderivative_is_identity(cs):
-    # round-trip c -> c/(n+1) -> *(n+1) is correctly rounded twice, so each
-    # coefficient comes back within one ulp (bit-exact only when n+1 is a
-    # power of two)
+    # round-trip c -> c/(n+1) -> *(n+1) is correctly rounded twice, per
+    # component.  For normal numbers each component comes back within one ulp
+    # (bit-exact only when n+1 is a power of two).  In the subnormal range the
+    # quotient's rounding error is absolute, up to 2^-1075, and the product
+    # scales it by n+1, hence the absolute term.
     f = TaylorSeries(tuple(cs))
     back = derivative(antiderivative(f))
-    for a, b in zip(back.coeffs, f.coeffs):
-        assert a == pytest.approx(b, rel=2.0 ** -51, abs=0.0)
+    for n, (a, b) in enumerate(zip(back.coeffs, f.coeffs)):
+        for got, want in ((a.real, b.real), (a.imag, b.imag)):
+            assert got == pytest.approx(want, rel=2.0 ** -51, abs=(n + 1) * 2.0 ** -1074)
 
 
 def test_cauchy_difference_of_squares():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from volterra.errors import SymbolZeroDerivative
 from volterra.series import FunctionHandle, TaylorSeries
-from volterra.spaces import (DEFAULT_GRID, DiskGrid, SpacePair, bloch_norm,
+from volterra.spaces import (DEFAULT_GRID, DiskGrid, SpacePair, bloch_norm, golden_max,
                              log_deriv_bloch_seminorm, weighted_sup_details,
                              weighted_sup_norm)
 from volterra.symbols import get_symbol
@@ -78,7 +78,7 @@ def poly_handles(max_degree=12):
 
 # refinement off: the pure grid max is exactly positively homogeneous, while
 # golden-section refinement carries ~1e-10 positional noise at interior maxima
-SMALL_GRID = DiskGrid(radial_k=80, n_angles=64, refine_passes=0, outer_rungs=3)
+SMALL_GRID = DiskGrid(radial_k=80, n_angles=64, refine_top=0, outer_rungs=3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,8 +109,8 @@ def test_triangle_inequality(f, g, alpha):
 
 
 def test_refinement_never_decreases():
-    raw = DiskGrid(radial_k=96, n_angles=128, refine_passes=0)
-    refined = DiskGrid(radial_k=96, n_angles=128, refine_passes=3)
+    raw = DiskGrid(radial_k=96, n_angles=128, refine_top=0)
+    refined = DiskGrid(radial_k=96, n_angles=128, refine_top=3)
     # rotate so the boundary peak falls between grid angles
     handle = FunctionHandle.closed_form(lambda z: 1.0 / (1.0 - np.exp(-0.01j) * z),
                                         lambda z: np.exp(-0.01j) * (1.0 - np.exp(-0.01j) * z) ** -2.0)
@@ -138,7 +138,7 @@ def test_bloch_norm_needs_a_derivative_evaluator():
 
 
 def test_homogeneity_survives_refinement_on_boundary_peak():
-    g = DiskGrid(radial_k=96, n_angles=128, refine_passes=3)
+    g = DiskGrid(radial_k=96, n_angles=128, refine_top=3)
     base = weighted_sup_norm(CAYLEY, 1.0, g)
     scaled_handle = FunctionHandle.closed_form(lambda z: 2.5 / (1.0 - z),
                                                lambda z: 2.5 * (1.0 - z) ** -2.0)
@@ -169,3 +169,27 @@ def test_series_boundary_ring_only_at_alpha_zero():
     f = TaylorSeries((0,) * 64 + (1,))
     assert weighted_sup_norm(f, 0.0) == pytest.approx(1.0, abs=1e-13)
     assert weighted_sup_norm(f, 0.5) < 1.0
+
+
+# -- the golden-section kernel -------------------------------------------------
+
+def test_golden_max_batch_equals_each_bracket_searched_alone():
+    def fn(x):
+        return np.sin(3.0 * x) * np.exp(-0.2 * x)
+    lo = np.array([0.0, 1.5, -2.0, 0.4, 2.0])
+    hi = np.array([1.0, 2.5, -1.0, 0.6, 2.0])  # the last bracket is a point
+    t, v = golden_max(fn, lo, hi, 50)
+    for i in range(len(lo)):
+        ti, vi = golden_max(fn, lo[i:i + 1], hi[i:i + 1], 50)
+        assert (ti[0], vi[0]) == (t[i], v[i])
+
+
+def test_golden_max_finds_unimodal_maximum():
+    # a kink pins the position, a smooth peak the value (its position is only
+    # resolved to about sqrt(eps) by value comparisons)
+    t, v = golden_max(lambda x: -np.abs(x - 0.3), [0.0], [1.0], 80)
+    assert abs(t[0] - 0.3) <= 1e-12
+    assert abs(v[0]) <= 1e-12
+    t, v = golden_max(lambda x: np.cos(x - 0.7), [0.0], [2.0], 80)
+    assert abs(v[0] - 1.0) <= 1e-12
+    assert abs(t[0] - 0.7) <= 1e-7
