@@ -60,8 +60,15 @@ def _operator(value: str) -> OperatorKind:
         raise argparse.ArgumentTypeError("operator must be Tg or Sg") from None
 
 
-def _build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+def _build_parser(preset=None):
+    """The top-level parser and its subcommand parsers by name.
+
+    Options named in ``preset`` are not required; with ``preset=None`` no
+    option is, so that a first pass can find the config file.
+    """
+    def required(dest):
+        return preset is not None and dest not in preset
+
     parser = argparse.ArgumentParser(
         prog="volterra",
         description="Boundedness/compactness classification of Volterra-type "
@@ -76,10 +83,10 @@ def _build_parser():
         p.add_argument("--output", type=Path, default=None)
 
     p = sub.add_parser("classify", help="classify one (symbol, operator, alpha, beta) cell")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--op", type=_operator, required=True)
-    p.add_argument("--alpha", type=_nonnegative, required=True)
-    p.add_argument("--beta", type=_nonnegative, required=True)
+    p.add_argument("--symbol", required=required("symbol"))
+    p.add_argument("--op", type=_operator, required=required("op"))
+    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
+    p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--kmax", type=_kmax, default=40)
     p.add_argument("--angles", type=_positive_power_of_two, default=512)
     add_common(p)
@@ -92,32 +99,32 @@ def _build_parser():
     add_common(p)
 
     p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--alpha", type=_nonnegative, required=True)
+    p.add_argument("--symbol", required=required("symbol"))
+    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--of", choices=("g", "gprime"), default="g")
     p.add_argument("--bloch", action="store_true", help="also print the Bloch norm")
     add_common(p)
 
     p = sub.add_parser("opnorm", help="empirical lower / split upper operator-norm bounds")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--op", type=_operator, required=True)
-    p.add_argument("--alpha", type=_nonnegative, required=True)
-    p.add_argument("--beta", type=_nonnegative, required=True)
+    p.add_argument("--symbol", required=required("symbol"))
+    p.add_argument("--op", type=_operator, required=required("op"))
+    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
+    p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--t0", type=float, default=None,
                    help="cut rung for the split bound (default: best over the schedule)")
     add_common(p)
 
     p = sub.add_parser("probe", help="weakly-null compactness probe trace")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--op", type=_operator, required=True)
-    p.add_argument("--alpha", type=_nonnegative, required=True)
-    p.add_argument("--beta", type=_nonnegative, required=True)
+    p.add_argument("--symbol", required=required("symbol"))
+    p.add_argument("--op", type=_operator, required=required("op"))
+    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
+    p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--nmax", type=int, default=64)
     add_common(p)
 
     p = sub.add_parser("lemma2", help="validate the sector-map density bound")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--gamma", type=float, required=required("gamma"))
+    p.add_argument("--eta", type=float, required=required("eta"))
     p.add_argument("--theta-count", type=int, default=8)
     p.add_argument("--samples", type=str, default="1000,10000,100000")
     add_common(p)
@@ -142,21 +149,22 @@ def _read_config(path: Path) -> dict:
 
 
 def _parse(argv):
-    """Parse once to find the subcommand and its ``--config`` file, then again
-    with the file's values as that subcommand's defaults.  argparse converts
-    string defaults with the option's type, so file values are checked like
-    flags; explicit flags win, and keys that are not options are ignored."""
-    parser, commands = _build_parser()
-    first, _ = parser.parse_known_args(argv)
-    if first.config is None:
-        return parser.parse_args(argv)
+    """Parse once, with no option required, to find the subcommand and its
+    ``--config`` file, then again with the file's values as that subcommand's
+    defaults; an option the file presets is no longer required.  argparse
+    converts string defaults with the option's type, so file values are
+    checked like flags; explicit flags win, and keys that are not options are
+    ignored."""
+    first, _ = _build_parser()[0].parse_known_args(argv)
     known = vars(first)
     presets = {}
-    for key, raw in _read_config(first.config).items():
-        if key in known and key not in ("command", "config"):
-            # store_true switches take a truth word, not a typed value
-            presets[key] = (raw.lower() in ("1", "true", "yes")
-                            if isinstance(known[key], bool) else raw)
+    if first.config is not None:
+        for key, raw in _read_config(first.config).items():
+            if key in known and key not in ("command", "config"):
+                # store_true switches take a truth word, not a typed value
+                presets[key] = (raw.lower() in ("1", "true", "yes")
+                                if isinstance(known[key], bool) else raw)
+    parser, commands = _build_parser(presets)
     commands[first.command].set_defaults(**presets)
     return parser.parse_args(argv)
 

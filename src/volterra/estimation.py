@@ -27,7 +27,7 @@ import numpy as np
 from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator
-from .series import FunctionHandle, TaylorSeries
+from .series import FunctionHandle, TaylorSeries, evaluate_polynomial
 from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norm
 from .symbols import DEFAULT_DEGREE, SymbolSpec
 
@@ -52,12 +52,13 @@ def monomial_norm(n: int, alpha: float) -> float:
     return (n / (n + 2.0 * alpha)) ** (0.5 * n) * (2.0 * alpha / (n + 2.0 * alpha)) ** alpha
 
 
-def _radial_max(mag_coeffs: np.ndarray, alpha: float) -> float:
-    """``max_r (1-r^2)^alpha sum |a_m| r^m`` on a graded grid plus refinement.
+def _radial_max(mag_rows: np.ndarray, alpha: float) -> np.ndarray:
+    """``max_r (1-r^2)^alpha sum_m |a_m| r^m`` for each row of magnitudes ``|a_m|``.
 
-    For series whose terms align in phase along some direction this equals the
-    weighted sup-norm exactly; it is never below it, so it is safe as a lower
-    bound denominator.
+    Every row is swept on one graded grid, then all rows are refined by one
+    batched golden-section search.  For series whose terms align in phase along
+    some direction this equals the weighted sup-norm exactly; it is never below
+    it, so it is safe as a lower bound denominator.
     """
     ks = np.arange(0, 241)
     s = 2.0 ** (-ks / 8.0)
@@ -65,22 +66,21 @@ def _radial_max(mag_coeffs: np.ndarray, alpha: float) -> float:
     if alpha == 0.0:
         r = np.concatenate([r, [1.0]])
         s = np.concatenate([s, [0.0]])
-    powers = np.vander(r, len(mag_coeffs), increasing=True)
-    vals = powers @ mag_coeffs
     w = (s * (2.0 - s)) ** alpha if alpha else np.ones_like(s)
-    prof = w * vals
-    best = float(np.max(prof))
-    i = int(np.argmax(prof))
-    lo = r[max(i - 1, 0)]
-    hi = r[min(i + 1, len(r) - 1)]
+    # one matrix-vector product per row: a matrix-matrix product would round a
+    # row differently depending on the rest of the batch
+    powers = np.vander(r, mag_rows.shape[1], increasing=True)
+    prof = w[:, None] * np.column_stack([powers @ row for row in mag_rows])
+    best = np.max(prof, axis=0)
+    i = np.argmax(prof, axis=0)
 
     def f(x):
         sx = 1.0 - x
         wx = (sx * (2.0 - sx)) ** alpha if alpha else 1.0
-        return wx * np.polyval(mag_coeffs[::-1], x)
+        return wx * evaluate_polynomial(mag_rows.T, x).real
 
-    _, peak = golden_max(f, [lo], [hi], 60)
-    return max(best, float(peak[0]))
+    _, peak = golden_max(f, r[np.maximum(i - 1, 0)], r[np.minimum(i + 1, len(r) - 1)], 60)
+    return np.maximum(best, peak)
 
 
 @dataclass(frozen=True)
@@ -119,24 +119,28 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
     if alpha > 0.0:
         half = degree // 2
         c = _binom_series(alpha, half)
+        rotational = []
         for j in range(THETA_FAMILY_COUNT):
             theta = math.pi * j / THETA_FAMILY_COUNT
             w = complex(math.cos(-2.0 * theta), math.sin(-2.0 * theta))
             cs = [0j] * (degree + 1)
             for m in range(half + 1):
                 cs[2 * m] = c[m] * w ** m
-            norm = _radial_max(np.array([abs(v) for v in cs]), alpha)
-            entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(tuple(cs)), norm))
+            rotational.append(cs)
         d = _binom_series(2.0 * alpha, degree)
+        peaks = []
         for j in PEAK_RUNGS:
             lam = 1.0 - 2.0 ** (-j)
-            scale = (1.0 - lam * lam) ** alpha
-            mags = scale * d * lam ** np.arange(degree + 1)
-            norm = _radial_max(mags, alpha)
+            peaks.append((1.0 - lam * lam) ** alpha * d * lam ** np.arange(degree + 1))
+        norms = _radial_max(np.array([[abs(v) for v in cs] for cs in rotational] + peaks),
+                            alpha)
+        for j, (cs, norm) in enumerate(zip(rotational, norms)):
+            entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(tuple(cs)), float(norm)))
+        for j, mags, norm in zip(PEAK_RUNGS, peaks, norms[THETA_FAMILY_COUNT:]):
             for phi in PEAK_DIRECTIONS:
                 w = complex(math.cos(phi), math.sin(phi))
                 cs = tuple(mags[n] * w ** n for n in range(degree + 1))
-                entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), norm))
+                entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), float(norm)))
     else:
         for j in PEAK_RUNGS:
             lam = 1.0 - 2.0 ** (-j)

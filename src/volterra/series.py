@@ -4,6 +4,10 @@ Coefficients are double-precision complex throughout.  A series is an immutable
 tuple of coefficients ``c[0] + c[1] z + ... + c[N] z^N``; every operation that can
 drop tail terms records the fact in the ``truncated`` flag of its result instead of
 failing silently.
+
+Polynomials are evaluated by one Horner loop, :func:`evaluate_polynomial`.  On the
+rings of a polar grid, :func:`evaluate_on_rings` folds the coefficients modulo the
+angle count, so a ring costs a few Horner steps on short vectors plus one FFT.
 """
 
 from __future__ import annotations
@@ -84,10 +88,16 @@ class TaylorSeries:
         return TaylorSeries(tuple(cs), self.truncated or other.truncated)
 
 
-def evaluate_polynomial(coeffs: Sequence[complex], z):
-    """Horner evaluation, vectorized over ``z``; overflow is clamp-tagged."""
+def evaluate_polynomial(coeffs: Sequence, z):
+    """Horner evaluation of ``sum coeffs[n] z^n``; overflow is clamp-tagged.
+
+    Each coefficient is a number or an array that broadcasts against ``z``; the
+    result has the broadcast shape, so a ``(D, P)`` array of coefficients
+    evaluates ``P`` polynomials at once.
+    """
     zs = np.asarray(z, dtype=complex)
-    acc = np.full(zs.shape, coeffs[-1], dtype=complex)
+    acc = np.full(np.broadcast_shapes(zs.shape, np.shape(coeffs[-1])), coeffs[-1],
+                  dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         for c in reversed(coeffs[:-1]):
             acc = acc * zs + c
@@ -95,6 +105,29 @@ def evaluate_polynomial(coeffs: Sequence[complex], z):
     if np.ndim(z) == 0 and np.ndim(out) != 0:
         return complex(out)
     return out
+
+
+def evaluate_on_rings(coeffs: Sequence[complex], radii, n_angles: int) -> np.ndarray:
+    """Values at ``r e^{2 pi i j / N}`` for each radius ``r`` and ``j < N = n_angles``,
+    shaped ``(len(radii), N)``; overflow is clamp-tagged.
+
+    With the coefficients folded modulo ``N``,
+    ``p(r e^{2 pi i j/N}) = sum_m a_m(r) e^{2 pi i j m/N}`` and
+    ``a_m(r) = r^m sum_q c[m + qN] (r^N)^q``.  The block sums are one Horner in
+    ``w = r^N`` over length-``N`` vectors; each ring is then one inverse FFT.  A
+    ring whose block sum overflows is tagged divergent as a whole: the FFT
+    spreads the clamped infinite term over every angle.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    blocks = np.zeros(-(-len(c) // n_angles) * n_angles, dtype=complex)
+    blocks[:len(c)] = c
+    r = np.asarray(radii, dtype=float)[:, None]
+    # w at every ring point: the Horner runs over the (R, N) grid it fills
+    w = np.broadcast_to(r ** n_angles, (len(r), n_angles))
+    sums = evaluate_polynomial(blocks.reshape(-1, n_angles), w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = np.fft.ifft(sums * r ** np.arange(n_angles), axis=1, norm="forward")
+    return _clamp(vals)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ The weight is ``(1-|z|^2)^alpha``.  Maxima in this problem family concentrate at
 the boundary, so the radial grid is geometrically graded toward ``|z| = 1``, and
 one batched golden-section search refines the best candidates: in the angle on
 the outermost rungs, then in the radius at each refined angle.  The same
-:func:`golden_max` kernel serves every refinement in the package.  All sweeps
-are pure and deterministic; refinement can only increase the reported supremum.
+:func:`golden_max` kernel serves every refinement in the package.  Truncated
+series are swept a whole ring at a time by the folded-FFT ring evaluator of
+:mod:`volterra.series`; closed forms are evaluated pointwise.  All sweeps are
+pure and deterministic; refinement can only increase the reported supremum.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SymbolZeroDerivative
-from .series import FunctionHandle, TaylorSeries, evaluate
+from .series import FunctionHandle, TaylorSeries, evaluate, evaluate_on_rings
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,7 +126,9 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
     """Estimate ``sup (1-|z|^2)^alpha |f(z)|`` over the disk.
 
     Sweeps the polar grid, then refines the best candidates by golden-section
-    search unless ``grid.refine_top`` is 0.  For ``alpha = 0`` the weight is
+    search unless ``grid.refine_top`` is 0.  A series handle is swept ring by
+    ring with :func:`~volterra.series.evaluate_on_rings`; a closed form is
+    evaluated at every grid point.  For ``alpha = 0`` the weight is
     short-circuited, and a series handle is additionally sampled on the
     boundary circle (a polynomial attains its sup-norm there).
     """
@@ -142,9 +146,11 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
     thetas = grid.angles()
     weights = _weight(s, alpha)
 
-    zs = radii[:, None] * np.exp(1j * thetas[None, :])
     with np.errstate(invalid="ignore", over="ignore"):
-        mags = np.abs(evaluate(f, zs))
+        if f.is_series:
+            mags = np.abs(evaluate_on_rings(f.series.coeffs, radii, grid.n_angles))
+        else:
+            mags = np.abs(evaluate(f, radii[:, None] * np.exp(1j * thetas[None, :])))
     bad = ~np.isfinite(mags)
     clamped = int(np.count_nonzero(bad))
     vals = weights[:, None] * np.where(bad, np.inf, mags)

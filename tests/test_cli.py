@@ -147,6 +147,25 @@ def test_config_value_is_checked_like_a_flag(tmp_path, capsys):
     assert "kmax must lie in [4, 40]" in err
 
 
+def test_config_presets_a_required_option(tmp_path, capsys):
+    cfg = tmp_path / "symbol.cfg"
+    cfg.write_text("symbol = identity\n")
+    cell = ("classify", "--op", "Tg", "--alpha", "0", "--beta", "0")
+    flag = run(capsys, *cell, "--symbol", "identity")
+    assert flag[0] == 0
+    assert run(capsys, *cell, "--config", str(cfg))[:2] == flag[:2]
+
+
+def test_required_option_missing_from_flags_and_file(tmp_path, capsys):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("kmax = 40\n")
+    cell = ("classify", "--op", "Tg", "--alpha", "0", "--beta", "0")
+    for extra in ((), ("--config", str(cfg))):
+        code, _, err = run(capsys, *cell, *extra)
+        assert code == 1
+        assert "the following arguments are required: --symbol" in err
+
+
 def test_report_builds_one_engine_per_tg_row(monkeypatch):
     from volterra import criteria, report
     from volterra.operators import OperatorKind

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volterra.errors import HypothesisError
-from volterra.estimation import (BatteryEntry, build_battery, compactness_probe,
+from volterra.estimation import (BatteryEntry, _radial_max, build_battery, compactness_probe,
                                  empirical_lower_bound, lower_bound_details,
                                  monomial_norm, tg_min_upper_bound, tg_upper_bound,
                                  weak_null_sup)
@@ -35,6 +35,17 @@ def test_battery_structure():
     assert all(e.series.degree <= 64 for e in b0.entries)
     b1 = build_battery(1.0, degree=64)
     assert any(e.label.startswith("rotational:") for e in b1.entries)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+def test_batched_radial_max_equals_each_row_alone(alpha):
+    rng = np.random.default_rng(5)
+    rows = rng.random((9, 65)) * 0.9 ** np.arange(65)
+    rows[0] = 0.0
+    batch = _radial_max(rows, alpha)
+    assert batch.shape == (9,)
+    for row, value in zip(rows, batch):
+        assert _radial_max(row[None, :], alpha)[0] == value
 
 
 def test_battery_entry_validation():

@@ -8,7 +8,7 @@ from volterra.errors import DomainError
 from volterra.series import (DIVERGENT_SAMPLE, FunctionHandle, TaylorSeries,
                              antiderivative, cauchy_product,
                              check_derivative_consistency, derivative, evaluate,
-                             is_divergent)
+                             evaluate_on_rings, evaluate_polynomial, is_divergent)
 
 
 def coeff_lists(max_degree=24):
@@ -157,3 +157,52 @@ def test_horner_matches_numpy_polyval():
     mine = evaluate(f, zs)
     ref = np.polyval(cs[::-1], zs)
     assert np.max(np.abs(mine - ref)) < 1e-12
+
+
+# -- evaluation on grid rings ---------------------------------------------------
+
+def horner_sweep(cs, radii, n_angles):
+    """Reference: plain Horner at every point ``r e^{2 pi i j / n_angles}``."""
+    zs = np.asarray(radii)[:, None] * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    acc = np.zeros_like(zs)
+    for c in reversed(cs):
+        acc = acc * zs + c
+    return acc
+
+
+RING_ANGLES = 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([1, RING_ANGLES - 1, RING_ANGLES, RING_ANGLES + 1,
+                                   4 * RING_ANGLES + 1]),
+       st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_rings_match_horner_sweep(data, degree_plus_one, extra_radii):
+    scalar = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
+    cs = data.draw(st.lists(scalar, min_size=degree_plus_one, max_size=degree_plus_one))
+    radii = np.array([0.0, 1.0] + extra_radii)
+    got = evaluate_on_rings(cs, radii, RING_ANGLES)
+    want = horner_sweep(cs, radii, RING_ANGLES)
+    assert got.shape == (len(radii), RING_ANGLES)
+    # error relative to sum |c_n| r^n; the absolute floor covers subnormal rounding
+    scale = np.abs(np.asarray(cs)) @ radii[None, :] ** np.arange(len(cs))[:, None]
+    assert np.all(np.abs(got - want) <= 1e-13 * scale[:, None] + 1e-300)
+
+
+def test_ring_whose_block_sum_overflows_is_tagged_whole():
+    # at r = 1 the folded block sums (20 * 1e299) pass the clamp, although
+    # every point but z = 1 has the value 0; at r = 1/2 they stay below it
+    cs = (1e299,) * (20 * RING_ANGLES)
+    vals = evaluate_on_rings(cs, [0.5, 1.0], RING_ANGLES)
+    assert np.all(vals[1] == DIVERGENT_SAMPLE)
+    assert not np.any(is_divergent(vals[0]))
+
+
+def test_array_coefficients_equal_each_column_alone():
+    rng = np.random.default_rng(11)
+    cs = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
+    zs = 0.97 * np.exp(1j * np.linspace(0.0, 6.0, 9))[:, None]
+    out = evaluate_polynomial(cs, zs)
+    assert out.shape == (9, 5)
+    for p in range(5):
+        assert np.array_equal(out[:, p], evaluate_polynomial(cs[:, p], zs[:, 0]))

@@ -130,6 +130,32 @@ def test_divergent_norm_is_tagged():
     assert detail.value == float("inf")
 
 
+@pytest.mark.parametrize("cs", [(1e299,) * 200, (1e308,) * 1100],
+                         ids=["values-overflow", "block-sum-overflows"])
+def test_overflowing_series_is_tagged_divergent(cs):
+    detail = weighted_sup_details(TaylorSeries(cs), 0.0)
+    assert detail.value == float("inf")
+    assert detail.divergent
+    assert detail.clamped_samples > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 300, 511, 512, 513, 700]),
+       st.floats(0.0, 2.0))
+def test_series_sup_never_below_reference_sweep(seed, size, alpha):
+    # reference: numpy's Horner at every DEFAULT_GRID point (plus the boundary
+    # ring at alpha = 0), weighted; the ring sweep agrees with it to rounding,
+    # and refinement can only raise the value
+    rng = np.random.default_rng(seed)
+    cs = (rng.normal(size=size) + 1j * rng.normal(size=size)) / np.arange(1, size + 1)
+    s = DEFAULT_GRID.one_minus_r()
+    if alpha == 0.0:
+        s = np.append(s, 0.0)
+    zs = (1.0 - s)[:, None] * np.exp(1j * DEFAULT_GRID.angles())[None, :]
+    ref = np.max((s * (2.0 - s))[:, None] ** alpha * np.abs(np.polyval(cs[::-1], zs)))
+    assert weighted_sup_norm(TaylorSeries(tuple(cs)), alpha) >= ref * (1.0 - 1e-13)
+
+
 def test_bloch_norm_needs_a_derivative_evaluator():
     from volterra.errors import DomainError
     handle = FunctionHandle.closed_form(lambda z: 1.0 / (1.0 - z))
