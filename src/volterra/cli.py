@@ -41,9 +41,20 @@ def _positive_power_of_two(value: str) -> int:
 
 def _nonnegative(value: str) -> float:
     x = float(value)
-    if x < 0:
-        raise argparse.ArgumentTypeError("weight exponents must be nonnegative")
+    if not 0.0 <= x < math.inf:
+        raise argparse.ArgumentTypeError("weight exponents must be finite and nonnegative")
     return x
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {value}")
+    return n
+
+
+def _sample_sizes(value: str) -> list:
+    return [_positive_int(part) for part in value.split(",")]
 
 
 def _kmax(value: str) -> int:
@@ -125,8 +136,8 @@ def _build_parser(preset=None):
     p = sub.add_parser("lemma2", help="validate the sector-map density bound")
     p.add_argument("--gamma", type=float, required=required("gamma"))
     p.add_argument("--eta", type=float, required=required("eta"))
-    p.add_argument("--theta-count", type=int, default=8)
-    p.add_argument("--samples", type=str, default="1000,10000,100000")
+    p.add_argument("--theta-count", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_sample_sizes, default="1000,10000,100000")
     add_common(p)
 
     p = sub.add_parser("list", help="registry symbols, metadata, ground-truth rows")
@@ -278,7 +289,7 @@ def cmd_lemma2(args) -> int:
     if not (0.0 < args.gamma < args.eta < math.pi):
         sys.stderr.write("error: need 0 < gamma < eta < pi\n")
         return 1
-    sizes = [int(s) for s in args.samples.split(",")]
+    sizes = args.samples
     smap = build_sector_map(SectorParams(eta=args.eta))
     approach = smap.vertex_residuals()[-1]
     estimates = [estimate_density_bound(args.gamma, args.eta, n) for n in sizes]

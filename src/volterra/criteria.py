@@ -209,7 +209,9 @@ class _LadderEngine:
     prefix difference, per angle.  The angular sup per rung runs over the grid
     angles plus golden-section-refined candidates, all of which are pooled into
     one common angle set: this keeps beta = 0 ladders exactly monotone and the
-    whole computation schedule-independent.
+    whole computation schedule-independent.  The grid-angle prefixes are the
+    cumulative sums of the adaptive cell rows themselves; the final nodes of
+    each cell are kept so that :meth:`_prefix_at` can serve the refined angles.
     """
 
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
@@ -221,11 +223,9 @@ class _LadderEngine:
         self._use_log = weight_exponent >= cfg.log_substitution_alpha
         self._thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
         self._build_cells()
-        self._grid_prefix = self._prefix_at(self._thetas)
         self._refined = self._refine()
-        extra_prefix = self._prefix_at(self._refined) if len(self._refined) else \
-            np.zeros((cfg.k_max + 1, 0))
-        self.prefix_all = np.concatenate([self._grid_prefix, extra_prefix], axis=1)
+        self.prefix_all = np.concatenate([self._grid_prefix, self._prefix_at(self._refined)],
+                                         axis=1)
         self.angles_all = np.concatenate([self._thetas, self._refined])
         sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
         self.rung_weight = (sk * (2.0 - sk)) ** beta if beta != 0.0 else np.ones(cfg.k_max + 1)
@@ -239,41 +239,33 @@ class _LadderEngine:
     # -- mesh ---------------------------------------------------------------
 
     def _nodes_for_cell(self, j: int, panels: int):
-        n = self.cfg.nodes_per_cell
-        x, w = gauss_legendre(n)
+        """Gauss-Legendre nodes ``(r, s, w)`` on ``panels`` equal panels of cell j,
+        in ``u = -log s`` when the log substitution is on, else in s."""
+        x, w = gauss_legendre(self.cfg.nodes_per_cell)
         s_hi, s_lo = 2.0 ** -j, 2.0 ** -(j + 1)
-        rs, ss, ws = [], [], []
-        if self._use_log:
-            u_lo, u_hi = -math.log(s_hi), -math.log(s_lo)
-            edges = np.linspace(u_lo, u_hi, panels + 1)
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                u = mid + half * x
-                s = np.exp(-u)
-                ss.append(s)
-                ws.append(half * w * s)
-        else:
-            edges = np.linspace(s_lo, s_hi, panels + 1)
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                s = mid + half * x
-                ss.append(s)
-                ws.append(half * w)
-        s = np.concatenate(ss)
-        return 1.0 - s, s, np.concatenate(ws)
+        lo, hi = (-math.log(s_hi), -math.log(s_lo)) if self._use_log else (s_lo, s_hi)
+        edges = np.linspace(lo, hi, panels + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        u = (mid[:, None] + half[:, None] * x).ravel()
+        hw = (half[:, None] * w).ravel()
+        if not self._use_log:
+            return 1.0 - u, u, hw
+        s = np.exp(-u)
+        return 1.0 - s, s, hw * s
 
     def _cell_row(self, j: int, panels: int):
-        """Integral of the weighted integrand over cell j, per grid angle."""
+        """Integral of the weighted integrand over cell j, per grid angle, whether
+        a sample was clamped, and the cell's nodes ``(r, s, w)``, the weights
+        carrying the factor ``(s(2-s))^-weight_exponent``."""
         r, s, w = self._nodes_for_cell(j, panels)
         vals = self.absmat(r[:, None], s[:, None], self._thetas[None, :])
         if self.weight_exponent != 0.0:
-            wgt = (s * (2.0 - s)) ** -self.weight_exponent
-            w = w * wgt
+            w = w * (s * (2.0 - s)) ** -self.weight_exponent
         bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
         clamped = bool(np.any(bad))
         if clamped:
             vals = np.where(bad, OVERFLOW_CLAMP, vals)
-        return w @ vals, clamped
+        return w @ vals, clamped, (r, s, w)
 
     def _build_cells(self):
         cfg = self.cfg
@@ -282,9 +274,10 @@ class _LadderEngine:
         errs = np.empty(n_cells)
         panels = np.full(n_cells, 2, dtype=int)
         clamped = np.zeros(n_cells, dtype=bool)
+        nodes = [None] * n_cells
         for j in range(n_cells):
-            coarse, c1 = self._cell_row(j, 1)
-            fine, c2 = self._cell_row(j, 2)
+            coarse, c1, _ = self._cell_row(j, 1)
+            fine, c2, nodes[j] = self._cell_row(j, 2)
             rows[j] = fine
             errs[j] = float(np.max(np.abs(fine - coarse)))
             clamped[j] = c1 or c2
@@ -296,34 +289,22 @@ class _LadderEngine:
                 break
             for j in bad:
                 panels[j] *= 2
-                new, cl = self._cell_row(j, int(panels[j]))
+                new, cl, nodes[j] = self._cell_row(j, int(panels[j]))
                 errs[j] = float(np.max(np.abs(new - rows[j])))
                 rows[j] = new
                 clamped[j] |= cl
         scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
-        self._cell_rows = rows
         self._cell_clamped = clamped
         # reliability of the prefix through cell j: every earlier cell clean
         ok = ~clamped & (errs <= 100.0 * cfg.cell_rel_tol * scale)
         self._cell_ok = np.concatenate([[True], np.cumprod(ok).astype(bool)])
-        # flattened node set reused for arbitrary-angle prefix evaluation
-        rr, ss, ww, cell_of = [], [], [], []
-        for j in range(n_cells):
-            r, s, w = self._nodes_for_cell(j, int(panels[j]))
-            if self.weight_exponent != 0.0:
-                w = w * (s * (2.0 - s)) ** -self.weight_exponent
-            rr.append(r)
-            ss.append(s)
-            ww.append(w)
-            cell_of.append(np.full(len(r), j))
-        self._node_r = np.concatenate(rr)
-        self._node_s = np.concatenate(ss)
-        self._node_w = np.concatenate(ww)
-        starts = np.concatenate([[0], np.cumsum([len(x) for x in rr])[:-1]])
-        self._cell_starts = starts.astype(int)
+        self._grid_prefix = _prefix_sums(rows)
+        # the final nodes of every cell, flattened, for prefixes at other angles
+        self._node_r, self._node_s, self._node_w = (np.concatenate(p) for p in zip(*nodes))
+        self._cell_starts = np.cumsum([0] + [len(r) for r, _, _ in nodes[:-1]])
 
     def _prefix_at(self, thetas: np.ndarray) -> np.ndarray:
-        """Prefix integrals I(t_k, theta) for k = 0..k_max at given angles."""
+        """Prefix integrals I(t_k, theta) for k = 0..k_max at off-grid angles."""
         if len(thetas) == 0:
             return np.zeros((self.cfg.k_max + 1, 0))
         vals = self.absmat(self._node_r[:, None], self._node_s[:, None],
@@ -332,9 +313,7 @@ class _LadderEngine:
         if np.any(bad):
             vals = np.where(bad, OVERFLOW_CLAMP, vals)
         weighted = self._node_w[:, None] * vals
-        cells = np.add.reduceat(weighted, self._cell_starts, axis=0)
-        prefix = np.concatenate([np.zeros((1, len(thetas))), np.cumsum(cells, axis=0)])
-        return prefix
+        return _prefix_sums(np.add.reduceat(weighted, self._cell_starts, axis=0))
 
     # -- angular refinement ---------------------------------------------------
 
@@ -398,6 +377,11 @@ class _LadderEngine:
             for k in range(k0, self.cfg.k_max)
         )
         return m_part + n_part
+
+
+def _prefix_sums(cells: np.ndarray) -> np.ndarray:
+    """Cumulative sums of per-cell rows, starting with a zero row (rung 0)."""
+    return np.concatenate([np.zeros((1, cells.shape[1])), np.cumsum(cells, axis=0)])
 
 
 def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,

@@ -26,14 +26,14 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SpacePair:
-    """Source/target weight exponents (alpha, beta), both >= 0."""
+    """Source/target weight exponents (alpha, beta), both finite and >= 0."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("weight exponents must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError("weight exponents must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
     short-circuited, and a series handle is additionally sampled on the
     boundary circle (a polynomial attains its sup-norm there).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     grid = grid or DEFAULT_GRID
     if isinstance(f, TaylorSeries):
         f = FunctionHandle.from_series(f)

@@ -64,6 +64,33 @@ def test_parameter_violations_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--symbol", "log", "--op", "Tg", "--alpha", "nan", "--beta", "0"),
+    ("classify", "--symbol", "log", "--op", "Sg", "--alpha", "1", "--beta", "inf"),
+    ("norm", "--symbol", "log", "--alpha", "inf"),
+    ("norm", "--symbol", "log", "--alpha", "nan", "--of", "gprime"),
+    ("opnorm", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "nan"),
+    ("opnorm", "--symbol", "log", "--op", "Tg", "--alpha", "inf", "--beta", "0"),
+    ("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "inf"),
+    ("probe", "--symbol", "log", "--op", "Sg", "--alpha", "nan", "--beta", "1"),
+])
+def test_non_finite_weight_exponent_is_a_usage_error(capsys, argv):
+    # `norm --alpha inf` printed a number and exited 0; `classify --alpha nan`
+    # exited 2 with an Inconclusive verdict
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite and nonnegative" in err and "Traceback" not in err
+
+
+def test_non_finite_weight_exponent_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("alpha = inf\n")
+    code, out, err = run(capsys, "norm", "--symbol", "log", "--config", str(cfg))
+    assert code == 1
+    assert out == "" and "finite and nonnegative" in err
+
+
 def test_norm_command(capsys):
     code, out, _ = run(capsys, "norm", "--symbol", "cayley", "--alpha", "1")
     assert code == 0
@@ -98,6 +125,18 @@ def test_lemma2_command(capsys):
     assert "status: ok" in out
     code, _, err = run(capsys, "lemma2", "--gamma", "1.6", "--eta", "1.5")
     assert code == 1
+
+
+@pytest.mark.parametrize("option, value", [("--theta-count", "0"), ("--theta-count", "-3"),
+                                           ("--samples", "0"), ("--samples", "-5"),
+                                           ("--samples", "1000,0,2000")])
+def test_lemma2_counts_must_be_positive(capsys, option, value):
+    # these failed inside the sweep with "max() arg is an empty sequence" or a
+    # zero-size reduction instead of naming the option
+    code, out, err = run(capsys, "lemma2", "--gamma", "0.785", "--eta", "1.571", option, value)
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}: need a positive integer" in err
 
 
 def test_list_command(capsys):

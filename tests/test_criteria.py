@@ -355,3 +355,60 @@ def test_classify_builds_the_pointwise_profile_once(monkeypatch, op):
     assert len(calls) == 1
     assert any(e.endswith("pointwise-sup") for e in rep.boundedness.evidence)
     assert any(e.endswith("pointwise-vanishing") for e in rep.compactness.evidence)
+
+
+# -- the ladder engine's grid-angle prefixes ---------------------------------
+
+ENGINE_CFG = LadderConfig(k_max=24, n_angles=64, refine_top=2, refine_iters=30)
+
+
+def _steep_pole(r, s, theta):
+    # |1 - z|^-60 overflows near the pole, so the deep cells are clamped
+    from volterra.criteria import _dist
+    with np.errstate(over="ignore", divide="ignore"):
+        return _dist(r, s, theta) ** -60.0
+
+
+def _engine_cases():
+    from volterra.criteria import _abs_matrix_fun
+    from volterra.symbols import registry
+    cases = [pytest.param(_abs_matrix_fun(g, which), exponent, False,
+                          id=f"{g.name}-{which}-{exponent}")
+             for g in registry() for which in ("deriv", "eval") for exponent in (0.0, 0.5, 2.0)]
+    return cases + [pytest.param(_steep_pole, 0.5, True, id="steep-pole-clamped")]
+
+
+@pytest.mark.parametrize("absmat, exponent, clamped", _engine_cases())
+def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, exponent, clamped):
+    """The grid-angle prefixes are the cumulative cell rows: the integrand is
+    sampled at the grid angles only by the adaptive cell rows, and the prefixes
+    equal a fresh evaluation at the final nodes."""
+    from volterra import criteria
+    from volterra.series import OVERFLOW_CLAMP
+    cfg = ENGINE_CFG
+    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+    grid_samples, panels = [], []
+
+    def counting(r, s, theta):
+        vals = absmat(r, s, theta)
+        if np.shape(theta) == (1, cfg.n_angles) and np.array_equal(theta[0], thetas):
+            grid_samples.append(np.broadcast_to(vals, np.broadcast(r, theta).shape))
+        return vals
+
+    real_row = criteria._LadderEngine._cell_row
+
+    def row_spy(self, j, n_panels):
+        panels.append(n_panels)
+        return real_row(self, j, n_panels)
+    monkeypatch.setattr(criteria._LadderEngine, "_cell_row", row_spy)
+    engine = criteria._LadderEngine(counting, exponent, 0.5, cfg)
+
+    taken = sum(v.size for v in grid_samples)
+    assert taken == sum(cfg.nodes_per_cell * p * cfg.n_angles for p in panels)
+    seen_clamp = any(np.any(~np.isfinite(v) | (v > OVERFLOW_CLAMP)) for v in grid_samples)
+    assert engine.clamped == seen_clamp == clamped
+    reliable = engine.reliable
+    assert reliable[0] and np.all(reliable[1:] <= reliable[:-1])
+    assert bool(np.all(reliable)) != clamped
+    np.testing.assert_allclose(engine.prefix_all[:, : cfg.n_angles], engine._prefix_at(thetas),
+                               rtol=1e-14, atol=0.0)

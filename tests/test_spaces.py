@@ -180,6 +180,21 @@ def test_grid_validation():
         SpacePair(-0.5, 0.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0),
+                                         (1.0, np.inf), (-0.5, 0.0)])
+def test_space_pair_rejects_non_finite_or_negative_exponents(alpha, beta):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SpacePair(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.5])
+def test_weighted_sup_rejects_non_finite_or_negative_alpha(alpha):
+    # a NaN or infinite weight made every sample NaN or 0, and the sweep
+    # reported a meaningless number instead of failing
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        weighted_sup_details(CAYLEY, alpha)
+
+
 def test_grid_nodes_structure():
     g = DEFAULT_GRID
     r = g.radii()
