@@ -53,6 +53,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _probe_count(value: str) -> int:
+    n = int(value)
+    if n < 16:
+        raise argparse.ArgumentTypeError(f"probe traces need at least 16 monomials, got {value}")
+    return n
+
+
 def _sample_sizes(value: str) -> list:
     return [_positive_int(part) for part in value.split(",")]
 
@@ -105,8 +112,8 @@ def _build_parser(preset=None):
     p = sub.add_parser("report", help="classify and probe the whole ground-truth table")
     p.add_argument("--kmax", type=_kmax, default=40)
     p.add_argument("--angles", type=_positive_power_of_two, default=512)
-    p.add_argument("--degree", type=int, default=256)
-    p.add_argument("--probe-nmax", type=int, default=64)
+    p.add_argument("--degree", type=_positive_int, default=256)
+    p.add_argument("--probe-nmax", type=_probe_count, default=64)
     add_common(p)
 
     p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol")
@@ -130,7 +137,7 @@ def _build_parser(preset=None):
     p.add_argument("--op", type=_operator, required=required("op"))
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
-    p.add_argument("--nmax", type=int, default=64)
+    p.add_argument("--nmax", type=_probe_count, default=64)
     add_common(p)
 
     p = sub.add_parser("lemma2", help="validate the sector-map density bound")

@@ -146,9 +146,8 @@ def _abs_matrix_fun(symbol: SymbolSpec, which: str) -> Callable:
     """Vectorized ``(r, s, theta) -> |g'|`` (or ``|g|``), broadcasting its arguments:
     grids pass ``r[:, None]`` and ``thetas[None, :]``, golden batches paired arrays."""
     polar = _POLAR_FORMS.get((symbol.name.split("~")[0], which))
-    phi = _rotation_angle(symbol)
     if polar is not None:
-        def absfun(r, s, theta, _p=polar, _phi=phi):
+        def absfun(r, s, theta, _p=polar, _phi=symbol.rotation):
             return _p(r, s, theta + _phi)
         return absfun
     f = symbol.deriv if which == "deriv" else symbol.eval
@@ -158,12 +157,6 @@ def _abs_matrix_fun(symbol: SymbolSpec, which: str) -> Callable:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.abs(_f(z))
     return absfun
-
-
-def _rotation_angle(symbol: SymbolSpec) -> float:
-    if "~rot" in symbol.name:
-        return float(symbol.name.split("~rot")[1])
-    return 0.0
 
 
 def _dist(r, s, theta):

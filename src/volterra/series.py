@@ -1,9 +1,11 @@
 """Truncated Taylor series and evaluation handles for analytic functions on the disk.
 
-Coefficients are double-precision complex throughout.  A series is an immutable
-tuple of coefficients ``c[0] + c[1] z + ... + c[N] z^N``; every operation that can
-drop tail terms records the fact in the ``truncated`` flag of its result instead of
-failing silently.
+Coefficients are double-precision complex throughout.  A series keeps its
+coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as an immutable tuple and as one
+read-only complex array; the series arithmetic runs on the array, rounded exactly
+like the per-coefficient Python expressions.  Every operation that can drop tail
+terms records the fact in the ``truncated`` flag of its result instead of failing
+silently.
 
 Polynomials are evaluated by one Horner loop, :func:`evaluate_polynomial`.  On the
 rings of a polar grid, :func:`evaluate_on_rings` folds the coefficients modulo the
@@ -12,8 +14,9 @@ angle count, so a ring costs a few Horner steps on short vectors plus one FFT.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,16 +55,23 @@ def _clamp(values):
 class TaylorSeries:
     """Finite Taylor polynomial ``sum coeffs[n] z^n``.
 
+    ``coeffs`` (numbers or a 1-D array; empty means the zero series) is kept as
+    a tuple of Python complex numbers and once more as the read-only ``array``.
     ``truncated`` is set when the series is the result of an operation that
     discarded tail coefficients.
     """
 
     coeffs: tuple
     truncated: bool = False
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs) or (0j,)
-        object.__setattr__(self, "coeffs", cs)
+        arr = np.array(self.coeffs if len(self.coeffs) else (0j,), dtype=complex)
+        if arr.ndim != 1:
+            raise ValueError("Taylor coefficients must be a flat sequence of numbers")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
 
     @property
     def degree(self) -> int:
@@ -80,12 +90,17 @@ class TaylorSeries:
         return self.coeffs[n] if 0 <= n <= self.degree else 0j
 
     def scaled(self, factor: complex) -> "TaylorSeries":
-        return TaylorSeries(tuple(factor * c for c in self.coeffs), self.truncated)
+        # Python's ``factor * c`` rounds every product apart; NumPy's may fuse them
+        a, c = complex(factor), self.array
+        cs = np.empty_like(c)
+        cs.real = a.real * c.real - a.imag * c.imag
+        cs.imag = a.real * c.imag + a.imag * c.real
+        return TaylorSeries(cs, self.truncated)
 
     def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = max(self.degree, other.degree)
-        cs = [self.coefficient(k) + other.coefficient(k) for k in range(n + 1)]
-        return TaylorSeries(tuple(cs), self.truncated or other.truncated)
+        cs = np.pad(self.array, (0, n - self.degree)) + np.pad(other.array, (0, n - other.degree))
+        return TaylorSeries(cs, self.truncated or other.truncated)
 
 
 def evaluate_polynomial(coeffs: Sequence, z):
@@ -119,15 +134,21 @@ def evaluate_on_rings(coeffs: Sequence[complex], radii, n_angles: int) -> np.nda
     spreads the clamped infinite term over every angle.
     """
     c = np.asarray(coeffs, dtype=complex)
-    blocks = np.zeros(-(-len(c) // n_angles) * n_angles, dtype=complex)
-    blocks[:len(c)] = c
-    r = np.asarray(radii, dtype=float)[:, None]
-    # w at every ring point: the Horner runs over the (R, N) grid it fills
-    w = np.broadcast_to(r ** n_angles, (len(r), n_angles))
-    sums = evaluate_polynomial(blocks.reshape(-1, n_angles), w)
+    blocks = np.concatenate([c, np.zeros(-len(c) % n_angles, dtype=complex)])
+    r = np.asarray(radii, dtype=float)
+    # one w per ring, shaped (R, 1): the Horner broadcasts it over the blocks
+    sums = evaluate_polynomial(blocks.reshape(-1, n_angles), (r ** n_angles)[:, None])
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = np.fft.ifft(sums * r ** np.arange(n_angles), axis=1, norm="forward")
+        vals = np.fft.ifft(sums * _ring_powers(r.tobytes(), n_angles), axis=1, norm="forward")
     return _clamp(vals)
+
+
+@functools.lru_cache(maxsize=8)
+def _ring_powers(radii: bytes, n_angles: int) -> np.ndarray:
+    """The ``(R, N)`` table ``r^m``, ``m < N``, of float64 radii bytes; memoised, read-only."""
+    table = np.frombuffer(radii)[:, None] ** np.arange(n_angles)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -196,15 +217,19 @@ def evaluate(f: FunctionHandle | TaylorSeries, z):
 
 def derivative(f: TaylorSeries) -> TaylorSeries:
     """Term-by-term derivative; degree drops by one (minimum 0)."""
-    if f.degree == 0:
-        return TaylorSeries((0j,), f.truncated)
-    cs = tuple((n + 1) * f.coeffs[n + 1] for n in range(f.degree))
-    return TaylorSeries(cs, f.truncated)
+    # complex times (n + 1 + 0j), rounded like Python's ``(n + 1) * c``
+    return TaylorSeries(np.arange(1, f.degree + 1) * f.array[1:], f.truncated)
 
 
 def antiderivative(f: TaylorSeries) -> TaylorSeries:
     """Antiderivative vanishing at 0; degree rises by one."""
-    cs = (0j,) + tuple(f.coeffs[n] / (n + 1) for n in range(f.degree + 1))
+    # Python's ``c / (n + 1)`` divides each part by n + 1 after adding the other
+    # part times the zero ratio (which fixes a zero's sign); NumPy's complex
+    # division would multiply by a reciprocal and round differently
+    k, c = np.arange(1.0, f.degree + 2), f.array
+    cs = np.zeros(f.degree + 2, dtype=complex)
+    cs.real[1:] = (c.real + c.imag * 0.0) / k
+    cs.imag[1:] = (c.imag - c.real * 0.0) / k
     return TaylorSeries(cs, f.truncated)
 
 
@@ -219,10 +244,8 @@ def cauchy_product(f: TaylorSeries, g: TaylorSeries, out_degree: Optional[int] =
         out_degree = full
     if out_degree > full:
         raise ValueError(f"out_degree {out_degree} exceeds product degree {full}")
-    conv = np.convolve(np.asarray(f.coeffs), np.asarray(g.coeffs))
-    cs = tuple(conv[: out_degree + 1])
-    dropped = out_degree < full
-    return TaylorSeries(cs, f.truncated or g.truncated or dropped)
+    conv = np.convolve(f.array, g.array)[: out_degree + 1]
+    return TaylorSeries(conv, f.truncated or g.truncated or out_degree < full)
 
 
 def check_derivative_consistency(f: FunctionHandle, h: float = 1e-5,

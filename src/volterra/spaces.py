@@ -148,7 +148,7 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
 
     with np.errstate(invalid="ignore", over="ignore"):
         if f.is_series:
-            mags = np.abs(evaluate_on_rings(f.series.coeffs, radii, grid.n_angles))
+            mags = np.abs(evaluate_on_rings(f.series.array, radii, grid.n_angles))
         else:
             mags = np.abs(evaluate(f, radii[:, None] * np.exp(1j * thetas[None, :])))
     bad = ~np.isfinite(mags)

@@ -45,6 +45,7 @@ class SymbolSpec:
     metadata: SymbolMetadata = field(default_factory=SymbolMetadata)
     tail_bound: Optional[Callable] = None  # (N, r) -> bound on the dropped series tail
     oracles: dict = field(default_factory=dict)
+    rotation: float = 0.0  # total angle of rotated(); the polar forms shift theta by it
 
     def taylor(self, degree: int = DEFAULT_DEGREE) -> TaylorSeries:
         return TaylorSeries(tuple(self.taylor_coeff(n) for n in range(degree + 1)))
@@ -66,6 +67,7 @@ class SymbolSpec:
             taylor_coeff=lambda n, _c=self.taylor_coeff: (w ** n) * _c(n),
             metadata=self.metadata,
             tail_bound=self.tail_bound,
+            rotation=self.rotation + phi,
         )
 
 

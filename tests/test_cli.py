@@ -139,6 +139,41 @@ def test_lemma2_counts_must_be_positive(capsys, option, value):
     assert f"argument {option}: need a positive integer" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("report", "--degree", "-1"), "argument --degree: need a positive integer"),
+    (("report", "--degree", "0"), "argument --degree: need a positive integer"),
+    (("report", "--probe-nmax", "5"), "argument --probe-nmax: probe traces need at least 16"),
+    (("report", "--probe-nmax", "-3"), "argument --probe-nmax: probe traces need at least 16"),
+    (("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1", "--nmax", "5"),
+     "argument --nmax: probe traces need at least 16"),
+    (("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1", "--nmax", "-3"),
+     "argument --nmax: probe traces need at least 16"),
+])
+def test_report_and_probe_counts_are_checked_at_parse_time(capsys, argv, message):
+    # `report --degree -1` failed in the battery with "battery entries need a
+    # positive source norm", `--degree 0` ran the whole report, and a short
+    # `--nmax` failed with "n_max must be at least 16", naming no option
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_report_degree_in_config_file_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text("degree = 0\n")
+    code, out, err = run(capsys, "report", "--config", str(cfg))
+    assert code == 1
+    assert out == "" and "argument --degree: need a positive integer" in err
+
+
+def test_probe_accepts_the_shortest_trace(capsys):
+    code, out, _ = run(capsys, "probe", "--symbol", "log", "--op", "Tg", "--alpha", "0",
+                       "--beta", "1", "--nmax", "16", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["indices"] == list(range(1, 17))
+
+
 def test_list_command(capsys):
     code, out, _ = run(capsys, "list", "--format", "json")
     assert code == 0

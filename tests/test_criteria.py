@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volterra.criteria import (LadderConfig, VerdictTag, classify, full_integral_sup,
                                pointwise_compactness, sg_boundedness, sg_pointwise,
@@ -278,6 +279,34 @@ def test_rotation_invariance_of_verdicts():
     assert rot.boundedness.tag is base.boundedness.tag
     assert rot.compactness.tag is base.compactness.tag
     assert rot.boundedness.value == pytest.approx(base.boundedness.value, abs=1e-4)
+
+
+def _polar_cases():
+    from volterra.criteria import _POLAR_FORMS
+    return list(_POLAR_FORMS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_polar_cases()),
+       st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3),
+       st.lists(st.floats(0.05, 0.99), min_size=1, max_size=8),
+       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
+def test_polar_form_of_rotated_symbol_matches_its_evaluator(case, angles, radii, thetas):
+    """The boundary-stable polar |g'| or |g| of a composed rotation equals the
+    absolute value of the rotated symbol's own evaluator, off the pole.  The
+    polar path read only the first rotation of a composition, and only to the
+    six digits kept in the symbol's name."""
+    from volterra.criteria import _abs_matrix_fun
+    name, which = case
+    g = get_symbol(name)
+    for phi in angles:
+        g = g.rotated(phi)
+    assert g.rotation == pytest.approx(sum(angles), abs=1e-12)
+    r = np.asarray(radii)[:, None]
+    t = np.asarray(thetas)[None, :]
+    polar = _abs_matrix_fun(g, which)(r, 1.0 - r, t)
+    direct = np.abs((g.deriv if which == "deriv" else g.eval)(r * np.exp(1j * t)))
+    np.testing.assert_allclose(polar, direct, rtol=1e-12, atol=1e-300)
 
 
 def test_verdict_requires_reason_when_inconclusive():

@@ -10,6 +10,9 @@ from volterra.operators import (OperatorKind, apply_operator, apply_sg, apply_tg
                                 product_rule_residual)
 from volterra.series import TaylorSeries, cauchy_product
 
+from test_series import (bits, coeff_tuples, old_antiderivative, old_cauchy,
+                         old_derivative)
+
 
 def series(max_degree=20):
     scalar = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -122,3 +125,23 @@ def test_intermediate_product_is_not_inflated():
     assert apply_tg(g, f).degree == f.degree + g.degree
     assert not apply_tg(g, f).truncated
     assert cauchy_product(f, g.derivative()).degree == f.degree + g.degree - 1
+
+
+def old_apply(kind, g_cs, f_cs):
+    """The images by the per-coefficient expressions the array code replaced."""
+    if kind is OperatorKind.Tg:
+        g_cs = old_derivative(g_cs)
+    else:
+        f_cs = old_derivative(f_cs)
+    return old_antiderivative(old_cauchy(f_cs, g_cs, len(f_cs) + len(g_cs) - 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_tuples(), coeff_tuples(), st.booleans(), st.booleans())
+def test_images_are_bit_identical_to_the_python_expressions(g_cs, f_cs, tg, tf):
+    g, f = TaylorSeries(g_cs, tg), TaylorSeries(f_cs, tf)
+    for kind, op in ((OperatorKind.Tg, apply_tg), (OperatorKind.Sg, apply_sg)):
+        image = op(g, f)
+        assert bits(image.coeffs) == bits(old_apply(kind, g_cs, f_cs))
+        assert bits(image.array) == bits(image.coeffs)
+        assert image.truncated is (tg or tf)

@@ -48,6 +48,94 @@ def test_overflow_comes_back_tagged_not_raised():
     assert out == DIVERGENT_SAMPLE
 
 
+# -- whole-array arithmetic against the per-coefficient expressions -----------
+#
+# The series arithmetic runs on ``TaylorSeries.array``; these are the Python
+# expressions it replaced, kept as the reference.  Results must agree bit for
+# bit, signed zeros included.
+
+def old_coeffs(cs):
+    return tuple(complex(c) for c in cs) or (0j,)
+
+
+def old_derivative(cs):
+    return tuple((n + 1) * cs[n + 1] for n in range(len(cs) - 1)) or (0j,)
+
+
+def old_antiderivative(cs):
+    return (0j,) + tuple(cs[n] / (n + 1) for n in range(len(cs)))
+
+
+def old_cauchy(f_cs, g_cs, out_degree):
+    return old_coeffs(np.convolve(np.asarray(f_cs), np.asarray(g_cs))[: out_degree + 1])
+
+
+def bits(cs):
+    return np.array(cs, dtype=complex).view(np.uint64).tolist()
+
+
+@st.composite
+def coeff_tuples(draw, max_size=600):
+    """Coefficients of length 1..max_size mixing normal numbers, signed zeros
+    and subnormals in each part; numpy draws the bulk so long inputs are cheap."""
+    n = draw(st.integers(1, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    normal = rng.normal(scale=3.0, size=(n, 2))
+    subnormal = rng.integers(-2 ** 52 + 1, 2 ** 52, size=(n, 2)) * 5e-324
+    zero = np.where(rng.random((n, 2)) < 0.5, 0.0, -0.0)
+    parts = np.choose(rng.integers(0, 3, size=(n, 2)), [normal, subnormal, zero])
+    return tuple(complex(a, b) for a, b in parts)
+
+
+def test_series_array_is_read_only_and_equals_coeffs():
+    f = TaylorSeries((1, 2.5, -0.0, 3 - 1j, np.complex128(5e-324j)))
+    assert isinstance(f.coeffs, tuple) and all(type(c) is complex for c in f.coeffs)
+    assert bits(f.array) == bits(old_coeffs((1, 2.5, -0.0, 3 - 1j, 5e-324j)))
+    assert f.array.dtype == complex and f.array.shape == (5,)
+    assert not f.array.flags.writeable
+    with pytest.raises(ValueError):
+        f.array[0] = 7
+    assert TaylorSeries(()).coeffs == (0j,) and bits(TaylorSeries(()).array) == bits((0j,))
+    # a series built from an array owns a copy
+    src = np.array([1 + 1j, 2 + 0j])
+    g = TaylorSeries(src)
+    src[0] = 0
+    assert g.coeffs == (1 + 1j, 2 + 0j) and g.array[0] == 1 + 1j
+    assert g == TaylorSeries((1 + 1j, 2)) and hash(g) == hash(TaylorSeries((1 + 1j, 2)))
+    with pytest.raises(ValueError):
+        TaylorSeries([[1, 2], [3, 4]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_tuples(), coeff_tuples(), st.booleans(), st.booleans(), st.data())
+def test_array_arithmetic_is_bit_identical_to_the_python_expressions(cs1, cs2, t1, t2, data):
+    f, g = TaylorSeries(cs1, t1), TaylorSeries(cs2, t2)
+    assert bits(f.coeffs) == bits(f.array) == bits(old_coeffs(cs1))
+    d, a = derivative(f), antiderivative(f)
+    assert bits(d.coeffs) == bits(old_derivative(cs1)) and d.truncated is t1
+    assert bits(a.coeffs) == bits(old_antiderivative(cs1)) and a.truncated is t1
+    full = f.degree + g.degree
+    out_degree = data.draw(st.integers(0, full))
+    p = cauchy_product(f, g, out_degree)
+    assert bits(p.coeffs) == bits(old_cauchy(cs1, cs2, out_degree))
+    assert p.truncated is (t1 or t2 or out_degree < full)
+    for piece in (d, a, p):
+        assert bits(piece.array) == bits(piece.coeffs) and not piece.array.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_tuples(40), coeff_tuples(40),
+       st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+def test_scaled_and_sum_are_bit_identical_to_the_python_expressions(cs1, cs2, factor):
+    f, g = TaylorSeries(cs1), TaylorSeries(cs2, True)
+    assert bits(f.scaled(factor).coeffs) == bits(tuple(factor * c for c in cs1))
+    total = f + g
+    n = max(len(cs1), len(cs2))
+    assert bits(total.coeffs) == bits(tuple(f.coefficient(k) + g.coefficient(k)
+                                            for k in range(n)))
+    assert total.truncated
+
+
 def test_derivative_power_rule():
     assert derivative(TaylorSeries((0, 0, 1))).coeffs == (0j, 2 + 0j)
 
@@ -187,6 +275,32 @@ def test_rings_match_horner_sweep(data, degree_plus_one, extra_radii):
     # error relative to sum |c_n| r^n; the absolute floor covers subnormal rounding
     scale = np.abs(np.asarray(cs)) @ radii[None, :] ** np.arange(len(cs))[:, None]
     assert np.all(np.abs(got - want) <= 1e-13 * scale[:, None] + 1e-300)
+
+
+def old_broadcast_rings(cs, radii, n_angles):
+    """The ring sweep with ``w = r^N`` broadcast to every ring point, as a
+    complex ``(R, N)`` array, and the ``r^m`` table built per call."""
+    c = np.asarray(cs, dtype=complex)
+    blocks = np.zeros(-(-len(c) // n_angles) * n_angles, dtype=complex)
+    blocks[:len(c)] = c
+    r = np.asarray(radii, dtype=float)[:, None]
+    w = np.broadcast_to(r ** n_angles, (len(r), n_angles))
+    sums = evaluate_polynomial(blocks.reshape(-1, n_angles), w)
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = np.fft.ifft(sums * r ** np.arange(n_angles), axis=1, norm="forward")
+    bad = is_divergent(vals)
+    vals[bad] = DIVERGENT_SAMPLE
+    return vals
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_tuples(5 * RING_ANGLES), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_rings_are_bit_identical_to_the_broadcast_sweep(cs, extra_radii):
+    radii = np.array([0.0, 1.0] + extra_radii)
+    got = evaluate_on_rings(TaylorSeries(cs).array, radii, RING_ANGLES)
+    assert bits(got) == bits(old_broadcast_rings(cs, radii, RING_ANGLES))
+    # the memoised r^m table is shared and read-only: a second sweep agrees
+    assert bits(evaluate_on_rings(cs, radii, RING_ANGLES)) == bits(got)
 
 
 def test_ring_whose_block_sum_overflows_is_tagged_whole():
