@@ -11,8 +11,11 @@ and a power divergence into exponential growth, so the finite/infinite decision
 is made by regressing ``log L`` against ``k`` over the last reliable rungs
 (the slope rule).  Compactness replaces the integral by its tail between two
 schedule points, and the pointwise criteria replace it by a weighted modulus of
-g or g' on boundary rungs.  All sweeps share one quadrature mesh whose cells
-are aligned with the rung schedule, so every prefix integral is a partial sum.
+g or g' on boundary rungs.  Every radial integral, the ladders and the
+single-angle :func:`radial_integral` alike, runs on one adaptive mesh whose
+cells are aligned with the rung schedule (:func:`_integrate_cells`), so every
+prefix integral is a partial sum.  Moduli come from the symbol's own
+:meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``.
 
 A decision is never forced: when the slope lands between the thresholds the
 verdict is Inconclusive with the slope recorded, since no numerical scheme can
@@ -24,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import HypothesisError
-from .quadrature import QuadratureConfig, QuadResult, gauss_legendre, integrate_radial
+from .quadrature import gauss_legendre
 from .series import OVERFLOW_CLAMP
 from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_details
 from .symbols import SymbolSpec
@@ -128,66 +131,119 @@ class CriterionReport:
     tg_engine: Optional["_LadderEngine"] = field(default=None, repr=False, compare=False)
 
 
+@dataclass(frozen=True)
+class QuadResult:
+    """Value of a radial integral with an error estimate and diagnostics."""
+
+    value: float
+    error: float
+    evals: int
+    clamped: bool = False
+    converged: bool = True
+
+    def __float__(self) -> float:
+        return self.value
+
+
 # ---------------------------------------------------------------------------
-# integrand construction
+# the adaptive cell integrator
 # ---------------------------------------------------------------------------
 
-def one_minus_z(r, s, theta):
-    """``1 - r e^{i theta}`` with the real part assembled from s = 1 - r.
+def _cell_nodes(s_lo: float, s_hi: float, panels: int, n: int, use_log: bool):
+    """Gauss-Legendre nodes ``(r, s, w)`` on ``panels`` equal panels of the cell
+    ``s = 1 - r in [s_lo, s_hi]``, ``n`` nodes per panel.
 
-    Near the boundary the naive ``1 - z`` loses all significant digits; the
-    identity ``Re(1-z) = s + 2 r sin^2(theta/2)`` does not.
+    The integrands blow up (at worst polynomially) as r -> 1: the weight
+    ``(1-r^2)^-alpha`` sits on top of boundary poles of the symbol.  The rung
+    cells halve the distance to 1 cell by cell, so the integrand varies by a
+    bounded factor within each cell and a few panels converge fast.  Nodes are
+    placed in s (or in ``u = -log s`` once the weight exponent makes the
+    substitution pay off), which keeps ``1 - r`` exact at nodes arbitrarily
+    close to the boundary.
     """
-    half = np.sin(0.5 * np.asarray(theta))
-    return (s + 2.0 * r * half * half) - 1j * r * np.sin(theta)
+    x, w = gauss_legendre(n)
+    lo, hi = (-math.log(s_hi), -math.log(s_lo)) if use_log else (s_lo, s_hi)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * x).ravel()
+    hw = (half[:, None] * w).ravel()
+    if not use_log:
+        return 1.0 - u, u, hw
+    s = np.exp(-u)
+    return 1.0 - s, s, hw * s
 
 
-def _abs_matrix_fun(symbol: SymbolSpec, which: str) -> Callable:
-    """Vectorized ``(r, s, theta) -> |g'|`` (or ``|g|``), broadcasting its arguments:
-    grids pass ``r[:, None]`` and ``thetas[None, :]``, golden batches paired arrays."""
-    polar = _POLAR_FORMS.get((symbol.name.split("~")[0], which))
-    if polar is not None:
-        def absfun(r, s, theta, _p=polar, _phi=symbol.rotation):
-            return _p(r, s, theta + _phi)
-        return absfun
-    f = symbol.deriv if which == "deriv" else symbol.eval
-
-    def absfun(r, s, theta, _f=f):
-        z = r * np.exp(1j * theta)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.abs(_f(z))
-    return absfun
+class _Cells(NamedTuple):
+    rows: np.ndarray      # (cells, angles) integrals of the weighted integrand
+    errs: np.ndarray      # change at each cell's last panel doubling, max over angles
+    accurate: np.ndarray  # errs within 100 * cell_rel_tol of the largest angle total
+    clamped: np.ndarray   # a sample of the cell was clamped
+    nodes: list           # each cell's final nodes (r, s, w), w with the weight
+    evals: int            # integrand samples taken
 
 
-def _dist(r, s, theta):
-    # |1 - r e^{i theta}| via |1-z|^2 = s^2 + 4 r sin^2(theta/2), stable for s -> 0
-    half = np.sin(0.5 * theta)
-    return np.sqrt(s * s + 4.0 * r * half * half)
+def _integrate_cells(absmat: Callable, weight_exponent: float, cells, thetas: np.ndarray,
+                     cfg: LadderConfig) -> _Cells:
+    """Integrals of ``absmat(r, s, theta) (s(2-s))^-weight_exponent dr`` over the
+    cells ``(s_lo, s_hi)``, per angle.
+
+    Each cell is taken with one and two panels; a cell whose change exceeds
+    ``cell_rel_tol`` of the largest angle total doubles its panels, at most six
+    times and up to ``max_panels``.  Samples that are not finite or exceed
+    ``OVERFLOW_CLAMP`` are clamped to it.
+    """
+    use_log = weight_exponent >= cfg.log_substitution_alpha
+    evals = 0
+
+    def row(cell, panels):
+        nonlocal evals
+        r, s, w = _cell_nodes(cell[0], cell[1], panels, cfg.nodes_per_cell, use_log)
+        vals = absmat(r[:, None], s[:, None], thetas[None, :])
+        evals += len(r) * len(thetas)
+        if weight_exponent != 0.0:
+            w = w * (s * (2.0 - s)) ** -weight_exponent
+        bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
+        clamped = bool(np.any(bad))
+        if clamped:
+            vals = np.where(bad, OVERFLOW_CLAMP, vals)
+        return w @ vals, clamped, (r, s, w)
+
+    n_cells = len(cells)
+    rows = np.empty((n_cells, len(thetas)))
+    errs = np.empty(n_cells)
+    panels = np.full(n_cells, 2, dtype=int)
+    clamped = np.zeros(n_cells, dtype=bool)
+    nodes = [None] * n_cells
+    for j, cell in enumerate(cells):
+        coarse, c1, _ = row(cell, 1)
+        fine, c2, nodes[j] = row(cell, 2)
+        rows[j] = fine
+        errs[j] = float(np.max(np.abs(fine - coarse)))
+        clamped[j] = c1 or c2
+    for _ in range(6):
+        scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
+        bad = [j for j in range(n_cells)
+               if errs[j] > cfg.cell_rel_tol * scale and panels[j] < cfg.max_panels]
+        if not bad:
+            break
+        for j in bad:
+            panels[j] *= 2
+            new, cl, nodes[j] = row(cells[j], int(panels[j]))
+            errs[j] = float(np.max(np.abs(new - rows[j])))
+            rows[j] = new
+            clamped[j] |= cl
+    scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
+    return _Cells(rows, errs, errs <= 100.0 * cfg.cell_rel_tol * scale, clamped, nodes, evals)
 
 
-# |g| and |g'| in boundary-stable polar form for the symbols built from 1 - z.
-_POLAR_FORMS = {
-    ("zero", "deriv"): lambda r, s, t: np.zeros(np.broadcast(r, t).shape),
-    ("zero", "eval"): lambda r, s, t: np.zeros(np.broadcast(r, t).shape),
-    ("one", "deriv"): lambda r, s, t: np.zeros(np.broadcast(r, t).shape),
-    ("one", "eval"): lambda r, s, t: np.ones(np.broadcast(r, t).shape),
-    ("identity", "deriv"): lambda r, s, t: np.ones(np.broadcast(r, t).shape),
-    ("identity", "eval"): lambda r, s, t: np.broadcast_to(r, np.broadcast(r, t).shape).copy(),
-    ("monomial", "deriv"): lambda r, s, t: np.broadcast_to(r, np.broadcast(r, t).shape).copy(),
-    ("monomial", "eval"): lambda r, s, t: np.broadcast_to(0.5 * r * r, np.broadcast(r, t).shape).copy(),
-    ("affine", "deriv"): lambda r, s, t: np.ones(np.broadcast(r, t).shape),
-    ("affine", "eval"): lambda r, s, t: _dist(r, s, t),
-    ("log", "deriv"): lambda r, s, t: 1.0 / _dist(r, s, t),
-    ("log", "eval"): lambda r, s, t: np.abs(np.log(one_minus_z(r, s, t))),
-    ("koebe1", "deriv"): lambda r, s, t: 1.0 / _dist(r, s, t),
-    ("koebe1", "eval"): lambda r, s, t: np.abs(np.log(one_minus_z(r, s, t))),
-    ("koebe2", "deriv"): lambda r, s, t: _dist(r, s, t) ** -2.0,
-    ("koebe2", "eval"): lambda r, s, t: r / _dist(r, s, t),
-    ("koebe3", "deriv"): lambda r, s, t: _dist(r, s, t) ** -3.0,
-    ("koebe3", "eval"): lambda r, s, t: r * np.abs(2.0 - r * np.exp(1j * t)) / (2.0 * _dist(r, s, t) ** 2),
-    ("cayley", "deriv"): lambda r, s, t: _dist(r, s, t) ** -2.0,
-    ("cayley", "eval"): lambda r, s, t: 1.0 / _dist(r, s, t),
-}
+def _rung_cells(s_end: float) -> list:
+    """The rung cells ``[2^{-j-1}, 2^{-j}]`` covering ``s in [s_end, 1]``, the
+    last one clipped at ``s_end``."""
+    cells, j = [], 0
+    while 2.0 ** -j > s_end:
+        cells.append((max(2.0 ** -(j + 1), s_end), 2.0 ** -j))
+        j += 1
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +259,10 @@ class _LadderEngine:
     angles plus golden-section-refined candidates, all of which are pooled into
     one common angle set: this keeps beta = 0 ladders exactly monotone and the
     whole computation schedule-independent.  The grid-angle prefixes are the
-    cumulative sums of the adaptive cell rows themselves; the final nodes of
-    each cell are kept so that :meth:`_prefix_at` can serve the refined angles.
+    cumulative sums of the cell rows that :func:`_integrate_cells` returns for
+    the rung cells and grid angles; the final nodes of each cell are kept so
+    that :meth:`_prefix_at` can serve the refined angles.  ``absmat`` is
+    ``(r, s, theta) -> |h|``, broadcasting, such as a symbol's ``abs_deriv``.
     """
 
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
@@ -213,9 +271,17 @@ class _LadderEngine:
         self.beta = beta
         self.weight_exponent = weight_exponent
         self.absmat = absmat
-        self._use_log = weight_exponent >= cfg.log_substitution_alpha
         self._thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
-        self._build_cells()
+        mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max),
+                                self._thetas, cfg)
+        self.clamped = bool(np.any(mesh.clamped))
+        # reliability of the prefix through cell j: every earlier cell clean
+        ok = ~mesh.clamped & mesh.accurate
+        self.reliable = np.concatenate([[True], np.cumprod(ok).astype(bool)])
+        self._grid_prefix = _prefix_sums(mesh.rows)
+        # the final nodes of every cell, flattened, for prefixes at other angles
+        self._node_r, self._node_s, self._node_w = (np.concatenate(p) for p in zip(*mesh.nodes))
+        self._cell_starts = np.cumsum([0] + [len(r) for r, _, _ in mesh.nodes[:-1]])
         self._refined = self._refine()
         self.prefix_all = np.concatenate([self._grid_prefix, self._prefix_at(self._refined)],
                                          axis=1)
@@ -226,75 +292,8 @@ class _LadderEngine:
             weighted = self.rung_weight[:, None] * self.prefix_all
         self.values = np.max(weighted, axis=1)
         self.argmax = self.angles_all[np.argmax(weighted, axis=1)]
-        self.reliable = self._cell_ok.astype(bool)
-        self.clamped = bool(np.any(self._cell_clamped))
 
     # -- mesh ---------------------------------------------------------------
-
-    def _nodes_for_cell(self, j: int, panels: int):
-        """Gauss-Legendre nodes ``(r, s, w)`` on ``panels`` equal panels of cell j,
-        in ``u = -log s`` when the log substitution is on, else in s."""
-        x, w = gauss_legendre(self.cfg.nodes_per_cell)
-        s_hi, s_lo = 2.0 ** -j, 2.0 ** -(j + 1)
-        lo, hi = (-math.log(s_hi), -math.log(s_lo)) if self._use_log else (s_lo, s_hi)
-        edges = np.linspace(lo, hi, panels + 1)
-        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        u = (mid[:, None] + half[:, None] * x).ravel()
-        hw = (half[:, None] * w).ravel()
-        if not self._use_log:
-            return 1.0 - u, u, hw
-        s = np.exp(-u)
-        return 1.0 - s, s, hw * s
-
-    def _cell_row(self, j: int, panels: int):
-        """Integral of the weighted integrand over cell j, per grid angle, whether
-        a sample was clamped, and the cell's nodes ``(r, s, w)``, the weights
-        carrying the factor ``(s(2-s))^-weight_exponent``."""
-        r, s, w = self._nodes_for_cell(j, panels)
-        vals = self.absmat(r[:, None], s[:, None], self._thetas[None, :])
-        if self.weight_exponent != 0.0:
-            w = w * (s * (2.0 - s)) ** -self.weight_exponent
-        bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
-        clamped = bool(np.any(bad))
-        if clamped:
-            vals = np.where(bad, OVERFLOW_CLAMP, vals)
-        return w @ vals, clamped, (r, s, w)
-
-    def _build_cells(self):
-        cfg = self.cfg
-        n_cells = cfg.k_max
-        rows = np.empty((n_cells, cfg.n_angles))
-        errs = np.empty(n_cells)
-        panels = np.full(n_cells, 2, dtype=int)
-        clamped = np.zeros(n_cells, dtype=bool)
-        nodes = [None] * n_cells
-        for j in range(n_cells):
-            coarse, c1, _ = self._cell_row(j, 1)
-            fine, c2, nodes[j] = self._cell_row(j, 2)
-            rows[j] = fine
-            errs[j] = float(np.max(np.abs(fine - coarse)))
-            clamped[j] = c1 or c2
-        for _ in range(6):
-            scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
-            bad = [j for j in range(n_cells)
-                   if errs[j] > cfg.cell_rel_tol * scale and panels[j] < cfg.max_panels]
-            if not bad:
-                break
-            for j in bad:
-                panels[j] *= 2
-                new, cl, nodes[j] = self._cell_row(j, int(panels[j]))
-                errs[j] = float(np.max(np.abs(new - rows[j])))
-                rows[j] = new
-                clamped[j] |= cl
-        scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
-        self._cell_clamped = clamped
-        # reliability of the prefix through cell j: every earlier cell clean
-        ok = ~clamped & (errs <= 100.0 * cfg.cell_rel_tol * scale)
-        self._cell_ok = np.concatenate([[True], np.cumprod(ok).astype(bool)])
-        self._grid_prefix = _prefix_sums(rows)
-        # the final nodes of every cell, flattened, for prefixes at other angles
-        self._node_r, self._node_s, self._node_w = (np.concatenate(p) for p in zip(*nodes))
-        self._cell_starts = np.cumsum([0] + [len(r) for r, _, _ in nodes[:-1]])
 
     def _prefix_at(self, thetas: np.ndarray) -> np.ndarray:
         """Prefix integrals I(t_k, theta) for k = 0..k_max at off-grid angles."""
@@ -377,9 +376,14 @@ def _prefix_sums(cells: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1, cells.shape[1])), np.cumsum(cells, axis=0)])
 
 
+def _abs_fun(symbol: SymbolSpec, which: str) -> Callable:
+    """The symbol's broadcasting ``(r, s, theta) -> |g'|`` or ``|g|``."""
+    return symbol.abs_deriv if which == "deriv" else symbol.abs_eval
+
+
 def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
                    beta: float, cfg: LadderConfig) -> _LadderEngine:
-    return _LadderEngine(_abs_matrix_fun(symbol, which), weight_exponent, beta, cfg)
+    return _LadderEngine(_abs_fun(symbol, which), weight_exponent, beta, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -484,41 +488,40 @@ def _trend_classify(seq, cfg: LadderConfig, criterion: str, diag: dict, what: st
 # radial integrals (single angle)
 # ---------------------------------------------------------------------------
 
-def _single_angle_integrand(symbol: SymbolSpec, which: str, alpha_int: float, theta: float):
-    absmat = _abs_matrix_fun(symbol, which)
+def _radial_quad(absmat: Callable, weight_exponent: float, theta: float, t: float,
+                 cfg: Optional[LadderConfig]) -> QuadResult:
+    """``int_0^t absmat(r, s, theta) (1-r^2)^-weight_exponent dr`` by
+    :func:`_integrate_cells` over the rung cells clipped at ``s = 1 - t``.
 
-    def f(r, s):
-        vals = absmat(np.asarray(r), np.asarray(s), theta)
-        if alpha_int != 0.0:
-            vals = vals * (s * (2.0 - s)) ** -alpha_int
-        return vals
-    return f
+    ``converged`` is False when a cell misses the ladder engine's reliability
+    rule, which is reported rather than raised.
+    """
+    if t == 0.0:
+        return QuadResult(0.0, 0.0, 0, False, True)
+    mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(1.0 - t),
+                            np.array([float(theta)]), cfg or DEFAULT_LADDER)
+    return QuadResult(float(np.sum(mesh.rows)), float(np.sum(mesh.errs)), mesh.evals,
+                      bool(np.any(mesh.clamped)), bool(np.all(mesh.accurate)))
 
 
 def radial_integral(g: SymbolSpec, alpha: float, theta: float, t: float,
-                    cfg: Optional[QuadratureConfig] = None) -> QuadResult:
-    """``int_0^t |g'(r e^{i theta})| / (1-r^2)^alpha dr`` by graded-mesh quadrature."""
+                    cfg: Optional[LadderConfig] = None) -> QuadResult:
+    """``int_0^t |g'(r e^{i theta})| / (1-r^2)^alpha dr`` on the rung-aligned mesh."""
     if not (0.0 <= t < 1.0):
         raise ValueError("t must lie in [0, 1)")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    if t == 0.0:
-        return QuadResult(0.0, 0.0, 0, False, True)
-    return integrate_radial(_single_angle_integrand(g, "deriv", alpha, theta),
-                            s_end=1.0 - t, alpha=alpha, cfg=cfg)
+    return _radial_quad(g.abs_deriv, alpha, theta, t, cfg)
 
 
 def sg_radial_integral(g: SymbolSpec, alpha: float, theta: float, t: float,
-                       cfg: Optional[QuadratureConfig] = None) -> QuadResult:
+                       cfg: Optional[LadderConfig] = None) -> QuadResult:
     """``int_0^t |g(r e^{i theta})| / (1-r^2)^(alpha+1) dr``; needs alpha > 0."""
     if alpha <= 0:
         raise HypothesisError("the companion-operator integral criterion needs alpha > 0")
     if not (0.0 <= t < 1.0):
         raise ValueError("t must lie in [0, 1)")
-    if t == 0.0:
-        return QuadResult(0.0, 0.0, 0, False, True)
-    return integrate_radial(_single_angle_integrand(g, "eval", alpha + 1.0, theta),
-                            s_end=1.0 - t, alpha=alpha + 1.0, cfg=cfg)
+    return _radial_quad(g.abs_eval, alpha + 1.0, theta, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +606,7 @@ def _pointwise_form(operator: OperatorKind, pair: SpacePair):
 def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderConfig):
     """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``;
     each rung's top ``refine_top`` grid angles are refined, all in one batch."""
-    absmat = _abs_matrix_fun(g, which)
+    absmat = _abs_fun(g, which)
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
     r = 1.0 - s

@@ -181,13 +181,6 @@ def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     return LowerBoundReport(value=best, best_label=best_label, ratios=tuple(ratios))
 
 
-def empirical_lower_bound(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
-                          battery: Optional[TestBattery] = None,
-                          degree: int = DEFAULT_DEGREE,
-                          grid: Optional[DiskGrid] = None) -> float:
-    return lower_bound_details(g, operator, pair, battery, degree, grid).value
-
-
 def tg_upper_bound(g: SymbolSpec, pair: SpacePair, t0: float,
                    cfg: Optional[LadderConfig] = None, engine=None) -> float:
     """Two-piece norm bound for the ``int f g'`` operator at cut radius ``t0``.

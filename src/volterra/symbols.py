@@ -9,7 +9,7 @@ where the grid surrogate applies.  ``None`` means unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,13 @@ class SymbolMetadata:
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A named symbol with vectorized evaluators for g, g', g''."""
+    """A named symbol with vectorized evaluators for g, g', g''.
+
+    ``polar_eval`` and ``polar_deriv`` are optional boundary-stable forms
+    ``(r, s, theta) -> |g|, |g'|`` of the unrotated symbol at ``r e^{i theta}``,
+    with ``s = 1 - r`` carried exactly; :meth:`abs_eval` and :meth:`abs_deriv`
+    use them when present and the closed forms otherwise.
+    """
 
     name: str
     eval: Callable
@@ -44,8 +50,23 @@ class SymbolSpec:
     taylor_coeff: Callable  # n -> complex coefficient of z^n
     metadata: SymbolMetadata = field(default_factory=SymbolMetadata)
     tail_bound: Optional[Callable] = None  # (N, r) -> bound on the dropped series tail
-    oracles: dict = field(default_factory=dict)
     rotation: float = 0.0  # total angle of rotated(); the polar forms shift theta by it
+    polar_eval: Optional[Callable] = None
+    polar_deriv: Optional[Callable] = None
+
+    def abs_eval(self, r, s, theta):
+        """``|g(r e^{i theta})|``, broadcasting ``r``, ``s`` and ``theta``."""
+        return self._abs(self.polar_eval, self.eval, r, s, theta)
+
+    def abs_deriv(self, r, s, theta):
+        """``|g'(r e^{i theta})|``, broadcasting like :meth:`abs_eval`."""
+        return self._abs(self.polar_deriv, self.deriv, r, s, theta)
+
+    def _abs(self, polar, f, r, s, theta):
+        if polar is not None:
+            return polar(r, s, theta + self.rotation)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.abs(f(r * np.exp(1j * theta)))
 
     def taylor(self, degree: int = DEFAULT_DEGREE) -> TaylorSeries:
         return TaylorSeries(tuple(self.taylor_coeff(n) for n in range(degree + 1)))
@@ -57,18 +78,42 @@ class SymbolSpec:
         return FunctionHandle.closed_form(self.deriv, self.deriv2)
 
     def rotated(self, phi: float) -> "SymbolSpec":
-        """The symbol ``z -> g(e^{i phi} z)``; all metadata flags survive rotation."""
+        """The symbol ``z -> g(e^{i phi} z)``; metadata, tail bound and polar
+        forms survive rotation, the polar forms shifted by the summed angle."""
         w = complex(math.cos(phi), math.sin(phi))
-        return SymbolSpec(
+        return replace(
+            self,
             name=f"{self.name}~rot{phi:.6g}",
             eval=lambda z, _f=self.eval: _f(w * np.asarray(z, dtype=complex)),
             deriv=lambda z, _f=self.deriv: w * _f(w * np.asarray(z, dtype=complex)),
             deriv2=lambda z, _f=self.deriv2: w * w * _f(w * np.asarray(z, dtype=complex)),
             taylor_coeff=lambda n, _c=self.taylor_coeff: (w ** n) * _c(n),
-            metadata=self.metadata,
-            tail_bound=self.tail_bound,
             rotation=self.rotation + phi,
         )
+
+
+def one_minus_z(r, s, theta):
+    """``1 - r e^{i theta}`` with the real part assembled from s = 1 - r.
+
+    Near the boundary the naive ``1 - z`` loses all significant digits; the
+    identity ``Re(1-z) = s + 2 r sin^2(theta/2)`` does not.
+    """
+    half = np.sin(0.5 * np.asarray(theta))
+    return (s + 2.0 * r * half * half) - 1j * r * np.sin(theta)
+
+
+def _dist(r, s, theta):
+    # |1 - r e^{i theta}| via |1-z|^2 = s^2 + 4 r sin^2(theta/2), stable for s -> 0
+    half = np.sin(0.5 * theta)
+    return np.sqrt(s * s + 4.0 * r * half * half)
+
+
+def _const(value):
+    return lambda r, s, t: np.full(np.broadcast(r, t).shape, value)
+
+
+def _radial(h):
+    return lambda r, s, t: np.broadcast_to(h(r), np.broadcast(r, t).shape).copy()
 
 
 def _c(z):
@@ -135,6 +180,7 @@ def _build_registry():
         taylor_coeff=lambda n: 0j,
         metadata=SymbolMetadata(is_zero=True, note="both operators vanish"),
         tail_bound=lambda N, r: 0.0,
+        polar_eval=_const(0.0), polar_deriv=_const(0.0),
     ))
 
     syms.append(SymbolSpec(
@@ -144,6 +190,7 @@ def _build_registry():
         metadata=SymbolMetadata(log_symbol_bloch=True,
                                 note="T_g vanishes; S_g f = f - f(0)"),
         tail_bound=_poly_tail(0),
+        polar_eval=_const(1.0), polar_deriv=_const(0.0),
     ))
 
     syms.append(SymbolSpec(
@@ -154,7 +201,7 @@ def _build_registry():
                                 log_symbol_bloch=False,
                                 note="log g' = 0; log g singular at the interior zero"),
         tail_bound=_poly_tail(1),
-        oracles={"tg_radial_integral": lambda t, theta: t},
+        polar_eval=_radial(lambda r: r), polar_deriv=_const(1.0),
     ))
 
     syms.append(SymbolSpec(
@@ -166,13 +213,13 @@ def _build_registry():
                                 log_symbol_bloch=False,
                                 note="g' = z vanishes at 0, so the log-derivative quotient blows up there"),
         tail_bound=_poly_tail(2),
-        oracles={"tg_radial_integral": lambda t, theta: 0.5 * t * t if theta == 0.0 else None},
+        polar_eval=_radial(lambda r: 0.5 * r * r), polar_deriv=_radial(lambda r: r),
     ))
 
     def _log_eval(z):
         return -np.log1p(-_c(z))
 
-    syms.append(SymbolSpec(
+    log = SymbolSpec(
         name="log",
         eval=_log_eval,
         deriv=lambda z: 1.0 / (1.0 - _c(z)),
@@ -182,20 +229,14 @@ def _build_registry():
                                 log_symbol_bloch=False,
                                 note="conformal onto a half-plane image; g(0) = 0 kills log g"),
         tail_bound=lambda N, r: _geom_tail(N, r) / (N + 1),
-        oracles={"tg_radial_integral": lambda t, theta:
-                 -math.log1p(-t) if theta == 0.0 else (math.log1p(t) if theta == math.pi else None)},
-    ))
+        polar_eval=lambda r, s, t: np.abs(np.log(one_minus_z(r, s, t))),
+        polar_deriv=lambda r, s, t: 1.0 / _dist(r, s, t),
+    )
+    syms.append(log)
 
-    # koebe1 shares its derivative family (1-z)^(-s), s = 1, with "log"
-    syms.append(SymbolSpec(
-        name="koebe1",
-        eval=_log_eval,
-        deriv=lambda z: 1.0 / (1.0 - _c(z)),
-        deriv2=lambda z: (1.0 - _c(z)) ** -2.0,
-        taylor_coeff=lambda n: 0j if n == 0 else complex(1.0 / n),
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False),
-        tail_bound=lambda N, r: _geom_tail(N, r) / (N + 1),
-    ))
+    # koebe1 is log under another name: the derivative family (1-z)^(-s) at s = 1
+    syms.append(replace(log, name="koebe1", metadata=SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=False)))
 
     syms.append(SymbolSpec(
         name="koebe2",
@@ -206,6 +247,8 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
                                 note="Moebius; g(0) = 0 kills log g"),
         tail_bound=_geom_tail,
+        polar_eval=lambda r, s, t: r / _dist(r, s, t),
+        polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
     ))
 
     syms.append(SymbolSpec(
@@ -216,6 +259,8 @@ def _build_registry():
         taylor_coeff=lambda n: 0j if n == 0 else complex(0.5 * (n + 1)),
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False),
         tail_bound=lambda N, r: 0.5 * (N + 2) * r ** (N + 1) / (1.0 - r) ** 2,
+        polar_eval=lambda r, s, t: r * np.abs(2.0 - r * np.exp(1j * t)) / (2.0 * _dist(r, s, t) ** 2),
+        polar_deriv=lambda r, s, t: _dist(r, s, t) ** -3.0,
     ))
 
     syms.append(SymbolSpec(
@@ -227,6 +272,7 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
                                 note="log g = log(1-z) has derivative -1/(1-z), Bloch"),
         tail_bound=_poly_tail(1),
+        polar_eval=_dist, polar_deriv=_const(1.0),
     ))
 
     syms.append(SymbolSpec(
@@ -238,6 +284,8 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
                                 note="Moebius, zero-free; log g = -log(1-z), Bloch"),
         tail_bound=_geom_tail,
+        polar_eval=lambda r, s, t: 1.0 / _dist(r, s, t),
+        polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
     ))
 
     syms.append(SymbolSpec(

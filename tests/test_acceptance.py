@@ -18,7 +18,7 @@ from volterra.criteria import (VerdictTag, full_integral_sup,
                                pointwise_compactness, radial_integral,
                                sg_boundedness, sg_pointwise, tg_boundedness,
                                tg_pointwise, tg_tail_compactness)
-from volterra.estimation import (compactness_probe, empirical_lower_bound,
+from volterra.estimation import (compactness_probe, lower_bound_details,
                                  tg_min_upper_bound)
 from volterra.operators import OperatorKind, apply_tg, apply_sg
 from volterra.sector import (SectorParams, build_sector_map, estimate_density_bound,
@@ -151,7 +151,7 @@ def test_criterion_06_norm_sandwich(full_report):
         if r["op"] == "Tg" and r["boundedness"]["tag"] == "Bounded":
             assert r["upper_bound"] is not None
             assert r["lower_bound"] <= r["upper_bound"] + 1e-6, r["symbol"]
-    lower = empirical_lower_bound(get_symbol("identity"), T, SpacePair(0, 0))
+    lower = lower_bound_details(get_symbol("identity"), T, SpacePair(0, 0)).value
     upper, _ = tg_min_upper_bound(get_symbol("identity"), SpacePair(0, 0))
     assert lower == pytest.approx(1.0, abs=1e-3)
     assert upper == pytest.approx(1.0, abs=1e-3)

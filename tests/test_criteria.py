@@ -13,7 +13,7 @@ from volterra.criteria import (LadderConfig, VerdictTag, classify, full_integral
 from volterra.errors import HypothesisError
 from volterra.operators import OperatorKind
 from volterra.spaces import SpacePair
-from volterra.symbols import SymbolMetadata, SymbolSpec, get_symbol
+from volterra.symbols import SymbolMetadata, SymbolSpec, get_symbol, symbol_names
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
@@ -282,8 +282,13 @@ def test_rotation_invariance_of_verdicts():
 
 
 def _polar_cases():
-    from volterra.criteria import _POLAR_FORMS
-    return list(_POLAR_FORMS)
+    from volterra.symbols import registry
+    return [(g.name, which) for g in registry() for which in ("deriv", "eval")
+            if getattr(g, f"polar_{which}") is not None]
+
+
+def _abs(g, which):
+    return g.abs_deriv if which == "deriv" else g.abs_eval
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,7 +301,6 @@ def test_polar_form_of_rotated_symbol_matches_its_evaluator(case, angles, radii,
     absolute value of the rotated symbol's own evaluator, off the pole.  The
     polar path read only the first rotation of a composition, and only to the
     six digits kept in the symbol's name."""
-    from volterra.criteria import _abs_matrix_fun
     name, which = case
     g = get_symbol(name)
     for phi in angles:
@@ -304,9 +308,81 @@ def test_polar_form_of_rotated_symbol_matches_its_evaluator(case, angles, radii,
     assert g.rotation == pytest.approx(sum(angles), abs=1e-12)
     r = np.asarray(radii)[:, None]
     t = np.asarray(thetas)[None, :]
-    polar = _abs_matrix_fun(g, which)(r, 1.0 - r, t)
+    polar = _abs(g, which)(r, 1.0 - r, t)
     direct = np.abs((g.deriv if which == "deriv" else g.eval)(r * np.exp(1j * t)))
     np.testing.assert_allclose(polar, direct, rtol=1e-12, atol=1e-300)
+
+
+def _user_copy(g, name):
+    # a user-built symbol: the functions of ``g`` without its polar forms
+    return SymbolSpec(name=name, eval=g.eval, deriv=g.deriv, deriv2=g.deriv2,
+                      taylor_coeff=g.taylor_coeff, metadata=g.metadata)
+
+
+def test_user_symbol_named_log_is_evaluated_by_its_own_functions():
+    """The identity under the name ``log``: the classifier must read the
+    symbol's functions, not a polar form looked up by its name."""
+    g = _user_copy(get_symbol("identity"), "log")
+    rep = classify(g, T, _pair(0, 0))
+    assert rep.boundedness.tag is VerdictTag.BOUNDED
+    assert rep.boundedness.value == pytest.approx(1.0, abs=1e-6)
+    assert rep.compactness.tag is VerdictTag.COMPACT
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.8])
+def test_symbol_without_polar_forms_uses_its_evaluators(phi):
+    g = _user_copy(get_symbol("cayley"), "cayley").rotated(phi)
+    assert g.polar_eval is None and g.polar_deriv is None
+    r = np.array([0.0, 0.3, 0.9, 0.999])[:, None]
+    t = np.linspace(-math.pi, math.pi, 7)[None, :]
+    z = r * np.exp(1j * t)
+    assert np.array_equal(g.abs_deriv(r, 1.0 - r, t), np.abs(g.deriv(z)))
+    assert np.array_equal(g.abs_eval(r, 1.0 - r, t), np.abs(g.eval(z)))
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.1])
+def test_koebe1_is_log_under_another_name(phi):
+    k, g = get_symbol("koebe1").rotated(phi), get_symbol("log").rotated(phi)
+    r = np.array([0.0, 0.5, 1.0 - 2.0 ** -30])[:, None]
+    t = np.linspace(0.0, 2.0 * math.pi, 9)[None, :]
+    assert np.array_equal(k.abs_eval(r, 1.0 - r, t), g.abs_eval(r, 1.0 - r, t))
+    assert np.array_equal(k.abs_deriv(r, 1.0 - r, t), g.abs_deriv(r, 1.0 - r, t))
+    assert k.name.startswith("koebe1") and k.metadata != g.metadata
+
+
+# -- metamorphic properties of the classifier ----------------------------------
+
+WEIGHTS = (0.0, 0.5, 1.0, 2.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(symbol_names()),
+       st.sampled_from([T, S]), st.sampled_from(WEIGHTS),
+       st.lists(st.sampled_from(WEIGHTS), min_size=2, max_size=2, unique=True).map(sorted),
+       st.floats(0.0, 2.0 * math.pi))
+def test_metamorphic_properties(name, op, alpha, betas, phi):
+    """What the theory guarantees at the default ladder configuration: decided
+    tags do not depend on a rotation of the symbol; Bounded (Compact) into
+    ``H^inf_beta`` stays Bounded (Compact) into ``H^inf_beta'`` for beta < beta';
+    no cell is Compact and Unbounded; an Inconclusive verdict says why."""
+    beta, beta_up = betas
+    g = get_symbol(name)
+    base = classify(g, op, _pair(alpha, beta))
+    rotated = classify(g.rotated(phi), op, _pair(alpha, beta))
+    wider = classify(g, op, _pair(alpha, beta_up))
+    for rep in (base, rotated, wider):
+        assert not (rep.compactness.tag is VerdictTag.COMPACT
+                    and rep.boundedness.tag is VerdictTag.UNBOUNDED)
+        for v in (rep.boundedness, rep.compactness):
+            assert v.decided or v.reason
+    for a, b in ((base.boundedness, rotated.boundedness),
+                 (base.compactness, rotated.compactness)):
+        if a.decided and b.decided:
+            assert a.tag is b.tag
+    if base.boundedness.tag is VerdictTag.BOUNDED:
+        assert wider.boundedness.tag is VerdictTag.BOUNDED
+    if base.compactness.tag is VerdictTag.COMPACT:
+        assert wider.compactness.tag is VerdictTag.COMPACT
 
 
 def test_verdict_requires_reason_when_inconclusive():
@@ -337,9 +413,8 @@ def _golden_scalar(fn, lo, hi, iters):
 
 def _profile_reference(g, which, exponent, cfg):
     """The pointwise profile refined one rung and one bracket at a time."""
-    from volterra.criteria import _abs_matrix_fun
     from volterra.series import OVERFLOW_CLAMP
-    absfun = _abs_matrix_fun(g, which)
+    absfun = _abs(g, which)
     s = 2.0 ** -cfg.rung_ks().astype(float)
     r = 1.0 - s
     thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
@@ -393,15 +468,14 @@ ENGINE_CFG = LadderConfig(k_max=24, n_angles=64, refine_top=2, refine_iters=30)
 
 def _steep_pole(r, s, theta):
     # |1 - z|^-60 overflows near the pole, so the deep cells are clamped
-    from volterra.criteria import _dist
+    from volterra.symbols import _dist
     with np.errstate(over="ignore", divide="ignore"):
         return _dist(r, s, theta) ** -60.0
 
 
 def _engine_cases():
-    from volterra.criteria import _abs_matrix_fun
     from volterra.symbols import registry
-    cases = [pytest.param(_abs_matrix_fun(g, which), exponent, False,
+    cases = [pytest.param(_abs(g, which), exponent, False,
                           id=f"{g.name}-{which}-{exponent}")
              for g in registry() for which in ("deriv", "eval") for exponent in (0.0, 0.5, 2.0)]
     return cases + [pytest.param(_steep_pole, 0.5, True, id="steep-pole-clamped")]
@@ -424,12 +498,12 @@ def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, expon
             grid_samples.append(np.broadcast_to(vals, np.broadcast(r, theta).shape))
         return vals
 
-    real_row = criteria._LadderEngine._cell_row
+    real_nodes = criteria._cell_nodes
 
-    def row_spy(self, j, n_panels):
+    def nodes_spy(s_lo, s_hi, n_panels, *args):
         panels.append(n_panels)
-        return real_row(self, j, n_panels)
-    monkeypatch.setattr(criteria._LadderEngine, "_cell_row", row_spy)
+        return real_nodes(s_lo, s_hi, n_panels, *args)
+    monkeypatch.setattr(criteria, "_cell_nodes", nodes_spy)
     engine = criteria._LadderEngine(counting, exponent, 0.5, cfg)
 
     taken = sum(v.size for v in grid_samples)

@@ -5,7 +5,7 @@ import pytest
 
 from volterra.errors import HypothesisError
 from volterra.estimation import (BatteryEntry, _radial_max, build_battery, compactness_probe,
-                                 empirical_lower_bound, lower_bound_details,
+                                 lower_bound_details,
                                  monomial_norm, tg_min_upper_bound, tg_upper_bound,
                                  weak_null_sup)
 from volterra.operators import OperatorKind
@@ -60,8 +60,8 @@ def test_lower_bound_identity_is_exactly_one():
 
 
 def test_lower_bound_zero_symbol():
-    assert empirical_lower_bound(get_symbol("zero"), T, SpacePair(0, 0)) == 0.0
-    assert empirical_lower_bound(get_symbol("zero"), S, SpacePair(1, 0)) == 0.0
+    assert lower_bound_details(get_symbol("zero"), T, SpacePair(0, 0)).value == 0.0
+    assert lower_bound_details(get_symbol("zero"), S, SpacePair(1, 0)).value == 0.0
 
 
 def test_lower_bound_monomial_symbol():
@@ -95,7 +95,7 @@ def test_sandwich_on_bounded_rows():
     cases = [("identity", 0, 0), ("monomial", 0, 0), ("log", 0, 1), ("cayley", 0, 1)]
     for name, a, b in cases:
         pair = SpacePair(a, b)
-        lo = empirical_lower_bound(get_symbol(name), T, pair)
+        lo = lower_bound_details(get_symbol(name), T, pair).value
         up, _ = tg_min_upper_bound(get_symbol(name), pair)
         assert lo <= up + 1e-6, name
 

@@ -1,22 +1,34 @@
-"""Graded-mesh quadrature: closed-form accuracy within the evaluation budget."""
+"""Single-angle radial integrals on the rung-aligned mesh: closed-form accuracy
+within the evaluation budget."""
 
 import math
 
 import numpy as np
 import pytest
 
-from volterra.criteria import radial_integral, sg_radial_integral
+from volterra import criteria
+from volterra.criteria import (DEFAULT_LADDER, LadderConfig, _radial_quad, radial_integral,
+                               sg_radial_integral)
 from volterra.errors import HypothesisError
-from volterra.quadrature import QuadratureConfig, graded_s_cells, integrate_radial
-from volterra.symbols import get_symbol
+from volterra.symbols import get_symbol, symbol_names
 
 
-def test_graded_cells_cover_and_nest():
-    cells = graded_s_cells(2.0 ** -10)
-    assert cells[0] == (0.5, 1.0)
+@pytest.mark.parametrize("t", [1.0 - 2.0 ** -10, 0.9, 0.99, 0.3])
+def test_cells_cover_and_nest_down_to_the_end_point(monkeypatch, t):
+    real = criteria._cell_nodes
+    cells = []
+
+    def spy(s_lo, s_hi, *args):
+        cells.append((s_lo, s_hi))
+        return real(s_lo, s_hi, *args)
+    monkeypatch.setattr(criteria, "_cell_nodes", spy)
+    radial_integral(get_symbol("identity"), alpha=0.0, theta=0.4, t=t)
+    cells = list(dict.fromkeys(cells))
     for (lo1, hi1), (lo2, hi2) in zip(cells, cells[1:]):
         assert lo1 == hi2  # contiguous toward the boundary
-    assert cells[-1][0] == 2.0 ** -10
+    for j, (lo, hi) in enumerate(cells):
+        assert hi == 2.0 ** -j and lo == max(2.0 ** -(j + 1), 1.0 - t)  # inside rung cell j
+    assert cells[-1][0] == 1.0 - t
 
 
 def test_unit_integrand():
@@ -75,32 +87,48 @@ def test_t_zero_and_validation():
 
 def test_adaptive_engine_resolves_kinks():
     # |sin(8 pi r)| has 8 kinks in [0,1); piecewise closed form as oracle
-    def f(r, s):
+    def f(r, s, theta):
         return np.abs(np.sin(8.0 * np.pi * r))
 
     t = 0.9375  # 7.5 half-periods exactly
     # 7 full half-arches of area 2/(8 pi) plus a half piece of area 1/(8 pi)
     oracle = 7.0 * 2.0 / (8.0 * np.pi) + 1.0 / (8.0 * np.pi)
-    res = integrate_radial(f, s_end=1.0 - t, alpha=0.0)
+    res = _radial_quad(f, 0.0, 0.0, t, None)
     assert res.value == pytest.approx(oracle, rel=1e-6)
     assert res.converged
 
 
 def test_error_estimate_is_honest_on_smooth_integrand():
-    def f(r, s):
+    def f(r, s, theta):
         return np.exp(r)
 
-    res = integrate_radial(f, s_end=0.25, alpha=0.0)
+    res = _radial_quad(f, 0.0, 0.0, 0.75, None)
     true = math.exp(0.75) - 1.0
     assert abs(res.value - true) <= max(res.error * 10.0, 1e-12)
 
 
 def test_budget_exhaustion_reports_not_raises():
-    # oscillatory enough to bust a tiny budget
-    def f(r, s):
+    # oscillatory enough to bust a tiny panel budget on the single cell [0, 1/2]
+    def f(r, s, theta):
         return np.abs(np.sin(200.0 * np.pi * r))
 
-    cfg = QuadratureConfig(max_evals=200, rel_tol=1e-12)
-    res = integrate_radial(f, s_end=0.5, alpha=0.0, cfg=cfg)
+    cfg = LadderConfig(max_panels=4, cell_rel_tol=1e-12)
+    res = _radial_quad(f, 0.0, 0.0, 0.5, cfg)
     assert not res.converged
-    assert res.evals >= 200
+    assert res.evals == 16 * (1 + 2 + 4)  # one, two, then four panels of 16 nodes
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_single_angle_integral_equals_the_engine_prefix(name):
+    """One integrator: the single-angle integral up to rung t_k equals the
+    ladder engine's prefix at the same grid angle, up to the engine's own
+    tolerance, which is relative to the largest total over all angles."""
+    g = get_symbol(name)
+    for alpha in (0.0, 0.5, 1.0):
+        engine = criteria._LadderEngine(g.abs_deriv, alpha, 0.0, DEFAULT_LADDER)
+        for k in (3, 10, 25, 40):
+            for j in (0, 37, 256, 400):
+                theta = engine.angles_all[j]
+                res = radial_integral(g, alpha, theta, 1.0 - 2.0 ** -k, DEFAULT_LADDER)
+                assert res.value == pytest.approx(engine.prefix_all[k, j], rel=1e-6, abs=0.0), \
+                    (alpha, k, theta)
