@@ -32,10 +32,18 @@ from .spaces import SpacePair, bloch_norm, weighted_sup_details
 from .symbols import get_symbol, ground_truth_table, registry
 
 
-def _positive_power_of_two(value: str) -> int:
+# the largest counts accepted: on a 2-vCPU machine a lacunary T_g cell at 8192
+# angles takes about 22 s and 0.6 GB, and a density estimate holds about 140
+# bytes per sample (1.4 GB at 10^7); larger counts fail to allocate
+MAX_ANGLES = 8192
+MAX_SAMPLES = 10 ** 7
+
+
+def _angle_count(value: str) -> int:
     n = int(value)
-    if n < 64 or (n & (n - 1)) != 0:
-        raise argparse.ArgumentTypeError("angle count must be a power of two, at least 64")
+    if not 64 <= n <= MAX_ANGLES or (n & (n - 1)) != 0:
+        raise argparse.ArgumentTypeError(
+            f"angle count must be a power of two in [64, {MAX_ANGLES}], got {value}")
     return n
 
 
@@ -61,7 +69,11 @@ def _probe_count(value: str) -> int:
 
 
 def _sample_sizes(value: str) -> list:
-    return [_positive_int(part) for part in value.split(",")]
+    sizes = [_positive_int(part) for part in value.split(",")]
+    if max(sizes) > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"each sample count must be at most {MAX_SAMPLES}, got {max(sizes)}")
+    return sizes
 
 
 def _kmax(value: str) -> int:
@@ -106,12 +118,12 @@ def _build_parser(preset=None):
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--kmax", type=_kmax, default=40)
-    p.add_argument("--angles", type=_positive_power_of_two, default=512)
+    p.add_argument("--angles", type=_angle_count, default=512)
     add_common(p)
 
     p = sub.add_parser("report", help="classify and probe the whole ground-truth table")
     p.add_argument("--kmax", type=_kmax, default=40)
-    p.add_argument("--angles", type=_positive_power_of_two, default=512)
+    p.add_argument("--angles", type=_angle_count, default=512)
     p.add_argument("--degree", type=_positive_int, default=256)
     p.add_argument("--probe-nmax", type=_probe_count, default=64)
     add_common(p)
@@ -240,14 +252,14 @@ def cmd_report(args) -> int:
 
 def cmd_norm(args) -> int:
     symbol = get_symbol(args.symbol)
-    handle = symbol.handle() if args.of == "g" else symbol.deriv_handle()
-    detail = weighted_sup_details(handle, args.alpha)
+    f, df = (symbol.eval, symbol.deriv) if args.of == "g" else (symbol.deriv, symbol.deriv2)
+    detail = weighted_sup_details(f, args.alpha)
     lines = [f"weighted sup-norm of {args.of}({args.symbol}) at alpha={args.alpha:g}: "
              f"{detail.value:.12g}",
              f"arg-max z = {detail.argmax.real:.9g}{detail.argmax.imag:+.9g}i"
              f"{'  [divergent]' if detail.divergent else ''}"]
     if args.bloch:
-        lines.append(f"bloch norm: {bloch_norm(handle):.12g}")
+        lines.append(f"bloch norm: {bloch_norm(f, df):.12g}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

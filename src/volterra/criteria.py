@@ -25,7 +25,7 @@ tell a finite limsup from sufficiently slow divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -70,7 +70,6 @@ class RadialLadder:
 
     t_values: tuple
     values: tuple
-    argmax_angles: tuple
     reliable: tuple
     beta: float
 
@@ -80,6 +79,25 @@ class RadialLadder:
             raise ValueError("rungs must be strictly increasing and below 1")
 
 
+# the slope rule: regression window (rungs), log-slope thresholds, the relative
+# rung change of a plateau and the value that reads divergent outright
+WINDOW = 8
+SLOPE_UP = 0.02
+SLOPE_DOWN = -0.02
+FLAT_TOL = 1e-3
+DIVERGENCE_THRESHOLD = 1e8
+# the tail and vanishing-limit rules: inner rungs of the tail rule, the trail
+# of the trend rule, and the Compact / NotCompact thresholds
+TAIL_WINDOW = 5
+TREND_WINDOW = 5
+COMPACT_TOL = 1e-3
+NOT_COMPACT_FACTOR = 10.0
+# the cell integrator: Gauss-Legendre nodes per panel, and the weight exponent
+# from which nodes are placed in -log(1 - r)
+NODES_PER_CELL = 16
+LOG_SUBSTITUTION_ALPHA = 0.5
+
+
 @dataclass(frozen=True)
 class LadderConfig:
     k_min: int = 3
@@ -87,19 +105,8 @@ class LadderConfig:
     n_angles: int = 512
     refine_top: int = 3
     refine_iters: int = 72
-    window: int = 8
-    slope_up: float = 0.02
-    flat_tol: float = 1e-3
-    slope_down: float = -0.02
-    divergence_threshold: float = 1e8
-    tail_window: int = 5
-    compact_tol: float = 1e-3
-    not_compact_factor: float = 10.0
-    trend_window: int = 5
-    nodes_per_cell: int = 16
     cell_rel_tol: float = 1e-9
     max_panels: int = 64
-    log_substitution_alpha: float = 0.5
 
     def __post_init__(self):
         if self.k_min < 1 or self.k_max <= self.k_min:
@@ -122,8 +129,6 @@ class CriterionReport:
     beta: float
     boundedness: Verdict
     compactness: Verdict
-    ladders: dict
-    pointwise: dict
     cross_check_agreement: bool
     notes: tuple = ()
     # the T_g ladder engine classify built for this (symbol, pair, cfg), kept
@@ -192,12 +197,12 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells, thetas: np
     times and up to ``max_panels``.  Samples that are not finite or exceed
     ``OVERFLOW_CLAMP`` are clamped to it.
     """
-    use_log = weight_exponent >= cfg.log_substitution_alpha
+    use_log = weight_exponent >= LOG_SUBSTITUTION_ALPHA
     evals = 0
 
     def row(cell, panels):
         nonlocal evals
-        r, s, w = _cell_nodes(cell[0], cell[1], panels, cfg.nodes_per_cell, use_log)
+        r, s, w = _cell_nodes(cell[0], cell[1], panels, NODES_PER_CELL, use_log)
         vals = absmat(r[:, None], s[:, None], thetas[None, :])
         evals += len(r) * len(thetas)
         if weight_exponent != 0.0:
@@ -291,7 +296,6 @@ class _LadderEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             weighted = self.rung_weight[:, None] * self.prefix_all
         self.values = np.max(weighted, axis=1)
-        self.argmax = self.angles_all[np.argmax(weighted, axis=1)]
 
     # -- mesh ---------------------------------------------------------------
 
@@ -340,7 +344,6 @@ class _LadderEngine:
         return RadialLadder(
             t_values=tuple(1.0 - sk),
             values=tuple(float(v) for v in self.values[ks]),
-            argmax_angles=tuple(float(a) for a in self.argmax[ks]),
             reliable=tuple(bool(b) for b in self.reliable[ks]),
             beta=self.beta,
         )
@@ -390,12 +393,12 @@ def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
 # slope rule and tail rule
 # ---------------------------------------------------------------------------
 
-def _slope_classify(ks, values, reliable, cfg: LadderConfig, criterion: str):
+def _slope_classify(ks, values, reliable, criterion: str):
     """Finite/infinite classification of a rung sequence.
 
     Returns a Verdict tagged Bounded/Unbounded/Inconclusive.  A plateau of the
-    values (relative change below ``flat_tol``) or steady decay reads Bounded;
-    log-slope above ``slope_up`` or any value over the divergence threshold
+    values (relative change below ``FLAT_TOL``) or steady decay reads Bounded;
+    log-slope above ``SLOPE_UP`` or any value over the divergence threshold
     reads Unbounded; anything else is left open.
     """
     ks = np.asarray(ks, dtype=float)
@@ -407,49 +410,50 @@ def _slope_classify(ks, values, reliable, cfg: LadderConfig, criterion: str):
                        evidence=(criterion,), diagnostics=diag)
     kk, vv = ks[rel], values[rel]
     vmax = float(np.max(vv))
-    if vmax > cfg.divergence_threshold:
+    if vmax > DIVERGENCE_THRESHOLD:
         diag["max_value"] = vmax
         return Verdict(VerdictTag.UNBOUNDED, evidence=(criterion, "divergence-threshold"),
                        diagnostics=diag)
     if vmax <= 1e-12:
         return Verdict(VerdictTag.BOUNDED, value=vmax, evidence=(criterion, "identically-small"),
                        diagnostics=diag)
-    w = min(cfg.window, len(vv))
+    w = min(WINDOW, len(vv))
     kw, vw = kk[-w:], vv[-w:]
     logs = np.log(np.maximum(vw, 1e-300))
     slope = float(np.polyfit(kw, logs, 1)[0])
     prev = np.maximum(np.abs(vw[:-1]), 1e-300)
     rel_change = float(np.max(np.abs(np.diff(vw)) / prev))
     diag.update(slope=slope, rel_change=rel_change, max_value=vmax)
-    if rel_change < cfg.flat_tol:
+    if rel_change < FLAT_TOL:
         return Verdict(VerdictTag.BOUNDED, value=vmax, evidence=(criterion, "slope-rule"),
                        diagnostics=diag)
-    if w < cfg.window:
+    if w < WINDOW:
         # a slope measured on a short window cannot tell transient growth of a
         # converging ladder from real divergence; refuse rather than guess
         return Verdict(VerdictTag.INCONCLUSIVE,
-                       reason=f"only {w} reliable rungs, the slope rule needs {cfg.window}",
+                       reason=f"only {w} reliable rungs, the slope rule needs {WINDOW}",
                        evidence=(criterion,), diagnostics=diag)
-    if slope > cfg.slope_up:
+    if slope > SLOPE_UP:
         return Verdict(VerdictTag.UNBOUNDED, evidence=(criterion, "slope-rule"), diagnostics=diag)
-    if slope < cfg.slope_down:
+    if slope < SLOPE_DOWN:
         # steady decay: the limsup is zero, the criterion constant is the rung max
         return Verdict(VerdictTag.BOUNDED, value=vmax, evidence=(criterion, "decaying-ladder"),
                        diagnostics=diag)
     return Verdict(VerdictTag.INCONCLUSIVE,
                    reason=f"slope {slope:.4f} between thresholds "
-                          f"({cfg.slope_down}, {cfg.slope_up}) with rung change {rel_change:.2e}",
+                          f"({SLOPE_DOWN}, {SLOPE_UP}) with rung change {rel_change:.2e}",
                    evidence=(criterion,), diagnostics=diag)
 
 
-def _tail_classify(engine: _LadderEngine, cfg: LadderConfig, criterion: str) -> Verdict:
+def _tail_classify(engine: _LadderEngine, criterion: str) -> Verdict:
     """Double-limit tail rule: inner limsup over t1 per fixed t2, outer limit over t2."""
+    cfg = engine.cfg
     ks = np.arange(1, cfg.k_max + 1)
     rel_ks = [int(k) for k in ks if engine.reliable[k]]
-    if len(rel_ks) < cfg.tail_window + 3:
+    if len(rel_ks) < TAIL_WINDOW + 3:
         return Verdict(VerdictTag.INCONCLUSIVE, reason="too few reliable rungs for the tail rule",
                        evidence=(criterion,))
-    inner_ks = rel_ks[-cfg.tail_window:]
+    inner_ks = rel_ks[-TAIL_WINDOW:]
     outer_ms = [m for m in rel_ks if m >= cfg.k_min and m < inner_ks[0]]
     if len(outer_ms) < 3:
         return Verdict(VerdictTag.INCONCLUSIVE, reason="tail window leaves no outer rungs",
@@ -457,23 +461,23 @@ def _tail_classify(engine: _LadderEngine, cfg: LadderConfig, criterion: str) -> 
     outer = np.array([max(engine.tail_sup(m, k) for k in inner_ks if k > m)
                       for m in outer_ms])
     diag = {"criterion": criterion, "outer_first": float(outer[0]), "outer_last": float(outer[-1])}
-    return _trend_classify(outer, cfg, criterion, diag, "tail limit estimate", "tail_limit")
+    return _trend_classify(outer, criterion, diag, "tail limit estimate", "tail_limit")
 
 
-def _trend_classify(seq, cfg: LadderConfig, criterion: str, diag: dict, what: str,
+def _trend_classify(seq, criterion: str, diag: dict, what: str,
                     limit_key: Optional[str] = None) -> Verdict:
-    """Vanishing-limit rule on the last ``trend_window`` values of ``seq``: Compact
-    below ``compact_tol`` on a nonincreasing trail, NotCompact on a plateau or a
-    rise above ``not_compact_factor * compact_tol``."""
-    tw = min(cfg.trend_window, len(seq))
+    """Vanishing-limit rule on the last ``TREND_WINDOW`` values of ``seq``: Compact
+    below ``COMPACT_TOL`` on a nonincreasing trail, NotCompact on a plateau or a
+    rise above ``NOT_COMPACT_FACTOR * COMPACT_TOL``."""
+    tw = min(TREND_WINDOW, len(seq))
     trail = seq[-tw:]
     last = float(trail[-1])
     nonincreasing = bool(np.all(np.diff(trail) <= 1e-12 + 1e-9 * np.abs(trail[:-1])))
-    if last < cfg.compact_tol and nonincreasing:
+    if last < COMPACT_TOL and nonincreasing:
         tag = VerdictTag.COMPACT
     else:
         plateau = bool(np.max(np.abs(np.diff(trail))) <= 0.25 * max(abs(last), 1e-300))
-        if not (last > cfg.not_compact_factor * cfg.compact_tol
+        if not (last > NOT_COMPACT_FACTOR * COMPACT_TOL
                 and (plateau or trail[-1] >= trail[0])):
             return Verdict(VerdictTag.INCONCLUSIVE,
                            reason=f"{what} {last:.3e} between thresholds",
@@ -542,8 +546,7 @@ def tg_boundedness(g: SymbolSpec, pair: SpacePair,
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "deriv", pair.alpha, pair.beta, cfg)
     ks = np.arange(cfg.k_min, cfg.k_max + 1)
-    verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], cfg,
-                              "tg-radial-ladder")
+    verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], "tg-radial-ladder")
     return LadderOutcome(engine.ladder(), verdict, engine)
 
 
@@ -557,8 +560,7 @@ def sg_boundedness(g: SymbolSpec, pair: SpacePair,
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "eval", pair.alpha + 1.0, pair.beta, cfg)
     ks = np.arange(cfg.k_min, cfg.k_max + 1)
-    verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], cfg,
-                              "sg-radial-ladder")
+    verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], "sg-radial-ladder")
     return LadderOutcome(engine.ladder(), verdict, engine)
 
 
@@ -568,7 +570,7 @@ def tg_tail_compactness(g: SymbolSpec, pair: SpacePair,
     """Tail-ladder compactness rule for ``f -> int f g'``."""
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "deriv", pair.alpha, pair.beta, cfg)
-    return _tail_classify(engine, cfg, "tg-tail-ladder")
+    return _tail_classify(engine, "tg-tail-ladder")
 
 
 def full_integral_sup(g: SymbolSpec, cfg: Optional[LadderConfig] = None,
@@ -642,8 +644,8 @@ def _pointwise_value(g: SymbolSpec, which: str, exponent: float,
     weight exponent is nonnegative (interior maxima exist only then)."""
     if exponent < 0:
         return profile_max
-    handle = g.deriv_handle() if which == "deriv" else g.handle()
-    interior = weighted_sup_details(handle, exponent, grid).value
+    f = g.deriv if which == "deriv" else g.eval
+    interior = weighted_sup_details(f, exponent, grid).value
     return max(profile_max, interior)
 
 
@@ -658,7 +660,7 @@ def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
         profile = _pointwise_profile(g, which, exponent, cfg)
     ks, values, _ = profile
     criterion = f"{operator.value.lower()}-pointwise-sup"
-    verdict = _slope_classify(ks, values, np.ones(len(ks), dtype=bool), cfg, criterion)
+    verdict = _slope_classify(ks, values, np.ones(len(ks), dtype=bool), criterion)
     if verdict.tag is VerdictTag.BOUNDED:
         value = _pointwise_value(g, which, exponent, float(np.max(values)), grid)
         verdict = Verdict(VerdictTag.BOUNDED, value=value, evidence=verdict.evidence,
@@ -698,7 +700,7 @@ def pointwise_compactness(g: SymbolSpec, pair: SpacePair, operator: OperatorKind
     criterion = f"{operator.value.lower()}-pointwise-vanishing"
     diag = {"criterion": criterion, "profile_last": float(values[-1]),
             "profile_max": float(np.max(values))}
-    return _trend_classify(values, cfg, criterion, diag, "boundary profile")
+    return _trend_classify(values, criterion, diag, "boundary profile")
 
 
 def sg_zero_symbol_compactness(g: SymbolSpec) -> Verdict:
@@ -718,13 +720,14 @@ def sg_zero_symbol_compactness(g: SymbolSpec) -> Verdict:
 # verdict merging and the classifier
 # ---------------------------------------------------------------------------
 
-def _flag_true(flag) -> bool:
-    return flag is True
-
-
-def _tg_necessity_ok(g: SymbolSpec) -> bool:
-    # univalent symbols automatically have log g' in the Bloch space
-    return _flag_true(g.metadata.log_deriv_bloch) or g.metadata.univalent
+def _necessity(g: SymbolSpec, operator: OperatorKind):
+    """Whether the necessity half of the operator's ladder criterion is known
+    to hold for ``g``, and the function whose Bloch membership it needs: log g'
+    for T_g (univalent symbols have it) or log g for S_g."""
+    meta = g.metadata
+    if operator is OperatorKind.Tg:
+        return meta.log_deriv_bloch is True or meta.univalent, "log g'"
+    return meta.log_symbol_bloch is True, "log g"
 
 
 def _merge(claims, missing_reason: str):
@@ -747,23 +750,23 @@ def _merge(claims, missing_reason: str):
     return Verdict(decided[0].tag, value=value, evidence=evidence, diagnostics=diags), True
 
 
-def _sufficiency_only(verdict: Verdict, necessity_ok: bool, hypothesis: str) -> Verdict:
-    """Keep a divergent ladder from claiming unboundedness when the necessity
-    hypothesis is not known to hold; label one-sided evidence."""
-    if verdict.tag is VerdictTag.UNBOUNDED and not necessity_ok:
+def _sufficiency_only(verdict: Verdict, necessity, tail: bool = False) -> Verdict:
+    """Keep a divergent ladder (a tail that does not vanish) from claiming
+    unboundedness (non-compactness) when the necessity hypothesis is not known
+    to hold; a decided ladder verdict is labelled "iff" or "sufficient-only"."""
+    ok, fn = necessity
+    negative, finding = ((VerdictTag.NOT_COMPACT, "tail does not vanish, but non-compactness")
+                         if tail else (VerdictTag.UNBOUNDED, "ladder divergent, but unboundedness"))
+    if verdict.tag is negative and not ok:
         return Verdict(VerdictTag.INCONCLUSIVE,
-                       reason=f"ladder divergent, but unboundedness needs {hypothesis}",
+                       reason=f"{finding} needs {fn} in the Bloch space",
                        evidence=verdict.evidence + ("sufficient-only",),
                        diagnostics=verdict.diagnostics)
-    if verdict.tag is VerdictTag.BOUNDED and not necessity_ok:
-        return Verdict(verdict.tag, verdict.value,
-                       evidence=verdict.evidence + ("sufficient-only",),
-                       diagnostics=verdict.diagnostics)
-    if verdict.decided:
-        return Verdict(verdict.tag, verdict.value,
-                       evidence=verdict.evidence + ("iff",),
-                       diagnostics=verdict.diagnostics)
-    return verdict
+    if tail or not verdict.decided:
+        return verdict
+    return Verdict(verdict.tag, verdict.value,
+                   evidence=verdict.evidence + ("iff" if ok else "sufficient-only",),
+                   diagnostics=verdict.diagnostics)
 
 
 def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
@@ -771,6 +774,11 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
              grid: Optional[DiskGrid] = None) -> CriterionReport:
     """Run every criterion whose hypotheses hold and merge the verdicts.
 
+    Both operators take one path.  The boundedness claims are the operator's
+    ladder and, for beta > 0, the pointwise sup; at alpha = beta = 0 the S_g
+    verdict is the T_g ladder's, forwarded unmerged.  The compactness claims
+    are, in order: Unbounded implies NotCompact, the T_g tail, the zero-symbol
+    rule for S_g at beta = 0 and the pointwise vanishing rule for beta > 0.
     Two applicable criteria that decide differently downgrade the verdict to
     Inconclusive: the theory proves they agree, so disagreement flags a
     numerical fault rather than a property of the symbol.  Each ladder engine
@@ -778,79 +786,49 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     read them.
     """
     cfg = cfg or DEFAULT_LADDER
-    ladders, pointwise, notes = {}, {}, []
-    tg_engine = None
+    tg = operator is OperatorKind.Tg
+    forwarded = not tg and pair.alpha == 0.0 and pair.beta == 0.0
+    necessity = _necessity(g, OperatorKind.Tg if forwarded else operator)
+    notes, bound_claims, tg_engine = [], [], None
     profile = None
     if pair.beta > 0:
         profile = _pointwise_profile(g, *_pointwise_form(operator, pair), cfg)
 
-    if operator is OperatorKind.Tg:
+    outcome = None
+    if tg or forwarded:
         outcome = tg_boundedness(g, pair, cfg)
         tg_engine = outcome.engine
-        ladders["tg-radial-ladder"] = outcome.ladder
-        bound_claims = [_sufficiency_only(outcome.verdict, _tg_necessity_ok(g),
-                                          "log g' in the Bloch space")]
-        if not _tg_necessity_ok(g):
-            notes.append("ladder evidence is one-sided: log g' Bloch membership unknown")
-        if pair.beta > 0:
-            pw = tg_pointwise(g, pair, cfg, grid, profile=profile)
-            pointwise["tg-pointwise-sup"] = pw.value if pw.value is not None else math.nan
-            bound_claims.append(pw)
+    elif pair.alpha > 0.0:
+        outcome = sg_boundedness(g, pair, cfg)
+    if outcome is not None:
+        bound_claims.append(_sufficiency_only(outcome.verdict, necessity))
+        if forwarded:
+            notes.append("unweighted companion verdict forwarded from the T_g criterion")
+        elif not necessity[0]:
+            notes.append(f"{'' if tg else 'companion '}ladder evidence is one-sided: "
+                         f"{necessity[1]} Bloch membership unknown")
+    if pair.beta > 0:
+        pointwise = tg_pointwise if tg else sg_pointwise
+        bound_claims.append(pointwise(g, pair, cfg, grid, profile=profile))
+    if forwarded:
+        ladder = bound_claims[0]
+        boundedness = replace(ladder, evidence=ladder.evidence + ("unweighted-forwarding",))
+        agree_b = True
+    else:
         boundedness, agree_b = _merge(bound_claims, "no boundedness criterion applied")
 
-        compact_claims = []
-        if boundedness.tag is VerdictTag.UNBOUNDED:
-            compact_claims.append(Verdict(VerdictTag.NOT_COMPACT,
-                                          evidence=("compactness-implies-boundedness",)))
-        tail = tg_tail_compactness(g, pair, cfg, outcome.engine)
-        if tail.tag is VerdictTag.NOT_COMPACT and not _tg_necessity_ok(g):
-            tail = Verdict(VerdictTag.INCONCLUSIVE,
-                           reason="tail does not vanish, but non-compactness needs "
-                                  "log g' in the Bloch space",
-                           evidence=tail.evidence + ("sufficient-only",),
-                           diagnostics=tail.diagnostics)
-        compact_claims.append(tail)
-        if pair.beta > 0:
-            compact_claims.append(pointwise_compactness(g, pair, operator, cfg, profile=profile))
-        compactness, agree_c = _merge(compact_claims, "no compactness criterion applied")
-
-    else:
-        if pair.alpha == 0.0 and pair.beta == 0.0:
-            fwd = tg_boundedness(g, pair, cfg)
-            tg_engine = fwd.engine
-            ladders["tg-radial-ladder"] = fwd.ladder
-            v = _sufficiency_only(fwd.verdict, _tg_necessity_ok(g), "log g' in the Bloch space")
-            boundedness = Verdict(v.tag, v.value,
-                                  evidence=v.evidence + ("unweighted-forwarding",),
-                                  reason=v.reason, diagnostics=v.diagnostics)
-            notes.append("unweighted companion verdict forwarded from the T_g criterion")
-            agree_b = True
-        else:
-            bound_claims = []
-            if pair.alpha > 0.0:
-                outcome = sg_boundedness(g, pair, cfg)
-                ladders["sg-radial-ladder"] = outcome.ladder
-                bound_claims.append(_sufficiency_only(
-                    outcome.verdict, _flag_true(g.metadata.log_symbol_bloch),
-                    "log g in the Bloch space"))
-                if not _flag_true(g.metadata.log_symbol_bloch):
-                    notes.append("companion ladder evidence is one-sided: "
-                                 "log g Bloch membership unknown")
-            if pair.beta > 0.0:
-                pw = sg_pointwise(g, pair, cfg, grid, profile=profile)
-                pointwise["sg-pointwise-sup"] = pw.value if pw.value is not None else math.nan
-                bound_claims.append(pw)
-            boundedness, agree_b = _merge(bound_claims, "no boundedness criterion applied")
-
-        compact_claims = []
-        if boundedness.tag is VerdictTag.UNBOUNDED:
-            compact_claims.append(Verdict(VerdictTag.NOT_COMPACT,
-                                          evidence=("compactness-implies-boundedness",)))
-        if pair.beta == 0.0:
-            compact_claims.append(sg_zero_symbol_compactness(g))
-        else:
-            compact_claims.append(pointwise_compactness(g, pair, operator, cfg, profile=profile))
-        compactness, agree_c = _merge(compact_claims, "no compactness criterion applied")
+    compact_claims = []
+    if boundedness.tag is VerdictTag.UNBOUNDED:
+        compact_claims.append(Verdict(VerdictTag.NOT_COMPACT,
+                                      evidence=("compactness-implies-boundedness",)))
+    if tg:
+        tail = tg_tail_compactness(g, pair, cfg, tg_engine)
+        compact_claims.append(_sufficiency_only(tail, necessity, tail=True))
+    elif pair.beta == 0.0:
+        compact_claims.append(sg_zero_symbol_compactness(g))
+    if pair.beta > 0:
+        compact_claims.append(pointwise_compactness(g, pair, operator, cfg, profile=profile))
+    compactness, agree_c = _merge(compact_claims, "no compactness criterion applied")
 
     # compact operators are bounded; reconcile the two verdicts
     if compactness.tag is VerdictTag.COMPACT and boundedness.tag is VerdictTag.UNBOUNDED:
@@ -867,7 +845,6 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     return CriterionReport(
         symbol=g.name, operator=operator, alpha=pair.alpha, beta=pair.beta,
         boundedness=boundedness, compactness=compactness,
-        ladders=ladders, pointwise=pointwise,
         cross_check_agreement=bool(agree_b and agree_c),
         notes=tuple(notes),
         tg_engine=tg_engine,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator
-from .series import FunctionHandle, TaylorSeries, evaluate_polynomial
+from .series import TaylorSeries, evaluate_polynomial
 from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norm
 from .symbols import DEFAULT_DEGREE, SymbolSpec
 
@@ -173,7 +173,7 @@ def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     best, best_label = 0.0, ""
     for entry in battery.entries:
         image = apply_operator(operator, g_series, entry.series)
-        num = weighted_sup_norm(FunctionHandle.from_series(image), pair.beta, grid)
+        num = weighted_sup_norm(image, pair.beta, grid)
         ratio = num / entry.norm_alpha
         ratios.append((entry.label, ratio))
         if ratio > best:
@@ -250,7 +250,7 @@ def compactness_probe(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     for n in ns:
         cs = [0j] * n + [1 + 0j]
         image = apply_operator(operator, g_series, TaylorSeries(tuple(cs)))
-        num = weighted_sup_norm(FunctionHandle.from_series(image), pair.beta, grid)
+        num = weighted_sup_norm(image, pair.beta, grid)
         values.append(num / monomial_norm(n, pair.alpha))
     half = np.array(values[n_max // 2 - 1:])
     idx = np.array(ns[n_max // 2 - 1:], dtype=float)

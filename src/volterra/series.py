@@ -1,4 +1,4 @@
-"""Truncated Taylor series and evaluation handles for analytic functions on the disk.
+"""Truncated Taylor series of analytic functions on the disk.
 
 Coefficients are double-precision complex throughout.  A series keeps its
 coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as an immutable tuple and as one
@@ -151,70 +151,6 @@ def _ring_powers(radii: bytes, n_angles: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class FunctionHandle:
-    """Either a truncated series or a closed-form evaluator.
-
-    Closed forms carry optional first/second derivative evaluators (all must be
-    vectorized over complex numpy arrays).  ``domain_radius`` bounds where
-    evaluation is guaranteed finite; it is enforced for closed forms only, since
-    a truncated series is an entire function.
-    """
-
-    series: Optional[TaylorSeries] = None
-    func: Optional[Callable] = None
-    dfunc: Optional[Callable] = None
-    d2func: Optional[Callable] = None
-    domain_radius: float = 1.0
-
-    def __post_init__(self):
-        if (self.series is None) == (self.func is None):
-            raise ValueError("exactly one of series/func must be given")
-        if not (0.0 < self.domain_radius <= 1.0):
-            raise ValueError("domain_radius must lie in (0, 1]")
-
-    @property
-    def is_series(self) -> bool:
-        return self.series is not None
-
-    @classmethod
-    def from_series(cls, series: TaylorSeries) -> "FunctionHandle":
-        return cls(series=series)
-
-    @classmethod
-    def closed_form(cls, func, dfunc=None, d2func=None, domain_radius=1.0) -> "FunctionHandle":
-        return cls(func=func, dfunc=dfunc, d2func=d2func, domain_radius=domain_radius)
-
-    def derivative_handle(self) -> "FunctionHandle":
-        if self.is_series:
-            return FunctionHandle(series=derivative(self.series))
-        if self.dfunc is None:
-            raise DomainError("closed-form handle has no derivative evaluator")
-        return FunctionHandle(func=self.dfunc, dfunc=self.d2func,
-                              domain_radius=self.domain_radius)
-
-
-def evaluate(f: FunctionHandle | TaylorSeries, z):
-    """Value of ``f`` at ``z`` (scalar or array).
-
-    Raises DomainError for closed forms sampled at or beyond their domain radius.
-    Divergent samples come back as the tagged infinite marker, never as an
-    exception.
-    """
-    if isinstance(f, TaylorSeries):
-        return f(z)
-    if f.is_series:
-        return f.series(z)
-    if np.any(np.abs(z) >= f.domain_radius):
-        raise DomainError(f"|z| >= domain radius {f.domain_radius}")
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        vals = f.func(np.asarray(z, dtype=complex))
-    out = _clamp(vals)
-    if np.ndim(z) == 0 and np.ndim(out) != 0:
-        return complex(out)
-    return out
-
-
 def derivative(f: TaylorSeries) -> TaylorSeries:
     """Term-by-term derivative; degree drops by one (minimum 0)."""
     # complex times (n + 1 + 0j), rounded like Python's ``(n + 1) * c``
@@ -248,21 +184,15 @@ def cauchy_product(f: TaylorSeries, g: TaylorSeries, out_degree: Optional[int] =
     return TaylorSeries(conv, f.truncated or g.truncated or out_degree < full)
 
 
-def check_derivative_consistency(f: FunctionHandle, h: float = 1e-5,
+def check_derivative_consistency(fn: Callable, dfn: Callable, h: float = 1e-5,
                                  tol: float = 1e-6, radius: float = 0.5,
                                  n_points: int = 24) -> float:
-    """Max central-difference residual of the declared derivative on a fixed probe grid.
+    """Max central-difference residual of the derivative evaluator ``dfn`` of the
+    vectorised ``fn`` on a fixed probe grid.
 
     The grid is ``n_points`` points on two circles of radius ``radius`` and
-    ``radius/2``.  Returns the worst residual; callers assert it against ``tol``.
+    ``radius/2``.  Returns the worst residual; raises DomainError above ``tol``.
     """
-    if f.is_series:
-        df = f.series.derivative()
-        fn, dfn = f.series, df
-    else:
-        if f.dfunc is None:
-            raise DomainError("handle declares no derivative evaluator")
-        fn, dfn = f.func, f.dfunc
     worst = 0.0
     for r in (radius, radius / 2.0):
         thetas = 2.0 * np.pi * np.arange(n_points) / n_points

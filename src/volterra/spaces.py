@@ -4,22 +4,23 @@ The weight is ``(1-|z|^2)^alpha``.  Maxima in this problem family concentrate at
 the boundary, so the radial grid is geometrically graded toward ``|z| = 1``, and
 one batched golden-section search refines the best candidates: in the angle on
 the outermost rungs, then in the radius at each refined angle.  The same
-:func:`golden_max` kernel serves every refinement in the package.  Truncated
-series are swept a whole ring at a time by the folded-FFT ring evaluator of
-:mod:`volterra.series`; closed forms are evaluated pointwise.  All sweeps are
-pure and deterministic; refinement can only increase the reported supremum.
+:func:`golden_max` kernel serves every refinement in the package.  A function
+is a truncated Taylor series, swept a whole ring at a time by the folded-FFT
+ring evaluator of :mod:`volterra.series`, or a vectorised closed form
+``z -> f(z)``, evaluated pointwise.  All sweeps are pure and deterministic;
+refinement can only increase the reported supremum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SymbolZeroDerivative
-from .series import FunctionHandle, TaylorSeries, evaluate, evaluate_on_rings
+from .errors import DomainError, SymbolZeroDerivative
+from .series import TaylorSeries, _clamp, evaluate_on_rings
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,36 +122,44 @@ def golden_max(fn, lo, hi, iters: int):
     return best_t, best_v
 
 
-def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
+def _values(f: TaylorSeries | Callable, z):
+    """``f(z)`` for a series or a vectorised closed form; divergent samples
+    (overflow, poles, NaN) come back as the tagged infinite marker."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return _clamp(f(np.asarray(z, dtype=complex)))
+
+
+def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
                          grid: Optional[DiskGrid] = None) -> SupremumReport:
     """Estimate ``sup (1-|z|^2)^alpha |f(z)|`` over the disk.
 
-    Sweeps the polar grid, then refines the best candidates by golden-section
-    search unless ``grid.refine_top`` is 0.  A series handle is swept ring by
-    ring with :func:`~volterra.series.evaluate_on_rings`; a closed form is
-    evaluated at every grid point.  For ``alpha = 0`` the weight is
-    short-circuited, and a series handle is additionally sampled on the
+    ``f`` is a :class:`~volterra.series.TaylorSeries` or a vectorised closed
+    form ``z -> f(z)``.  Sweeps the polar grid, then refines the best
+    candidates by golden-section search unless ``grid.refine_top`` is 0.  A
+    series is swept ring by ring with
+    :func:`~volterra.series.evaluate_on_rings`; a closed form is evaluated at
+    every grid point, all strictly inside the disk.  For ``alpha = 0`` the
+    weight is short-circuited, and a series is additionally sampled on the
     boundary circle (a polynomial attains its sup-norm there).
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
     grid = grid or DEFAULT_GRID
-    if isinstance(f, TaylorSeries):
-        f = FunctionHandle.from_series(f)
+    on_rings = isinstance(f, TaylorSeries)
 
     s = grid.one_minus_r()
     radii = 1.0 - s
-    if alpha == 0.0 and f.is_series:
+    if alpha == 0.0 and on_rings:
         radii = np.concatenate([radii, [1.0]])
         s = np.concatenate([s, [0.0]])
     thetas = grid.angles()
     weights = _weight(s, alpha)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        if f.is_series:
-            mags = np.abs(evaluate_on_rings(f.series.array, radii, grid.n_angles))
+        if on_rings:
+            mags = np.abs(evaluate_on_rings(f.array, radii, grid.n_angles))
         else:
-            mags = np.abs(evaluate(f, radii[:, None] * np.exp(1j * thetas[None, :])))
+            mags = np.abs(_values(f, radii[:, None] * np.exp(1j * thetas[None, :])))
     bad = ~np.isfinite(mags)
     clamped = int(np.count_nonzero(bad))
     vals = weights[:, None] * np.where(bad, np.inf, mags)
@@ -173,7 +182,7 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
 
         def weighted_abs(r, t):
             with np.errstate(invalid="ignore", over="ignore"):
-                m = np.abs(evaluate(f, r * np.exp(1j * t)))
+                m = np.abs(_values(f, r * np.exp(1j * t)))
             w = 1.0 if alpha == 0.0 else (1.0 - r * r) ** alpha
             return np.where(np.isfinite(m), w * m, np.inf)
 
@@ -203,17 +212,24 @@ def weighted_sup_details(f: FunctionHandle | TaylorSeries, alpha: float,
                           divergent=divergent, clamped_samples=clamped)
 
 
-def weighted_sup_norm(f, alpha: float, grid: Optional[DiskGrid] = None) -> float:
+def weighted_sup_norm(f: TaylorSeries | Callable, alpha: float,
+                      grid: Optional[DiskGrid] = None) -> float:
     """Weighted sup-norm estimate (the value of :func:`weighted_sup_details`)."""
     return weighted_sup_details(f, alpha, grid).value
 
 
-def bloch_norm(f: FunctionHandle | TaylorSeries, grid: Optional[DiskGrid] = None) -> float:
-    """``|f(0)| + sup (1-|z|^2) |f'(z)|``; needs a derivative evaluator."""
-    if isinstance(f, TaylorSeries):
-        f = FunctionHandle.from_series(f)
-    df = f.derivative_handle()
-    return float(abs(evaluate(f, 0j))) + weighted_sup_norm(df, 1.0, grid)
+def bloch_norm(f: TaylorSeries | Callable, df: Optional[Callable] = None,
+               grid: Optional[DiskGrid] = None) -> float:
+    """``|f(0)| + sup (1-|z|^2) |f'(z)|``.
+
+    A series differentiates itself; a closed form needs its derivative
+    evaluator ``df`` and raises DomainError without one.
+    """
+    if df is None:
+        if not isinstance(f, TaylorSeries):
+            raise DomainError("a closed form needs its derivative evaluator df")
+        df = f.derivative()
+    return float(abs(_values(f, 0j))) + weighted_sup_norm(df, 1.0, grid)
 
 
 def log_deriv_bloch_seminorm(g, grid: Optional[DiskGrid] = None) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnknownSymbolError
 from .operators import OperatorKind
-from .series import FunctionHandle, TaylorSeries
+from .series import TaylorSeries
 
 DEFAULT_DEGREE = 256
 
@@ -70,12 +70,6 @@ class SymbolSpec:
 
     def taylor(self, degree: int = DEFAULT_DEGREE) -> TaylorSeries:
         return TaylorSeries(tuple(self.taylor_coeff(n) for n in range(degree + 1)))
-
-    def handle(self) -> FunctionHandle:
-        return FunctionHandle.closed_form(self.eval, self.deriv, self.deriv2)
-
-    def deriv_handle(self) -> FunctionHandle:
-        return FunctionHandle.closed_form(self.deriv, self.deriv2)
 
     def rotated(self, phi: float) -> "SymbolSpec":
         """The symbol ``z -> g(e^{i phi} z)``; metadata, tail bound and polar

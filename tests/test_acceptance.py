@@ -71,6 +71,66 @@ def test_criterion_01_ground_truth_classification(full_report):
            f"in {seconds:.0f}s")
 
 
+_BLOCH_NOTE = "ladder evidence is one-sided: log g' Bloch membership unknown"
+_SG_BLOCH_NOTE = "companion ladder evidence is one-sided: log g Bloch membership unknown"
+_FORWARD_NOTE = "unweighted companion verdict forwarded from the T_g criterion"
+
+# (boundedness evidence, compactness evidence, notes) of every ground-truth row;
+# all fourteen verdicts are decided, so neither carries a reason
+GROUND_TRUTH_EVIDENCE = {
+    ("identity", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "iff"),
+                               ("tg-tail-ladder",), ()),
+    ("log", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "iff"),
+                          ("compactness-implies-boundedness", "tg-tail-ladder"), ()),
+    ("log", "Tg", 0, 1): (("tg-radial-ladder", "decaying-ladder", "iff",
+                           "tg-pointwise-sup", "decaying-ladder"),
+                          ("tg-tail-ladder", "tg-pointwise-vanishing"), ()),
+    ("koebe3", "Tg", 0, 1): (("tg-radial-ladder", "divergence-threshold", "iff",
+                              "tg-pointwise-sup", "divergence-threshold"),
+                             ("compactness-implies-boundedness", "tg-tail-ladder",
+                              "tg-pointwise-vanishing"), ()),
+    ("cayley", "Tg", 0, 1): (("tg-radial-ladder", "slope-rule", "iff",
+                              "tg-pointwise-sup", "slope-rule"),
+                             ("tg-tail-ladder", "tg-pointwise-vanishing"), ()),
+    ("monomial", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "sufficient-only"),
+                               ("tg-tail-ladder",), (_BLOCH_NOTE,)),
+    ("lacunary", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "sufficient-only"),
+                               ("tg-tail-ladder",), (_BLOCH_NOTE,)),
+    ("cayley", "Sg", 0, 1): (("sg-pointwise-sup", "slope-rule"),
+                             ("sg-pointwise-vanishing",), ()),
+    ("affine", "Sg", 1, 0): (("sg-radial-ladder", "divergence-threshold", "iff"),
+                             ("compactness-implies-boundedness", "zero-symbol-rule"), ()),
+    ("affine", "Sg", 1, 1): (("sg-radial-ladder", "slope-rule", "iff",
+                              "sg-pointwise-sup", "slope-rule"),
+                             ("sg-pointwise-vanishing",), ()),
+    ("zero", "Sg", 1, 0): (("sg-radial-ladder", "identically-small", "sufficient-only"),
+                           ("zero-symbol-rule",), (_SG_BLOCH_NOTE,)),
+    ("identity", "Sg", 0, 0): (("tg-radial-ladder", "slope-rule", "iff", "unweighted-forwarding"),
+                               ("zero-symbol-rule",), (_FORWARD_NOTE,)),
+    ("one", "Sg", 0, 0): (("tg-radial-ladder", "identically-small", "sufficient-only",
+                           "unweighted-forwarding"),
+                          ("zero-symbol-rule",), (_FORWARD_NOTE,)),
+    ("log", "Sg", 1, 1): (("sg-pointwise-sup", "slope-rule"),
+                          ("compactness-implies-boundedness", "sg-pointwise-vanishing"),
+                          (_SG_BLOCH_NOTE,)),
+}
+
+
+def test_ground_truth_evidence_reasons_and_notes_are_pinned(full_report):
+    """Which criteria decided each verdict, in order, with their labels: the
+    merge order, the necessity labels ("iff", "sufficient-only"), the
+    forwarded companion verdict and the notes of every ground-truth row."""
+    doc, _ = full_report
+    got = {(r["symbol"], r["op"], r["alpha"], r["beta"]):
+           (tuple(r["boundedness"]["evidence"]), tuple(r["compactness"]["evidence"]),
+            tuple(r["notes"]))
+           for r in doc["rows"]}
+    assert got == GROUND_TRUTH_EVIDENCE
+    for r in doc["rows"]:
+        assert r["boundedness"]["reason"] is None and r["compactness"]["reason"] is None
+        assert r["cross_check_agreement"] is True
+
+
 def test_criterion_02_product_rule_identity():
     rng = np.random.default_rng(2024)
     worst = 0.0

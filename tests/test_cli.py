@@ -167,6 +167,57 @@ def test_report_degree_in_config_file_is_checked(tmp_path, capsys):
     assert out == "" and "argument --degree: need a positive integer" in err
 
 
+OVERSIZED_COUNTS = [
+    (("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0"),
+     "angles", "1073741824", "argument --angles: angle count must be a power of two in [64, 8192]"),
+    (("report",), "angles", "16384",
+     "argument --angles: angle count must be a power of two in [64, 8192]"),
+    (("lemma2", "--gamma", "0.5", "--eta", "1.0"), "samples", "1000,1000000000000",
+     "argument --samples: each sample count must be at most 10000000"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv, key, value, message", OVERSIZED_COUNTS,
+                         ids=["classify-angles", "report-angles", "lemma2-samples"])
+def test_oversized_counts_are_usage_errors(tmp_path, monkeypatch, capsys, source,
+                                           argv, key, value, message):
+    # `classify --angles 1073741824` and `lemma2 --samples 1000000000000` ended
+    # in an uncaught allocation error (8 GiB and 7.3 TiB arrays); the command
+    # itself must not start
+    from volterra import cli
+
+    def never(args):
+        raise AssertionError("the command ran with an oversized count")
+    monkeypatch.setitem(cli._COMMANDS, argv[0], never)
+    if source == "flag":
+        argv = argv + (f"--{key}", value)
+    else:
+        cfg = tmp_path / "counts.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = argv + ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert "Traceback" not in err
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert message in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0",
+     "--kmax", "4", "--angles", "8192"),
+    ("lemma2", "--gamma", "0.5", "--eta", "1.0", "--samples", "10000000"),
+])
+def test_largest_counts_still_parse(monkeypatch, argv):
+    from volterra import cli
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: seen.append(args) or 0)
+    assert main(list(argv)) == 0
+    assert len(seen) == 1
+
+
 def test_probe_accepts_the_shortest_trace(capsys):
     code, out, _ = run(capsys, "probe", "--symbol", "log", "--op", "Tg", "--alpha", "0",
                        "--beta", "1", "--nmax", "16", "--format", "json")

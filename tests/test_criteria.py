@@ -357,20 +357,32 @@ WEIGHTS = (0.0, 0.5, 1.0, 2.0)
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(symbol_names()),
-       st.sampled_from([T, S]), st.sampled_from(WEIGHTS),
+       st.sampled_from([T, S]), st.sampled_from(WEIGHTS), st.sampled_from(WEIGHTS),
        st.lists(st.sampled_from(WEIGHTS), min_size=2, max_size=2, unique=True).map(sorted),
        st.floats(0.0, 2.0 * math.pi))
-def test_metamorphic_properties(name, op, alpha, betas, phi):
+def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
     """What the theory guarantees at the default ladder configuration: decided
     tags do not depend on a rotation of the symbol; Bounded (Compact) into
-    ``H^inf_beta`` stays Bounded (Compact) into ``H^inf_beta'`` for beta < beta';
-    no cell is Compact and Unbounded; an Inconclusive verdict says why."""
+    ``H^inf_beta`` stays Bounded (Compact) into ``H^inf_beta'`` for beta < beta',
+    and from ``H^inf_alpha`` stays Bounded (Compact) from ``H^inf_alpha'`` for
+    alpha' < alpha; no cell is Compact and Unbounded; an Inconclusive verdict
+    says why."""
     beta, beta_up = betas
     g = get_symbol(name)
     base = classify(g, op, _pair(alpha, beta))
     rotated = classify(g.rotated(phi), op, _pair(alpha, beta))
     wider = classify(g, op, _pair(alpha, beta_up))
-    for rep in (base, rotated, wider):
+    reps = [base, rotated, wider]
+    if alpha_other != alpha:
+        other = classify(g, op, _pair(alpha_other, beta))
+        reps.append(other)
+        # the smaller source space H^inf_alpha' sits inside H^inf_alpha
+        smaller, larger = (other, base) if alpha_other < alpha else (base, other)
+        if larger.boundedness.tag is VerdictTag.BOUNDED:
+            assert smaller.boundedness.tag is VerdictTag.BOUNDED
+        if larger.compactness.tag is VerdictTag.COMPACT:
+            assert smaller.compactness.tag is VerdictTag.COMPACT
+    for rep in reps:
         assert not (rep.compactness.tag is VerdictTag.COMPACT
                     and rep.boundedness.tag is VerdictTag.UNBOUNDED)
         for v in (rep.boundedness, rep.compactness):
@@ -507,7 +519,7 @@ def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, expon
     engine = criteria._LadderEngine(counting, exponent, 0.5, cfg)
 
     taken = sum(v.size for v in grid_samples)
-    assert taken == sum(cfg.nodes_per_cell * p * cfg.n_angles for p in panels)
+    assert taken == sum(criteria.NODES_PER_CELL * p * cfg.n_angles for p in panels)
     seen_clamp = any(np.any(~np.isfinite(v) | (v > OVERFLOW_CLAMP)) for v in grid_samples)
     assert engine.clamped == seen_clamp == clamped
     reliable = engine.reliable

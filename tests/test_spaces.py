@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra.errors import SymbolZeroDerivative
-from volterra.series import FunctionHandle, TaylorSeries
+from volterra.errors import DomainError, SymbolZeroDerivative
+from volterra.series import TaylorSeries
 from volterra.spaces import (DEFAULT_GRID, DiskGrid, SpacePair, bloch_norm, golden_max,
                              log_deriv_bloch_seminorm, weighted_sup_details,
                              weighted_sup_norm)
 from volterra.symbols import get_symbol
 
-CAYLEY = FunctionHandle.closed_form(lambda z: 1.0 / (1.0 - z),
-                                    lambda z: (1.0 - z) ** -2.0)
+def cayley(z):
+    return 1.0 / (1.0 - z)
 
 
 def brute_force_weighted_sup(f, alpha, n_r=400, n_t=720):
@@ -21,7 +21,7 @@ def brute_force_weighted_sup(f, alpha, n_r=400, n_t=720):
     for r in np.linspace(0.0, 0.999, n_r):
         zs = r * np.exp(2j * np.pi * np.arange(n_t) / n_t)
         w = (1.0 - r * r) ** alpha
-        best = max(best, w * float(np.max(np.abs(f.func(zs) if f.func else f.series(zs)))))
+        best = max(best, w * float(np.max(np.abs(f(zs)))))
     return best
 
 
@@ -37,9 +37,9 @@ def test_constant_alpha_one_attained_at_origin():
 
 def test_cayley_weighted_norm_is_two():
     # (1-r^2)/|1-r e^{i t}| is maximized along the positive reals: (1+r) -> 2
-    value = weighted_sup_norm(CAYLEY, 1.0)
+    value = weighted_sup_norm(cayley, 1.0)
     assert value == pytest.approx(2.0, abs=1e-3)
-    assert brute_force_weighted_sup(CAYLEY, 1.0) <= value + 1e-9
+    assert brute_force_weighted_sup(cayley, 1.0) <= value + 1e-9
 
 
 def test_bloch_norm_constant():
@@ -53,10 +53,8 @@ def test_bloch_norm_identity_and_shifted():
 
 
 def test_bloch_norm_log():
-    handle = FunctionHandle.closed_form(lambda z: -np.log1p(-z),
-                                        lambda z: 1.0 / (1.0 - z),
-                                        lambda z: (1.0 - z) ** -2.0)
-    assert bloch_norm(handle) == pytest.approx(2.0, abs=1e-3)
+    assert bloch_norm(lambda z: -np.log1p(-z), lambda z: 1.0 / (1.0 - z)) == \
+        pytest.approx(2.0, abs=1e-3)
 
 
 def test_log_deriv_bloch_seminorm_examples():
@@ -112,10 +110,10 @@ def test_refinement_never_decreases():
     raw = DiskGrid(radial_k=96, n_angles=128, refine_top=0)
     refined = DiskGrid(radial_k=96, n_angles=128, refine_top=3)
     # rotate so the boundary peak falls between grid angles
-    handle = FunctionHandle.closed_form(lambda z: 1.0 / (1.0 - np.exp(-0.01j) * z),
-                                        lambda z: np.exp(-0.01j) * (1.0 - np.exp(-0.01j) * z) ** -2.0)
-    v0 = weighted_sup_norm(handle, 1.0, raw)
-    v1 = weighted_sup_norm(handle, 1.0, refined)
+    def rotated_cayley(z):
+        return 1.0 / (1.0 - np.exp(-0.01j) * z)
+    v0 = weighted_sup_norm(rotated_cayley, 1.0, raw)
+    v1 = weighted_sup_norm(rotated_cayley, 1.0, refined)
     assert v1 >= v0
     assert v1 == pytest.approx(2.0, abs=1e-3)
 
@@ -123,8 +121,7 @@ def test_refinement_never_decreases():
 def test_divergent_norm_is_tagged():
     # a pole strong enough to overflow the clamp near the boundary: the sweep
     # must come back tagged divergent instead of raising
-    handle = FunctionHandle.closed_form(lambda z: (1.0 - z) ** -60.0)
-    detail = weighted_sup_details(handle, 0.0)
+    detail = weighted_sup_details(lambda z: (1.0 - z) ** -60.0, 0.0)
     assert detail.divergent
     assert detail.clamped_samples > 0
     assert detail.value == float("inf")
@@ -157,18 +154,15 @@ def test_series_sup_never_below_reference_sweep(seed, size, alpha):
 
 
 def test_bloch_norm_needs_a_derivative_evaluator():
-    from volterra.errors import DomainError
-    handle = FunctionHandle.closed_form(lambda z: 1.0 / (1.0 - z))
     with pytest.raises(DomainError):
-        bloch_norm(handle)
+        bloch_norm(cayley)
 
 
 def test_homogeneity_survives_refinement_on_boundary_peak():
     g = DiskGrid(radial_k=96, n_angles=128, refine_top=3)
-    base = weighted_sup_norm(CAYLEY, 1.0, g)
-    scaled_handle = FunctionHandle.closed_form(lambda z: 2.5 / (1.0 - z),
-                                               lambda z: 2.5 * (1.0 - z) ** -2.0)
-    assert weighted_sup_norm(scaled_handle, 1.0, g) == pytest.approx(2.5 * base, rel=1e-9)
+    base = weighted_sup_norm(cayley, 1.0, g)
+    assert weighted_sup_norm(lambda z: 2.5 / (1.0 - z), 1.0, g) == \
+        pytest.approx(2.5 * base, rel=1e-9)
 
 
 def test_grid_validation():
@@ -192,7 +186,7 @@ def test_weighted_sup_rejects_non_finite_or_negative_alpha(alpha):
     # a NaN or infinite weight made every sample NaN or 0, and the sweep
     # reported a meaningless number instead of failing
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        weighted_sup_details(CAYLEY, alpha)
+        weighted_sup_details(cayley, alpha)
 
 
 def test_grid_nodes_structure():

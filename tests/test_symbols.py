@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from volterra.errors import SymbolZeroDerivative, UnknownSymbolError
-from volterra.series import FunctionHandle, check_derivative_consistency
+from volterra.series import check_derivative_consistency
 from volterra.spaces import log_deriv_bloch_seminorm
 from volterra.symbols import (LACUNARY_K, get_symbol, ground_truth_table, registry,
                               symbol_names)
@@ -58,8 +58,8 @@ def test_lacunary_structure():
 def test_evaluator_derivative_consistency(name):
     g = get_symbol(name)
     # g -> g' and g' -> g'' on the fixed probe grid of the series module
-    assert check_derivative_consistency(g.handle()) <= 1e-6
-    assert check_derivative_consistency(g.deriv_handle()) <= 1e-6
+    assert check_derivative_consistency(g.eval, g.deriv) <= 1e-6
+    assert check_derivative_consistency(g.deriv, g.deriv2) <= 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(REQUIRED))
@@ -116,8 +116,7 @@ def test_ground_truth_table_shape():
 
 def test_rotated_symbol_consistency():
     g = get_symbol("cayley").rotated(0.7)
-    assert check_derivative_consistency(
-        FunctionHandle.closed_form(g.eval, g.deriv, g.deriv2)) <= 1e-6
+    assert check_derivative_consistency(g.eval, g.deriv) <= 1e-6
     w = np.exp(0.7j)
     z = 0.4 * np.exp(0.2j)
     assert complex(g.eval(z)) == pytest.approx(1.0 / (1.0 - w * z))
