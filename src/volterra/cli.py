@@ -33,10 +33,17 @@ from .symbols import get_symbol, ground_truth_table, registry
 
 
 # the largest counts accepted: on a 2-vCPU machine a lacunary T_g cell at 8192
-# angles takes about 22 s and 0.6 GB, and a density estimate holds about 140
-# bytes per sample (1.4 GB at 10^7); larger counts fail to allocate
+# angles takes about 4 s and 0.3 GB, and a density estimate holds about 140
+# bytes per sample (1.4 GB at 10^7); larger counts fail to allocate.  The work
+# of the other counts grows without an allocation failure to stop it: the
+# report takes about 10 s at degree 4096 and 15 s at 1024 probe monomials, and
+# the lemma2 sweep costs one density estimate per angle (about 2 s for 4096
+# angles at 1000 samples, 4 min at 10^5)
 MAX_ANGLES = 8192
 MAX_SAMPLES = 10 ** 7
+MAX_DEGREE = 4096
+MAX_PROBE_N = 1024
+MAX_THETA_COUNT = 4096
 
 
 def _angle_count(value: str) -> int:
@@ -66,6 +73,17 @@ def _probe_count(value: str) -> int:
     if n < 16:
         raise argparse.ArgumentTypeError(f"probe traces need at least 16 monomials, got {value}")
     return n
+
+
+def _at_most(bound: int, parse=_positive_int):
+    """The count parser ``parse`` with an upper bound."""
+    def checked(value: str) -> int:
+        n = parse(value)
+        if n > bound:
+            raise argparse.ArgumentTypeError(f"need at most {bound}, got {value}")
+        return n
+    checked.__name__ = parse.__name__  # argparse names it in "invalid ... value"
+    return checked
 
 
 def _sample_sizes(value: str) -> list:
@@ -124,8 +142,8 @@ def _build_parser(preset=None):
     p = sub.add_parser("report", help="classify and probe the whole ground-truth table")
     p.add_argument("--kmax", type=_kmax, default=40)
     p.add_argument("--angles", type=_angle_count, default=512)
-    p.add_argument("--degree", type=_positive_int, default=256)
-    p.add_argument("--probe-nmax", type=_probe_count, default=64)
+    p.add_argument("--degree", type=_at_most(MAX_DEGREE), default=256)
+    p.add_argument("--probe-nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
     add_common(p)
 
     p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol")
@@ -149,13 +167,13 @@ def _build_parser(preset=None):
     p.add_argument("--op", type=_operator, required=required("op"))
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
-    p.add_argument("--nmax", type=_probe_count, default=64)
+    p.add_argument("--nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
     add_common(p)
 
     p = sub.add_parser("lemma2", help="validate the sector-map density bound")
     p.add_argument("--gamma", type=float, required=required("gamma"))
     p.add_argument("--eta", type=float, required=required("eta"))
-    p.add_argument("--theta-count", type=_positive_int, default=8)
+    p.add_argument("--theta-count", type=_at_most(MAX_THETA_COUNT), default=8)
     p.add_argument("--samples", type=_sample_sizes, default="1000,10000,100000")
     add_common(p)
 

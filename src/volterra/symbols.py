@@ -86,20 +86,65 @@ class SymbolSpec:
         )
 
 
-def one_minus_z(r, s, theta):
-    """``1 - r e^{i theta}`` with the real part assembled from s = 1 - r.
-
-    Near the boundary the naive ``1 - z`` loses all significant digits; the
-    identity ``Re(1-z) = s + 2 r sin^2(theta/2)`` does not.
-    """
-    half = np.sin(0.5 * np.asarray(theta))
-    return (s + 2.0 * r * half * half) - 1j * r * np.sin(theta)
-
-
 def _dist(r, s, theta):
     # |1 - r e^{i theta}| via |1-z|^2 = s^2 + 4 r sin^2(theta/2), stable for s -> 0
     half = np.sin(0.5 * theta)
     return np.sqrt(s * s + 4.0 * r * half * half)
+
+
+def _modulus(x, y):
+    # |x + iy|; np.hypot guards against an overflow that the parts passed here,
+    # all far below 1e150, cannot reach, at several times the cost
+    return np.sqrt(x * x + y * y)
+
+
+def _log_abs(r, s, theta):
+    """``|log(1 - r e^{i theta})|`` in real arithmetic.
+
+    Near the boundary the naive ``1 - z`` loses all significant digits; the
+    identities ``Re(1-z) = s + 2 r sin^2(theta/2)`` and
+    ``|1-z|^2 = s^2 + 4 r sin^2(theta/2)`` do not.
+    """
+    half = np.sin(0.5 * theta)
+    h2 = 2.0 * r * half * half
+    return _modulus(0.5 * np.log(s * s + 2.0 * h2), np.arctan2(-r * np.sin(theta), s + h2))
+
+
+def _koebe3_abs(r, s, theta):
+    # g = z(2 - z) / (2(1-z)^2), with Re(2-z) = 1 + s + 2 r sin^2(theta/2)
+    half = np.sin(0.5 * theta)
+    h2 = 2.0 * r * half * half
+    return r * _modulus(1.0 + s + h2, r * np.sin(theta)) / (2.0 * (s * s + 2.0 * h2))
+
+
+def _term_forms(terms: dict):
+    """Polar forms ``(|g|, |g'|)`` of the polynomial ``sum c_n z^n`` with real
+    coefficients, from its nonzero terms ``{n: c_n}`` alone.
+
+    ``|g'|`` drops the unimodular factor ``e^{-i theta}`` of every term, so both
+    forms are ``|sum_n a_n r^p_n e^{i n theta}|``: for power-of-two exponents
+    each phase ``n theta`` is exact, and the error does not grow with
+    ``|theta|``.  On a grid (``r`` a column, ``theta`` a row), as the ladder
+    engine and the pointwise profile pass them, the sum over the K terms is one
+    ``(R, K) @ (K, N)`` product for each of its real and imaginary parts; a
+    broadcast ``(R, N, K)`` sum is slower than the closed form there, so it only
+    serves other shapes, such as the elementwise golden-section refinement.
+    """
+    n = np.array(sorted(terms), dtype=float)
+    c = np.array([terms[m] for m in sorted(terms)], dtype=float)
+
+    def form(a, p):
+        def polar(r, s, theta):
+            r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+            rp = a * r[..., None] ** p
+            ph = theta[..., None] * n
+            if r.ndim == theta.ndim == 2 and r.shape[1] == 1 and theta.shape[0] == 1:
+                rp, ph = rp[:, 0], ph[0].T
+                return _modulus(rp @ np.cos(ph), rp @ np.sin(ph))
+            return _modulus(np.sum(rp * np.cos(ph), axis=-1), np.sum(rp * np.sin(ph), axis=-1))
+        return polar
+
+    return form(c, n), form(n * c, np.maximum(n - 1.0, 0.0))
 
 
 def _const(value):
@@ -223,7 +268,7 @@ def _build_registry():
                                 log_symbol_bloch=False,
                                 note="conformal onto a half-plane image; g(0) = 0 kills log g"),
         tail_bound=lambda N, r: _geom_tail(N, r) / (N + 1),
-        polar_eval=lambda r, s, t: np.abs(np.log(one_minus_z(r, s, t))),
+        polar_eval=_log_abs,
         polar_deriv=lambda r, s, t: 1.0 / _dist(r, s, t),
     )
     syms.append(log)
@@ -253,7 +298,7 @@ def _build_registry():
         taylor_coeff=lambda n: 0j if n == 0 else complex(0.5 * (n + 1)),
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False),
         tail_bound=lambda N, r: 0.5 * (N + 2) * r ** (N + 1) / (1.0 - r) ** 2,
-        polar_eval=lambda r, s, t: r * np.abs(2.0 - r * np.exp(1j * t)) / (2.0 * _dist(r, s, t) ** 2),
+        polar_eval=_koebe3_abs,
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -3.0,
     ))
 
@@ -282,6 +327,7 @@ def _build_registry():
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
     ))
 
+    lacunary_abs, lacunary_abs_deriv = _term_forms({n: 1.0 for n in _LACUNARY_EXPONENTS})
     syms.append(SymbolSpec(
         name="lacunary",
         eval=_lacunary_eval, deriv=_lacunary_deriv, deriv2=_lacunary_deriv2,
@@ -289,6 +335,7 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=False, log_deriv_bloch=None, log_symbol_bloch=None,
                                 note="gap-series partial sum; Bloch flags left unknown on purpose"),
         tail_bound=_poly_tail(2 ** LACUNARY_K),
+        polar_eval=lacunary_abs, polar_deriv=lacunary_abs_deriv,
     ))
 
     return {s.name: s for s in syms}

@@ -174,17 +174,26 @@ OVERSIZED_COUNTS = [
      "argument --angles: angle count must be a power of two in [64, 8192]"),
     (("lemma2", "--gamma", "0.5", "--eta", "1.0"), "samples", "1000,1000000000000",
      "argument --samples: each sample count must be at most 10000000"),
+    (("lemma2", "--gamma", "0.5", "--eta", "1.0"), "theta-count", "1000000000",
+     "argument --theta-count: need at most 4096, got 1000000000"),
+    (("report",), "degree", "1000000000", "argument --degree: need at most 4096, got 1000000000"),
+    (("report",), "probe-nmax", "1025", "argument --probe-nmax: need at most 1024, got 1025"),
+    (("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1"),
+     "nmax", "1000000000", "argument --nmax: need at most 1024, got 1000000000"),
 ]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, key, value, message", OVERSIZED_COUNTS,
-                         ids=["classify-angles", "report-angles", "lemma2-samples"])
+                         ids=["classify-angles", "report-angles", "lemma2-samples",
+                              "lemma2-theta-count", "report-degree", "report-probe-nmax",
+                              "probe-nmax"])
 def test_oversized_counts_are_usage_errors(tmp_path, monkeypatch, capsys, source,
                                            argv, key, value, message):
     # `classify --angles 1073741824` and `lemma2 --samples 1000000000000` ended
-    # in an uncaught allocation error (8 GiB and 7.3 TiB arrays); the command
-    # itself must not start
+    # in an uncaught allocation error (8 GiB and 7.3 TiB arrays); the other
+    # counts parsed at any size and ran for hours (lemma2 computes one density
+    # estimate per angle); the command itself must not start
     from volterra import cli
 
     def never(args):
@@ -208,7 +217,10 @@ def test_oversized_counts_are_usage_errors(tmp_path, monkeypatch, capsys, source
 @pytest.mark.parametrize("argv", [
     ("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0",
      "--kmax", "4", "--angles", "8192"),
-    ("lemma2", "--gamma", "0.5", "--eta", "1.0", "--samples", "10000000"),
+    ("lemma2", "--gamma", "0.5", "--eta", "1.0", "--samples", "10000000",
+     "--theta-count", "4096"),
+    ("report", "--degree", "4096", "--probe-nmax", "1024"),
+    ("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1", "--nmax", "1024"),
 ])
 def test_largest_counts_still_parse(monkeypatch, argv):
     from volterra import cli

@@ -13,7 +13,8 @@ from volterra.criteria import (LadderConfig, VerdictTag, classify, full_integral
 from volterra.errors import HypothesisError
 from volterra.operators import OperatorKind
 from volterra.spaces import SpacePair
-from volterra.symbols import SymbolMetadata, SymbolSpec, get_symbol, symbol_names
+from volterra.symbols import (LACUNARY_K, SymbolMetadata, SymbolSpec, get_symbol,
+                              symbol_names)
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
@@ -291,6 +292,15 @@ def _abs(g, which):
     return g.abs_deriv if which == "deriv" else g.abs_eval
 
 
+def _modulus_sum(name, which, r):
+    """``sum |terms|`` of the polynomial g, or of g', at the radii ``r``."""
+    c = np.abs(np.asarray(get_symbol(name).taylor().coeffs))
+    n = np.arange(len(c))
+    if which == "deriv":
+        c, n = (n * c)[1:], n[1:] - 1
+    return np.sum(c * np.asarray(r, dtype=float)[:, None] ** n, axis=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_polar_cases()),
        st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3),
@@ -310,7 +320,79 @@ def test_polar_form_of_rotated_symbol_matches_its_evaluator(case, angles, radii,
     t = np.asarray(thetas)[None, :]
     polar = _abs(g, which)(r, 1.0 - r, t)
     direct = np.abs((g.deriv if which == "deriv" else g.eval)(r * np.exp(1j * t)))
-    np.testing.assert_allclose(polar, direct, rtol=1e-12, atol=1e-300)
+    atol = np.full(len(radii), 1e-300)
+    if name == "lacunary":
+        # both lacunary evaluators are ill-conditioned where the terms cancel,
+        # and the polar form's phases n (theta + rotation) multiply the rounding
+        # of that sum by up to 2^8: bound the difference by the modulus sum
+        atol = 1e-12 * _modulus_sum(name, which, radii)
+    for polar_row, direct_row, floor in zip(polar, direct, atol):
+        np.testing.assert_allclose(polar_row, direct_row, rtol=1e-12, atol=floor)
+
+
+ORACLE_S = (2.0 ** -40, 2.0 ** -20, 2.0 ** -6, 0.5, 0.999)  # r from 1 - 2^-40 down to 1e-3
+ORACLE_THETAS = (0.0, 1e-9, 2.0 ** -20, 0.7, math.pi / 3, 2.0, math.pi, 4.0, 5.5,
+                 2.0 * math.pi - 1e-6)
+
+
+def _oracle(name, which, r, phi):
+    """``|g(r e^{i phi})|`` or ``|g'|`` at 50 digits."""
+    import mpmath
+    with mpmath.workdps(50):
+        z = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(phi))
+        if name == "log":
+            return float(abs(mpmath.log(1 - z)))
+        exponents = [2 ** k for k in range(LACUNARY_K + 1)]
+        if which == "eval":
+            return float(abs(sum(z ** n for n in exponents)))
+        return float(abs(sum(n * z ** (n - 1) for n in exponents)))
+
+
+@pytest.mark.parametrize("rotations", [(), (2.1,), (2.1, -7.4, 9.9), (10.0, 10.0, 10.0)])
+@pytest.mark.parametrize("name, which", [("lacunary", "deriv"), ("lacunary", "eval"),
+                                         ("log", "eval")])
+def test_polar_forms_match_an_mpmath_oracle(name, which, rotations):
+    """At the angle ``theta + rotation`` that the polar form is given, on the
+    engine's grid shape (r a column, theta a row) and elementwise: lacunary
+    within 1e-13 of the modulus sum ``sum |terms|``, log within 1e-13 relative
+    (``log |1-z|^2`` near 0 carries the rounding of ``|1-z|^2`` near 1, about
+    ``eps / r`` relative at r = 1e-3)."""
+    g = get_symbol(name)
+    for phi in rotations:
+        g = g.rotated(phi)
+    s = np.array(ORACLE_S)[:, None]
+    r, t = 1.0 - s, np.array(ORACLE_THETAS)[None, :]
+    form = _abs(g, which)
+    grid = form(r, s, t)
+    flat = form(*(np.broadcast_to(a, grid.shape).ravel() for a in (r, s, t))).reshape(grid.shape)
+    want = np.array([[_oracle(name, which, ri, ti + g.rotation) for ti in t[0]] for ri in r[:, 0]])
+    if name == "log":
+        bound = 1e-13 * want
+    else:
+        bound = 1e-13 * _modulus_sum(name, which, r[:, 0])[:, None]
+    for got in (grid, flat):
+        assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.7])
+def test_lacunary_grid_criteria_never_call_the_closed_forms(phi):
+    """The ladder engine (grid rows, off-grid prefixes, golden refinement) and
+    the pointwise profile read lacunary only through its polar forms."""
+    from dataclasses import replace
+    from volterra.criteria import _ladder_engine, _pointwise_profile
+
+    def boom(z):
+        raise AssertionError("a closed form was evaluated")
+    real = get_symbol("lacunary").rotated(phi)
+    guarded = replace(get_symbol("lacunary"), eval=boom, deriv=boom).rotated(phi)
+    for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
+        engine = _ladder_engine(guarded, which, weight, beta, FAST)
+        assert np.array_equal(engine.values,
+                              _ladder_engine(real, which, weight, beta, FAST).values)
+        assert len(engine.angles_all) > FAST.n_angles  # refined angles were added
+        profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, FAST)
+        assert np.array_equal(profile[1],
+                              _pointwise_profile(real, which, beta + 1.0 - weight, FAST)[1])
 
 
 def _user_copy(g, name):
