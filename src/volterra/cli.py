@@ -61,6 +61,13 @@ def _nonnegative(value: str) -> float:
     return x
 
 
+def _cut_radius(value: str) -> float:
+    t = float(value)
+    if not 0.0 < t < 1.0:
+        raise argparse.ArgumentTypeError(f"the cut radius must lie in (0, 1), got {value}")
+    return t
+
+
 def _positive_int(value: str) -> int:
     n = int(value)
     if n < 1:
@@ -158,7 +165,7 @@ def _build_parser(preset=None):
     p.add_argument("--op", type=_operator, required=required("op"))
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
-    p.add_argument("--t0", type=float, default=None,
+    p.add_argument("--t0", type=_cut_radius, default=None,
                    help="cut rung for the split bound (default: best over the schedule)")
     add_common(p)
 

@@ -11,10 +11,9 @@ and a power divergence into exponential growth, so the finite/infinite decision
 is made by regressing ``log L`` against ``k`` over the last reliable rungs
 (the slope rule).  Compactness replaces the integral by its tail between two
 schedule points, and the pointwise criteria replace it by a weighted modulus of
-g or g' on boundary rungs.  Every radial integral, the ladders and the
-single-angle :func:`radial_integral` alike, runs on one adaptive mesh whose
-cells are aligned with the rung schedule (:func:`_integrate_cells`), so every
-prefix integral is a partial sum.  Moduli come from the symbol's own
+g or g' on boundary rungs.  Every radial integral runs on one adaptive mesh
+whose cells are aligned with the rung schedule (:func:`_integrate_cells`), so
+every prefix integral is a partial sum.  Moduli come from the symbol's own
 :meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``.
 
 A decision is never forced: when the slope lands between the thresholds the
@@ -34,7 +33,7 @@ import numpy as np
 from .errors import HypothesisError
 from .quadrature import gauss_legendre
 from .series import OVERFLOW_CLAMP
-from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_details
+from .spaces import SpacePair, golden_max, weighted_sup_details
 from .symbols import SymbolSpec
 from .operators import OperatorKind
 
@@ -64,21 +63,6 @@ class Verdict:
         return self.tag is not VerdictTag.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class RadialLadder:
-    """Criterion values along the rung schedule, with per-rung reliability."""
-
-    t_values: tuple
-    values: tuple
-    reliable: tuple
-    beta: float
-
-    def __post_init__(self):
-        ts = self.t_values
-        if any(t >= 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("rungs must be strictly increasing and below 1")
-
-
 # the slope rule: regression window (rungs), log-slope thresholds, the relative
 # rung change of a plateau and the value that reads divergent outright
 WINDOW = 8
@@ -92,30 +76,33 @@ TAIL_WINDOW = 5
 TREND_WINDOW = 5
 COMPACT_TOL = 1e-3
 NOT_COMPACT_FACTOR = 10.0
-# the cell integrator: Gauss-Legendre nodes per panel, and the weight exponent
-# from which nodes are placed in -log(1 - r)
+# the cell integrator: Gauss-Legendre nodes per panel, the weight exponent
+# from which nodes are placed in -log(1 - r), the change (relative to the
+# largest angle total) that doubles a cell's panels, and the panel cap
 NODES_PER_CELL = 16
 LOG_SUBSTITUTION_ALPHA = 0.5
+CELL_REL_TOL = 1e-9
+MAX_PANELS = 64
+# the schedule's first classified rung, and the angular refinement: grid
+# angles refined per rung and golden-section steps per bracket
+K_MIN = 3
+REFINE_TOP = 3
+REFINE_ITERS = 72
 
 
 @dataclass(frozen=True)
 class LadderConfig:
-    k_min: int = 3
     k_max: int = 40
     n_angles: int = 512
-    refine_top: int = 3
-    refine_iters: int = 72
-    cell_rel_tol: float = 1e-9
-    max_panels: int = 64
 
     def __post_init__(self):
-        if self.k_min < 1 or self.k_max <= self.k_min:
-            raise ValueError("need 1 <= k_min < k_max")
+        if self.k_max <= K_MIN:
+            raise ValueError(f"need k_max > {K_MIN}")
         if self.n_angles < 64:
             raise ValueError("need at least 64 angles")
 
     def rung_ks(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_max + 1)
+        return np.arange(K_MIN, self.k_max + 1)
 
 
 DEFAULT_LADDER = LadderConfig()
@@ -134,20 +121,6 @@ class CriterionReport:
     # the T_g ladder engine classify built for this (symbol, pair, cfg), kept
     # so the split upper bound reuses it; None when no T_g ladder ran
     tg_engine: Optional["_LadderEngine"] = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    """Value of a radial integral with an error estimate and diagnostics."""
-
-    value: float
-    error: float
-    evals: int
-    clamped: bool = False
-    converged: bool = True
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -181,30 +154,28 @@ def _cell_nodes(s_lo: float, s_hi: float, panels: int, n: int, use_log: bool):
 class _Cells(NamedTuple):
     rows: np.ndarray      # (cells, angles) integrals of the weighted integrand
     errs: np.ndarray      # change at each cell's last panel doubling, max over angles
-    accurate: np.ndarray  # errs within 100 * cell_rel_tol of the largest angle total
+    accurate: np.ndarray  # errs within 100 * CELL_REL_TOL of the largest angle total
     clamped: np.ndarray   # a sample of the cell was clamped
     nodes: list           # each cell's final nodes (r, s, w), w with the weight
-    evals: int            # integrand samples taken
 
 
-def _integrate_cells(absmat: Callable, weight_exponent: float, cells, thetas: np.ndarray,
-                     cfg: LadderConfig) -> _Cells:
+def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
+                     thetas: np.ndarray) -> _Cells:
     """Integrals of ``absmat(r, s, theta) (s(2-s))^-weight_exponent dr`` over the
     cells ``(s_lo, s_hi)``, per angle.
 
+    The ladder engine passes the rung cells and its grid angles; an integral up
+    to any ``t`` at one angle is the sum of the rows over ``_rung_cells(1 - t)``.
     Each cell is taken with one and two panels; a cell whose change exceeds
-    ``cell_rel_tol`` of the largest angle total doubles its panels, at most six
-    times and up to ``max_panels``.  Samples that are not finite or exceed
+    ``CELL_REL_TOL`` of the largest angle total doubles its panels, at most six
+    times and up to ``MAX_PANELS``.  Samples that are not finite or exceed
     ``OVERFLOW_CLAMP`` are clamped to it.
     """
     use_log = weight_exponent >= LOG_SUBSTITUTION_ALPHA
-    evals = 0
 
     def row(cell, panels):
-        nonlocal evals
         r, s, w = _cell_nodes(cell[0], cell[1], panels, NODES_PER_CELL, use_log)
         vals = absmat(r[:, None], s[:, None], thetas[None, :])
-        evals += len(r) * len(thetas)
         if weight_exponent != 0.0:
             w = w * (s * (2.0 - s)) ** -weight_exponent
         bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
@@ -228,7 +199,7 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells, thetas: np
     for _ in range(6):
         scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
         bad = [j for j in range(n_cells)
-               if errs[j] > cfg.cell_rel_tol * scale and panels[j] < cfg.max_panels]
+               if errs[j] > CELL_REL_TOL * scale and panels[j] < MAX_PANELS]
         if not bad:
             break
         for j in bad:
@@ -238,7 +209,7 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells, thetas: np
             rows[j] = new
             clamped[j] |= cl
     scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
-    return _Cells(rows, errs, errs <= 100.0 * cfg.cell_rel_tol * scale, clamped, nodes, evals)
+    return _Cells(rows, errs, errs <= 100.0 * CELL_REL_TOL * scale, clamped, nodes)
 
 
 def _rung_cells(s_end: float) -> list:
@@ -273,12 +244,10 @@ class _LadderEngine:
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
                  cfg: LadderConfig):
         self.cfg = cfg
-        self.beta = beta
-        self.weight_exponent = weight_exponent
         self.absmat = absmat
         self._thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
         mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max),
-                                self._thetas, cfg)
+                                self._thetas)
         self.clamped = bool(np.any(mesh.clamped))
         # reliability of the prefix through cell j: every earlier cell clean
         ok = ~mesh.clamped & mesh.accurate
@@ -315,15 +284,13 @@ class _LadderEngine:
 
     def _refine(self) -> np.ndarray:
         cfg = self.cfg
-        if cfg.refine_top <= 0 or cfg.refine_iters <= 0:
-            return np.array([])
         # top angles per rung, deduped: each distinct bracket is optimized once,
         # against the deepest rung that selected it (the sharpest objective),
         # and the refined angles are pooled back into every rung's sup
         deepest = {}
-        for k in range(cfg.k_min, cfg.k_max + 1):
+        for k in cfg.rung_ks():
             row = self._grid_prefix[k]
-            order = np.argsort(-row, kind="stable")[: cfg.refine_top]
+            order = np.argsort(-row, kind="stable")[:REFINE_TOP]
             for j in order:
                 deepest[int(j)] = k
         items = sorted(deepest.items())
@@ -332,21 +299,10 @@ class _LadderEngine:
         cols = np.arange(len(center))
         dtheta = 2.0 * np.pi / cfg.n_angles
         best_t, _ = golden_max(lambda th: self._prefix_at(th)[rung, cols],
-                               center - dtheta, center + dtheta, cfg.refine_iters)
+                               center - dtheta, center + dtheta, REFINE_ITERS)
         return best_t
 
     # -- derived quantities -----------------------------------------------
-
-    def ladder(self) -> RadialLadder:
-        cfg = self.cfg
-        ks = cfg.rung_ks()
-        sk = 2.0 ** -ks.astype(float)
-        return RadialLadder(
-            t_values=tuple(1.0 - sk),
-            values=tuple(float(v) for v in self.values[ks]),
-            reliable=tuple(bool(b) for b in self.reliable[ks]),
-            beta=self.beta,
-        )
 
     def tail_sup(self, m: int, k: int) -> float:
         """sup_theta of the weighted tail integral between rungs m < k."""
@@ -454,7 +410,7 @@ def _tail_classify(engine: _LadderEngine, criterion: str) -> Verdict:
         return Verdict(VerdictTag.INCONCLUSIVE, reason="too few reliable rungs for the tail rule",
                        evidence=(criterion,))
     inner_ks = rel_ks[-TAIL_WINDOW:]
-    outer_ms = [m for m in rel_ks if m >= cfg.k_min and m < inner_ks[0]]
+    outer_ms = [m for m in rel_ks if K_MIN <= m < inner_ks[0]]
     if len(outer_ms) < 3:
         return Verdict(VerdictTag.INCONCLUSIVE, reason="tail window leaves no outer rungs",
                        evidence=(criterion,))
@@ -489,52 +445,11 @@ def _trend_classify(seq, criterion: str, diag: dict, what: str,
 
 
 # ---------------------------------------------------------------------------
-# radial integrals (single angle)
-# ---------------------------------------------------------------------------
-
-def _radial_quad(absmat: Callable, weight_exponent: float, theta: float, t: float,
-                 cfg: Optional[LadderConfig]) -> QuadResult:
-    """``int_0^t absmat(r, s, theta) (1-r^2)^-weight_exponent dr`` by
-    :func:`_integrate_cells` over the rung cells clipped at ``s = 1 - t``.
-
-    ``converged`` is False when a cell misses the ladder engine's reliability
-    rule, which is reported rather than raised.
-    """
-    if t == 0.0:
-        return QuadResult(0.0, 0.0, 0, False, True)
-    mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(1.0 - t),
-                            np.array([float(theta)]), cfg or DEFAULT_LADDER)
-    return QuadResult(float(np.sum(mesh.rows)), float(np.sum(mesh.errs)), mesh.evals,
-                      bool(np.any(mesh.clamped)), bool(np.all(mesh.accurate)))
-
-
-def radial_integral(g: SymbolSpec, alpha: float, theta: float, t: float,
-                    cfg: Optional[LadderConfig] = None) -> QuadResult:
-    """``int_0^t |g'(r e^{i theta})| / (1-r^2)^alpha dr`` on the rung-aligned mesh."""
-    if not (0.0 <= t < 1.0):
-        raise ValueError("t must lie in [0, 1)")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return _radial_quad(g.abs_deriv, alpha, theta, t, cfg)
-
-
-def sg_radial_integral(g: SymbolSpec, alpha: float, theta: float, t: float,
-                       cfg: Optional[LadderConfig] = None) -> QuadResult:
-    """``int_0^t |g(r e^{i theta})| / (1-r^2)^(alpha+1) dr``; needs alpha > 0."""
-    if alpha <= 0:
-        raise HypothesisError("the companion-operator integral criterion needs alpha > 0")
-    if not (0.0 <= t < 1.0):
-        raise ValueError("t must lie in [0, 1)")
-    return _radial_quad(g.abs_eval, alpha + 1.0, theta, t, cfg)
-
-
-# ---------------------------------------------------------------------------
 # integral (ladder) criteria
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LadderOutcome:
-    ladder: RadialLadder
     verdict: Verdict
     engine: _LadderEngine
 
@@ -545,9 +460,9 @@ def tg_boundedness(g: SymbolSpec, pair: SpacePair,
     """Boundedness ladder for the operator ``f -> int f g'``."""
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "deriv", pair.alpha, pair.beta, cfg)
-    ks = np.arange(cfg.k_min, cfg.k_max + 1)
+    ks = cfg.rung_ks()
     verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], "tg-radial-ladder")
-    return LadderOutcome(engine.ladder(), verdict, engine)
+    return LadderOutcome(verdict, engine)
 
 
 def sg_boundedness(g: SymbolSpec, pair: SpacePair,
@@ -559,9 +474,9 @@ def sg_boundedness(g: SymbolSpec, pair: SpacePair,
                               "use the forwarded criterion at alpha = beta = 0")
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "eval", pair.alpha + 1.0, pair.beta, cfg)
-    ks = np.arange(cfg.k_min, cfg.k_max + 1)
+    ks = cfg.rung_ks()
     verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], "sg-radial-ladder")
-    return LadderOutcome(engine.ladder(), verdict, engine)
+    return LadderOutcome(verdict, engine)
 
 
 def tg_tail_compactness(g: SymbolSpec, pair: SpacePair,
@@ -571,27 +486,6 @@ def tg_tail_compactness(g: SymbolSpec, pair: SpacePair,
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "deriv", pair.alpha, pair.beta, cfg)
     return _tail_classify(engine, "tg-tail-ladder")
-
-
-def full_integral_sup(g: SymbolSpec, cfg: Optional[LadderConfig] = None,
-                      engine: Optional[_LadderEngine] = None):
-    """``sup_theta int_0^1 |g'(r e^{i theta})| dr`` via the monotone ladder limit.
-
-    Only meaningful in the unweighted case alpha = beta = 0, where the ladder is
-    nondecreasing and its limit equals the sup of the full integral.  Returns
-    ``(value, verdict)`` with the verdict matching the boundedness ladder.
-    """
-    cfg = cfg or DEFAULT_LADDER
-    outcome = tg_boundedness(g, SpacePair(0.0, 0.0), cfg, engine)
-    rel = [v for v, ok in zip(outcome.ladder.values, outcome.ladder.reliable) if ok]
-    value = rel[-1] if rel else math.inf
-    if outcome.verdict.tag is VerdictTag.UNBOUNDED:
-        value = math.inf
-    verdict = Verdict(outcome.verdict.tag, None if math.isinf(value) else value,
-                      evidence=outcome.verdict.evidence + ("monotone-full-integral",),
-                      reason=outcome.verdict.reason,
-                      diagnostics=dict(outcome.verdict.diagnostics))
-    return value, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +501,7 @@ def _pointwise_form(operator: OperatorKind, pair: SpacePair):
 
 def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderConfig):
     """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``;
-    each rung's top ``refine_top`` grid angles are refined, all in one batch."""
+    each rung's top ``REFINE_TOP`` grid angles are refined, all in one batch."""
     absmat = _abs_fun(g, which)
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
@@ -620,37 +514,34 @@ def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderCo
         # clamped samples read as "as large as representable": they can only
         # push the profile over the divergence threshold, never hide growth
         vals = np.where(bad, OVERFLOW_CLAMP, vals)
-    sup_raw = np.max(vals, axis=1)
-    if cfg.refine_top > 0:
-        order = np.argsort(-vals, axis=1, kind="stable")[:, : cfg.refine_top]
-        rows = np.repeat(np.arange(len(ks)), order.shape[1])
-        center = thetas[order.ravel()]
-        dtheta = 2.0 * np.pi / cfg.n_angles
+    order = np.argsort(-vals, axis=1, kind="stable")[:, :REFINE_TOP]
+    rows = np.repeat(np.arange(len(ks)), order.shape[1])
+    center = thetas[order.ravel()]
+    dtheta = 2.0 * np.pi / cfg.n_angles
 
-        def obj(th):
-            v = absmat(r[rows], s[rows], th)
-            return np.where(np.isfinite(v), v, OVERFLOW_CLAMP)
-        _, best = golden_max(obj, center - dtheta, center + dtheta, cfg.refine_iters)
-        sup_raw = np.maximum(sup_raw, np.max(best.reshape(order.shape), axis=1))
+    def obj(th):
+        v = absmat(r[rows], s[rows], th)
+        return np.where(np.isfinite(v), v, OVERFLOW_CLAMP)
+    _, best = golden_max(obj, center - dtheta, center + dtheta, REFINE_ITERS)
+    sup_raw = np.maximum(np.max(vals, axis=1), np.max(best.reshape(order.shape), axis=1))
     with np.errstate(over="ignore"):
         weights = (s * (2.0 - s)) ** exponent
         profile = weights * sup_raw
     return ks, profile, clamped
 
 
-def _pointwise_value(g: SymbolSpec, which: str, exponent: float,
-                     profile_max: float, grid: Optional[DiskGrid]) -> float:
+def _pointwise_value(g: SymbolSpec, which: str, exponent: float, profile_max: float) -> float:
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
     weight exponent is nonnegative (interior maxima exist only then)."""
     if exponent < 0:
         return profile_max
     f = g.deriv if which == "deriv" else g.eval
-    interior = weighted_sup_details(f, exponent, grid).value
+    interior = weighted_sup_details(f, exponent).value
     return max(profile_max, interior)
 
 
 def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
-                   cfg: Optional[LadderConfig], grid: Optional[DiskGrid], profile) -> Verdict:
+                   cfg: Optional[LadderConfig], profile) -> Verdict:
     if pair.beta <= 0:
         kind = "derivative" if operator is OperatorKind.Tg else "symbol"
         raise HypothesisError(f"the pointwise {kind} criterion applies only for beta > 0")
@@ -662,26 +553,24 @@ def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
     criterion = f"{operator.value.lower()}-pointwise-sup"
     verdict = _slope_classify(ks, values, np.ones(len(ks), dtype=bool), criterion)
     if verdict.tag is VerdictTag.BOUNDED:
-        value = _pointwise_value(g, which, exponent, float(np.max(values)), grid)
+        value = _pointwise_value(g, which, exponent, float(np.max(values)))
         verdict = Verdict(VerdictTag.BOUNDED, value=value, evidence=verdict.evidence,
                           diagnostics=verdict.diagnostics)
     return verdict
 
 
 def tg_pointwise(g: SymbolSpec, pair: SpacePair,
-                 cfg: Optional[LadderConfig] = None,
-                 grid: Optional[DiskGrid] = None, profile=None) -> Verdict:
+                 cfg: Optional[LadderConfig] = None, profile=None) -> Verdict:
     """Weighted-derivative sup criterion ``sup (1-|z|^2)^(beta+1-alpha) |g'|`` (beta > 0);
     ``profile`` may be the :func:`_pointwise_profile` already built for it."""
-    return _pointwise_sup(g, pair, OperatorKind.Tg, cfg, grid, profile)
+    return _pointwise_sup(g, pair, OperatorKind.Tg, cfg, profile)
 
 
 def sg_pointwise(g: SymbolSpec, pair: SpacePair,
-                 cfg: Optional[LadderConfig] = None,
-                 grid: Optional[DiskGrid] = None, profile=None) -> Verdict:
+                 cfg: Optional[LadderConfig] = None, profile=None) -> Verdict:
     """Weighted-symbol sup criterion ``sup (1-|z|^2)^(beta-alpha) |g|`` (beta > 0);
     ``profile`` is as in :func:`tg_pointwise`."""
-    return _pointwise_sup(g, pair, OperatorKind.Sg, cfg, grid, profile)
+    return _pointwise_sup(g, pair, OperatorKind.Sg, cfg, profile)
 
 
 def pointwise_compactness(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
@@ -770,8 +659,7 @@ def _sufficiency_only(verdict: Verdict, necessity, tail: bool = False) -> Verdic
 
 
 def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
-             cfg: Optional[LadderConfig] = None,
-             grid: Optional[DiskGrid] = None) -> CriterionReport:
+             cfg: Optional[LadderConfig] = None) -> CriterionReport:
     """Run every criterion whose hypotheses hold and merge the verdicts.
 
     Both operators take one path.  The boundedness claims are the operator's
@@ -809,7 +697,7 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                          f"{necessity[1]} Bloch membership unknown")
     if pair.beta > 0:
         pointwise = tg_pointwise if tg else sg_pointwise
-        bound_claims.append(pointwise(g, pair, cfg, grid, profile=profile))
+        bound_claims.append(pointwise(g, pair, cfg, profile=profile))
     if forwarded:
         ladder = bound_claims[0]
         boundedness = replace(ladder, evidence=ladder.evidence + ("unweighted-forwarding",))

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .criteria import DEFAULT_LADDER, LadderConfig, VerdictTag, tg_boundedness
+from .criteria import DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator
 from .series import TaylorSeries, evaluate_polynomial
 from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norm
@@ -163,17 +163,15 @@ class LowerBoundReport:
 
 def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                         battery: Optional[TestBattery] = None,
-                        degree: int = DEFAULT_DEGREE,
-                        grid: Optional[DiskGrid] = None) -> LowerBoundReport:
+                        degree: int = DEFAULT_DEGREE) -> LowerBoundReport:
     """Largest image-to-source norm ratio over the battery."""
     battery = battery or build_battery(pair.alpha, degree)
-    grid = grid or ESTIMATION_GRID
     g_series = g.taylor(degree)
     ratios = []
     best, best_label = 0.0, ""
     for entry in battery.entries:
         image = apply_operator(operator, g_series, entry.series)
-        num = weighted_sup_norm(image, pair.beta, grid)
+        num = weighted_sup_norm(image, pair.beta, ESTIMATION_GRID)
         ratio = num / entry.norm_alpha
         ratios.append((entry.label, ratio))
         if ratio > best:
@@ -191,7 +189,9 @@ def tg_upper_bound(g: SymbolSpec, pair: SpacePair, t0: float,
     meaningful when the boundedness ladder actually converged.
     """
     cfg = cfg or DEFAULT_LADDER
-    k0 = round(-math.log2(1.0 - t0)) if t0 < 1.0 else -1
+    if not 0.0 < t0 < 1.0:
+        raise ValueError(f"t0 must lie in (0, 1), got {t0}")
+    k0 = round(-math.log2(1.0 - t0))
     if not (1 <= k0 <= cfg.k_max - 1) or abs((1.0 - 2.0 ** -k0) - t0) > 1e-12:
         raise ValueError("t0 must be a rung of the ladder schedule")
     outcome = tg_boundedness(g, pair, cfg, engine)
@@ -207,8 +207,8 @@ def tg_min_upper_bound(g: SymbolSpec, pair: SpacePair,
     outcome = tg_boundedness(g, pair, cfg, engine)
     if outcome.verdict.tag is not VerdictTag.BOUNDED:
         raise HypothesisError("the split bound needs a Bounded ladder verdict")
-    best, best_k = math.inf, cfg.k_min
-    for k0 in range(cfg.k_min, cfg.k_max):
+    best, best_k = math.inf, K_MIN
+    for k0 in range(K_MIN, cfg.k_max):
         b = outcome.engine.split_bound(k0)
         if b < best:
             best, best_k = b, k0
@@ -238,19 +238,17 @@ class ProbeTrace:
 
 
 def compactness_probe(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
-                      n_max: int = 64, degree: int = DEFAULT_DEGREE,
-                      grid: Optional[DiskGrid] = None) -> ProbeTrace:
+                      n_max: int = 64, degree: int = DEFAULT_DEGREE) -> ProbeTrace:
     """Drive the normalized monomials through the operator and fit the decay."""
     if n_max < 16:
         raise ValueError("n_max must be at least 16")
-    grid = grid or ESTIMATION_GRID
     g_series = g.taylor(degree)
     ns = list(range(1, n_max + 1))
     values = []
     for n in ns:
         cs = [0j] * n + [1 + 0j]
         image = apply_operator(operator, g_series, TaylorSeries(tuple(cs)))
-        num = weighted_sup_norm(image, pair.beta, grid)
+        num = weighted_sup_norm(image, pair.beta, ESTIMATION_GRID)
         values.append(num / monomial_norm(n, pair.alpha))
     half = np.array(values[n_max // 2 - 1:])
     idx = np.array(ns[n_max // 2 - 1:], dtype=float)
@@ -260,8 +258,3 @@ def compactness_probe(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
         exponent = float(np.polyfit(np.log(idx), np.log(np.maximum(half, 1e-300)), 1)[0])
     return ProbeTrace(indices=tuple(ns), values=tuple(values), decay_exponent=exponent,
                       operator=operator, alpha=pair.alpha, beta=pair.beta)
-
-
-def weak_null_sup(n: int, alpha: float, radius: float = 0.5) -> float:
-    """``max_{|z| <= radius} |z^n| / ||z^n||``: the uniform-on-compacts premise."""
-    return radius ** n / monomial_norm(n, alpha)

@@ -37,14 +37,12 @@ class ReportConfig:
     n_angles: int = 512
     degree: int = DEFAULT_DEGREE
     probe_n_max: int = 64
-    workers: Optional[int] = None  # None: take WORKERS_ENV, else machine count
 
     def ladder(self) -> LadderConfig:
         return LadderConfig(k_max=self.k_max, n_angles=self.n_angles)
 
     def resolve_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
+        """Row workers: ``WORKERS_ENV`` when set, else the machine's CPU count."""
         env = os.environ.get(WORKERS_ENV, "")
         if env.strip():
             return max(1, int(env))

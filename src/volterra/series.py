@@ -2,10 +2,10 @@
 
 Coefficients are double-precision complex throughout.  A series keeps its
 coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as an immutable tuple and as one
-read-only complex array; the series arithmetic runs on the array, rounded exactly
-like the per-coefficient Python expressions.  Every operation that can drop tail
-terms records the fact in the ``truncated`` flag of its result instead of failing
-silently.
+read-only complex array; derivatives, antiderivatives and Cauchy products run on
+the array, rounded exactly like the per-coefficient Python expressions.  Every
+operation that can drop tail terms records the fact in the ``truncated`` flag of
+its result instead of failing silently.
 
 Polynomials are evaluated by one Horner loop, :func:`evaluate_polynomial`.  On the
 rings of a polar grid, :func:`evaluate_on_rings` folds the coefficients modulo the
@@ -88,19 +88,6 @@ class TaylorSeries:
 
     def coefficient(self, n: int) -> complex:
         return self.coeffs[n] if 0 <= n <= self.degree else 0j
-
-    def scaled(self, factor: complex) -> "TaylorSeries":
-        # Python's ``factor * c`` rounds every product apart; NumPy's may fuse them
-        a, c = complex(factor), self.array
-        cs = np.empty_like(c)
-        cs.real = a.real * c.real - a.imag * c.imag
-        cs.imag = a.real * c.imag + a.imag * c.real
-        return TaylorSeries(cs, self.truncated)
-
-    def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = max(self.degree, other.degree)
-        cs = np.pad(self.array, (0, n - self.degree)) + np.pad(other.array, (0, n - other.degree))
-        return TaylorSeries(cs, self.truncated or other.truncated)
 
 
 def evaluate_polynomial(coeffs: Sequence, z):

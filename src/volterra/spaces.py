@@ -23,6 +23,8 @@ from .errors import DomainError, SymbolZeroDerivative
 from .series import TaylorSeries, _clamp, evaluate_on_rings
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps per bracket of the sweep refinement
+REFINE_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -42,15 +44,14 @@ class DiskGrid:
     """Polar sampling grid with geometric grading toward the boundary.
 
     Radial rungs are ``r_k = 1 - 2^(-k/4)`` for ``k = 0..radial_k``; angles are
-    uniform.  Golden-section search refines the top ``refine_top`` angular
-    maxima of the outermost ``outer_rungs`` rungs (and the interior maximum);
-    ``refine_top = 0`` turns refinement off.
+    uniform.  Golden-section search (``REFINE_ITERS`` steps) refines the top
+    ``refine_top`` angular maxima of the outermost ``outer_rungs`` rungs (and
+    the interior maximum); ``refine_top = 0`` turns refinement off.
     """
 
     radial_k: int = 96
     n_angles: int = 512
     refine_top: int = 3
-    refine_iters: int = 40
     outer_rungs: int = 8
 
     def __post_init__(self):
@@ -189,10 +190,10 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
         r = radii[rung]
         dtheta = 2.0 * np.pi / grid.n_angles
         t_star, v_ang = golden_max(lambda t: weighted_abs(r, t), thetas[col] - dtheta,
-                                   thetas[col] + dtheta, grid.refine_iters)
+                                   thetas[col] + dtheta, REFINE_ITERS)
         r_lo = np.where(rung > 0, radii[np.maximum(rung - 1, 0)], 0.0)
         r_star, v_rad = golden_max(lambda rr: weighted_abs(rr, t_star), r_lo,
-                                   radii[np.minimum(rung + 1, n - 1)], grid.refine_iters)
+                                   radii[np.minimum(rung + 1, n - 1)], REFINE_ITERS)
         # candidates in seed order, angular before radial; argmax keeps the
         # first of equal maxima
         cand_v = np.column_stack([v_ang, v_rad]).ravel()

@@ -107,6 +107,55 @@ def test_opnorm_command(capsys):
     assert code == 0  # no split bound for the companion operator
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["-inf", "-1e400", "inf", "nan", "0", "-0", "1", "1.5"])
+def test_opnorm_cut_radius_is_checked_at_parse_time(tmp_path, monkeypatch, capsys,
+                                                     source, value):
+    # `opnorm --t0=-inf` ran the whole lower-bound battery, then ended in an
+    # OverflowError traceback in the split bound
+    from volterra import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the battery ran with a bad cut radius")
+    monkeypatch.setattr(cli, "lower_bound_details", never)
+    argv = ("opnorm", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0")
+    if source == "flag":
+        argv = argv + (f"--t0={value}",)
+    else:
+        cfg = tmp_path / "cut.cfg"
+        cfg.write_text(f"t0 = {value}\n")
+        argv = argv + ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--t0" in errors[0]
+
+
+FLOAT_SPELLINGS = ["nan", "inf", "-inf", "1e400", "-1e400", "-0", "0"]
+CELL = ("--symbol", "identity", "--op", "Tg")
+# each command with cheap settings, and its float options with valid values
+FLOAT_COMMANDS = [
+    (("classify",) + CELL + ("--kmax", "4", "--angles", "64"), {"alpha": "0", "beta": "0"}),
+    (("norm", "--symbol", "identity"), {"alpha": "0"}),
+    (("opnorm",) + CELL, {"alpha": "0", "beta": "0", "t0": "0.5"}),
+    (("probe",) + CELL + ("--nmax", "16"), {"alpha": "0", "beta": "0"}),
+    (("lemma2", "--samples", "10", "--theta-count", "1"), {"gamma": "0.785", "eta": "1.571"}),
+]
+
+
+@pytest.mark.parametrize("value", FLOAT_SPELLINGS)
+@pytest.mark.parametrize("argv, floats, option",
+                         [(argv, floats, opt) for argv, floats in FLOAT_COMMANDS for opt in floats],
+                         ids=[f"{argv[0]}-{opt}" for argv, floats in FLOAT_COMMANDS
+                              for opt in floats])
+def test_float_options_fuzz_without_traceback(capsys, argv, floats, option, value):
+    spelled = [f"--{opt}={value if opt == option else valid}" for opt, valid in floats.items()]
+    code, _, err = run(capsys, *argv, *spelled)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 def test_probe_command_formats(capsys):
     code, out, _ = run(capsys, "probe", "--symbol", "identity", "--op", "Tg",
                        "--alpha", "0", "--beta", "0", "--nmax", "16", "--format", "json")
@@ -320,7 +369,8 @@ def test_report_builds_one_engine_per_tg_row(monkeypatch):
         return out
     monkeypatch.setattr(criteria, "_ladder_engine", engine)
     monkeypatch.setattr(report, "_row_result", row)
-    build_report(ReportConfig(k_max=6, probe_n_max=16, degree=64, n_angles=128, workers=1))
+    monkeypatch.setenv(report.WORKERS_ENV, "1")
+    build_report(ReportConfig(k_max=6, probe_n_max=16, degree=64, n_angles=128))
     tg_counts = [n for op, n in per_row if op is OperatorKind.Tg]
     assert tg_counts and set(tg_counts) == {1}
     assert all(n <= 1 for _, n in per_row)

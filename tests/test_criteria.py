@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra.criteria import (LadderConfig, VerdictTag, classify, full_integral_sup,
-                               pointwise_compactness, sg_boundedness, sg_pointwise,
+from volterra.criteria import (K_MIN, REFINE_ITERS, REFINE_TOP, LadderConfig, VerdictTag,
+                               classify, pointwise_compactness, sg_boundedness, sg_pointwise,
                                sg_zero_symbol_compactness, tg_boundedness,
                                tg_pointwise, tg_tail_compactness)
 from volterra.errors import HypothesisError
@@ -20,7 +20,7 @@ T, S = OperatorKind.Tg, OperatorKind.Sg
 
 # smaller angular grid keeps property-style sweeps fast; library symbols peak
 # on grid angles so the verdicts are unchanged
-FAST = LadderConfig(n_angles=64, refine_top=2, refine_iters=60)
+FAST = LadderConfig(n_angles=64)
 
 
 def _pair(a, b):
@@ -34,7 +34,8 @@ def test_identity_ladder_bounded_value_one():
     assert out.verdict.tag is VerdictTag.BOUNDED
     assert out.verdict.value == pytest.approx(1.0, abs=1e-6)
     # closed form: L(t_k) = t_k
-    for t, v in zip(out.ladder.t_values, out.ladder.values):
+    ks = FAST.rung_ks()
+    for t, v in zip(1.0 - 2.0 ** -ks.astype(float), out.engine.values[ks]):
         assert v == pytest.approx(t, abs=1e-10)
 
 
@@ -42,8 +43,8 @@ def test_log_ladder_unbounded_linear_growth():
     out = tg_boundedness(get_symbol("log"), _pair(0, 0), FAST)
     assert out.verdict.tag is VerdictTag.UNBOUNDED
     # closed form: L(t_k) = k log 2 at theta = 0
-    ks = np.arange(FAST.k_min, FAST.k_max + 1)
-    for k, v in zip(ks, out.ladder.values):
+    ks = FAST.rung_ks()
+    for k, v in zip(ks, out.engine.values[ks]):
         assert v == pytest.approx(k * math.log(2.0), rel=1e-6)
 
 
@@ -51,13 +52,13 @@ def test_log_ladder_weighted_target_decays_to_bounded():
     out = tg_boundedness(get_symbol("log"), _pair(0, 1), FAST)
     assert out.verdict.tag is VerdictTag.BOUNDED
     # decaying ladder: limsup 0, criterion constant = rung max
-    assert out.verdict.value == pytest.approx(max(out.ladder.values), abs=0)
+    assert out.verdict.value == pytest.approx(max(out.engine.values[FAST.rung_ks()]), abs=0)
 
 
 def test_ladder_monotone_at_beta_zero():
     for name in ("identity", "monomial", "lacunary"):
         out = tg_boundedness(get_symbol(name), _pair(0, 0), FAST)
-        vals = np.asarray(out.ladder.values)
+        vals = out.engine.values[FAST.rung_ks()]
         assert np.all(np.diff(vals) >= -1e-12 * np.maximum(vals[:-1], 1.0))
 
 
@@ -102,7 +103,7 @@ def test_tail_cayley_weighted_not_compact():
 def test_tail_monotone_in_inner_cut():
     out = tg_boundedness(get_symbol("cayley"), _pair(0, 1), FAST)
     k = FAST.k_max
-    sups = [out.engine.tail_sup(m, k) for m in range(FAST.k_min, k)]
+    sups = [out.engine.tail_sup(m, k) for m in range(K_MIN, k)]
     assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
 
 
@@ -189,24 +190,16 @@ def test_zero_symbol_rule():
 
 # -- unweighted full integral ---------------------------------------------------
 
-def test_full_integral_examples():
-    value, verdict = full_integral_sup(get_symbol("identity"), FAST)
-    assert verdict.tag is VerdictTag.BOUNDED
-    assert value == pytest.approx(1.0, abs=1e-6)
-    value, verdict = full_integral_sup(get_symbol("monomial"), FAST)
-    assert value == pytest.approx(0.5, abs=1e-6)
-    _, verdict = full_integral_sup(get_symbol("log"), FAST)
-    assert verdict.tag is VerdictTag.UNBOUNDED
-
-
 def test_full_integral_agrees_with_ladder_limit():
-    for name in ("identity", "monomial", "lacunary", "one", "zero"):
+    # at alpha = beta = 0 the ladder is nondecreasing and its last reliable rung
+    # is sup_theta int_0^1 |g'|: 1, 1/2, sum 2^k = 9 (at theta = 0), 0 and 0
+    full = {"identity": 1.0, "monomial": 0.5, "lacunary": 9.0, "one": 0.0, "zero": 0.0}
+    for name, want in full.items():
         out = tg_boundedness(get_symbol(name), _pair(0, 0), FAST)
-        if out.verdict.tag is not VerdictTag.BOUNDED:
-            continue
-        value, _ = full_integral_sup(get_symbol(name), FAST, out.engine)
-        reliable = [v for v, ok in zip(out.ladder.values, out.ladder.reliable) if ok]
-        assert abs(value - reliable[-1]) <= 1e-4
+        assert out.verdict.tag is VerdictTag.BOUNDED
+        ks = FAST.rung_ks()
+        reliable = out.engine.values[ks][out.engine.reliable[ks]]
+        assert abs(reliable[-1] - want) <= 1e-4, name
 
 
 # -- classify: merging, forwarding, agreement ------------------------------------
@@ -262,7 +255,7 @@ def test_classify_log_sg_pointwise_decides_despite_oneside_ladder():
 
 
 def test_classify_starved_schedule_goes_inconclusive():
-    starved = LadderConfig(k_min=3, k_max=6, n_angles=64)
+    starved = LadderConfig(k_max=6, n_angles=64)
     rep = classify(get_symbol("identity"), T, _pair(0, 0), starved)
     assert not (rep.boundedness.decided and rep.compactness.decided)
     assert (rep.boundedness.reason or rep.compactness.reason)
@@ -517,12 +510,12 @@ def _profile_reference(g, which, exponent, cfg):
     sup = np.max(vals, axis=1)
     dtheta = 2.0 * np.pi / cfg.n_angles
     for i in range(len(s)):
-        for j in np.argsort(-vals[i], kind="stable")[: cfg.refine_top]:
+        for j in np.argsort(-vals[i], kind="stable")[:REFINE_TOP]:
             def obj(th, _i=i):
                 v = float(absfun(r[_i], s[_i], th))
                 return v if math.isfinite(v) else OVERFLOW_CLAMP
             _, best = _golden_scalar(obj, thetas[j] - dtheta, thetas[j] + dtheta,
-                                     cfg.refine_iters)
+                                     REFINE_ITERS)
             sup[i] = max(sup[i], best)
     return (s * (2.0 - s)) ** exponent * sup
 
@@ -531,7 +524,7 @@ def _profile_reference(g, which, exponent, cfg):
                                   "koebe2", "koebe3", "affine", "cayley", "lacunary"])
 def test_batched_profile_matches_scalar_reference(name):
     from volterra.criteria import _pointwise_profile
-    cfg = LadderConfig(k_max=24, n_angles=64, refine_top=2, refine_iters=40)
+    cfg = LadderConfig(k_max=24, n_angles=64)
     g = get_symbol(name).rotated(0.9)
     for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
         _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
@@ -557,7 +550,7 @@ def test_classify_builds_the_pointwise_profile_once(monkeypatch, op):
 
 # -- the ladder engine's grid-angle prefixes ---------------------------------
 
-ENGINE_CFG = LadderConfig(k_max=24, n_angles=64, refine_top=2, refine_iters=30)
+ENGINE_CFG = LadderConfig(k_max=24, n_angles=64)
 
 
 def _steep_pole(r, s, theta):

@@ -6,8 +6,7 @@ import pytest
 from volterra.errors import HypothesisError
 from volterra.estimation import (BatteryEntry, _radial_max, build_battery, compactness_probe,
                                  lower_bound_details,
-                                 monomial_norm, tg_min_upper_bound, tg_upper_bound,
-                                 weak_null_sup)
+                                 monomial_norm, tg_min_upper_bound, tg_upper_bound)
 from volterra.operators import OperatorKind
 from volterra.series import TaylorSeries
 from volterra.spaces import SpacePair
@@ -91,6 +90,13 @@ def test_upper_bound_requires_schedule_rung():
         tg_upper_bound(get_symbol("identity"), SpacePair(0, 0), 0.8)
 
 
+@pytest.mark.parametrize("t0", [-np.inf, np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 2.0])
+def test_upper_bound_rejects_cut_radius_outside_the_unit_interval(t0):
+    # t0 = -inf took the log of an infinite 1 - t0 and raised OverflowError
+    with pytest.raises(ValueError, match=r"t0 must lie in \(0, 1\)"):
+        tg_upper_bound(get_symbol("identity"), SpacePair(0, 0), t0)
+
+
 def test_sandwich_on_bounded_rows():
     cases = [("identity", 0, 0), ("monomial", 0, 0), ("log", 0, 1), ("cayley", 0, 1)]
     for name, a, b in cases:
@@ -148,7 +154,9 @@ def test_compact_rows_decay():
 
 def test_weak_null_premise():
     for alpha in (0.0, 1.0):
-        sups = [weak_null_sup(n, alpha) for n in (4, 8, 16, 32, 64)]
+        # max_{|z| <= 1/2} |z^n| / ||z^n||: the normalized monomials the probes
+        # send through the operator tend to 0 uniformly on compact sets
+        sups = [0.5 ** n / monomial_norm(n, alpha) for n in (4, 8, 16, 32, 64)]
         assert all(b < a for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 1e-9
 

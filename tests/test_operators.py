@@ -10,7 +10,7 @@ from volterra.operators import (OperatorKind, apply_operator, apply_sg, apply_tg
                                 product_rule_residual)
 from volterra.series import TaylorSeries, cauchy_product
 
-from test_series import (bits, coeff_tuples, old_antiderivative, old_cauchy,
+from test_series import (bits, coeff_tuples, combination, old_antiderivative, old_cauchy,
                          old_derivative)
 
 
@@ -64,7 +64,7 @@ def test_images_vanish_at_zero_exactly():
        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
 def test_linearity_in_f(g, f1, f2, a):
     for op in (apply_tg, apply_sg):
-        lhs = op(g, f1.scaled(a) + f2)
+        lhs = op(g, combination(a, f1, f2))
         r1, r2 = op(g, f1), op(g, f2)
         scale = max(1.0, max(abs(c) for c in lhs.coeffs))
         for n in range(lhs.degree + 1):

@@ -1,5 +1,6 @@
-"""Single-angle radial integrals on the rung-aligned mesh: closed-form accuracy
-within the evaluation budget."""
+"""Radial integrals at one angle on the rung-aligned mesh: the cell integrator
+over the rung cells clipped at ``s = 1 - t`` hits closed forms within the
+evaluation budget."""
 
 import math
 
@@ -7,10 +8,22 @@ import numpy as np
 import pytest
 
 from volterra import criteria
-from volterra.criteria import (DEFAULT_LADDER, LadderConfig, _radial_quad, radial_integral,
-                               sg_radial_integral)
+from volterra.criteria import DEFAULT_LADDER, _integrate_cells, _rung_cells, sg_boundedness
 from volterra.errors import HypothesisError
+from volterra.spaces import SpacePair
 from volterra.symbols import get_symbol, symbol_names
+
+
+def _radial(absmat, weight_exponent, theta, t):
+    """``int_0^t absmat(r, s, theta) (1-r^2)^-weight_exponent dr`` at one angle:
+    the value, the cell mesh and the number of integrand samples taken."""
+    samples = []
+
+    def counting(r, s, th):
+        samples.append(np.broadcast(r, s, th).size)
+        return absmat(r, s, th)
+    mesh = _integrate_cells(counting, weight_exponent, _rung_cells(1.0 - t), np.array([theta]))
+    return float(np.sum(mesh.rows)), mesh, sum(samples)
 
 
 @pytest.mark.parametrize("t", [1.0 - 2.0 ** -10, 0.9, 0.99, 0.3])
@@ -22,7 +35,7 @@ def test_cells_cover_and_nest_down_to_the_end_point(monkeypatch, t):
         cells.append((s_lo, s_hi))
         return real(s_lo, s_hi, *args)
     monkeypatch.setattr(criteria, "_cell_nodes", spy)
-    radial_integral(get_symbol("identity"), alpha=0.0, theta=0.4, t=t)
+    _radial(get_symbol("identity").abs_deriv, 0.0, 0.4, t)
     cells = list(dict.fromkeys(cells))
     for (lo1, hi1), (lo2, hi2) in zip(cells, cells[1:]):
         assert lo1 == hi2  # contiguous toward the boundary
@@ -32,57 +45,55 @@ def test_cells_cover_and_nest_down_to_the_end_point(monkeypatch, t):
 
 
 def test_unit_integrand():
-    res = radial_integral(get_symbol("identity"), alpha=0.0, theta=1.3, t=0.9)
-    assert res.value == pytest.approx(0.9, abs=1e-10)
-    assert res.converged
+    value, mesh, _ = _radial(get_symbol("identity").abs_deriv, 0.0, 1.3, 0.9)
+    assert value == pytest.approx(0.9, abs=1e-10)
+    assert np.all(mesh.accurate)
 
 
 def test_log_symbol_along_singular_ray():
     # int_0^t dr/(1-r) = -log(1-t)
-    res = radial_integral(get_symbol("log"), alpha=0.0, theta=0.0, t=0.99)
-    assert res.value == pytest.approx(math.log(100.0), abs=1e-5)
-    assert res.evals <= 10_000
+    value, _, samples = _radial(get_symbol("log").abs_deriv, 0.0, 0.0, 0.99)
+    assert value == pytest.approx(math.log(100.0), abs=1e-5)
+    assert samples <= 10_000
 
 
 def test_log_symbol_opposite_ray_to_boundary():
     # int_0^1 dr/(1+r) = log 2, evaluated at the deepest rung
-    t = 1.0 - 2.0 ** -40
-    res = radial_integral(get_symbol("log"), alpha=0.0, theta=math.pi, t=t)
-    assert res.value == pytest.approx(math.log(2.0), abs=1e-5)
-    assert res.evals <= 10_000
+    value, _, samples = _radial(get_symbol("log").abs_deriv, 0.0, math.pi, 1.0 - 2.0 ** -40)
+    assert value == pytest.approx(math.log(2.0), abs=1e-5)
+    assert samples <= 10_000
 
 
 def test_companion_integral_constant_symbol():
     # int_0^0.5 dr/(1-r^2)^2 = r/(2(1-r^2)) + (1/4) log((1+r)/(1-r)) at 0.5
     oracle = 0.5 / (2 * 0.75) + 0.25 * math.log(3.0)
-    res = sg_radial_integral(get_symbol("one"), alpha=1.0, theta=0.7, t=0.5)
-    assert res.value == pytest.approx(oracle, abs=1e-5)
+    value, _, _ = _radial(get_symbol("one").abs_eval, 2.0, 0.7, 0.5)
+    assert value == pytest.approx(oracle, abs=1e-5)
 
 
 def test_companion_integral_affine_diverges_slowly():
     # int_0^t dr/((1-r)(1+r)^2) ~ (1/4) log(1/(1-t)) near the boundary
-    res = sg_radial_integral(get_symbol("affine"), alpha=1.0, theta=0.0, t=1.0 - 1e-4)
-    assert res.value > 2.0
-    res2 = sg_radial_integral(get_symbol("affine"), alpha=1.0, theta=0.0, t=1.0 - 1e-6)
-    assert res2.value > res.value + 1.0  # log-like growth continues
+    absmat = get_symbol("affine").abs_eval
+    value, _, _ = _radial(absmat, 2.0, 0.0, 1.0 - 1e-4)
+    assert value > 2.0
+    value2, _, _ = _radial(absmat, 2.0, 0.0, 1.0 - 1e-6)
+    assert value2 > value + 1.0  # log-like growth continues
 
 
 def test_companion_integral_zero_symbol():
-    res = sg_radial_integral(get_symbol("zero"), alpha=1.0, theta=0.0, t=0.999)
-    assert res.value == 0.0
+    value, _, _ = _radial(get_symbol("zero").abs_eval, 2.0, 0.0, 0.999)
+    assert value == 0.0
 
 
 def test_companion_integral_requires_positive_alpha():
     with pytest.raises(HypothesisError):
-        sg_radial_integral(get_symbol("one"), alpha=0.0, theta=0.0, t=0.5)
+        sg_boundedness(get_symbol("one"), SpacePair(0.0, 0.5))
 
 
-def test_t_zero_and_validation():
-    assert radial_integral(get_symbol("log"), 0.0, 0.0, 0.0).value == 0.0
-    with pytest.raises(ValueError):
-        radial_integral(get_symbol("log"), 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        radial_integral(get_symbol("log"), -1.0, 0.0, 0.5)
+def test_t_zero_is_an_empty_sum():
+    assert _rung_cells(1.0) == []
+    value, _, samples = _radial(get_symbol("log").abs_deriv, 0.0, 0.0, 0.0)
+    assert value == 0.0 and samples == 0
 
 
 def test_adaptive_engine_resolves_kinks():
@@ -93,34 +104,35 @@ def test_adaptive_engine_resolves_kinks():
     t = 0.9375  # 7.5 half-periods exactly
     # 7 full half-arches of area 2/(8 pi) plus a half piece of area 1/(8 pi)
     oracle = 7.0 * 2.0 / (8.0 * np.pi) + 1.0 / (8.0 * np.pi)
-    res = _radial_quad(f, 0.0, 0.0, t, None)
-    assert res.value == pytest.approx(oracle, rel=1e-6)
-    assert res.converged
+    value, mesh, _ = _radial(f, 0.0, 0.0, t)
+    assert value == pytest.approx(oracle, rel=1e-6)
+    assert np.all(mesh.accurate)
 
 
 def test_error_estimate_is_honest_on_smooth_integrand():
     def f(r, s, theta):
         return np.exp(r)
 
-    res = _radial_quad(f, 0.0, 0.0, 0.75, None)
+    value, mesh, _ = _radial(f, 0.0, 0.0, 0.75)
     true = math.exp(0.75) - 1.0
-    assert abs(res.value - true) <= max(res.error * 10.0, 1e-12)
+    assert abs(value - true) <= max(float(np.sum(mesh.errs)) * 10.0, 1e-12)
 
 
-def test_budget_exhaustion_reports_not_raises():
+def test_budget_exhaustion_reports_not_raises(monkeypatch):
     # oscillatory enough to bust a tiny panel budget on the single cell [0, 1/2]
     def f(r, s, theta):
         return np.abs(np.sin(200.0 * np.pi * r))
 
-    cfg = LadderConfig(max_panels=4, cell_rel_tol=1e-12)
-    res = _radial_quad(f, 0.0, 0.0, 0.5, cfg)
-    assert not res.converged
-    assert res.evals == 16 * (1 + 2 + 4)  # one, two, then four panels of 16 nodes
+    monkeypatch.setattr(criteria, "MAX_PANELS", 4)
+    monkeypatch.setattr(criteria, "CELL_REL_TOL", 1e-12)
+    _, mesh, samples = _radial(f, 0.0, 0.0, 0.5)
+    assert not np.any(mesh.accurate)
+    assert samples == 16 * (1 + 2 + 4)  # one, two, then four panels of 16 nodes
 
 
 @pytest.mark.parametrize("name", symbol_names())
 def test_single_angle_integral_equals_the_engine_prefix(name):
-    """One integrator: the single-angle integral up to rung t_k equals the
+    """One integrator: the integral up to rung t_k at one angle equals the
     ladder engine's prefix at the same grid angle, up to the engine's own
     tolerance, which is relative to the largest total over all angles."""
     g = get_symbol(name)
@@ -129,6 +141,6 @@ def test_single_angle_integral_equals_the_engine_prefix(name):
         for k in (3, 10, 25, 40):
             for j in (0, 37, 256, 400):
                 theta = engine.angles_all[j]
-                res = radial_integral(g, alpha, theta, 1.0 - 2.0 ** -k, DEFAULT_LADDER)
-                assert res.value == pytest.approx(engine.prefix_all[k, j], rel=1e-6, abs=0.0), \
+                value, _, _ = _radial(g.abs_deriv, alpha, theta, 1.0 - 2.0 ** -k)
+                assert value == pytest.approx(engine.prefix_all[k, j], rel=1e-6, abs=0.0), \
                     (alpha, k, theta)
