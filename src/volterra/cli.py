@@ -417,7 +417,8 @@ def main(argv=None) -> int:
     except UnknownSymbolError as exc:
         sys.stderr.write(f"error: unknown symbol {exc}\n")
         return 1
-    except (VolterraError, ValueError) as exc:
+    except (VolterraError, ValueError, OSError) as exc:
+        # OSError: an --output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

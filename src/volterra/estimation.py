@@ -9,6 +9,12 @@ witnessed.  Upper bounds come from the two-piece split of the boundedness
 ladder: the sup over radii up to a cut rung plus the sup of the weighted tail
 integral beyond it.
 
+Each battery and each probe trace first builds all its operator images
+exactly, then measures them with one :func:`~volterra.spaces.weighted_sup_norms`
+call on ``ESTIMATION_GRID``, which sweeps them a few at a time: a stack of all
+64 probe images would be a 10 MB array per sweep step, far outside the cache,
+and a stack of 8 already measured slower than sweeping the images one by one.
+
 Probes send the normalized monomials through the operator.  These tend to zero
 uniformly on compact subsets, so a compact operator must crush them; a trace
 that refuses to decay certifies non-compactness, while decay is supporting
@@ -28,7 +34,9 @@ from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator
 from .series import TaylorSeries, evaluate_polynomial
-from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norm
+from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norms
+# bound here only for perfbench's tracer, which wraps estimation.weighted_sup_norm
+from .spaces import weighted_sup_norm  # noqa: F401
 from .symbols import DEFAULT_DEGREE, SymbolSpec
 
 # coarser polar grid for battery/probe image norms; series images are
@@ -167,11 +175,11 @@ def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     """Largest image-to-source norm ratio over the battery."""
     battery = battery or build_battery(pair.alpha, degree)
     g_series = g.taylor(degree)
+    images = [apply_operator(operator, g_series, entry.series) for entry in battery.entries]
+    nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID).tolist()
     ratios = []
     best, best_label = 0.0, ""
-    for entry in battery.entries:
-        image = apply_operator(operator, g_series, entry.series)
-        num = weighted_sup_norm(image, pair.beta, ESTIMATION_GRID)
+    for entry, num in zip(battery.entries, nums):
         ratio = num / entry.norm_alpha
         ratios.append((entry.label, ratio))
         if ratio > best:
@@ -244,12 +252,10 @@ def compactness_probe(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
         raise ValueError("n_max must be at least 16")
     g_series = g.taylor(degree)
     ns = list(range(1, n_max + 1))
-    values = []
-    for n in ns:
-        cs = [0j] * n + [1 + 0j]
-        image = apply_operator(operator, g_series, TaylorSeries(tuple(cs)))
-        num = weighted_sup_norm(image, pair.beta, ESTIMATION_GRID)
-        values.append(num / monomial_norm(n, pair.alpha))
+    images = [apply_operator(operator, g_series, TaylorSeries((0j,) * n + (1 + 0j,)))
+              for n in ns]
+    nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID).tolist()
+    values = [num / monomial_norm(n, pair.alpha) for n, num in zip(ns, nums)]
     half = np.array(values[n_max // 2 - 1:])
     idx = np.array(ns[n_max // 2 - 1:], dtype=float)
     if np.all(half <= 1e-300):

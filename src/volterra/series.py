@@ -36,7 +36,7 @@ def is_divergent(value) -> np.ndarray | bool:
     v = np.asarray(value)
     with np.errstate(invalid="ignore", over="ignore"):
         mag = np.abs(v)
-    out = ~np.isfinite(mag) | (mag > OVERFLOW_CLAMP)
+    out = ~(mag <= OVERFLOW_CLAMP)  # NaN compares False
     return bool(out) if out.ndim == 0 else out
 
 
@@ -101,33 +101,44 @@ def evaluate_polynomial(coeffs: Sequence, z):
     acc = np.full(np.broadcast_shapes(zs.shape, np.shape(coeffs[-1])), coeffs[-1],
                   dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
+        # in place: a fresh temporary per step costs more than the step on a ring grid
         for c in reversed(coeffs[:-1]):
-            acc = acc * zs + c
+            acc *= zs
+            acc += c
     out = _clamp(acc)
     if np.ndim(z) == 0 and np.ndim(out) != 0:
         return complex(out)
     return out
 
 
-def evaluate_on_rings(coeffs: Sequence[complex], radii, n_angles: int) -> np.ndarray:
-    """Values at ``r e^{2 pi i j / N}`` for each radius ``r`` and ``j < N = n_angles``,
-    shaped ``(len(radii), N)``; overflow is clamp-tagged.
+def evaluate_on_rings(coeffs, radii, n_angles: int) -> np.ndarray:
+    """Values at ``r e^{2 pi i j / N}`` for each radius ``r`` and ``j < N = n_angles``;
+    overflow is clamp-tagged.
 
+    ``coeffs`` is one row of coefficients, giving values shaped
+    ``(len(radii), N)``, or a ``(P, D)`` stack of rows, giving ``(P, len(radii), N)``.
     With the coefficients folded modulo ``N``,
     ``p(r e^{2 pi i j/N}) = sum_m a_m(r) e^{2 pi i j m/N}`` and
     ``a_m(r) = r^m sum_q c[m + qN] (r^N)^q``.  The block sums are one Horner in
-    ``w = r^N`` over length-``N`` vectors; each ring is then one inverse FFT.  A
-    ring whose block sum overflows is tagged divergent as a whole: the FFT
-    spreads the clamped infinite term over every angle.
+    ``w = r^N`` over length-``N`` vectors, for all rows at once; each ring is
+    then one inverse FFT, and one call transforms the whole stack.  A ring
+    whose block sum overflows is tagged divergent as a whole: the FFT spreads
+    the clamped infinite term over every angle.
     """
     c = np.asarray(coeffs, dtype=complex)
-    blocks = np.concatenate([c, np.zeros(-len(c) % n_angles, dtype=complex)])
+    rows = c.reshape(-1, c.shape[-1])
+    q = -(-rows.shape[1] // n_angles)
+    padded = np.zeros((len(rows), q * n_angles), dtype=complex)
+    padded[:, :rows.shape[1]] = rows
+    blocks = np.ascontiguousarray(padded.reshape(len(rows), q, 1, n_angles).transpose(1, 0, 2, 3))
     r = np.asarray(radii, dtype=float)
-    # one w per ring, shaped (R, 1): the Horner broadcasts it over the blocks
-    sums = evaluate_polynomial(blocks.reshape(-1, n_angles), (r ** n_angles)[:, None])
+    # coefficients shaped (q, P, 1, N) against one w per ring, shaped (R, 1):
+    # the Horner broadcasts them to (P, R, N)
+    sums = evaluate_polynomial(blocks, (r ** n_angles)[:, None])
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = np.fft.ifft(sums * _ring_powers(r.tobytes(), n_angles), axis=1, norm="forward")
-    return _clamp(vals)
+        sums *= _ring_powers(r.tobytes(), n_angles)
+        vals = np.fft.ifft(sums, axis=-1, norm="forward")
+    return _clamp(vals).reshape(c.shape[:-1] + vals.shape[1:])
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,6 +8,7 @@ where the grid surrogate applies.  ``None`` means unknown.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -137,14 +138,26 @@ def _term_forms(terms: dict):
         def polar(r, s, theta):
             r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
             rp = a * r[..., None] ** p
-            ph = theta[..., None] * n
             if r.ndim == theta.ndim == 2 and r.shape[1] == 1 and theta.shape[0] == 1:
-                rp, ph = rp[:, 0], ph[0].T
-                return _modulus(rp @ np.cos(ph), rp @ np.sin(ph))
+                cos_ph, sin_ph = _phase_tables(theta.tobytes(), n.tobytes())
+                return _modulus(rp[:, 0] @ cos_ph, rp[:, 0] @ sin_ph)
+            ph = theta[..., None] * n
             return _modulus(np.sum(rp * np.cos(ph), axis=-1), np.sum(rp * np.sin(ph), axis=-1))
         return polar
 
     return form(c, n), form(n * c, np.maximum(n - 1.0, 0.0))
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_tables(theta: bytes, n: bytes) -> tuple:
+    """The ``(K, N)`` tables ``cos(n_k theta_j)`` and ``sin(n_k theta_j)`` of
+    float64 angle-row and exponent bytes; memoised, read-only.  All rows of a
+    ladder engine share one angle row."""
+    ph = (np.frombuffer(theta)[:, None] * np.frombuffer(n)).T
+    tables = np.cos(ph), np.sin(ph)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _const(value):

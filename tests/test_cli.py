@@ -279,6 +279,41 @@ def test_largest_counts_still_parse(monkeypatch, argv):
     assert len(seen) == 1
 
 
+OUTPUT_COMMANDS = {
+    "classify": ("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0",
+                 "--beta", "0", "--kmax", "8", "--angles", "64"),
+    "norm": ("norm", "--symbol", "cayley", "--alpha", "1"),
+    "report": ("report", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_unwritable_output_is_an_error_line(tmp_path, monkeypatch, capsys, full_report,
+                                            command, target, source):
+    # writing to a missing directory or to a directory ended in a
+    # FileNotFoundError or IsADirectoryError traceback; for report only after
+    # the whole report had been computed, so here it returns the shared one
+    from volterra import cli
+    monkeypatch.setattr(cli, "build_report", lambda cfg: full_report[0])
+    output = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    argv = OUTPUT_COMMANDS[command]
+    if source == "flag":
+        argv = argv + ("--output", str(output))
+    else:
+        cfg = tmp_path / "output.cfg"
+        cfg.write_text(f"output = {output}\n")
+        argv = argv + ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(output) in lines[0]
+
+
 def test_probe_accepts_the_shortest_trace(capsys):
     code, out, _ = run(capsys, "probe", "--symbol", "log", "--op", "Tg", "--alpha", "0",
                        "--beta", "1", "--nmax", "16", "--format", "json")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from volterra.errors import HypothesisError
-from volterra.estimation import (BatteryEntry, _radial_max, build_battery, compactness_probe,
-                                 lower_bound_details,
-                                 monomial_norm, tg_min_upper_bound, tg_upper_bound)
-from volterra.operators import OperatorKind
+from volterra.estimation import (ESTIMATION_GRID, BatteryEntry, _radial_max, build_battery,
+                                 compactness_probe, lower_bound_details, monomial_norm,
+                                 tg_min_upper_bound, tg_upper_bound)
+from volterra.operators import OperatorKind, apply_operator
 from volterra.series import TaylorSeries
-from volterra.spaces import SpacePair
-from volterra.symbols import get_symbol
+from volterra.spaces import SpacePair, weighted_sup_norm
+from volterra.symbols import DEFAULT_DEGREE, get_symbol
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
@@ -68,6 +68,27 @@ def test_lower_bound_monomial_symbol():
     detail = lower_bound_details(get_symbol("monomial"), T, SpacePair(0, 0))
     assert detail.value == pytest.approx(0.5, abs=1e-6)
     assert detail.best_label == "const"
+
+
+@pytest.mark.parametrize("name, op, alpha, beta", [
+    ("cayley", T, 1.0, 2.0),   # T_g with alpha > 0: the rotational and peak battery
+    ("affine", S, 1.0, 1.0),
+    ("lacunary", T, 0.0, 0.0),  # beta = 0: the boundary ring
+])
+def test_stacked_estimates_equal_the_per_image_sweeps(name, op, alpha, beta):
+    g, pair = get_symbol(name), SpacePair(alpha, beta)
+    g_series = g.taylor(DEFAULT_DEGREE)
+
+    def norm(f):
+        return weighted_sup_norm(apply_operator(op, g_series, f), beta, ESTIMATION_GRID)
+
+    battery = build_battery(alpha)
+    lower = lower_bound_details(g, op, pair, battery)
+    assert lower.ratios == tuple((e.label, norm(e.series) / e.norm_alpha)
+                                 for e in battery.entries)
+    trace = compactness_probe(g, op, pair)
+    assert trace.values == tuple(norm(TaylorSeries((0,) * n + (1,))) / monomial_norm(n, alpha)
+                                 for n in trace.indices)
 
 
 def test_upper_bound_split_identity():

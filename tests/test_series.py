@@ -295,6 +295,22 @@ def test_ring_whose_block_sum_overflows_is_tagged_whole():
     assert not np.any(is_divergent(vals[0]))
 
 
+@pytest.mark.parametrize("length", [1, RING_ANGLES, RING_ANGLES + 1, 4 * RING_ANGLES + 1])
+def test_stacked_rows_equal_each_row_alone(length):
+    # one Horner and one FFT call cover the whole (P, D) stack; each row must
+    # come out exactly as swept alone, an overflowing row included
+    rng = np.random.default_rng(length)
+    stack = rng.normal(size=(5, length)) + 1j * rng.normal(size=(5, length))
+    stack[1, ::3] = -0.0
+    stack[3] = 1e308
+    radii = np.array([0.0, 0.3, 0.9, 1.0 - 2.0 ** -20, 1.0])
+    got = evaluate_on_rings(stack, radii, RING_ANGLES)
+    assert got.shape == (5, len(radii), RING_ANGLES)
+    for row, want in zip(got, stack):
+        assert bits(row) == bits(evaluate_on_rings(want, radii, RING_ANGLES))
+    assert np.all(got[3, -1] == DIVERGENT_SAMPLE)
+
+
 def test_array_coefficients_equal_each_column_alone():
     rng = np.random.default_rng(11)
     cs = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from volterra.errors import DomainError, SymbolZeroDerivative
 from volterra.series import TaylorSeries
-from volterra.spaces import (DEFAULT_GRID, DiskGrid, SpacePair, bloch_norm, golden_max,
-                             log_deriv_bloch_seminorm, weighted_sup_details,
-                             weighted_sup_norm)
+from volterra.spaces import (DEFAULT_GRID, RING_GROUP, DiskGrid, SpacePair, bloch_norm,
+                             golden_max, log_deriv_bloch_seminorm, weighted_sup_details,
+                             weighted_sup_norm, weighted_sup_norms)
 from volterra.symbols import get_symbol
 
 from test_series import combination
@@ -153,6 +153,35 @@ def test_series_sup_never_below_reference_sweep(seed, size, alpha):
     zs = (1.0 - s)[:, None] * np.exp(1j * DEFAULT_GRID.angles())[None, :]
     ref = np.max((s * (2.0 - s))[:, None] ** alpha * np.abs(np.polyval(cs[::-1], zs)))
     assert weighted_sup_norm(TaylorSeries(tuple(cs)), alpha) >= ref * (1.0 - 1e-13)
+
+
+SWEEP_GRID = DiskGrid(radial_k=80, n_angles=64, refine_top=0, outer_rungs=4)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+def test_stacked_norms_equal_each_sweep_alone(alpha):
+    # block counts mixed (lengths 1, N, N + 1, 4N + 1 at N = 64), more series
+    # than one group holds, and a series whose block sums overflow; alpha = 0
+    # adds the boundary ring
+    n = SWEEP_GRID.n_angles
+    rng = np.random.default_rng(7)
+    lengths = [1, n, n + 1, 4 * n + 1] * (RING_GROUP // 2 + 1)
+    fs = [TaylorSeries((rng.normal(size=d) + 1j * rng.normal(size=d)) / np.arange(1, d + 1))
+          for d in lengths]
+    fs.insert(3, TaylorSeries((1e308,) * (4 * n + 1)))
+    assert len(fs) > 2 * RING_GROUP
+    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    want = np.array([weighted_sup_details(f, alpha, SWEEP_GRID).value for f in fs])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert got[3] == float("inf") and np.all(np.isfinite(np.delete(got, 3)))
+    assert weighted_sup_norms([], alpha, SWEEP_GRID).shape == (0,)
+
+
+def test_stacked_norms_need_a_grid_without_refinement():
+    with pytest.raises(ValueError, match="refine_top"):
+        weighted_sup_norms([TaylorSeries((1,))], 0.0, DEFAULT_GRID)
+    with pytest.raises(ValueError):
+        weighted_sup_norms([TaylorSeries((1,))], -1.0, SWEEP_GRID)
 
 
 def test_bloch_norm_needs_a_derivative_evaluator():

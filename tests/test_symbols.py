@@ -129,3 +129,23 @@ def test_rotated_symbol_consistency():
 
 def test_registry_order_is_deterministic():
     assert [s.name for s in registry()] == symbol_names()
+
+
+def test_lacunary_grid_forms_equal_the_unmemoised_products():
+    # on a grid the lacunary forms read their cos/sin(n theta) tables from a
+    # memo shared by all rows; every row must equal the products formed afresh
+    from volterra.symbols import _modulus, _phase_tables
+    n = np.array(sorted(2.0 ** k for k in range(LACUNARY_K + 1)))
+    g = get_symbol("lacunary").rotated(0.3)
+    theta = (2.0 * np.pi * np.arange(512) / 512)[None, :]
+    for s in (2.0 ** -np.arange(0, 40, 3.0), np.array([0.5])):
+        r = 1.0 - s
+        for form, a, p in ((g.abs_eval, np.ones(len(n)), n),
+                           (g.abs_deriv, n, np.maximum(n - 1.0, 0.0))):
+            rp = a * r[:, None] ** p
+            ph = ((theta + 0.3)[..., None] * n)[0].T
+            want = _modulus(rp @ np.cos(ph), rp @ np.sin(ph))
+            got = form(r[:, None], s[:, None], theta)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    tables = _phase_tables((theta + 0.3).tobytes(), n.tobytes())
+    assert not any(t.flags.writeable for t in tables)
