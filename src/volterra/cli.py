@@ -115,6 +115,18 @@ def _operator(value: str) -> OperatorKind:
         raise argparse.ArgumentTypeError("operator must be Tg or Sg") from None
 
 
+def _one_of(*options):
+    """A type that admits only ``options``.  argparse checks ``choices`` for
+    command-line values only, and config-file values arrive as defaults, which
+    it converts with the type."""
+    def choice(value: str) -> str:
+        if value not in options:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(options)})")
+        return value
+    return choice
+
+
 def _build_parser(preset=None):
     """The top-level parser and its subcommand parsers by name.
 
@@ -134,7 +146,8 @@ def _build_parser(preset=None):
     def add_common(p):
         p.add_argument("--config", type=Path, default=None,
                        help="key = value file presetting these options")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        formats = ("json", "csv", "text")
+        p.add_argument("--format", type=_one_of(*formats), choices=formats, default="text")
         p.add_argument("--output", type=Path, default=None)
 
     p = sub.add_parser("classify", help="classify one (symbol, operator, alpha, beta) cell")
@@ -143,12 +156,14 @@ def _build_parser(preset=None):
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--kmax", type=_kmax, default=40)
-    p.add_argument("--angles", type=_angle_count, default=512)
+    p.add_argument("--angles", type=_angle_count, default=512,
+                   help="angle grid for a symbol without a peak ray")
     add_common(p)
 
     p = sub.add_parser("report", help="classify and probe the whole ground-truth table")
     p.add_argument("--kmax", type=_kmax, default=40)
-    p.add_argument("--angles", type=_angle_count, default=512)
+    p.add_argument("--angles", type=_angle_count, default=512,
+                   help="angle grid for a symbol without a peak ray")
     p.add_argument("--degree", type=_at_most(MAX_DEGREE), default=256)
     p.add_argument("--probe-nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
     add_common(p)
@@ -156,7 +171,8 @@ def _build_parser(preset=None):
     p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol")
     p.add_argument("--symbol", required=required("symbol"))
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
-    p.add_argument("--of", choices=("g", "gprime"), default="g")
+    functions = ("g", "gprime")
+    p.add_argument("--of", type=_one_of(*functions), choices=functions, default="g")
     p.add_argument("--bloch", action="store_true", help="also print the Bloch norm")
     add_common(p)
 

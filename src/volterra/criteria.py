@@ -16,6 +16,14 @@ whose cells are aligned with the rung schedule (:func:`_integrate_cells`), so
 every prefix integral is a partial sum.  Moduli come from the symbol's own
 :meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``.
 
+Every criterion is an angular sup.  A symbol that declares a peak
+(:attr:`~volterra.symbols.SymbolSpec.peak`, set for every registry symbol)
+has ``|g|`` and ``|g'|`` largest on one ray at every radius, so each sup is
+read on that ray alone: the ladder integrals, the boundary profile and the
+interior sweep along it.  A symbol without a peak, such as a user-built one,
+takes the same engine on ``LadderConfig.n_angles`` grid angles refined by
+golden-section search, and the interior sweep over the disk grid.
+
 A decision is never forced: when the slope lands between the thresholds the
 verdict is Inconclusive with the slope recorded, since no numerical scheme can
 tell a finite limsup from sufficiently slow divergence.
@@ -23,7 +31,6 @@ tell a finite limsup from sufficiently slow divergence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -33,7 +40,8 @@ import numpy as np
 from .errors import HypothesisError
 from .quadrature import gauss_legendre
 from .series import OVERFLOW_CLAMP
-from .spaces import SpacePair, golden_max, weighted_sup_details
+from .spaces import (DEFAULT_GRID, REFINE_ITERS as SWEEP_REFINE_ITERS, SpacePair, golden_max,
+                     weighted_sup_details)
 from .symbols import SymbolSpec
 from .operators import OperatorKind
 
@@ -83,6 +91,11 @@ NODES_PER_CELL = 16
 LOG_SUBSTITUTION_ALPHA = 0.5
 CELL_REL_TOL = 1e-9
 MAX_PANELS = 64
+# integrand samples per call of the cell integrator: a peak ray's 40 rung cells
+# take one call even at MAX_PANELS; on a 512-angle grid a call takes about 4
+# cells, which measured no slower than one cell per call, and unbounded calls
+# (blocks up to 5 MB) slower
+BLOCK_SAMPLES = 1 << 16
 # the schedule's first classified rung, and the angular refinement: grid
 # angles refined per rung and golden-section steps per bracket
 K_MIN = 3
@@ -127,9 +140,10 @@ class CriterionReport:
 # the adaptive cell integrator
 # ---------------------------------------------------------------------------
 
-def _cell_nodes(s_lo: float, s_hi: float, panels: int, n: int, use_log: bool):
-    """Gauss-Legendre nodes ``(r, s, w)`` on ``panels`` equal panels of the cell
-    ``s = 1 - r in [s_lo, s_hi]``, ``n`` nodes per panel.
+def _cell_nodes(s_lo, s_hi, panels: int, n: int, use_log: bool):
+    """Gauss-Legendre nodes ``(r, s, w)``, each shaped ``(cells, panels * n)``,
+    on ``panels`` equal panels of every cell ``s = 1 - r in [s_lo[i], s_hi[i]]``,
+    ``n`` nodes per panel.
 
     The integrands blow up (at worst polynomially) as r -> 1: the weight
     ``(1-r^2)^-alpha`` sits on top of boundary poles of the symbol.  The rung
@@ -140,11 +154,12 @@ def _cell_nodes(s_lo: float, s_hi: float, panels: int, n: int, use_log: bool):
     close to the boundary.
     """
     x, w = gauss_legendre(n)
-    lo, hi = (-math.log(s_hi), -math.log(s_lo)) if use_log else (s_lo, s_hi)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * x).ravel()
-    hw = (half[:, None] * w).ravel()
+    s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
+    lo, hi = (-np.log(s_hi), -np.log(s_lo)) if use_log else (s_lo, s_hi)
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mid, half = 0.5 * (edges[:, :-1] + edges[:, 1:]), 0.5 * (edges[:, 1:] - edges[:, :-1])
+    u = (mid[..., None] + half[..., None] * x).reshape(len(s_lo), -1)
+    hw = (half[..., None] * w).reshape(len(s_lo), -1)
     if not use_log:
         return 1.0 - u, u, hw
     s = np.exp(-u)
@@ -164,50 +179,61 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
     """Integrals of ``absmat(r, s, theta) (s(2-s))^-weight_exponent dr`` over the
     cells ``(s_lo, s_hi)``, per angle.
 
-    The ladder engine passes the rung cells and its grid angles; an integral up
-    to any ``t`` at one angle is the sum of the rows over ``_rung_cells(1 - t)``.
+    The ladder engine passes the rung cells and its angles; an integral up to
+    any ``t`` at one angle is the sum of the rows over ``_rung_cells(1 - t)``.
     Each cell is taken with one and two panels; a cell whose change exceeds
     ``CELL_REL_TOL`` of the largest angle total doubles its panels, at most six
-    times and up to ``MAX_PANELS``.  Samples that are not finite or exceed
-    ``OVERFLOW_CLAMP`` are clamped to it.
+    times and up to ``MAX_PANELS``.  All cells taken at one panel count share
+    one ``absmat`` call on their stacked nodes (a column of radii against the
+    row of angles), whose ``(cells, nodes, angles)`` block is summed per cell.
+    Samples that are not finite or exceed ``OVERFLOW_CLAMP`` are clamped to it.
     """
     use_log = weight_exponent >= LOG_SUBSTITUTION_ALPHA
-
-    def row(cell, panels):
-        r, s, w = _cell_nodes(cell[0], cell[1], panels, NODES_PER_CELL, use_log)
-        vals = absmat(r[:, None], s[:, None], thetas[None, :])
-        if weight_exponent != 0.0:
-            w = w * (s * (2.0 - s)) ** -weight_exponent
-        bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
-        clamped = bool(np.any(bad))
-        if clamped:
-            vals = np.where(bad, OVERFLOW_CLAMP, vals)
-        return w @ vals, clamped, (r, s, w)
-
-    n_cells = len(cells)
-    rows = np.empty((n_cells, len(thetas)))
-    errs = np.empty(n_cells)
-    panels = np.full(n_cells, 2, dtype=int)
-    clamped = np.zeros(n_cells, dtype=bool)
+    thetas = np.asarray(thetas, dtype=float)
+    bounds = np.asarray(cells, dtype=float).reshape(-1, 2)
+    n_cells, n_angles = len(bounds), len(thetas)
     nodes = [None] * n_cells
-    for j, cell in enumerate(cells):
-        coarse, c1, _ = row(cell, 1)
-        fine, c2, nodes[j] = row(cell, 2)
-        rows[j] = fine
-        errs[j] = float(np.max(np.abs(fine - coarse)))
-        clamped[j] = c1 or c2
+
+    def block(idx, panels):
+        # the rows of the cells idx at one panel count and whether each was
+        # clamped; an absmat call takes one cell or up to BLOCK_SAMPLES samples
+        step = max(1, BLOCK_SAMPLES // (panels * NODES_PER_CELL * n_angles))
+        out, hit = np.empty((len(idx), n_angles)), np.empty(len(idx), dtype=bool)
+        for i in range(0, len(idx), step):
+            part = idx[i:i + step]
+            r, s, w = _cell_nodes(bounds[part, 0], bounds[part, 1], panels, NODES_PER_CELL,
+                                  use_log)
+            vals = absmat(r.reshape(-1, 1), s.reshape(-1, 1), thetas[None, :])
+            vals = np.broadcast_to(vals, (r.size, n_angles)).reshape(r.shape + (n_angles,))
+            if weight_exponent != 0.0:
+                w = w * (s * (2.0 - s)) ** -weight_exponent
+            bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
+            hit[i:i + step] = np.any(bad, axis=(1, 2))
+            if np.any(hit[i:i + step]):
+                vals = np.where(bad, OVERFLOW_CLAMP, vals)
+            out[i:i + step] = (w[:, None, :] @ vals)[:, 0, :]
+            for k, j in enumerate(part):
+                nodes[j] = (r[k], s[k], w[k])
+        return out, hit
+
+    every = np.arange(n_cells)
+    coarse, clamped = block(every, 1)
+    rows, fine_clamped = block(every, 2)
+    errs = np.max(np.abs(rows - coarse), axis=1)
+    clamped |= fine_clamped
+    panels = np.full(n_cells, 2, dtype=int)
     for _ in range(6):
         scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
-        bad = [j for j in range(n_cells)
-               if errs[j] > CELL_REL_TOL * scale and panels[j] < MAX_PANELS]
-        if not bad:
+        bad = (errs > CELL_REL_TOL * scale) & (panels < MAX_PANELS)
+        if not np.any(bad):
             break
-        for j in bad:
-            panels[j] *= 2
-            new, cl, nodes[j] = row(cells[j], int(panels[j]))
-            errs[j] = float(np.max(np.abs(new - rows[j])))
-            rows[j] = new
-            clamped[j] |= cl
+        for p in np.unique(panels[bad]):
+            idx = np.flatnonzero(bad & (panels == p))
+            new, cl = block(idx, 2 * int(p))
+            errs[idx] = np.max(np.abs(new - rows[idx]), axis=1)
+            rows[idx] = new
+            clamped[idx] |= cl
+            panels[idx] = 2 * p
     scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
     return _Cells(rows, errs, errs <= 100.0 * CELL_REL_TOL * scale, clamped, nodes)
 
@@ -231,21 +257,24 @@ class _LadderEngine:
 
     Cell j covers ``s in [2^{-j-1}, 2^{-j}]``, so the integral up to rung t_k is
     the prefix sum of the first k cells and the tail between two rungs is a
-    prefix difference, per angle.  The angular sup per rung runs over the grid
-    angles plus golden-section-refined candidates, all of which are pooled into
-    one common angle set: this keeps beta = 0 ladders exactly monotone and the
-    whole computation schedule-independent.  The grid-angle prefixes are the
+    prefix difference, per angle.  The angular sup per rung runs over one
+    common angle set, which keeps beta = 0 ladders exactly monotone and the
+    whole computation schedule-independent.  Given the peak ray ``ray`` of a
+    symbol (:attr:`~volterra.symbols.SymbolSpec.peak_ray`), on which the
+    integrand is largest at every radius, that set is the ray alone and the sup
+    is exact.  Without one it is the ``cfg.n_angles`` grid angles plus
+    golden-section-refined candidates: the grid-angle prefixes are the
     cumulative sums of the cell rows that :func:`_integrate_cells` returns for
-    the rung cells and grid angles; the final nodes of each cell are kept so
-    that :meth:`_prefix_at` can serve the refined angles.  ``absmat`` is
+    the rung cells and grid angles, and the final nodes of each cell are kept
+    so that :meth:`_prefix_at` can serve the refined angles.  ``absmat`` is
     ``(r, s, theta) -> |h|``, broadcasting, such as a symbol's ``abs_deriv``.
     """
 
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
-                 cfg: LadderConfig):
+                 cfg: LadderConfig, ray: Optional[float] = None):
         self.cfg = cfg
         self.absmat = absmat
-        self._thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+        self._thetas = _angles(cfg, ray)
         mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max),
                                 self._thetas)
         self.clamped = bool(np.any(mesh.clamped))
@@ -256,7 +285,7 @@ class _LadderEngine:
         # the final nodes of every cell, flattened, for prefixes at other angles
         self._node_r, self._node_s, self._node_w = (np.concatenate(p) for p in zip(*mesh.nodes))
         self._cell_starts = np.cumsum([0] + [len(r) for r, _, _ in mesh.nodes[:-1]])
-        self._refined = self._refine()
+        self._refined = self._refine() if ray is None else np.zeros(0)
         self.prefix_all = np.concatenate([self._grid_prefix, self._prefix_at(self._refined)],
                                          axis=1)
         self.angles_all = np.concatenate([self._thetas, self._refined])
@@ -340,9 +369,17 @@ def _abs_fun(symbol: SymbolSpec, which: str) -> Callable:
     return symbol.abs_deriv if which == "deriv" else symbol.abs_eval
 
 
+def _angles(cfg: LadderConfig, ray: Optional[float]) -> np.ndarray:
+    """The angles an angular sup is taken over: the peak ray alone, or the
+    ``cfg.n_angles`` grid angles when there is none."""
+    if ray is not None:
+        return np.array([ray], dtype=float)
+    return 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+
+
 def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
                    beta: float, cfg: LadderConfig) -> _LadderEngine:
-    return _LadderEngine(_abs_fun(symbol, which), weight_exponent, beta, cfg)
+    return _LadderEngine(_abs_fun(symbol, which), weight_exponent, beta, cfg, symbol.peak_ray)
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +537,17 @@ def _pointwise_form(operator: OperatorKind, pair: SpacePair):
 
 
 def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderConfig):
-    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``;
-    each rung's top ``REFINE_TOP`` grid angles are refined, all in one batch."""
+    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``.
+
+    The sup is read on the symbol's peak ray; without one, on the grid angles,
+    with each rung's top ``REFINE_TOP`` grid angles refined, all in one batch.
+    """
     absmat = _abs_fun(g, which)
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
     r = 1.0 - s
-    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+    ray = g.peak_ray
+    thetas = _angles(cfg, ray)
     vals = absmat(r[:, None], s[:, None], thetas[None, :])
     bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
     clamped = bool(np.any(bad))
@@ -514,16 +555,18 @@ def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderCo
         # clamped samples read as "as large as representable": they can only
         # push the profile over the divergence threshold, never hide growth
         vals = np.where(bad, OVERFLOW_CLAMP, vals)
-    order = np.argsort(-vals, axis=1, kind="stable")[:, :REFINE_TOP]
-    rows = np.repeat(np.arange(len(ks)), order.shape[1])
-    center = thetas[order.ravel()]
-    dtheta = 2.0 * np.pi / cfg.n_angles
+    sup_raw = np.max(vals, axis=1)
+    if ray is None:
+        order = np.argsort(-vals, axis=1, kind="stable")[:, :REFINE_TOP]
+        rows = np.repeat(np.arange(len(ks)), order.shape[1])
+        center = thetas[order.ravel()]
+        dtheta = 2.0 * np.pi / cfg.n_angles
 
-    def obj(th):
-        v = absmat(r[rows], s[rows], th)
-        return np.where(np.isfinite(v), v, OVERFLOW_CLAMP)
-    _, best = golden_max(obj, center - dtheta, center + dtheta, REFINE_ITERS)
-    sup_raw = np.maximum(np.max(vals, axis=1), np.max(best.reshape(order.shape), axis=1))
+        def obj(th):
+            v = absmat(r[rows], s[rows], th)
+            return np.where(np.isfinite(v), v, OVERFLOW_CLAMP)
+        _, best = golden_max(obj, center - dtheta, center + dtheta, REFINE_ITERS)
+        sup_raw = np.maximum(sup_raw, np.max(best.reshape(order.shape), axis=1))
     with np.errstate(over="ignore"):
         weights = (s * (2.0 - s)) ** exponent
         profile = weights * sup_raw
@@ -532,12 +575,36 @@ def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderCo
 
 def _pointwise_value(g: SymbolSpec, which: str, exponent: float, profile_max: float) -> float:
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
-    weight exponent is nonnegative (interior maxima exist only then)."""
+    weight exponent is nonnegative (interior maxima exist only then).  The
+    sweep runs along the symbol's peak ray (:func:`_ray_sup`), or over the
+    whole disk grid when there is none."""
     if exponent < 0:
         return profile_max
-    f = g.deriv if which == "deriv" else g.eval
-    interior = weighted_sup_details(f, exponent).value
+    ray = g.peak_ray
+    if ray is not None:
+        interior = _ray_sup(_abs_fun(g, which), ray, exponent)
+    else:
+        interior = weighted_sup_details(g.deriv if which == "deriv" else g.eval, exponent).value
     return max(profile_max, interior)
+
+
+def _ray_sup(absmat: Callable, ray: float, exponent: float) -> float:
+    """``sup_r (1-r^2)^exponent absmat(r, 1-r, ray)``: the radii of
+    ``DEFAULT_GRID``, then golden-section search between the neighbours of the
+    best one, with the steps of the disk-grid sweep's radial refinement.
+    Samples that are not finite read as ``inf``."""
+    def weighted(r, s):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = (s * (2.0 - s)) ** exponent * absmat(r, s, ray)
+        return np.where(np.isfinite(v), v, np.inf)
+    s = DEFAULT_GRID.one_minus_r()
+    r = 1.0 - s
+    vals = weighted(r, s)
+    i = int(np.argmax(vals))
+    lo, hi = (r[i - 1] if i > 0 else 0.0), r[min(i + 1, len(r) - 1)]
+    _, best = golden_max(lambda rr: weighted(rr, 1.0 - rr), np.array([lo]), np.array([hi]),
+                         SWEEP_REFINE_ITERS)
+    return max(float(vals[i]), float(best[0]))
 
 
 def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,

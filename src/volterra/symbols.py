@@ -42,6 +42,15 @@ class SymbolSpec:
     ``(r, s, theta) -> |g|, |g'|`` of the unrotated symbol at ``r e^{i theta}``,
     with ``s = 1 - r`` carried exactly; :meth:`abs_eval` and :meth:`abs_deriv`
     use them when present and the closed forms otherwise.
+
+    ``peak`` is an unrotated angle on which ``|g|`` and ``|g'|`` are largest on
+    every circle ``|z| = r``, or None when none is known.  A symbol whose Taylor
+    coefficients are real and nonnegative peaks at 0, since then
+    ``|g^(j)(r e^{i theta})| <= g^(j)(r)``; every registry symbol is of that
+    kind after the rotation by its peak.  :meth:`rotated` keeps the field, and
+    :attr:`peak_ray` is the angle ``peak - rotation`` of the rotated symbol.
+    The classifier takes every angular sup of a symbol with a peak on that one
+    ray, and sweeps a grid of angles for a symbol without one.
     """
 
     name: str
@@ -54,6 +63,13 @@ class SymbolSpec:
     rotation: float = 0.0  # total angle of rotated(); the polar forms shift theta by it
     polar_eval: Optional[Callable] = None
     polar_deriv: Optional[Callable] = None
+    peak: Optional[float] = None
+
+    @property
+    def peak_ray(self) -> Optional[float]:
+        """The angle at which :meth:`abs_eval` and :meth:`abs_deriv` take their
+        sup over every circle, ``peak - rotation``; None without a peak."""
+        return None if self.peak is None else self.peak - self.rotation
 
     def abs_eval(self, r, s, theta):
         """``|g(r e^{i theta})|``, broadcasting ``r``, ``s`` and ``theta``."""
@@ -73,8 +89,9 @@ class SymbolSpec:
         return TaylorSeries(tuple(self.taylor_coeff(n) for n in range(degree + 1)))
 
     def rotated(self, phi: float) -> "SymbolSpec":
-        """The symbol ``z -> g(e^{i phi} z)``; metadata, tail bound and polar
-        forms survive rotation, the polar forms shifted by the summed angle."""
+        """The symbol ``z -> g(e^{i phi} z)``; metadata, tail bound, polar
+        forms and peak survive rotation, the polar forms shifted by the summed
+        angle."""
         w = complex(math.cos(phi), math.sin(phi))
         return replace(
             self,
@@ -233,6 +250,7 @@ def _build_registry():
         metadata=SymbolMetadata(is_zero=True, note="both operators vanish"),
         tail_bound=lambda N, r: 0.0,
         polar_eval=_const(0.0), polar_deriv=_const(0.0),
+        peak=0.0,
     ))
 
     syms.append(SymbolSpec(
@@ -243,6 +261,7 @@ def _build_registry():
                                 note="T_g vanishes; S_g f = f - f(0)"),
         tail_bound=_poly_tail(0),
         polar_eval=_const(1.0), polar_deriv=_const(0.0),
+        peak=0.0,
     ))
 
     syms.append(SymbolSpec(
@@ -254,6 +273,7 @@ def _build_registry():
                                 note="log g' = 0; log g singular at the interior zero"),
         tail_bound=_poly_tail(1),
         polar_eval=_radial(lambda r: r), polar_deriv=_const(1.0),
+        peak=0.0,
     ))
 
     syms.append(SymbolSpec(
@@ -266,6 +286,7 @@ def _build_registry():
                                 note="g' = z vanishes at 0, so the log-derivative quotient blows up there"),
         tail_bound=_poly_tail(2),
         polar_eval=_radial(lambda r: 0.5 * r * r), polar_deriv=_radial(lambda r: r),
+        peak=0.0,
     ))
 
     def _log_eval(z):
@@ -283,6 +304,7 @@ def _build_registry():
         tail_bound=lambda N, r: _geom_tail(N, r) / (N + 1),
         polar_eval=_log_abs,
         polar_deriv=lambda r, s, t: 1.0 / _dist(r, s, t),
+        peak=0.0,
     )
     syms.append(log)
 
@@ -301,6 +323,7 @@ def _build_registry():
         tail_bound=_geom_tail,
         polar_eval=lambda r, s, t: r / _dist(r, s, t),
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
+        peak=0.0,
     ))
 
     syms.append(SymbolSpec(
@@ -313,6 +336,7 @@ def _build_registry():
         tail_bound=lambda N, r: 0.5 * (N + 2) * r ** (N + 1) / (1.0 - r) ** 2,
         polar_eval=_koebe3_abs,
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -3.0,
+        peak=0.0,
     ))
 
     syms.append(SymbolSpec(
@@ -325,6 +349,7 @@ def _build_registry():
                                 note="log g = log(1-z) has derivative -1/(1-z), Bloch"),
         tail_bound=_poly_tail(1),
         polar_eval=_dist, polar_deriv=_const(1.0),
+        peak=math.pi,  # |1 - z| = |1 + r e^{i (theta - pi)}|; |g'| = 1
     ))
 
     syms.append(SymbolSpec(
@@ -338,6 +363,7 @@ def _build_registry():
         tail_bound=_geom_tail,
         polar_eval=lambda r, s, t: 1.0 / _dist(r, s, t),
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
+        peak=0.0,
     ))
 
     lacunary_abs, lacunary_abs_deriv = _term_forms({n: 1.0 for n in _LACUNARY_EXPONENTS})
@@ -349,6 +375,7 @@ def _build_registry():
                                 note="gap-series partial sum; Bloch flags left unknown on purpose"),
         tail_bound=_poly_tail(2 ** LACUNARY_K),
         polar_eval=lacunary_abs, polar_deriv=lacunary_abs_deriv,
+        peak=0.0,
     ))
 
     return {s.name: s for s in syms}

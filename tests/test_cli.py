@@ -368,6 +368,32 @@ def test_config_value_is_checked_like_a_flag(tmp_path, capsys):
     assert "kmax must lie in [4, 40]" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv, key, value, runner", [
+    (("report",), "format", "xml", "build_report"),
+    (("norm", "--symbol", "cayley", "--alpha", "1"), "of", "xyz", "weighted_sup_details"),
+], ids=["report-format", "norm-of"])
+def test_choice_in_config_file_is_checked_like_a_flag(tmp_path, monkeypatch, capsys,
+                                                      argv, key, value, runner, source):
+    # argparse checks `choices` only for command-line values, and config-file
+    # values arrive as defaults: `format = xml` printed the text report and
+    # `of = xyz` the norm of g', both with exit code 0
+    from volterra import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{runner} ran with {key} = {value}")
+    monkeypatch.setattr(cli, runner, never)
+    if source == "flag":
+        argv = argv + (f"--{key}", value)
+    else:
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = argv + ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and f"--{key}" in err and value in err and "Traceback" not in err
+
+
 def test_config_presets_a_required_option(tmp_path, capsys):
     cfg = tmp_path / "symbol.cfg"
     cfg.write_text("symbol = identity\n")

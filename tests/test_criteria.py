@@ -1,6 +1,7 @@
 """Criterion ladders, pointwise profiles, and the merged classifier."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from volterra.symbols import (LACUNARY_K, SymbolMetadata, SymbolSpec, get_symbol
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
-# smaller angular grid keeps property-style sweeps fast; library symbols peak
-# on grid angles so the verdicts are unchanged
+# a smaller angle grid keeps the sweeps of symbols without a peak fast;
+# registry symbols read their peak ray and take no grid
 FAST = LadderConfig(n_angles=64)
 
 
@@ -272,7 +273,8 @@ def test_rotation_invariance_of_verdicts():
     rot = classify(get_symbol("cayley").rotated(phi), S, _pair(0, 1))
     assert rot.boundedness.tag is base.boundedness.tag
     assert rot.compactness.tag is base.compactness.tag
-    assert rot.boundedness.value == pytest.approx(base.boundedness.value, abs=1e-4)
+    # the sup is taken on the symbol's peak ray, which rotates with it
+    assert rot.boundedness.value == pytest.approx(base.boundedness.value, rel=1e-12, abs=0.0)
 
 
 def _polar_cases():
@@ -367,17 +369,18 @@ def test_polar_forms_match_an_mpmath_oracle(name, which, rotations):
         assert np.all(np.abs(got - want) <= bound)
 
 
+def _boom(z):
+    raise AssertionError("a closed form was evaluated")
+
+
 @pytest.mark.parametrize("phi", [0.0, 2.7])
 def test_lacunary_grid_criteria_never_call_the_closed_forms(phi):
-    """The ladder engine (grid rows, off-grid prefixes, golden refinement) and
-    the pointwise profile read lacunary only through its polar forms."""
-    from dataclasses import replace
+    """On the angle grid, which a symbol without a peak takes: the ladder
+    engine (grid rows, off-grid prefixes, golden refinement) and the pointwise
+    profile read lacunary only through its polar forms."""
     from volterra.criteria import _ladder_engine, _pointwise_profile
-
-    def boom(z):
-        raise AssertionError("a closed form was evaluated")
-    real = get_symbol("lacunary").rotated(phi)
-    guarded = replace(get_symbol("lacunary"), eval=boom, deriv=boom).rotated(phi)
+    real = replace(get_symbol("lacunary"), peak=None).rotated(phi)
+    guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom, peak=None).rotated(phi)
     for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
         engine = _ladder_engine(guarded, which, weight, beta, FAST)
         assert np.array_equal(engine.values,
@@ -386,6 +389,44 @@ def test_lacunary_grid_criteria_never_call_the_closed_forms(phi):
         profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, FAST)
         assert np.array_equal(profile[1],
                               _pointwise_profile(real, which, beta + 1.0 - weight, FAST)[1])
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.7])
+def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
+    """On the peak ray: the ladder engine, the pointwise profile and the
+    interior sweep along the ray read lacunary only through its polar forms,
+    and the engine takes that one angle."""
+    from volterra.criteria import _ladder_engine, _pointwise_profile, _pointwise_value
+    real = get_symbol("lacunary").rotated(phi)
+    guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom).rotated(phi)
+    for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
+        engine = _ladder_engine(guarded, which, weight, beta, FAST)
+        assert np.array_equal(engine.values,
+                              _ladder_engine(real, which, weight, beta, FAST).values)
+        assert np.array_equal(engine.angles_all, [-phi])  # the ray alone, no refinement
+        profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, FAST)
+        assert np.array_equal(profile[1],
+                              _pointwise_profile(real, which, beta + 1.0 - weight, FAST)[1])
+        exponent = beta + 1.0 - weight
+        assert (_pointwise_value(guarded, which, exponent, 0.0)
+                == _pointwise_value(real, which, exponent, 0.0))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.9])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("name", symbol_names())
+def test_grid_engine_never_exceeds_the_peak_engine(name, beta, phi):
+    """A wrong peak would read a sup below the true one.  Every grid angle and
+    refined candidate of the engine without the peak is a lower bound for the
+    sup, so it must never exceed the engine on the ray by more than a few
+    ulps, on any rung.  (It may read far below it: on 64 angles lacunary's
+    grid misses its needle at rotation 0.9.)"""
+    from volterra.criteria import _ladder_engine
+    g = get_symbol(name).rotated(phi)
+    for which, weight in (("deriv", 0.5), ("eval", 1.5)):
+        peak = _ladder_engine(g, which, weight, beta, FAST).values
+        grid = _ladder_engine(replace(g, peak=None), which, weight, beta, FAST).values
+        assert np.all(grid <= peak * (1.0 + 8.0 * np.finfo(float).eps))
 
 
 def _user_copy(g, name):
@@ -441,7 +482,8 @@ def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
     ``H^inf_beta`` stays Bounded (Compact) into ``H^inf_beta'`` for beta < beta',
     and from ``H^inf_alpha`` stays Bounded (Compact) from ``H^inf_alpha'`` for
     alpha' < alpha; no cell is Compact and Unbounded; an Inconclusive verdict
-    says why."""
+    says why.  The decided values of a symbol with a peak do not depend on a
+    rotation either, since every sup is read on the rotated peak ray."""
     beta, beta_up = betas
     g = get_symbol(name)
     base = classify(g, op, _pair(alpha, beta))
@@ -466,6 +508,8 @@ def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
                  (base.compactness, rotated.compactness)):
         if a.decided and b.decided:
             assert a.tag is b.tag
+            if g.peak is not None and a.value is not None:
+                assert b.value == pytest.approx(a.value, rel=1e-12, abs=0.0)
     if base.boundedness.tag is VerdictTag.BOUNDED:
         assert wider.boundedness.tag is VerdictTag.BOUNDED
     if base.compactness.tag is VerdictTag.COMPACT:
@@ -523,13 +567,35 @@ def _profile_reference(g, which, exponent, cfg):
 @pytest.mark.parametrize("name", ["zero", "one", "identity", "monomial", "log", "koebe1",
                                   "koebe2", "koebe3", "affine", "cayley", "lacunary"])
 def test_batched_profile_matches_scalar_reference(name):
+    """The grid profile, which a symbol without a peak takes."""
     from volterra.criteria import _pointwise_profile
     cfg = LadderConfig(k_max=24, n_angles=64)
-    g = get_symbol(name).rotated(0.9)
+    g = replace(get_symbol(name), peak=None).rotated(0.9)
     for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
         _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
         ref = _profile_reference(g, which, exponent, cfg)
         np.testing.assert_allclose(profile, ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_peak_profile_is_the_ray_value(name):
+    """The profile of a symbol with a peak is the weighted modulus on its ray:
+    a rotated symbol's equals its unrotated base's, and it never reads below
+    the grid profile of the same symbol without its peak."""
+    from volterra.criteria import _pointwise_profile
+    cfg = LadderConfig(k_max=24, n_angles=64)
+    base = get_symbol(name)
+    g = base.rotated(0.9)
+    s = 2.0 ** -cfg.rung_ks().astype(float)
+    for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
+        _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
+        at_ray = _abs(g, which)((1.0 - s)[:, None], s[:, None], np.array([[g.peak_ray]]))
+        ray = (s * (2.0 - s)) ** exponent * at_ray[:, 0]
+        np.testing.assert_array_equal(profile, ray)
+        np.testing.assert_allclose(profile, _pointwise_profile(base, which, exponent, cfg)[1],
+                                   rtol=1e-15, atol=0.0)
+        grid = _profile_reference(replace(g, peak=None), which, exponent, cfg)
+        assert np.all(profile >= grid * (1.0 - 1e-15))
 
 
 @pytest.mark.parametrize("op", [T, S])
@@ -560,45 +626,78 @@ def _steep_pole(r, s, theta):
         return _dist(r, s, theta) ** -60.0
 
 
-def _engine_cases():
+def _engine_cases(peak: bool):
+    """Integrands of the registry symbols, without their peaks unless ``peak``,
+    and a clamped steep pole: ``(absmat, exponent, clamped, ray)``."""
     from volterra.symbols import registry
-    cases = [pytest.param(_abs(g, which), exponent, False,
-                          id=f"{g.name}-{which}-{exponent}")
-             for g in registry() for which in ("deriv", "eval") for exponent in (0.0, 0.5, 2.0)]
-    return cases + [pytest.param(_steep_pole, 0.5, True, id="steep-pole-clamped")]
+    cases = []
+    for g in registry():
+        h = g if peak else replace(g, peak=None)
+        cases += [pytest.param(_abs(h, which), exponent, False, h.peak_ray,
+                               id=f"{g.name}-{which}-{exponent}")
+                  for which in ("deriv", "eval") for exponent in (0.0, 0.5, 2.0)]
+    return cases + [pytest.param(_steep_pole, 0.5, True, 0.0 if peak else None,
+                                 id="steep-pole-clamped")]
 
 
-@pytest.mark.parametrize("absmat, exponent, clamped", _engine_cases())
-def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, exponent, clamped):
-    """The grid-angle prefixes are the cumulative cell rows: the integrand is
-    sampled at the grid angles only by the adaptive cell rows, and the prefixes
-    equal a fresh evaluation at the final nodes."""
+def _sampled_engine(monkeypatch, absmat, exponent, ray, thetas):
+    """The ladder engine at ``ray`` (None: the grid), with the integrand samples
+    it takes at exactly the angle row ``thetas``, and the cells x panels of
+    every ``_cell_nodes`` call."""
     from volterra import criteria
-    from volterra.series import OVERFLOW_CLAMP
-    cfg = ENGINE_CFG
-    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
-    grid_samples, panels = [], []
+    samples, panels = [], []
 
     def counting(r, s, theta):
         vals = absmat(r, s, theta)
-        if np.shape(theta) == (1, cfg.n_angles) and np.array_equal(theta[0], thetas):
-            grid_samples.append(np.broadcast_to(vals, np.broadcast(r, theta).shape))
+        if np.shape(theta) == (1, len(thetas)) and np.array_equal(theta[0], thetas):
+            samples.append(np.broadcast_to(vals, np.broadcast(r, theta).shape))
         return vals
 
     real_nodes = criteria._cell_nodes
 
     def nodes_spy(s_lo, s_hi, n_panels, *args):
-        panels.append(n_panels)
+        panels.append(len(s_lo) * n_panels)
         return real_nodes(s_lo, s_hi, n_panels, *args)
     monkeypatch.setattr(criteria, "_cell_nodes", nodes_spy)
-    engine = criteria._LadderEngine(counting, exponent, 0.5, cfg)
+    engine = criteria._LadderEngine(counting, exponent, 0.5, ENGINE_CFG, ray)
+    return engine, samples, panels
 
-    taken = sum(v.size for v in grid_samples)
-    assert taken == sum(criteria.NODES_PER_CELL * p * cfg.n_angles for p in panels)
-    seen_clamp = any(np.any(~np.isfinite(v) | (v > OVERFLOW_CLAMP)) for v in grid_samples)
+
+def _check_cell_rows(engine, samples, panels, thetas, clamped):
+    from volterra import criteria
+    from volterra.series import OVERFLOW_CLAMP
+    taken = sum(v.size for v in samples)
+    assert taken == sum(criteria.NODES_PER_CELL * p * len(thetas) for p in panels)
+    seen_clamp = any(np.any(~np.isfinite(v) | (v > OVERFLOW_CLAMP)) for v in samples)
     assert engine.clamped == seen_clamp == clamped
     reliable = engine.reliable
     assert reliable[0] and np.all(reliable[1:] <= reliable[:-1])
     assert bool(np.all(reliable)) != clamped
-    np.testing.assert_allclose(engine.prefix_all[:, : cfg.n_angles], engine._prefix_at(thetas),
+    np.testing.assert_allclose(engine.prefix_all[:, : len(thetas)], engine._prefix_at(thetas),
                                rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases(peak=False))
+def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
+                                                      ray):
+    """The grid-angle prefixes are the cumulative cell rows: the integrand is
+    sampled at the grid angles only by the adaptive cell rows, and the prefixes
+    equal a fresh evaluation at the final nodes.  ``_cell_nodes`` takes a batch
+    of cells at one panel count, so a call counts cells x panels."""
+    cfg = ENGINE_CFG
+    assert ray is None
+    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
+    engine, samples, panels = _sampled_engine(monkeypatch, absmat, exponent, ray, thetas)
+    _check_cell_rows(engine, samples, panels, thetas, clamped)
+
+
+@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases(peak=True))
+def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
+                                                       ray):
+    """The twin on the peak ray: one angle, no refinement, and every cell
+    taken at one panel count shares one integrand call."""
+    thetas = np.array([ray])
+    engine, samples, panels = _sampled_engine(monkeypatch, absmat, exponent, ray, thetas)
+    assert len(samples) == len(panels)
+    _check_cell_rows(engine, samples, panels, thetas, clamped)
+    assert np.array_equal(engine.angles_all, thetas)

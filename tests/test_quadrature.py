@@ -32,7 +32,8 @@ def test_cells_cover_and_nest_down_to_the_end_point(monkeypatch, t):
     cells = []
 
     def spy(s_lo, s_hi, *args):
-        cells.append((s_lo, s_hi))
+        # one call takes a batch of cells at one panel count
+        cells.extend(zip(np.asarray(s_lo).tolist(), np.asarray(s_hi).tolist()))
         return real(s_lo, s_hi, *args)
     monkeypatch.setattr(criteria, "_cell_nodes", spy)
     _radial(get_symbol("identity").abs_deriv, 0.0, 0.4, t)
@@ -144,3 +145,70 @@ def test_single_angle_integral_equals_the_engine_prefix(name):
                 value, _, _ = _radial(g.abs_deriv, alpha, theta, 1.0 - 2.0 ** -k)
                 assert value == pytest.approx(engine.prefix_all[k, j], rel=1e-6, abs=0.0), \
                     (alpha, k, theta)
+
+
+def _cells_reference(absmat, weight_exponent, cells, thetas):
+    """The cell integrator one cell at a time: ``(rows, clamped, panels)``."""
+    from volterra.series import OVERFLOW_CLAMP
+    use_log = weight_exponent >= criteria.LOG_SUBSTITUTION_ALPHA
+
+    def row(cell, panels):
+        r, s, w = (a[0] for a in criteria._cell_nodes([cell[0]], [cell[1]], panels,
+                                                      criteria.NODES_PER_CELL, use_log))
+        vals = np.broadcast_to(absmat(r[:, None], s[:, None], thetas[None, :]),
+                               (len(r), len(thetas)))
+        if weight_exponent != 0.0:
+            w = w * (s * (2.0 - s)) ** -weight_exponent
+        bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
+        return w @ np.where(bad, OVERFLOW_CLAMP, vals), bool(np.any(bad))
+
+    rows, errs, clamped, panels = [], [], [], []
+    for cell in cells:
+        (coarse, c1), (fine, c2) = row(cell, 1), row(cell, 2)
+        rows.append(fine)
+        errs.append(float(np.max(np.abs(fine - coarse))))
+        clamped.append(c1 or c2)
+        panels.append(2)
+    for _ in range(6):
+        scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
+        bad = [j for j in range(len(cells))
+               if errs[j] > criteria.CELL_REL_TOL * scale and panels[j] < criteria.MAX_PANELS]
+        if not bad:
+            break
+        for j in bad:
+            panels[j] *= 2
+            new, cl = row(cells[j], panels[j])
+            errs[j] = float(np.max(np.abs(new - rows[j])))
+            rows[j] = new
+            clamped[j] |= cl
+    return np.array(rows), np.array(clamped), panels
+
+
+def _steep_pole(r, s, theta):
+    from volterra.symbols import _dist
+    with np.errstate(over="ignore", divide="ignore"):
+        return _dist(r, s, theta) ** -60.0
+
+
+GRID_64 = 2.0 * np.pi * np.arange(64) / 64
+
+
+@pytest.mark.parametrize("absmat, weight_exponent, thetas", [
+    pytest.param(get_symbol("log").abs_deriv, 0.0, np.array([0.0]), id="log-ray"),
+    pytest.param(get_symbol("koebe3").abs_eval, 2.0, np.array([0.0]), id="koebe3-ray-log-nodes"),
+    pytest.param(get_symbol("cayley").abs_deriv, 0.5, GRID_64, id="cayley-grid"),
+    pytest.param(get_symbol("lacunary").abs_deriv, 0.5, GRID_64, id="lacunary-grid"),
+    pytest.param(lambda r, s, t: np.abs(np.sin(8.0 * np.pi * r)), 0.0, np.array([0.3, 1.1]),
+                 id="kinks-broadcast"),
+    pytest.param(_steep_pole, 0.5, GRID_64, id="steep-pole-clamped"),
+])
+def test_batched_cells_match_the_one_cell_reference(absmat, weight_exponent, thetas):
+    """One integrand call per panel count sums the same nodes as one call per
+    cell: rows within a few ulps (the sums run in another order), the same
+    clamps and the same panel counts."""
+    cells = _rung_cells(2.0 ** -DEFAULT_LADDER.k_max)
+    mesh = _integrate_cells(absmat, weight_exponent, cells, thetas)
+    rows, clamped, panels = _cells_reference(absmat, weight_exponent, cells, thetas)
+    np.testing.assert_allclose(mesh.rows, rows, rtol=1e-13, atol=0.0)
+    assert np.array_equal(mesh.clamped, clamped)
+    assert [len(r) // criteria.NODES_PER_CELL for r, _, _ in mesh.nodes] == panels

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volterra.errors import SymbolZeroDerivative, UnknownSymbolError
 from volterra.series import check_derivative_consistency
@@ -149,3 +150,41 @@ def test_lacunary_grid_forms_equal_the_unmemoised_products():
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     tables = _phase_tables((theta + 0.3).tobytes(), n.tobytes())
     assert not any(t.flags.writeable for t in tables)
+
+
+# -- the declared peak rays ----------------------------------------------------
+
+PEAK_DEGREE = 4096
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_rotation_by_the_peak_has_nonnegative_coefficients(name):
+    """The classifier trusts ``peak`` for every angular sup: it holds because
+    ``g(e^{i peak} z)`` has real, nonnegative Taylor coefficients, so that
+    ``|g^(j)(r e^{i theta})| <= |g^(j)(r e^{i peak})|``.  The rotation rounds
+    ``e^{i n peak}`` by about ``n`` ulps."""
+    g = get_symbol(name)
+    assert g.peak is not None and g.rotation == 0.0
+    c = np.asarray(g.rotated(g.peak).taylor(PEAK_DEGREE).coeffs)
+    tol = 4.0 * EPS * np.arange(1, len(c) + 1) * np.abs(c)
+    assert np.all(np.abs(c.imag) <= tol)
+    assert np.all(c.real >= -tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(symbol_names()),
+       st.lists(st.floats(-10.0, 10.0, allow_nan=False), max_size=2),
+       st.floats(0.0, 1.0 - 2.0 ** -30), st.floats(-10.0, 10.0, allow_nan=False))
+def test_moduli_never_exceed_their_value_on_the_peak_ray(name, rotations, r, theta):
+    """A few ulps of the larger of the value and 1: near ``z = 0`` the polar
+    forms round in absolute terms (log's takes the log of ``|1-z|^2``, which
+    reads 0 on the ray below ``r = 1e-16``)."""
+    g = get_symbol(name)
+    for phi in rotations:
+        g = g.rotated(phi)
+    rr = np.array([r, r])
+    tt = np.array([theta, g.peak_ray])
+    for form in (g.abs_eval, g.abs_deriv):
+        at, peak = form(rr, 1.0 - rr, tt)
+        assert at <= peak + 8.0 * EPS * max(peak, 1.0)
