@@ -333,10 +333,11 @@ class _LadderEngine:
 
     # -- derived quantities -----------------------------------------------
 
-    def tail_sup(self, m: int, k: int) -> float:
-        """sup_theta of the weighted tail integral between rungs m < k."""
-        diff = self.prefix_all[k] - self.prefix_all[m]
-        return float(self.rung_weight[k] * np.max(diff))
+    def tail_sup(self, ms, ks) -> np.ndarray:
+        """sup_theta of the weighted tail integral between rungs m < k, as a
+        ``(len(ms), len(ks))`` array over outer rungs ``ms`` and inner rungs ``ks``."""
+        diff = self.prefix_all[ks][None, :, :] - self.prefix_all[ms][:, None, :]
+        return self.rung_weight[ks] * np.max(diff, axis=2)
 
     def split_bound(self, k0: int) -> float:
         """Upper bound M + N from splitting the radius range at rung k0.
@@ -347,16 +348,13 @@ class _LadderEngine:
         covers the continuous sup, not just the rung values.  The tail piece
         beyond the cut rung is handled the same way with prefix differences.
         """
+        k_max, w = self.cfg.k_max, self.rung_weight
         pmax = np.max(self.prefix_all, axis=1)
-        m_part = max(float(self.rung_weight[j] * pmax[j + 1]) for j in range(k0))
-        if k0 >= self.cfg.k_max:
+        m_part = float(np.max(w[:k0] * pmax[1:k0 + 1]))
+        if k0 >= k_max:
             return m_part
-        n_part = max(
-            float(self.rung_weight[k]
-                  * np.max(self.prefix_all[k + 1] - self.prefix_all[k0]))
-            for k in range(k0, self.cfg.k_max)
-        )
-        return m_part + n_part
+        tails = np.max(self.prefix_all[k0 + 1:k_max + 1] - self.prefix_all[k0], axis=1)
+        return m_part + float(np.max(w[k0:k_max] * tails))
 
 
 def _prefix_sums(cells: np.ndarray) -> np.ndarray:
@@ -451,8 +449,8 @@ def _tail_classify(engine: _LadderEngine, criterion: str) -> Verdict:
     if len(outer_ms) < 3:
         return Verdict(VerdictTag.INCONCLUSIVE, reason="tail window leaves no outer rungs",
                        evidence=(criterion,))
-    outer = np.array([max(engine.tail_sup(m, k) for k in inner_ks if k > m)
-                      for m in outer_ms])
+    # every inner rung lies beyond every outer one
+    outer = np.max(engine.tail_sup(outer_ms, inner_ks), axis=1)
     diag = {"criterion": criterion, "outer_first": float(outer[0]), "outer_last": float(outer[-1])}
     return _trend_classify(outer, criterion, diag, "tail limit estimate", "tail_limit")
 

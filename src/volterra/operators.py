@@ -34,11 +34,3 @@ def apply_sg(g: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
 def apply_operator(kind: OperatorKind, g: TaylorSeries, f: TaylorSeries) -> TaylorSeries:
     return apply_tg(g, f) if kind is OperatorKind.Tg else apply_sg(g, f)
 
-
-def product_rule_residual(g: TaylorSeries, f: TaylorSeries, z: complex) -> float:
-    """``|T_g f + S_g f - (f g - f(0) g(0))|`` at ``z``, matched truncation degrees."""
-    if abs(z) > 0.9:
-        raise ValueError("identity is checked on |z| <= 0.9")
-    lhs = apply_tg(g, f)(z) + apply_sg(g, f)(z)
-    rhs = cauchy_product(f, g)(z) - f.coeffs[0] * g.coeffs[0]
-    return abs(lhs - rhs)

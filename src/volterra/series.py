@@ -141,10 +141,12 @@ def evaluate_on_rings(coeffs, radii, n_angles: int) -> np.ndarray:
     return _clamp(vals).reshape(c.shape[:-1] + vals.shape[1:])
 
 
-@functools.lru_cache(maxsize=8)
-def _ring_powers(radii: bytes, n_angles: int) -> np.ndarray:
-    """The ``(R, N)`` table ``r^m``, ``m < N``, of float64 radii bytes; memoised, read-only."""
-    table = np.frombuffer(radii)[:, None] ** np.arange(n_angles)
+@functools.lru_cache(maxsize=16)
+def _ring_powers(radii: bytes, n_cols: int) -> np.ndarray:
+    """The ``(R, n_cols)`` table ``r^m``, ``m < n_cols``, of float64 radii bytes;
+    memoised, read-only.  The ring evaluator takes ``n_cols = N``; the ring
+    maxima of a nonnegative series take ``q N`` columns for ``q`` blocks."""
+    table = np.frombuffer(radii)[:, None] ** np.arange(n_cols)
     table.flags.writeable = False
     return table
 

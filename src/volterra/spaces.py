@@ -5,17 +5,20 @@ the boundary, so the radial grid is geometrically graded toward ``|z| = 1``, and
 one batched golden-section search refines the best candidates: in the angle on
 the outermost rungs, then in the radius at each refined angle.  The same
 :func:`golden_max` kernel serves every refinement in the package.  A function
-is a truncated Taylor series, swept a whole ring at a time by the folded-FFT
-ring evaluator of :mod:`volterra.series`, or a vectorised closed form
-``z -> f(z)``, evaluated pointwise.  All sweeps are pure and deterministic;
-refinement can only increase the reported supremum.
+is a truncated Taylor series or a vectorised closed form ``z -> f(z)``,
+evaluated pointwise.  All sweeps are pure and deterministic; refinement can
+only increase the reported supremum.
 
-:func:`weighted_sup_norms` sweeps many series on a grid without refinement as
-stacks of ``RING_GROUP`` series, so the per-call work of a sweep is paid once
-per stack.  The stack is bounded because a sweep holds several ``(P, R, N)``
-arrays at once: on the estimation grid's 82 x 128 rings a complex one takes
-about 0.7 MB for 4 series, but 1.3 MB for 8, and then the sweep no longer fits
-a 2 MB per-core cache and measured slower than one series at a time.
+A series whose coefficients are all real and ``>= 0`` peaks at ``theta = 0`` on
+every circle, so its ring maxima take one matrix-vector product and no angle
+is swept.  Any other series is swept a whole ring at a time by the folded-FFT
+ring evaluator of :mod:`volterra.series`; :func:`weighted_sup_norms` sweeps
+these in stacks of ``RING_GROUP`` series, so the per-call work of a sweep is
+paid once per stack.  The stack is bounded because a sweep holds several
+``(P, R, N)`` arrays at once: on the estimation grid's 82 x 128 rings a complex
+one takes about 0.7 MB for 4 series, but 1.3 MB for 8, and then the sweep no
+longer fits a 2 MB per-core cache and measured slower than one series at a
+time.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SymbolZeroDerivative
-from .series import TaylorSeries, _clamp, evaluate_on_rings
+from .errors import DomainError
+from .series import OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, evaluate_on_rings
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per bracket of the sweep refinement
@@ -149,42 +152,59 @@ def _rings(grid: DiskGrid, alpha: float, boundary: bool):
     return 1.0 - s, _weight(s, alpha)
 
 
-def _ring_sweep(stack: np.ndarray, alpha: float, grid: DiskGrid):
-    """Radii and weighted magnitudes ``(1-|z|^2)^alpha |f(z)|``, shaped
-    ``(P, R, N)``, of a ``(P, D)`` stack of coefficient rows on the grid rings;
-    divergent samples are ``inf``.  For ``alpha = 0`` the rings include the
-    boundary circle, where a polynomial attains its sup-norm."""
-    radii, weights = _rings(grid, alpha, alpha == 0.0)
+def _ring_sweep(stack: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:
+    """Weighted magnitudes ``(1-|z|^2)^alpha |f(z)|``, shaped ``(P, R, N)``, of a
+    ``(P, D)`` stack of coefficient rows on the rings ``radii`` with their
+    ``weights``; divergent samples are ``inf``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        mags = np.abs(evaluate_on_rings(stack, radii, grid.n_angles))
+        mags = np.abs(evaluate_on_rings(stack, radii, n_angles))
     mags *= weights[:, None]
-    return radii, mags
+    return mags
+
+
+def _peak_rings(coeffs: np.ndarray, radii, weights, n_angles: int) -> Optional[np.ndarray]:
+    """Weighted ring maxima ``(1-r^2)^alpha sum_m c_m r^m`` of a row whose
+    coefficients are all real and ``>= 0`` (an exact test: a NaN fails it), or
+    None.  ``|sum c_m r^m e^{i m theta}| <= sum c_m r^m``, so such a row peaks
+    at the grid angle ``theta = 0``; divergent values are ``inf``, tagged
+    before weighting as on the grid path."""
+    if np.any(coeffs.imag) or not np.all(coeffs.real >= 0.0):
+        return None
+    q = -(-len(coeffs) // n_angles)
+    powers = _ring_powers(radii.tobytes(), q * n_angles)[:, :len(coeffs)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # one matrix-vector product per row: a matrix-matrix product over a
+        # stack would round a row differently depending on the rest of it
+        v = powers @ coeffs.real
+    return np.where(v <= OVERFLOW_CLAMP, v, np.inf) * weights
 
 
 def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
     """``weighted_sup_norm(f, alpha, grid)`` for each series ``f`` of ``series``,
     on a grid without refinement (``refine_top = 0``), as a float array.
 
-    The series are swept ``RING_GROUP`` at a time through the ring evaluator,
-    each group of one block count ``ceil(len / n_angles)``, so that no series is
-    padded with zero blocks.
+    A series with real, nonnegative coefficients is read at ``theta = 0`` alone
+    (:func:`_peak_rings`).  The others are swept ``RING_GROUP`` at a time
+    through the ring evaluator, each group of one block count
+    ``ceil(len / n_angles)``, so that no series is padded with zero blocks.
     """
     if grid.refine_top > 0:
         raise ValueError("stacked sweeps need a grid without refinement (refine_top = 0)")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    lengths = [len(f.array) for f in series]
-    blocks = [-(-d // grid.n_angles) for d in lengths]
-    out = np.empty(len(series))
-    order = sorted(range(len(series)), key=blocks.__getitem__)
-    for q, run in itertools.groupby(order, key=blocks.__getitem__):
+    radii, weights = _rings(grid, alpha, alpha == 0.0)
+    peaks = [_peak_rings(f.array, radii, weights, grid.n_angles) for f in series]
+    out = np.array([np.nan if p is None else np.max(p) for p in peaks], dtype=float)
+    rest = [k for k, p in enumerate(peaks) if p is None]
+    blocks = {k: -(-len(series[k].array) // grid.n_angles) for k in rest}
+    for q, run in itertools.groupby(sorted(rest, key=blocks.get), key=blocks.get):
         run = list(run)
         for i in range(0, len(run), RING_GROUP):
             group = run[i:i + RING_GROUP]
             stack = np.zeros((len(group), q * grid.n_angles), dtype=complex)
             for row, k in enumerate(group):
-                stack[row, :lengths[k]] = series[k].array
-            out[group] = np.max(_ring_sweep(stack, alpha, grid)[1], axis=(1, 2))
+                stack[row, :len(series[k].array)] = series[k].array
+            out[group] = np.max(_ring_sweep(stack, radii, weights, grid.n_angles), axis=(1, 2))
     return out
 
 
@@ -195,20 +215,23 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     ``f`` is a :class:`~volterra.series.TaylorSeries` or a vectorised closed
     form ``z -> f(z)``.  Sweeps the polar grid, then refines the best
     candidates by golden-section search unless ``grid.refine_top`` is 0.  A
-    series is swept ring by ring with
-    :func:`~volterra.series.evaluate_on_rings`, as a stack of one row for
-    :func:`weighted_sup_norms`; a closed form is evaluated at every grid point,
-    all strictly inside the disk.  For ``alpha = 0`` the weight is
-    short-circuited, and a series is additionally sampled on the boundary
-    circle (a polynomial attains its sup-norm there).
+    series takes the path it takes in :func:`weighted_sup_norms`: one sample
+    per ring at ``theta = 0`` when its coefficients are real and ``>= 0``,
+    else a sweep ring by ring with :func:`~volterra.series.evaluate_on_rings`.
+    A closed form is evaluated at every grid point, all strictly inside the
+    disk.  For ``alpha = 0`` the weight is short-circuited, and a series is
+    additionally sampled on the boundary circle (a polynomial attains its
+    sup-norm there).
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
     grid = grid or DEFAULT_GRID
     thetas = grid.angles()
     if isinstance(f, TaylorSeries):
-        radii, vals = _ring_sweep(f.array[None, :], alpha, grid)
-        vals = vals[0]
+        radii, weights = _rings(grid, alpha, alpha == 0.0)
+        peak = _peak_rings(f.array, radii, weights, grid.n_angles)  # at thetas[0] = 0
+        vals = (_ring_sweep(f.array[None, :], radii, weights, grid.n_angles)[0]
+                if peak is None else peak[:, None])
     else:
         radii, weights = _rings(grid, alpha, False)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -282,27 +305,3 @@ def bloch_norm(f: TaylorSeries | Callable, df: Optional[Callable] = None,
         df = f.derivative()
     return float(abs(_values(f, 0j))) + weighted_sup_norm(df, 1.0, grid)
 
-
-def log_deriv_bloch_seminorm(g, grid: Optional[DiskGrid] = None) -> float:
-    """Grid surrogate ``sup (1-|z|^2) |g''(z)/g'(z)|`` for log(g') lying in the Bloch space.
-
-    ``g`` is any object with vectorized ``deriv``/``deriv2`` evaluators (e.g. a
-    registry symbol).  Raises SymbolZeroDerivative as soon as ``|g'|`` drops
-    below 1e-12 at a grid node: the quotient says nothing about Bloch
-    membership across an interior zero of g', so the caller must record the
-    flag as unknown rather than trusting a blown-up number.
-    """
-    grid = grid or DEFAULT_GRID
-    s = grid.one_minus_r()
-    radii = 1.0 - s
-    thetas = grid.angles()
-    w = _weight(s, 1.0)
-    best = 0.0
-    for i, r in enumerate(radii):
-        zs = r * np.exp(1j * thetas)
-        d1 = np.asarray(g.deriv(zs))
-        if np.any(np.abs(d1) < 1e-12):
-            raise SymbolZeroDerivative(f"|g'| < 1e-12 at radius {r:.6f}")
-        q = np.abs(np.asarray(g.deriv2(zs)) / d1)
-        best = max(best, float(w[i] * np.max(q)))
-    return best

@@ -104,9 +104,28 @@ def test_tail_cayley_weighted_not_compact():
 def test_tail_monotone_in_inner_cut():
     out = tg_boundedness(get_symbol("cayley"), _pair(0, 1), FAST)
     k = FAST.k_max
-    sups = [out.engine.tail_sup(m, k) for m in range(K_MIN, k)]
+    sups = out.engine.tail_sup(np.arange(K_MIN, k), [k])[:, 0]
     assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
 
+
+
+@pytest.mark.parametrize("peak", [True, False])
+def test_tail_and_split_bound_arrays_equal_the_rung_loops(peak):
+    # reference: the per-rung loops the arrays replaced; every product and max
+    # is the same, so the bits are too
+    g = get_symbol("cayley")
+    out = tg_boundedness(g if peak else replace(g, peak=None), _pair(0, 1), FAST)
+    eng, k_max = out.engine, FAST.k_max
+    w, pre = eng.rung_weight, eng.prefix_all
+    ms, ks = np.arange(K_MIN, k_max - 5), np.arange(k_max - 5, k_max + 1)
+    want = [[float(w[k] * np.max(pre[k] - pre[m])) for k in ks] for m in ms]
+    assert eng.tail_sup(ms, ks).tolist() == want
+    pmax = np.max(pre, axis=1)
+    for k0 in range(K_MIN, k_max + 1):
+        m_part = max(float(w[j] * pmax[j + 1]) for j in range(k0))
+        n_part = max((float(w[k] * np.max(pre[k + 1] - pre[k0])) for k in range(k0, k_max)),
+                     default=None)
+        assert eng.split_bound(k0) == (m_part if n_part is None else m_part + n_part)
 
 # -- pointwise criteria --------------------------------------------------------
 

@@ -53,9 +53,9 @@ def test_battery_entry_validation():
 
 
 def test_lower_bound_identity_is_exactly_one():
+    # T_g 1 = z has sup-norm 1, read as the coefficient sum on the boundary ring
     detail = lower_bound_details(get_symbol("identity"), T, SpacePair(0, 0))
-    assert detail.value == pytest.approx(1.0, abs=1e-3)
-    assert detail.value >= 1.0 - 1e-12
+    assert detail.value == 1.0
 
 
 def test_lower_bound_zero_symbol():

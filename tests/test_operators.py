@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra.operators import (OperatorKind, apply_operator, apply_sg, apply_tg,
-                                product_rule_residual)
+from volterra.operators import OperatorKind, apply_operator, apply_sg, apply_tg
 from volterra.series import TaylorSeries, cauchy_product
 
 from test_series import (bits, coeff_tuples, combination, old_antiderivative, old_cauchy,
                          old_derivative)
+
+
+def product_rule_residual(g: TaylorSeries, f: TaylorSeries, z: complex) -> float:
+    """``|T_g f + S_g f - (f g - f(0) g(0))|`` at ``z``, matched truncation degrees."""
+    if abs(z) > 0.9:
+        raise ValueError("identity is checked on |z| <= 0.9")
+    lhs = apply_tg(g, f)(z) + apply_sg(g, f)(z)
+    rhs = cauchy_product(f, g)(z) - f.coeffs[0] * g.coeffs[0]
+    return abs(lhs - rhs)
 
 
 def series(max_degree=20):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volterra.errors import DomainError, SymbolZeroDerivative
+from volterra import spaces
 from volterra.series import TaylorSeries
 from volterra.spaces import (DEFAULT_GRID, RING_GROUP, DiskGrid, SpacePair, bloch_norm,
-                             golden_max, log_deriv_bloch_seminorm, weighted_sup_details,
-                             weighted_sup_norm, weighted_sup_norms)
+                             golden_max, weighted_sup_details, weighted_sup_norm,
+                             weighted_sup_norms)
 from volterra.symbols import get_symbol
 
 from test_series import combination
+from test_symbols import log_deriv_bloch_seminorm
 
 def cayley(z):
     return 1.0 / (1.0 - z)
@@ -182,6 +184,68 @@ def test_stacked_norms_need_a_grid_without_refinement():
         weighted_sup_norms([TaylorSeries((1,))], 0.0, DEFAULT_GRID)
     with pytest.raises(ValueError):
         weighted_sup_norms([TaylorSeries((1,))], -1.0, SWEEP_GRID)
+
+
+# -- ring maxima of series with real, nonnegative coefficients ------------------
+
+def _grid_path_norm(f, alpha, grid):
+    """The sweep of every grid angle on every ring, forced for any series."""
+    radii, weights = spaces._rings(grid, alpha, alpha == 0.0)
+    return float(np.max(spaces._ring_sweep(f.array[None, :], radii, weights, grid.n_angles)))
+
+
+def _spy_on_grid_path(monkeypatch):
+    """Record every coefficient row that reaches the grid path."""
+    swept, sweep = [], spaces._ring_sweep
+
+    def spy(stack, *args):
+        swept.extend(stack)
+        return sweep(stack, *args)
+    monkeypatch.setattr(spaces, "_ring_sweep", spy)
+    return swept
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+def test_nonnegative_ring_maxima_match_the_grid_path(monkeypatch, alpha):
+    # lengths 1, N, N + 1 and 4N + 1 (block counts 1, 1, 2, 5); alpha = 0 adds
+    # the boundary ring, where the maximum is the coefficient sum
+    n = SWEEP_GRID.n_angles
+    rng = np.random.default_rng(12)
+    fs = [TaylorSeries(rng.random(d) / np.arange(1, d + 1)) for d in (1, n, n + 1, 4 * n + 1)]
+    want = [_grid_path_norm(f, alpha, SWEEP_GRID) for f in fs]
+    swept = _spy_on_grid_path(monkeypatch)
+    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    for f, value, ref in zip(fs, got, want):
+        assert abs(value - ref) <= 1e-13 * ref
+        assert weighted_sup_details(f, alpha, SWEEP_GRID).value == value
+    assert swept == []
+
+
+@pytest.mark.parametrize("odd", [-1e-3, 0.5j, np.nan])
+def test_one_negative_complex_or_nan_coefficient_takes_the_grid_path(monkeypatch, odd):
+    # a negative zero is >= 0: the row with it never reaches the grid path
+    good = TaylorSeries((1.0, -0.0, 0.25, 2.0))
+    mixed = TaylorSeries((1.0, 0.5, odd, 2.0))
+    swept = _spy_on_grid_path(monkeypatch)
+    weighted_sup_norms([good, mixed, good], 0.5, SWEEP_GRID)
+    weighted_sup_details(good, 0.5, SWEEP_GRID)
+    weighted_sup_details(mixed, 0.5, SWEEP_GRID)
+    assert len(swept) == 2
+    for row in swept:
+        assert np.array_equal(row[:4], mixed.array, equal_nan=True)
+        assert not np.any(row[4:])
+
+
+@pytest.mark.parametrize("coeffs", [(1e308,) * (4 * SWEEP_GRID.n_angles + 1), (1e299,) * 200])
+def test_overflowing_nonnegative_series_reads_inf(monkeypatch, coeffs):
+    f = TaylorSeries(coeffs)
+    swept = _spy_on_grid_path(monkeypatch)
+    for alpha in (0.0, 0.5):
+        assert weighted_sup_norms([f], alpha, SWEEP_GRID)[0] == np.inf
+        detail = weighted_sup_details(f, alpha, SWEEP_GRID)
+        assert detail.value == np.inf
+        assert detail.divergent and detail.clamped_samples > 0
+    assert swept == []
 
 
 def test_bloch_norm_needs_a_derivative_evaluator():

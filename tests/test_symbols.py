@@ -8,9 +8,33 @@ from hypothesis import given, settings, strategies as st
 
 from volterra.errors import SymbolZeroDerivative, UnknownSymbolError
 from volterra.series import check_derivative_consistency
-from volterra.spaces import log_deriv_bloch_seminorm
+from volterra.spaces import DEFAULT_GRID
 from volterra.symbols import (LACUNARY_K, get_symbol, ground_truth_table, registry,
                               symbol_names)
+
+def log_deriv_bloch_seminorm(g, grid=DEFAULT_GRID) -> float:
+    """Grid surrogate ``sup (1-|z|^2) |g''(z)/g'(z)|`` for log(g') lying in the Bloch space.
+
+    ``g`` is any object with vectorized ``deriv``/``deriv2`` evaluators (e.g. a
+    registry symbol).  Raises SymbolZeroDerivative as soon as ``|g'|`` drops
+    below 1e-12 at a grid node: the quotient says nothing about Bloch
+    membership across an interior zero of g', so the flag must be recorded as
+    unknown rather than trusting a blown-up number.
+    """
+    s = grid.one_minus_r()
+    radii = 1.0 - s
+    thetas = grid.angles()
+    w = s * (2.0 - s)
+    best = 0.0
+    for i, r in enumerate(radii):
+        zs = r * np.exp(1j * thetas)
+        d1 = np.asarray(g.deriv(zs))
+        if np.any(np.abs(d1) < 1e-12):
+            raise SymbolZeroDerivative(f"|g'| < 1e-12 at radius {r:.6f}")
+        q = np.abs(np.asarray(g.deriv2(zs)) / d1)
+        best = max(best, float(w[i] * np.max(q)))
+    return best
+
 
 REQUIRED = {"zero", "one", "identity", "monomial", "log", "koebe1", "koebe2",
             "koebe3", "affine", "cayley", "lacunary"}
