@@ -143,11 +143,11 @@ def _build_parser(preset=None):
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *formats):
         p.add_argument("--config", type=Path, default=None,
                        help="key = value file presetting these options")
-        formats = ("json", "csv", "text")
-        p.add_argument("--format", type=_one_of(*formats), choices=formats, default="text")
+        if formats:
+            p.add_argument("--format", type=_one_of(*formats), choices=formats, default="text")
         p.add_argument("--output", type=Path, default=None)
 
     p = sub.add_parser("classify", help="classify one (symbol, operator, alpha, beta) cell")
@@ -158,7 +158,7 @@ def _build_parser(preset=None):
     p.add_argument("--kmax", type=_kmax, default=40)
     p.add_argument("--angles", type=_angle_count, default=512,
                    help="angle grid for a symbol without a peak ray")
-    add_common(p)
+    add_common(p, "json", "text")
 
     p = sub.add_parser("report", help="classify and probe the whole ground-truth table")
     p.add_argument("--kmax", type=_kmax, default=40)
@@ -166,7 +166,7 @@ def _build_parser(preset=None):
                    help="angle grid for a symbol without a peak ray")
     p.add_argument("--degree", type=_at_most(MAX_DEGREE), default=256)
     p.add_argument("--probe-nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
-    add_common(p)
+    add_common(p, "json", "csv", "text")
 
     p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol")
     p.add_argument("--symbol", required=required("symbol"))
@@ -191,7 +191,7 @@ def _build_parser(preset=None):
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
-    add_common(p)
+    add_common(p, "json", "csv", "text")
 
     p = sub.add_parser("lemma2", help="validate the sector-map density bound")
     p.add_argument("--gamma", type=float, required=required("gamma"))
@@ -201,7 +201,7 @@ def _build_parser(preset=None):
     add_common(p)
 
     p = sub.add_parser("list", help="registry symbols, metadata, ground-truth rows")
-    add_common(p)
+    add_common(p, "json", "text")
     return parser, sub.choices
 
 
@@ -314,10 +314,11 @@ def cmd_opnorm(args) -> int:
         try:
             if args.t0 is not None:
                 upper = tg_upper_bound(symbol, pair, args.t0)
-                lines.append(f"split upper bound at t0={args.t0:g}: {upper:.9g}")
+                lines.append(f"split upper bound at t0={args.t0!r}: {upper:.9g}")
             else:
+                # the cut in full: --t0 accepts only exact rungs such as 1 - 2^-39
                 upper, t0 = tg_min_upper_bound(symbol, pair)
-                lines.append(f"split upper bound: {upper:.9g}  (cut t0={t0:g})")
+                lines.append(f"split upper bound: {upper:.9g}  (cut t0={t0!r})")
         except HypothesisError as exc:
             lines.append(f"split upper bound: not available ({exc})")
     _emit("\n".join(lines) + "\n", args.output)
@@ -391,7 +392,7 @@ def cmd_list(args) -> int:
             "justification": r.justification,
         } for r in ground_truth_table()],
     }
-    if args.format in ("json", "csv"):
+    if args.format == "json":
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"{s['name']:<10} zero={s['metadata']['is_zero']} "

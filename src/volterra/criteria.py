@@ -14,15 +14,17 @@ schedule points, and the pointwise criteria replace it by a weighted modulus of
 g or g' on boundary rungs.  Every radial integral runs on one adaptive mesh
 whose cells are aligned with the rung schedule (:func:`_integrate_cells`), so
 every prefix integral is a partial sum.  Moduli come from the symbol's own
-:meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``.
+:meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``, and every
+weight ``(1-r^2)^e`` from :func:`~volterra.spaces.radial_weight`.
 
 Every criterion is an angular sup.  A symbol that declares a peak
 (:attr:`~volterra.symbols.SymbolSpec.peak`, set for every registry symbol)
 has ``|g|`` and ``|g'|`` largest on one ray at every radius, so each sup is
 read on that ray alone: the ladder integrals, the boundary profile and the
-interior sweep along it.  A symbol without a peak, such as a user-built one,
-takes the same engine on ``LadderConfig.n_angles`` grid angles refined by
-golden-section search, and the interior sweep over the disk grid.
+interior sweep along it (the package's one ray maximiser,
+:func:`~volterra.spaces.ray_max`).  A symbol without a peak, such as a
+user-built one, takes the same engine on ``LadderConfig.n_angles`` grid angles
+refined by golden-section search, and the interior sweep over the disk grid.
 
 A decision is never forced: when the slope lands between the thresholds the
 verdict is Inconclusive with the slope recorded, since no numerical scheme can
@@ -40,8 +42,7 @@ import numpy as np
 from .errors import HypothesisError
 from .quadrature import gauss_legendre
 from .series import OVERFLOW_CLAMP
-from .spaces import (DEFAULT_GRID, REFINE_ITERS as SWEEP_REFINE_ITERS, SpacePair, golden_max,
-                     weighted_sup_details)
+from .spaces import SpacePair, golden_max, radial_weight, ray_max, weighted_sup_details
 from .symbols import SymbolSpec
 from .operators import OperatorKind
 
@@ -205,8 +206,7 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
                                   use_log)
             vals = absmat(r.reshape(-1, 1), s.reshape(-1, 1), thetas[None, :])
             vals = np.broadcast_to(vals, (r.size, n_angles)).reshape(r.shape + (n_angles,))
-            if weight_exponent != 0.0:
-                w = w * (s * (2.0 - s)) ** -weight_exponent
+            w = w * radial_weight(s, -weight_exponent)
             bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
             hit[i:i + step] = np.any(bad, axis=(1, 2))
             if np.any(hit[i:i + step]):
@@ -290,7 +290,7 @@ class _LadderEngine:
                                          axis=1)
         self.angles_all = np.concatenate([self._thetas, self._refined])
         sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
-        self.rung_weight = (sk * (2.0 - sk)) ** beta if beta != 0.0 else np.ones(cfg.k_max + 1)
+        self.rung_weight = radial_weight(sk, beta)
         with np.errstate(over="ignore", invalid="ignore"):
             weighted = self.rung_weight[:, None] * self.prefix_all
         self.values = np.max(weighted, axis=1)
@@ -566,43 +566,25 @@ def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderCo
         _, best = golden_max(obj, center - dtheta, center + dtheta, REFINE_ITERS)
         sup_raw = np.maximum(sup_raw, np.max(best.reshape(order.shape), axis=1))
     with np.errstate(over="ignore"):
-        weights = (s * (2.0 - s)) ** exponent
-        profile = weights * sup_raw
+        profile = radial_weight(s, exponent) * sup_raw
     return ks, profile, clamped
 
 
 def _pointwise_value(g: SymbolSpec, which: str, exponent: float, profile_max: float) -> float:
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
     weight exponent is nonnegative (interior maxima exist only then).  The
-    sweep runs along the symbol's peak ray (:func:`_ray_sup`), or over the
+    sweep runs along the symbol's peak ray, by the ray maximiser
+    :func:`~volterra.spaces.ray_max` that every radial sup shares, or over the
     whole disk grid when there is none."""
     if exponent < 0:
         return profile_max
     ray = g.peak_ray
     if ray is not None:
-        interior = _ray_sup(_abs_fun(g, which), ray, exponent)
+        absmat = _abs_fun(g, which)
+        interior = float(ray_max(lambda r, s: absmat(r, s, ray), exponent)[0])
     else:
         interior = weighted_sup_details(g.deriv if which == "deriv" else g.eval, exponent).value
     return max(profile_max, interior)
-
-
-def _ray_sup(absmat: Callable, ray: float, exponent: float) -> float:
-    """``sup_r (1-r^2)^exponent absmat(r, 1-r, ray)``: the radii of
-    ``DEFAULT_GRID``, then golden-section search between the neighbours of the
-    best one, with the steps of the disk-grid sweep's radial refinement.
-    Samples that are not finite read as ``inf``."""
-    def weighted(r, s):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v = (s * (2.0 - s)) ** exponent * absmat(r, s, ray)
-        return np.where(np.isfinite(v), v, np.inf)
-    s = DEFAULT_GRID.one_minus_r()
-    r = 1.0 - s
-    vals = weighted(r, s)
-    i = int(np.argmax(vals))
-    lo, hi = (r[i - 1] if i > 0 else 0.0), r[min(i + 1, len(r) - 1)]
-    _, best = golden_max(lambda rr: weighted(rr, 1.0 - rr), np.array([lo]), np.array([hi]),
-                         SWEEP_REFINE_ITERS)
-    return max(float(vals[i]), float(best[0]))
 
 
 def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,

@@ -37,7 +37,7 @@ from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator
 from .series import TaylorSeries, evaluate_polynomial
-from .spaces import DiskGrid, SpacePair, golden_max, weighted_sup_norms
+from .spaces import DiskGrid, SpacePair, radial_weight, ray_max, weighted_sup_norms
 # bound here only for perfbench's tracer, which wraps estimation.weighted_sup_norm
 from .spaces import weighted_sup_norm  # noqa: F401
 from .symbols import DEFAULT_DEGREE, SymbolSpec
@@ -66,32 +66,14 @@ def monomial_norm(n: int, alpha: float) -> float:
 def _radial_max(mag_rows: np.ndarray, alpha: float) -> np.ndarray:
     """``max_r (1-r^2)^alpha sum_m |a_m| r^m`` for each row of magnitudes ``|a_m|``.
 
-    Every row is swept on one graded grid, then all rows are refined by one
-    batched golden-section search.  For series whose terms align in phase along
-    some direction this equals the weighted sup-norm exactly; it is never below
-    it, so it is safe as a lower bound denominator.
+    One :func:`~volterra.spaces.ray_max` over all rows, each profile a column
+    of one Horner evaluation; at ``alpha = 0`` the boundary circle is sampled
+    too.  For series whose terms align in phase along some direction this
+    equals the weighted sup-norm exactly; it is never below it, so it is safe
+    as a lower bound denominator.
     """
-    ks = np.arange(0, 241)
-    s = 2.0 ** (-ks / 8.0)
-    r = 1.0 - s
-    if alpha == 0.0:
-        r = np.concatenate([r, [1.0]])
-        s = np.concatenate([s, [0.0]])
-    w = (s * (2.0 - s)) ** alpha if alpha else np.ones_like(s)
-    # one matrix-vector product per row: a matrix-matrix product would round a
-    # row differently depending on the rest of the batch
-    powers = np.vander(r, mag_rows.shape[1], increasing=True)
-    prof = w[:, None] * np.column_stack([powers @ row for row in mag_rows])
-    best = np.max(prof, axis=0)
-    i = np.argmax(prof, axis=0)
-
-    def f(x):
-        sx = 1.0 - x
-        wx = (sx * (2.0 - sx)) ** alpha if alpha else 1.0
-        return wx * evaluate_polynomial(mag_rows.T, x).real
-
-    _, peak = golden_max(f, r[np.maximum(i - 1, 0)], r[np.minimum(i + 1, len(r) - 1)], 60)
-    return np.maximum(best, peak)
+    return ray_max(lambda r, s: evaluate_polynomial(mag_rows.T, r).real, alpha,
+                   boundary=alpha == 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,29 +121,26 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
                 cs[2 * m] = c[m] * w ** m
             rotational.append(cs)
         d = _binom_series(2.0 * alpha, degree)
-        peaks = []
-        for j in PEAK_RUNGS:
-            lam = 1.0 - 2.0 ** (-j)
-            peaks.append((1.0 - lam * lam) ** alpha * d * lam ** np.arange(degree + 1))
+        # (1 - lambda^2)^alpha of lambda = 1 - 2^-j, all exact at s = 2^-j
+        peaks = [radial_weight(2.0 ** -j, alpha) * d * (1.0 - 2.0 ** -j) ** np.arange(degree + 1)
+                 for j in PEAK_RUNGS]
         norms = _radial_max(np.array([[abs(v) for v in cs] for cs in rotational] + peaks),
                             alpha)
         for j, (cs, norm) in enumerate(zip(rotational, norms)):
             entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(tuple(cs)), float(norm)))
-        for j, mags, norm in zip(PEAK_RUNGS, peaks, norms[THETA_FAMILY_COUNT:]):
-            for phi in PEAK_DIRECTIONS:
-                w = complex(math.cos(phi), math.sin(phi))
-                cs = tuple(mags[n] * w ** n for n in range(degree + 1))
-                entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), float(norm)))
+        kernels = zip(PEAK_RUNGS, peaks, norms[THETA_FAMILY_COUNT:])
     else:
+        kernels = []
         for j in PEAK_RUNGS:
-            lam = 1.0 - 2.0 ** (-j)
+            lam = 1.0 - 2.0 ** -j
             # exact sup-norm of the truncated kernel: (1+lam)(1 - lam^(N+1))
-            norm = (1.0 + lam) * (1.0 - lam ** (degree + 1))
-            base = (1.0 - lam * lam) * lam ** np.arange(degree + 1)
-            for phi in PEAK_DIRECTIONS:
-                w = complex(math.cos(phi), math.sin(phi))
-                cs = tuple(base[n] * w ** n for n in range(degree + 1))
-                entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), norm))
+            kernels.append((j, radial_weight(2.0 ** -j, 1.0) * lam ** np.arange(degree + 1),
+                            (1.0 + lam) * (1.0 - lam ** (degree + 1))))
+    for j, mags, norm in kernels:
+        for phi in PEAK_DIRECTIONS:
+            w = complex(math.cos(phi), math.sin(phi))
+            cs = tuple(mags[n] * w ** n for n in range(degree + 1))
+            entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), float(norm)))
     return TestBattery(alpha=alpha, entries=tuple(entries))
 
 

@@ -1,13 +1,15 @@
 """Weighted sup-norms on the disk and the grids used to estimate suprema.
 
-The weight is ``(1-|z|^2)^alpha``.  Maxima in this problem family concentrate at
-the boundary, so the radial grid is geometrically graded toward ``|z| = 1``, and
-one batched golden-section search refines the best candidates: in the angle on
-the outermost rungs, then in the radius at each refined angle.  The same
-:func:`golden_max` kernel serves every refinement in the package.  A function
-is a truncated Taylor series or a vectorised closed form ``z -> f(z)``,
-evaluated pointwise.  All sweeps are pure and deterministic; refinement can
-only increase the reported supremum.
+The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
+:func:`radial_weight` everywhere in the package.  Maxima in this problem family
+concentrate at the boundary, so the radial grid is geometrically graded toward
+``|z| = 1``, and golden-section search (:func:`golden_max`, the package's one
+kernel) refines the best candidates: in the angle on the outermost rungs, then
+in the radius at each refined angle.  Every supremum along one ray is
+:func:`ray_max`, on the radii of ``DEFAULT_GRID``.  A function is a truncated
+Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
+All sweeps are pure and deterministic; refinement can only increase the
+reported supremum.
 
 A series whose coefficients are all real and ``>= 0`` peaks at ``theta = 0`` on
 every circle, so its ring maxima take one matrix-vector product and no angle
@@ -100,12 +102,11 @@ class SupremumReport:
         return self.value
 
 
-def _weight(one_minus_r, alpha: float):
-    # 1 - r^2 = s (2 - s) with s = 1 - r carried exactly
-    if alpha == 0.0:
-        return np.ones_like(np.asarray(one_minus_r, dtype=float))
+def radial_weight(one_minus_r, alpha: float):
+    """``(1-r^2)^alpha`` as ``(s(2-s))^alpha`` of ``s = 1 - r``, carried exactly;
+    ones for ``alpha = 0``.  ``alpha`` may be negative."""
     s = np.asarray(one_minus_r, dtype=float)
-    return (s * (2.0 - s)) ** alpha
+    return np.ones_like(s) if alpha == 0.0 else (s * (2.0 - s)) ** alpha
 
 
 def golden_max(fn, lo, hi, iters: int):
@@ -144,12 +145,37 @@ def _values(f: TaylorSeries | Callable, z):
 
 
 def _rings(grid: DiskGrid, alpha: float, boundary: bool):
-    """Radii of the grid's rungs, with the boundary circle ``r = 1`` appended
-    when ``boundary``, and their weights."""
+    """Radii ``r`` of the grid's rungs, with the boundary circle ``r = 1``
+    appended when ``boundary``, their exact ``s = 1 - r`` and their weights."""
     s = grid.one_minus_r()
     if boundary:
         s = np.append(s, 0.0)
-    return 1.0 - s, _weight(s, alpha)
+    return 1.0 - s, s, radial_weight(s, alpha)
+
+
+def ray_max(fn: Callable, exponent: float, boundary: bool = False) -> np.ndarray:
+    """``max_r (1-r^2)^exponent fn(r, 1-r)`` for each column of ``fn``.
+
+    ``fn(r, s)`` broadcasts: a column of radii gives ``(R, P)`` values and a
+    row of ``P`` radii gives ``P``, one per column.  The radii are those of
+    ``DEFAULT_GRID``, plus the boundary circle when ``boundary`` (the
+    ``alpha = 0`` norm of a polynomial); each column is then refined by
+    golden-section search between the neighbours of its best sample.  Values
+    that are not finite read as ``inf``.
+    """
+    radii, s, weights = _rings(DEFAULT_GRID, exponent, boundary)
+
+    def weighted(r, s, w):
+        v = w * fn(r, s)
+        return np.where(np.isfinite(v), v, np.inf)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = weighted(radii[:, None], s[:, None], weights[:, None])
+        i = np.argmax(vals, axis=0)
+        _, best = golden_max(lambda r: weighted(r, 1.0 - r, radial_weight(1.0 - r, exponent)),
+                             radii[np.maximum(i - 1, 0)], radii[np.minimum(i + 1, len(radii) - 1)],
+                             REFINE_ITERS)
+    return np.maximum(np.max(vals, axis=0), best)
 
 
 def _ring_sweep(stack: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:
@@ -192,7 +218,7 @@ def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
         raise ValueError("stacked sweeps need a grid without refinement (refine_top = 0)")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    radii, weights = _rings(grid, alpha, alpha == 0.0)
+    radii, _, weights = _rings(grid, alpha, alpha == 0.0)
     peaks = [_peak_rings(f.array, radii, weights, grid.n_angles) for f in series]
     out = np.array([np.nan if p is None else np.max(p) for p in peaks], dtype=float)
     rest = [k for k, p in enumerate(peaks) if p is None]
@@ -228,12 +254,12 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     grid = grid or DEFAULT_GRID
     thetas = grid.angles()
     if isinstance(f, TaylorSeries):
-        radii, weights = _rings(grid, alpha, alpha == 0.0)
+        radii, _, weights = _rings(grid, alpha, alpha == 0.0)
         peak = _peak_rings(f.array, radii, weights, grid.n_angles)  # at thetas[0] = 0
         vals = (_ring_sweep(f.array[None, :], radii, weights, grid.n_angles)[0]
                 if peak is None else peak[:, None])
     else:
-        radii, weights = _rings(grid, alpha, False)
+        radii, _, weights = _rings(grid, alpha, False)
         with np.errstate(invalid="ignore", over="ignore"):
             vals = weights[:, None] * np.abs(_values(f, radii[:, None] * np.exp(1j * thetas)))
     clamped = int(np.count_nonzero(np.isinf(vals)))
@@ -257,8 +283,7 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
         def weighted_abs(r, t):
             with np.errstate(invalid="ignore", over="ignore"):
                 m = np.abs(_values(f, r * np.exp(1j * t)))
-            w = 1.0 if alpha == 0.0 else (1.0 - r * r) ** alpha
-            return np.where(np.isfinite(m), w * m, np.inf)
+            return np.where(np.isfinite(m), radial_weight(1.0 - r, alpha) * m, np.inf)
 
         r = radii[rung]
         dtheta = 2.0 * np.pi / grid.n_angles

@@ -1,8 +1,12 @@
 """CLI surface: exit codes, formats, config file, schema conformance."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from volterra.cli import main
 from volterra.report import (CSV_HEADER, ReportConfig, build_report,
@@ -392,6 +396,83 @@ def test_choice_in_config_file_is_checked_like_a_flag(tmp_path, monkeypatch, cap
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == "" and f"--{key}" in err and value in err and "Traceback" not in err
+
+
+# each subcommand takes only the formats it writes; these were accepted and
+# ignored: classify and list printed text or JSON, the others always text
+@pytest.mark.parametrize("argv", [
+    ("classify", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1",
+     "--format", "csv"),
+    ("list", "--format", "csv"),
+    ("norm", "--symbol", "cayley", "--alpha", "1", "--format", "json"),
+    ("opnorm", "--symbol", "log", "--op", "Tg", "--alpha", "1", "--beta", "2",
+     "--format", "json"),
+    ("lemma2", "--gamma", "0.785", "--eta", "1.571", "--format", "text"),
+], ids=lambda argv: argv[0])
+def test_format_a_subcommand_does_not_write_is_a_usage_error(monkeypatch, capsys, argv):
+    from volterra import cli
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: pytest.fail("command ran"))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "--format" in err and "Traceback" not in err
+
+
+def test_format_key_in_config_is_ignored_where_there_is_no_format(tmp_path, capsys):
+    cfg = tmp_path / "format.cfg"
+    cfg.write_text("format = json\n")
+    cell = ("norm", "--symbol", "cayley", "--alpha", "1")
+    assert run(capsys, *cell, "--config", str(cfg)) == run(capsys, *cell)
+
+
+@pytest.mark.parametrize("cell", [("log", "1", "2"), ("log", "0", "1"), ("cayley", "0", "1")])
+def test_opnorm_prints_a_cut_that_it_accepts(capsys, cell):
+    # the best cut is the rung 1 - 2^-39, which "{:g}" printed as 1, a
+    # value --t0 rejects
+    symbol, alpha, beta = cell
+    argv = ("opnorm", "--symbol", symbol, "--op", "Tg", "--alpha", alpha, "--beta", beta)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    bound, t0 = re.search(r"split upper bound: (\S+)  \(cut t0=(\S+)\)", out).groups()
+    code, out, err = run(capsys, *argv, "--t0", t0)
+    assert code == 0, err
+    assert f"split upper bound at t0={t0}: {bound}\n" in out
+
+
+CONFIG_KEYS = ("symbol", "op", "alpha", "beta", "kmax", "angles", "degree", "probe-nmax",
+               "probe_nmax", "of", "bloch", "t0", "nmax", "gamma", "eta", "theta-count",
+               "samples", "format", "output", "config", "command", "help", "version")
+CONFIG_VALUES = ("", "log", "identity", "nosuch", "Tg", "Sg", "0", "1", "-1", "0.5", "64",
+                 "1e400", "nan", "inf", "0x10", "json", "csv", "xml", "text", "g", "gprime",
+                 "true", "yes", "1,2", ",", "99999999999999999999")
+CONFIG_TOKENS = st.one_of(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES),
+                          st.sampled_from(("=", "#", " ", "\t", "-", "\r")),
+                          st.text(max_size=4))
+CONFIG_TEXT = st.lists(st.lists(CONFIG_TOKENS, max_size=6).map("".join), max_size=6).map(
+    "\n".join)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(("classify", "report", "norm", "opnorm", "probe", "lemma2",
+                                "list")),
+       text=CONFIG_TEXT, raw=st.binary(max_size=3), at=st.integers(min_value=0))
+def test_fuzzed_config_files_exit_cleanly(tmp_path, monkeypatch, command, text, raw, at):
+    """Config text of option keys, values, ``=`` and ``#`` in any position and
+    stray bytes (often not UTF-8) parses to a stubbed command or to one usage
+    error: exit 0 or 1, never a traceback.  Each example rewrites one file."""
+    from volterra import cli
+    monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: 0 for name in cli._COMMANDS})
+    data = text.encode()
+    data = data[:at % (len(data) + 1)] + raw + data[at % (len(data) + 1):]
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg)])
+    assert code in (0, 1), (code, data)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().strip(), data
 
 
 def test_config_presets_a_required_option(tmp_path, capsys):

@@ -410,6 +410,36 @@ def test_lacunary_grid_criteria_never_call_the_closed_forms(phi):
                               _pointwise_profile(real, which, beta + 1.0 - weight, FAST)[1])
 
 
+def _ray_sup_reference(absmat, ray, exponent):
+    """The interior sweep along a peak ray as it was written before the shared
+    ray maximiser: the radii of ``DEFAULT_GRID``, then 40 golden-section steps
+    between the neighbours of the best one; non-finite samples read as inf."""
+    from volterra.spaces import DEFAULT_GRID, REFINE_ITERS as SWEEP_ITERS, golden_max
+
+    def weighted(r, s):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = (s * (2.0 - s)) ** exponent * absmat(r, s, ray)
+        return np.where(np.isfinite(v), v, np.inf)
+    s = DEFAULT_GRID.one_minus_r()
+    r = 1.0 - s
+    vals = weighted(r, s)
+    i = int(np.argmax(vals))
+    lo, hi = (r[i - 1] if i > 0 else 0.0), r[min(i + 1, len(r) - 1)]
+    _, best = golden_max(lambda rr: weighted(rr, 1.0 - rr), np.array([lo]), np.array([hi]),
+                         SWEEP_ITERS)
+    return max(float(vals[i]), float(best[0]))
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_interior_ray_sweep_equals_the_reference_bit_for_bit(name):
+    from volterra.criteria import _pointwise_value
+    g = get_symbol(name)
+    for which in ("deriv", "eval"):
+        for exponent in (0.0, 0.5, 1.0, 2.0):
+            want = _ray_sup_reference(_abs(g, which), g.peak_ray, exponent)
+            assert _pointwise_value(g, which, exponent, 0.0) == max(0.0, want)
+
+
 @pytest.mark.parametrize("phi", [0.0, 2.7])
 def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
     """On the peak ray: the ladder engine, the pointwise profile and the

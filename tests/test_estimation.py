@@ -10,7 +10,7 @@ from volterra.estimation import (ESTIMATION_GRID, BatteryEntry, _radial_max, bui
 from volterra.operators import OperatorKind, apply_operator
 from volterra.series import TaylorSeries
 from volterra.spaces import SpacePair, weighted_sup_norm
-from volterra.symbols import DEFAULT_DEGREE, get_symbol
+from volterra.symbols import DEFAULT_DEGREE, get_symbol, ground_truth_table
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
@@ -45,6 +45,47 @@ def test_batched_radial_max_equals_each_row_alone(alpha):
     assert batch.shape == (9,)
     for row, value in zip(rows, batch):
         assert _radial_max(row[None, :], alpha)[0] == value
+
+
+def _radial_max_reference(mag_rows, alpha):
+    """``_radial_max`` as it was written with its own mesh: 241 radii
+    ``1 - 2^(-k/8)`` (and ``r = 1`` at alpha = 0), a matrix-vector product per
+    row, then 60 golden-section steps."""
+    from volterra.series import evaluate_polynomial
+    from volterra.spaces import golden_max
+    s = 2.0 ** (-np.arange(0, 241) / 8.0)
+    r = 1.0 - s
+    if alpha == 0.0:
+        r, s = np.append(r, 1.0), np.append(s, 0.0)
+    w = (s * (2.0 - s)) ** alpha if alpha else np.ones_like(s)
+    powers = np.vander(r, mag_rows.shape[1], increasing=True)
+    prof = w[:, None] * np.column_stack([powers @ row for row in mag_rows])
+    i = np.argmax(prof, axis=0)
+
+    def f(x):
+        sx = 1.0 - x
+        wx = (sx * (2.0 - sx)) ** alpha if alpha else 1.0
+        return wx * evaluate_polynomial(mag_rows.T, x).real
+    _, peak = golden_max(f, r[np.maximum(i - 1, 0)], r[np.minimum(i + 1, len(r) - 1)], 60)
+    return np.maximum(np.max(prof, axis=0), peak)
+
+
+@pytest.mark.parametrize("alpha", sorted({r.alpha for r in ground_truth_table() if r.alpha > 0}
+                                         | {0.5, 1.0, 2.0}))
+def test_radial_max_agrees_with_its_own_mesh_reference(monkeypatch, alpha):
+    """The rows the default battery measures, within 2e-15 relative of the
+    former dedicated mesh."""
+    from volterra import estimation
+    rows = []
+
+    def spy(mag_rows, a):
+        rows.append(mag_rows)
+        return _radial_max(mag_rows, a)
+    monkeypatch.setattr(estimation, "_radial_max", spy)
+    build_battery(alpha)
+    (mag_rows,) = rows
+    got, want = _radial_max(mag_rows, alpha), _radial_max_reference(mag_rows, alpha)
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
 
 def test_battery_entry_validation():
