@@ -574,7 +574,7 @@ def _pointwise_value(g: SymbolSpec, which: str, exponent: float, profile_max: fl
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
     weight exponent is nonnegative (interior maxima exist only then).  The
     sweep runs along the symbol's peak ray, by the ray maximiser
-    :func:`~volterra.spaces.ray_max` that every radial sup shares, or over the
+    :func:`~volterra.spaces.ray_max` that the battery's norms share, or over the
     whole disk grid when there is none."""
     if exponent < 0:
         return profile_max

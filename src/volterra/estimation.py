@@ -66,14 +66,13 @@ def monomial_norm(n: int, alpha: float) -> float:
 def _radial_max(mag_rows: np.ndarray, alpha: float) -> np.ndarray:
     """``max_r (1-r^2)^alpha sum_m |a_m| r^m`` for each row of magnitudes ``|a_m|``.
 
-    One :func:`~volterra.spaces.ray_max` over all rows, each profile a column
-    of one Horner evaluation; at ``alpha = 0`` the boundary circle is sampled
-    too.  For series whose terms align in phase along some direction this
-    equals the weighted sup-norm exactly; it is never below it, so it is safe
-    as a lower bound denominator.
+    It serves the battery at ``alpha > 0``, where the weight vanishes on the
+    boundary circle: one :func:`~volterra.spaces.ray_max` over all rows, each
+    profile a column of one Horner evaluation.  For series whose terms align
+    in phase along some direction this equals the weighted sup-norm exactly;
+    it is never below it, so it is safe as a lower bound denominator.
     """
-    return ray_max(lambda r, s: evaluate_polynomial(mag_rows.T, r).real, alpha,
-                   boundary=alpha == 0.0)
+    return ray_max(lambda r, s: evaluate_polynomial(mag_rows.T, r).real, alpha)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
 concentrate at the boundary, so the radial grid is geometrically graded toward
 ``|z| = 1``, and golden-section search (:func:`golden_max`, the package's one
 kernel) refines the best candidates: in the angle on the outermost rungs, then
-in the radius at each refined angle.  Every supremum along one ray is
-:func:`ray_max`, on the radii of ``DEFAULT_GRID``.  A function is a truncated
+in the radius at each refined angle.  A supremum along a fixed ray (the
+classifier's interior sweep on a peak ray, the battery's source norms) is
+:func:`ray_max`, on the radii of ``DEFAULT_GRID``; the disk sweep's radial
+refinement at its refined angles stays its own.  A function is a truncated
 Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
 All sweeps are pure and deterministic; refinement can only increase the
 reported supremum.
@@ -145,25 +147,25 @@ def _values(f: TaylorSeries | Callable, z):
 
 
 def _rings(grid: DiskGrid, alpha: float, boundary: bool):
-    """Radii ``r`` of the grid's rungs, with the boundary circle ``r = 1``
-    appended when ``boundary``, their exact ``s = 1 - r`` and their weights."""
+    """Radii of the grid's rungs, with the boundary circle ``r = 1`` appended
+    when ``boundary``, and their weights."""
     s = grid.one_minus_r()
     if boundary:
         s = np.append(s, 0.0)
-    return 1.0 - s, s, radial_weight(s, alpha)
+    return 1.0 - s, radial_weight(s, alpha)
 
 
-def ray_max(fn: Callable, exponent: float, boundary: bool = False) -> np.ndarray:
+def ray_max(fn: Callable, exponent: float) -> np.ndarray:
     """``max_r (1-r^2)^exponent fn(r, 1-r)`` for each column of ``fn``.
 
     ``fn(r, s)`` broadcasts: a column of radii gives ``(R, P)`` values and a
     row of ``P`` radii gives ``P``, one per column.  The radii are those of
-    ``DEFAULT_GRID``, plus the boundary circle when ``boundary`` (the
-    ``alpha = 0`` norm of a polynomial); each column is then refined by
+    ``DEFAULT_GRID``, all inside the disk; each column is then refined by
     golden-section search between the neighbours of its best sample.  Values
     that are not finite read as ``inf``.
     """
-    radii, s, weights = _rings(DEFAULT_GRID, exponent, boundary)
+    s = DEFAULT_GRID.one_minus_r()
+    radii, weights = 1.0 - s, radial_weight(s, exponent)
 
     def weighted(r, s, w):
         v = w * fn(r, s)
@@ -218,7 +220,7 @@ def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
         raise ValueError("stacked sweeps need a grid without refinement (refine_top = 0)")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    radii, _, weights = _rings(grid, alpha, alpha == 0.0)
+    radii, weights = _rings(grid, alpha, alpha == 0.0)
     peaks = [_peak_rings(f.array, radii, weights, grid.n_angles) for f in series]
     out = np.array([np.nan if p is None else np.max(p) for p in peaks], dtype=float)
     rest = [k for k, p in enumerate(peaks) if p is None]
@@ -254,12 +256,12 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     grid = grid or DEFAULT_GRID
     thetas = grid.angles()
     if isinstance(f, TaylorSeries):
-        radii, _, weights = _rings(grid, alpha, alpha == 0.0)
+        radii, weights = _rings(grid, alpha, alpha == 0.0)
         peak = _peak_rings(f.array, radii, weights, grid.n_angles)  # at thetas[0] = 0
         vals = (_ring_sweep(f.array[None, :], radii, weights, grid.n_angles)[0]
                 if peak is None else peak[:, None])
     else:
-        radii, _, weights = _rings(grid, alpha, False)
+        radii, weights = _rings(grid, alpha, False)
         with np.errstate(invalid="ignore", over="ignore"):
             vals = weights[:, None] * np.abs(_values(f, radii[:, None] * np.exp(1j * thetas)))
     clamped = int(np.count_nonzero(np.isinf(vals)))

@@ -190,7 +190,7 @@ def test_stacked_norms_need_a_grid_without_refinement():
 
 def _grid_path_norm(f, alpha, grid):
     """The sweep of every grid angle on every ring, forced for any series."""
-    radii, _, weights = spaces._rings(grid, alpha, alpha == 0.0)
+    radii, weights = spaces._rings(grid, alpha, alpha == 0.0)
     return float(np.max(spaces._ring_sweep(f.array[None, :], radii, weights, grid.n_angles)))
 
 
@@ -325,7 +325,6 @@ def test_golden_max_finds_unimodal_maximum():
     assert abs(t[0] - 0.7) <= 1e-7
 
 
-
 # -- the ray maximiser -----------------------------------------------------------
 
 def test_ray_max_batch_equals_each_column_alone():
@@ -333,13 +332,11 @@ def test_ray_max_batch_equals_each_column_alone():
     a = np.array([0.0, 1.0, 7.0, 40.0, 3.0])
     b = np.array([1.0, 0.5, 2.0, 0.01, 1e-9])
     for exponent in (0.0, 0.5, 2.0):
-        for boundary in (False, True):
-            batch = spaces.ray_max(lambda r, s: r ** a / (s + b), exponent, boundary)
-            assert batch.shape == a.shape
-            for k in range(len(a)):
-                alone = spaces.ray_max(lambda r, s: r ** a[k:k + 1] / (s + b[k:k + 1]),
-                                       exponent, boundary)
-                assert alone[0] == batch[k]
+        batch = spaces.ray_max(lambda r, s: r ** a / (s + b), exponent)
+        assert batch.shape == a.shape
+        for k in range(len(a)):
+            alone = spaces.ray_max(lambda r, s: r ** a[k:k + 1] / (s + b[k:k + 1]), exponent)
+            assert alone[0] == batch[k]
 
 
 def test_ray_max_finds_a_closed_form_maximum():
@@ -359,7 +356,7 @@ def test_ray_max_reads_a_pole_and_nan_as_inf():
     assert both[1] == spaces.ray_max(lambda r, s: np.abs(1.0 / (r - poles[1:])), 1.0)[0] < 1.0
 
 
-def test_ray_max_samples_the_boundary_only_on_request():
+def test_ray_max_never_samples_the_boundary():
     seen = []
 
     def radii(r, s):
@@ -368,6 +365,3 @@ def test_ray_max_samples_the_boundary_only_on_request():
     inside = spaces.ray_max(radii, 0.0)[0]
     assert 1.0 not in np.concatenate(seen)
     assert inside < 1.0 and inside == 1.0 - DEFAULT_GRID.one_minus_r()[-1]
-    seen.clear()
-    assert spaces.ray_max(radii, 0.0, boundary=True)[0] == 1.0
-    assert 1.0 in np.concatenate(seen)
