@@ -14,9 +14,9 @@ exactly, then measures them with one :func:`~volterra.spaces.weighted_sup_norms`
 call on ``ESTIMATION_GRID``.  An image whose coefficients are all real and
 ``>= 0`` is read on the ray ``theta = 0`` alone; so is every probe image of a
 registry symbol other than ``affine``, 70 % of a default report's images.
-Only the rest are swept over every angle, a few at a time: a stack of all 64
-probe images would be a 10 MB array per sweep step, far outside the cache,
-and a stack of 8 already measured slower than sweeping the images one by one.
+Only the rest are swept over every angle, and only on the rings whose
+majorant ``sum |c_m| r^m`` can reach the image's largest sample: 3,168 of
+their 33,502 rings in a default report.
 
 Probes send the normalized monomials through the operator.  These tend to zero
 uniformly on compact subsets, so a compact operator must crush them; a trace

@@ -1,15 +1,17 @@
 """Truncated Taylor series of analytic functions on the disk.
 
 Coefficients are double-precision complex throughout.  A series keeps its
-coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as an immutable tuple and as one
-read-only complex array; derivatives, antiderivatives and Cauchy products run on
-the array, rounded exactly like the per-coefficient Python expressions.  Every
-operation that can drop tail terms records the fact in the ``truncated`` flag of
-its result instead of failing silently.
+coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as one read-only complex array,
+and as an immutable tuple built on first read; derivatives, antiderivatives and
+Cauchy products run on the array, rounded exactly like the per-coefficient
+Python expressions.  Every operation that can drop tail terms records the fact
+in the ``truncated`` flag of its result instead of failing silently.
 
 Polynomials are evaluated by one Horner loop, :func:`evaluate_polynomial`.  On the
 rings of a polar grid, :func:`evaluate_on_rings` folds the coefficients modulo the
-angle count, so a ring costs a few Horner steps on short vectors plus one FFT.
+angle count, so a ring costs a few Horner steps on short vectors plus one FFT;
+it takes ring rows, one coefficient row per ring, so a caller can sweep each
+series on only the rings it needs.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ class TaylorSeries:
     """Finite Taylor polynomial ``sum coeffs[n] z^n``.
 
     ``coeffs`` (numbers or a 1-D array; empty means the zero series) is kept as
-    a tuple of Python complex numbers and once more as the read-only ``array``.
-    ``truncated`` is set when the series is the result of an operation that
-    discarded tail coefficients.
+    the read-only ``array``, and read back as a tuple of Python complex numbers,
+    built from the array on first read.  ``truncated`` is set when the series is
+    the result of an operation that discarded tail coefficients.
     """
 
     coeffs: tuple
@@ -71,11 +73,20 @@ class TaylorSeries:
             raise ValueError("Taylor coefficients must be a flat sequence of numbers")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
+        # the tuple is left to __getattr__: the sweeps read only the array
+        object.__delattr__(self, "coeffs")
+
+    def __getattr__(self, name):
+        # reached only while ``coeffs`` is unset; ==, hash and repr read it too
+        if name != "coeffs":
+            raise AttributeError(name)
+        coeffs = tuple(self.array.tolist())
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.array) - 1
 
     def __call__(self, z):
         return evaluate_polynomial(self.coeffs, z)
@@ -112,40 +123,40 @@ def evaluate_polynomial(coeffs: Sequence, z):
 
 
 def evaluate_on_rings(coeffs, radii, n_angles: int) -> np.ndarray:
-    """Values at ``r e^{2 pi i j / N}`` for each radius ``r`` and ``j < N = n_angles``;
+    """Values at ``r e^{2 pi i j / N}`` for ``j < N = n_angles`` on ring rows;
     overflow is clamp-tagged.
 
-    ``coeffs`` is one row of coefficients, giving values shaped
-    ``(len(radii), N)``, or a ``(P, D)`` stack of rows, giving ``(P, len(radii), N)``.
-    With the coefficients folded modulo ``N``,
+    Coefficient rows, shaped ``(..., D)``, broadcast against ``radii``: one row
+    against ``R`` radii gives ``(R, N)``, and a ``(K, D)`` stack against ``K``
+    radii evaluates row ``k`` on ring ``radii[k]``, giving ``(K, N)``.  With the
+    coefficients folded modulo ``N``,
     ``p(r e^{2 pi i j/N}) = sum_m a_m(r) e^{2 pi i j m/N}`` and
     ``a_m(r) = r^m sum_q c[m + qN] (r^N)^q``.  The block sums are one Horner in
-    ``w = r^N`` over length-``N`` vectors, for all rows at once; each ring is
-    then one inverse FFT, and one call transforms the whole stack.  A ring
-    whose block sum overflows is tagged divergent as a whole: the FFT spreads
-    the clamped infinite term over every angle.
+    ``w = r^N`` over length-``N`` vectors, for all ring rows at once; each ring
+    is then one inverse FFT, and one call transforms them all.  A ring whose
+    block sum overflows is tagged divergent as a whole: the FFT spreads the
+    clamped infinite term over every angle.
     """
     c = np.asarray(coeffs, dtype=complex)
-    rows = c.reshape(-1, c.shape[-1])
-    q = -(-rows.shape[1] // n_angles)
-    padded = np.zeros((len(rows), q * n_angles), dtype=complex)
-    padded[:, :rows.shape[1]] = rows
-    blocks = np.ascontiguousarray(padded.reshape(len(rows), q, 1, n_angles).transpose(1, 0, 2, 3))
     r = np.asarray(radii, dtype=float)
-    # coefficients shaped (q, P, 1, N) against one w per ring, shaped (R, 1):
-    # the Horner broadcasts them to (P, R, N)
-    sums = evaluate_polynomial(blocks, (r ** n_angles)[:, None])
+    lead, d = c.shape[:-1], c.shape[-1]
+    q = -(-d // n_angles)
+    if d < q * n_angles:
+        c = np.concatenate((c, np.zeros(lead + (q * n_angles - d,), dtype=complex)), axis=-1)
+    # a view with the q blocks first, each shaped (..., N)
+    blocks = np.moveaxis(c.reshape(lead + (q, n_angles)), -2, 0)
+    sums = evaluate_polynomial(blocks, (r ** n_angles)[..., None])
     with np.errstate(invalid="ignore", over="ignore"):
-        sums *= _ring_powers(r.tobytes(), n_angles)
+        sums *= r[..., None] ** np.arange(n_angles)
         vals = np.fft.ifft(sums, axis=-1, norm="forward")
-    return _clamp(vals).reshape(c.shape[:-1] + vals.shape[1:])
+    return _clamp(vals)
 
 
 @functools.lru_cache(maxsize=16)
 def _ring_powers(radii: bytes, n_cols: int) -> np.ndarray:
     """The ``(R, n_cols)`` table ``r^m``, ``m < n_cols``, of float64 radii bytes;
-    memoised, read-only.  The ring evaluator takes ``n_cols = N``; the ring
-    maxima of a nonnegative series take ``q N`` columns for ``q`` blocks."""
+    memoised, read-only.  The ring majorants and the ring maxima of a
+    nonnegative series take ``q N`` columns for ``q`` blocks."""
     table = np.frombuffer(radii)[:, None] ** np.arange(n_cols)
     table.flags.writeable = False
     return table

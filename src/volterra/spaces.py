@@ -13,21 +13,24 @@ Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
 All sweeps are pure and deterministic; refinement can only increase the
 reported supremum.
 
-A series whose coefficients are all real and ``>= 0`` peaks at ``theta = 0`` on
-every circle, so its ring maxima take one matrix-vector product and no angle
-is swept.  Any other series is swept a whole ring at a time by the folded-FFT
-ring evaluator of :mod:`volterra.series`; :func:`weighted_sup_norms` sweeps
-these in stacks of ``RING_GROUP`` series, so the per-call work of a sweep is
-paid once per stack.  The stack is bounded because a sweep holds several
-``(P, R, N)`` arrays at once: on the estimation grid's 82 x 128 rings a complex
-one takes about 0.7 MB for 4 series, but 1.3 MB for 8, and then the sweep no
-longer fits a 2 MB per-core cache and measured slower than one series at a
-time.
+On every circle ``|f| <= sum |c_m| r^m``, the ring majorant, which is one
+matrix-vector product with a memoised ``r^m`` table.  A series whose
+coefficients are all real and ``>= 0`` attains it at ``theta = 0``, so its ring
+maxima are its majorants and no angle is swept.  Any other series is swept a
+whole ring at a time by the folded-FFT ring evaluator of
+:mod:`volterra.series`; :func:`weighted_sup_norms` sweeps it on the ring of
+largest majorant, then only on the rings whose majorant reaches that ring's
+maximum, about a tenth of them in a default report.  The evaluator takes ring
+rows, one coefficient row per ring, up to ``RING_GROUP`` per call, so the
+per-call work of a sweep is paid once per call.  The call is bounded because a
+sweep holds several ``(K, N)`` arrays at once: at ``N = 128`` a complex one
+takes about 0.7 MB for 4 x 82 rows (four series on the estimation grid's 82
+rings), but 1.3 MB for twice as many, and then the sweep no longer fits a 2 MB
+per-core cache and measured slower than one series at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,8 +43,21 @@ from .series import OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, evaluate
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per bracket of the sweep refinement
 REFINE_ITERS = 40
-# series per stacked sweep of weighted_sup_norms (why bounded: module docstring)
-RING_GROUP = 4
+# ring rows per evaluator call of weighted_sup_norms (why bounded: module docstring)
+RING_GROUP = 4 * 82
+# Relative slack of the pruning test in weighted_sup_norms.  With u = 2^-53, a
+# swept sample exceeds its ring's exact majorant sum |c_m| r^m by at most the
+# sweep's rounding relative to that sum: about 3u per Horner step in w = r^N
+# (ceil(D/N) steps), u for r^m, about 5u per FFT stage (log2 N stages), 2u for
+# the modulus and u for the weight.  The computed majorant falls short of the
+# exact one by at most (D - 1)u for its D-term sum.  For N = 128 and D <= 513
+# that is about 570u, or 1e-13.  1e-9 keeps the bound for D up to about
+# 9e6 coefficients (the largest report images have about 8,200) and still
+# prunes the same rings.
+PRUNE_MARGIN = 1e-9
+# Absolute slack of the same test: underflow costs each sample at most
+# 2^-1075 per operation, far below the smallest normal number
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -180,59 +196,94 @@ def ray_max(fn: Callable, exponent: float) -> np.ndarray:
     return np.maximum(np.max(vals, axis=0), best)
 
 
-def _ring_sweep(stack: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:
-    """Weighted magnitudes ``(1-|z|^2)^alpha |f(z)|``, shaped ``(P, R, N)``, of a
-    ``(P, D)`` stack of coefficient rows on the rings ``radii`` with their
-    ``weights``; divergent samples are ``inf``."""
+def _ring_sweep(coeffs: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:
+    """Weighted magnitudes ``(1-|z|^2)^alpha |f(z)|`` on ring rows (the
+    broadcast of :func:`~volterra.series.evaluate_on_rings`), each ring with its
+    weight; divergent samples are ``inf``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        mags = np.abs(evaluate_on_rings(stack, radii, n_angles))
-    mags *= weights[:, None]
+        mags = np.abs(evaluate_on_rings(coeffs, radii, n_angles))
+    mags *= weights[..., None]
     return mags
 
 
-def _peak_rings(coeffs: np.ndarray, radii, weights, n_angles: int) -> Optional[np.ndarray]:
-    """Weighted ring maxima ``(1-r^2)^alpha sum_m c_m r^m`` of a row whose
-    coefficients are all real and ``>= 0`` (an exact test: a NaN fails it), or
-    None.  ``|sum c_m r^m e^{i m theta}| <= sum c_m r^m``, so such a row peaks
-    at the grid angle ``theta = 0``; divergent values are ``inf``, tagged
-    before weighting as on the grid path."""
-    if np.any(coeffs.imag) or not np.all(coeffs.real >= 0.0):
-        return None
+def _ring_majorants(coeffs: np.ndarray, radii, weights, n_angles: int):
+    """Weighted ring majorants ``(1-r^2)^alpha sum_m |c_m| r^m`` of a row, and
+    whether they are its ring maxima: they are when the coefficients are all
+    real and ``>= 0`` (an exact test: a NaN fails it), since then
+    ``|sum c_m r^m e^{i m theta}| <= sum c_m r^m`` is attained at the grid angle
+    ``theta = 0``.  Values above the clamp are ``inf``, tagged before weighting
+    as on the ring sweep."""
+    exact = not np.any(coeffs.imag) and bool(np.all(coeffs.real >= 0.0))
     q = -(-len(coeffs) // n_angles)
     powers = _ring_powers(radii.tobytes(), q * n_angles)[:, :len(coeffs)]
     with np.errstate(invalid="ignore", over="ignore"):
         # one matrix-vector product per row: a matrix-matrix product over a
         # stack would round a row differently depending on the rest of it
-        v = powers @ coeffs.real
-    return np.where(v <= OVERFLOW_CLAMP, v, np.inf) * weights
+        v = powers @ (coeffs.real if exact else np.abs(coeffs))
+    return np.where(v <= OVERFLOW_CLAMP, v, np.inf) * weights, exact
+
+
+def _sweep_ring_rows(series, rows, radii, weights, n_angles: int) -> np.ndarray:
+    """The weighted maximum of each ring row ``(k, i)``, series ``k`` on ring
+    ``i``, swept at most ``RING_GROUP`` rows per evaluator call; the rows of
+    one call share a block count ``ceil(len / n_angles)``, so that no series is
+    padded with zero blocks."""
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    blocks = np.array([-(-len(series[k].array) // n_angles) for k in rows[:, 0]], dtype=np.intp)
+    out = np.empty(len(rows))
+    for q in np.unique(blocks).tolist():
+        run = np.flatnonzero(blocks == q)
+        members, which = np.unique(rows[run, 0], return_inverse=True)
+        padded = np.zeros((len(members), q * n_angles), dtype=complex)
+        for row, k in enumerate(members.tolist()):
+            padded[row, :len(series[k].array)] = series[k].array
+        for i in range(0, len(run), RING_GROUP):
+            part = run[i:i + RING_GROUP]
+            rings = rows[part, 1]
+            mags = _ring_sweep(padded[which[i:i + RING_GROUP]], radii[rings], weights[rings],
+                               n_angles)
+            out[part] = np.max(mags, axis=1)
+    return out
 
 
 def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
     """``weighted_sup_norm(f, alpha, grid)`` for each series ``f`` of ``series``,
     on a grid without refinement (``refine_top = 0``), as a float array.
 
-    A series with real, nonnegative coefficients is read at ``theta = 0`` alone
-    (:func:`_peak_rings`).  The others are swept ``RING_GROUP`` at a time
-    through the ring evaluator, each group of one block count
-    ``ceil(len / n_angles)``, so that no series is padded with zero blocks.
+    Each series' weighted ring majorants ``(1-r^2)^alpha sum |c_m| r^m`` come
+    first (:func:`_ring_majorants`); for real, nonnegative coefficients they
+    are the ring maxima.  Any other series is swept on its ring of largest
+    majorant, then only on the rings whose majorant, widened by
+    ``PRUNE_MARGIN``, reaches that ring's maximum: the rest cannot hold a
+    larger sample.  A series whose coefficient 1-norm is above
+    ``OVERFLOW_CLAMP * (1 - PRUNE_MARGIN)``, or NaN, is swept on every ring:
+    the clamp acts on block sums and unweighted samples, which its weighted
+    majorants do not bound.
     """
     if grid.refine_top > 0:
         raise ValueError("stacked sweeps need a grid without refinement (refine_top = 0)")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
     radii, weights = _rings(grid, alpha, alpha == 0.0)
-    peaks = [_peak_rings(f.array, radii, weights, grid.n_angles) for f in series]
-    out = np.array([np.nan if p is None else np.max(p) for p in peaks], dtype=float)
-    rest = [k for k, p in enumerate(peaks) if p is None]
-    blocks = {k: -(-len(series[k].array) // grid.n_angles) for k in rest}
-    for q, run in itertools.groupby(sorted(rest, key=blocks.get), key=blocks.get):
-        run = list(run)
-        for i in range(0, len(run), RING_GROUP):
-            group = run[i:i + RING_GROUP]
-            stack = np.zeros((len(group), q * grid.n_angles), dtype=complex)
-            for row, k in enumerate(group):
-                stack[row, :len(series[k].array)] = series[k].array
-            out[group] = np.max(_ring_sweep(stack, radii, weights, grid.n_angles), axis=(1, 2))
+    out = np.full(len(series), -np.inf)
+    first, rest, majorants = [], [], {}
+    for k, f in enumerate(series):
+        maj, exact = _ring_majorants(f.array, radii, weights, grid.n_angles)
+        if exact:
+            out[k] = np.max(maj)
+        elif np.sum(np.abs(f.array)) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN):
+            majorants[k] = maj
+            first.append((k, int(np.argmax(maj))))
+        else:
+            rest.extend((k, i) for i in range(len(radii)))
+    out[[k for k, _ in first]] = _sweep_ring_rows(series, first, radii, weights, grid.n_angles)
+    for k, i in first:
+        # written so that a NaN majorant is swept
+        keep = ~(majorants[k] * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL < out[k])
+        keep[i] = False
+        rest.extend((k, j) for j in np.flatnonzero(keep).tolist())
+    np.maximum.at(out, np.array([k for k, _ in rest], dtype=np.intp),
+                  _sweep_ring_rows(series, rest, radii, weights, grid.n_angles))
     return out
 
 
@@ -257,9 +308,9 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     thetas = grid.angles()
     if isinstance(f, TaylorSeries):
         radii, weights = _rings(grid, alpha, alpha == 0.0)
-        peak = _peak_rings(f.array, radii, weights, grid.n_angles)  # at thetas[0] = 0
-        vals = (_ring_sweep(f.array[None, :], radii, weights, grid.n_angles)[0]
-                if peak is None else peak[:, None])
+        maj, exact = _ring_majorants(f.array, radii, weights, grid.n_angles)
+        # an exact majorant is the ring's value at thetas[0] = 0
+        vals = maj[:, None] if exact else _ring_sweep(f.array, radii, weights, grid.n_angles)
     else:
         radii, weights = _rings(grid, alpha, False)
         with np.errstate(invalid="ignore", over="ignore"):

@@ -104,6 +104,26 @@ def test_series_array_is_read_only_and_equals_coeffs():
         TaylorSeries([[1, 2], [3, 4]])
 
 
+def test_series_from_an_array_builds_its_tuple_on_first_read():
+    cs = np.array([1 + 1j, -0.0, 2.5, np.nan])
+    f = TaylorSeries(cs)
+    # the sweeps' reads: array, degree, the arithmetic
+    assert f.degree == 3 and f.array.shape == (4,)
+    derivative(f), antiderivative(f), cauchy_product(f, f)
+    assert "coeffs" not in vars(f)
+    assert bits(f.coeffs) == bits(cs) and "coeffs" in vars(f)
+    assert f.coeffs is f.coeffs
+    # ==, hash and repr read it as a series built from the tuple does
+    g, h = TaylorSeries(cs[:3]), TaylorSeries(tuple(cs[:3].tolist()))
+    assert "coeffs" not in vars(g)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert TaylorSeries(cs[:3]) != TaylorSeries(cs[:3], truncated=True)
+    assert f.coefficient(2) == 2.5 and f.coefficient(9) == 0j
+    assert bits([TaylorSeries(cs[:3])(0.5j)]) == bits([h(0.5j)])
+    with pytest.raises(AttributeError):
+        f.no_such_attribute
+
+
 @settings(max_examples=60, deadline=None)
 @given(coeff_tuples(), coeff_tuples(), st.booleans(), st.booleans(), st.data())
 def test_array_arithmetic_is_bit_identical_to_the_python_expressions(cs1, cs2, t1, t2, data):
@@ -297,18 +317,25 @@ def test_ring_whose_block_sum_overflows_is_tagged_whole():
 
 @pytest.mark.parametrize("length", [1, RING_ANGLES, RING_ANGLES + 1, 4 * RING_ANGLES + 1])
 def test_stacked_rows_equal_each_row_alone(length):
-    # one Horner and one FFT call cover the whole (P, D) stack; each row must
-    # come out exactly as swept alone, an overflowing row included
+    # one Horner and one FFT call cover every ring row, each coefficient row
+    # on its own ring, in shuffled order and with rows repeated; each ring row
+    # must come out exactly as its row swept alone on every ring, an
+    # overflowing row included
     rng = np.random.default_rng(length)
     stack = rng.normal(size=(5, length)) + 1j * rng.normal(size=(5, length))
     stack[1, ::3] = -0.0
     stack[3] = 1e308
     radii = np.array([0.0, 0.3, 0.9, 1.0 - 2.0 ** -20, 1.0])
-    got = evaluate_on_rings(stack, radii, RING_ANGLES)
-    assert got.shape == (5, len(radii), RING_ANGLES)
-    for row, want in zip(got, stack):
-        assert bits(row) == bits(evaluate_on_rings(want, radii, RING_ANGLES))
-    assert np.all(got[3, -1] == DIVERGENT_SAMPLE)
+    rows, rings = np.divmod(rng.permutation(len(stack) * len(radii)), len(radii))
+    got = evaluate_on_rings(stack[rows], radii[rings], RING_ANGLES)
+    assert got.shape == (len(rows), RING_ANGLES)
+    alone = [evaluate_on_rings(want, radii, RING_ANGLES) for want in stack]
+    for k, i, ring_row in zip(rows, rings, got):
+        assert bits(ring_row) == bits(alone[k][i])
+    assert np.all(got[(rows == 3) & (rings == len(radii) - 1)] == DIVERGENT_SAMPLE)
+    # rows broadcast against radii: a (P, 1, D) stack on R rings is (P, R, N)
+    grid = evaluate_on_rings(stack[:, None, :], radii, RING_ANGLES)
+    assert bits(grid) == bits(alone)
 
 
 def test_array_coefficients_equal_each_column_alone():

@@ -1,12 +1,17 @@
 """Weighted sup-norms, Bloch norms and grid behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volterra.errors import DomainError, SymbolZeroDerivative
 from volterra import spaces
-from volterra.series import TaylorSeries
+from volterra.estimation import ESTIMATION_GRID, build_battery
+from volterra.operators import OperatorKind, apply_operator
+from volterra.series import OVERFLOW_CLAMP, TaylorSeries, _ring_powers, evaluate_on_rings
+from volterra.symbols import DEFAULT_DEGREE
 from volterra.spaces import (DEFAULT_GRID, RING_GROUP, DiskGrid, SpacePair, bloch_norm,
                              golden_max, weighted_sup_details, weighted_sup_norm,
                              weighted_sup_norms)
@@ -161,18 +166,30 @@ SWEEP_GRID = DiskGrid(radial_k=80, n_angles=64, refine_top=0, outer_rungs=4)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-def test_stacked_norms_equal_each_sweep_alone(alpha):
-    # block counts mixed (lengths 1, N, N + 1, 4N + 1 at N = 64), more series
-    # than one group holds, and a series whose block sums overflow; alpha = 0
-    # adds the boundary ring
+def test_stacked_norms_equal_each_sweep_alone(monkeypatch, alpha):
+    # block counts mixed (lengths 1, N, N + 1, 4N + 1 at N = 64), a series
+    # whose block sums overflow, and more ring rows of one block count than
+    # one evaluator call holds: rows at the clamp in 1-norm are swept on
+    # every ring; alpha = 0 adds the boundary ring
     n = SWEEP_GRID.n_angles
     rng = np.random.default_rng(7)
-    lengths = [1, n, n + 1, 4 * n + 1] * (RING_GROUP // 2 + 1)
+    lengths = [1, n, n + 1, 4 * n + 1] * 3
     fs = [TaylorSeries((rng.normal(size=d) + 1j * rng.normal(size=d)) / np.arange(1, d + 1))
           for d in lengths]
     fs.insert(3, TaylorSeries((1e308,) * (4 * n + 1)))
-    assert len(fs) > 2 * RING_GROUP
+    for _ in range(RING_GROUP // SWEEP_GRID.radial_k + 1):
+        c = np.exp(2j * np.pi * rng.random(4 * n + 1))
+        fs.append(TaylorSeries(c * (OVERFLOW_CLAMP / np.sum(np.abs(c)))))
+    calls = []
+    sweep = spaces._ring_sweep
+
+    def spy(coeffs, radii, *args):
+        calls.append((coeffs.shape[-1], len(radii)))
+        return sweep(coeffs, radii, *args)
+    monkeypatch.setattr(spaces, "_ring_sweep", spy)
     got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    assert max(k for _, k in calls) <= RING_GROUP
+    assert sum(k for d, k in calls if d == 5 * n) > RING_GROUP
     want = np.array([weighted_sup_details(f, alpha, SWEEP_GRID).value for f in fs])
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert got[3] == float("inf") and np.all(np.isfinite(np.delete(got, 3)))
@@ -191,18 +208,26 @@ def test_stacked_norms_need_a_grid_without_refinement():
 def _grid_path_norm(f, alpha, grid):
     """The sweep of every grid angle on every ring, forced for any series."""
     radii, weights = spaces._rings(grid, alpha, alpha == 0.0)
-    return float(np.max(spaces._ring_sweep(f.array[None, :], radii, weights, grid.n_angles)))
+    return float(np.max(spaces._ring_sweep(f.array, radii, weights, grid.n_angles)))
 
 
 def _spy_on_grid_path(monkeypatch):
-    """Record every coefficient row that reaches the grid path."""
+    """Record every ring row, a coefficient row and its radius, that reaches
+    the grid path."""
     swept, sweep = [], spaces._ring_sweep
 
-    def spy(stack, *args):
-        swept.extend(stack)
-        return sweep(stack, *args)
+    def spy(coeffs, radii, *args):
+        swept.extend(zip(np.broadcast_to(coeffs, np.shape(radii) + coeffs.shape[-1:]), radii))
+        return sweep(coeffs, radii, *args)
     monkeypatch.setattr(spaces, "_ring_sweep", spy)
     return swept
+
+
+def _rings_swept(swept, f):
+    """The radii on which the ring rows of ``swept`` evaluated ``f``, padded
+    with zero blocks or not."""
+    return [r for row, r in swept
+            if row[:len(f.array)].tobytes() == f.array.tobytes() and not np.any(row[len(f.array):])]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
@@ -227,13 +252,17 @@ def test_one_negative_complex_or_nan_coefficient_takes_the_grid_path(monkeypatch
     good = TaylorSeries((1.0, -0.0, 0.25, 2.0))
     mixed = TaylorSeries((1.0, 0.5, odd, 2.0))
     swept = _spy_on_grid_path(monkeypatch)
+    radii, _ = spaces._rings(SWEEP_GRID, 0.5, False)
     weighted_sup_norms([good, mixed, good], 0.5, SWEEP_GRID)
+    in_norms = len(swept)
     weighted_sup_details(good, 0.5, SWEEP_GRID)
+    assert len(swept) == in_norms
     weighted_sup_details(mixed, 0.5, SWEEP_GRID)
-    assert len(swept) == 2
-    for row in swept:
-        assert np.array_equal(row[:4], mixed.array, equal_nan=True)
-        assert not np.any(row[4:])
+    # the stacked sweep reaches at least the ring of largest majorant; the
+    # single sweep reaches every ring
+    assert 1 <= in_norms <= len(radii) and len(swept) == in_norms + len(radii)
+    assert len(_rings_swept(swept, mixed)) == len(swept)
+    assert _rings_swept(swept[in_norms:], mixed) == radii.tolist()
 
 
 @pytest.mark.parametrize("coeffs", [(1e308,) * (4 * SWEEP_GRID.n_angles + 1), (1e299,) * 200])
@@ -246,6 +275,130 @@ def test_overflowing_nonnegative_series_reads_inf(monkeypatch, coeffs):
         assert detail.value == np.inf
         assert detail.divergent and detail.clamped_samples > 0
     assert swept == []
+
+
+# -- ring sweeps pruned by the ring majorants -------------------------------------
+
+def stacked_full_sweep(series, alpha, grid):
+    """Reference: the sweep before pruning.  A series with real, nonnegative
+    coefficients is read at ``theta = 0``; every other series is swept on
+    every ring, four series per stack of one block count."""
+    radii, weights = spaces._rings(grid, alpha, alpha == 0.0)
+    n = grid.n_angles
+    out, rest = np.empty(len(series)), []
+    for k, f in enumerate(series):
+        c = f.array
+        if np.any(c.imag) or not np.all(c.real >= 0.0):
+            rest.append(k)
+            continue
+        powers = _ring_powers(radii.tobytes(), -(-len(c) // n) * n)[:, :len(c)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = powers @ c.real
+        out[k] = np.max(np.where(v <= OVERFLOW_CLAMP, v, np.inf) * weights)
+    blocks = {k: -(-len(series[k].array) // n) for k in rest}
+    for q, run in itertools.groupby(sorted(rest, key=blocks.get), key=blocks.get):
+        run = list(run)
+        for i in range(0, len(run), 4):
+            group = run[i:i + 4]
+            stack = np.zeros((len(group), q * n), dtype=complex)
+            for row, k in enumerate(group):
+                stack[row, :len(series[k].array)] = series[k].array
+            with np.errstate(invalid="ignore", over="ignore"):
+                mags = np.abs(evaluate_on_rings(stack[:, None, :], radii, n))
+            mags *= weights[:, None]
+            out[group] = np.max(mags, axis=(1, 2))
+    return out
+
+
+@st.composite
+def sweep_rows(draw):
+    """A coefficient row for SWEEP_GRID: mixed block counts, and coefficients
+    with random phases, rotated or plain nonnegative, with one negative
+    coefficient, a NaN, signed zeros, subnormal, with 1-norm just above or
+    below the pruning's clamp guard, or with a block sum past the clamp."""
+    n = SWEEP_GRID.n_angles
+    d = draw(st.sampled_from([1, 2, n - 1, n, n + 1, 2 * n + 3, 4 * n + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mags = rng.random(d) / np.arange(1, d + 1) ** rng.uniform(0.0, 2.0)
+    phases = mags * np.exp(2j * np.pi * rng.random(d))
+    kind = draw(st.sampled_from(["phases", "rotated", "nonnegative", "negative", "nan",
+                                 "zeros", "subnormal", "below clamp", "above clamp",
+                                 "block sum"]))
+    if kind == "rotated":
+        return mags * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)) * np.arange(d))
+    if kind == "nonnegative":
+        return mags + 0j
+    if kind == "negative":
+        mags[rng.integers(d)] = -draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        return mags + 0j
+    if kind == "nan":
+        phases[rng.integers(d)] = draw(st.sampled_from([np.nan, complex(0.0, np.nan)]))
+    elif kind == "zeros":
+        signs = rng.choice([0.0, -0.0], size=(2, d))
+        zero = rng.random(d) < 0.7
+        phases[zero] = signs[0, zero] + 1j * signs[1, zero]
+        if draw(st.booleans()):
+            phases = phases.real + 0j * signs[1]
+    elif kind == "subnormal":
+        phases = (rng.integers(-4, 5, d) + 1j * rng.integers(-4, 5, d)) * 5e-324
+    elif kind in ("below clamp", "above clamp"):
+        shift = -1e-6 if kind == "below clamp" else 1e-6
+        target = OVERFLOW_CLAMP * (1.0 - spaces.PRUNE_MARGIN) * (1.0 + shift)
+        phases *= target / np.sum(np.abs(phases))
+    elif kind == "block sum" and d >= n:
+        phases[n - 1] = 1e305
+    return phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sweep_rows(), min_size=1, max_size=8), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))
+@example([np.array((1e299,) * 200 + (-1.0,), dtype=complex)], 2.0)
+@example([np.r_[np.zeros(SWEEP_GRID.n_angles - 1), 1e305, -np.ones(SWEEP_GRID.n_angles)]
+          + 0j], 0.5)
+# rounding in the subnormal range puts a sample of this row above its ring's
+# majorant; the test's absolute slack keeps that ring
+@example([np.array([1 + 3j, 4 - 3j, -2 - 4j, -1 - 1j]) * 5e-324], 0.5)
+def test_pruned_sweep_equals_the_full_sweep(rows, alpha):
+    fs = [TaylorSeries(c) for c in rows]
+    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    want = stacked_full_sweep(fs, alpha, SWEEP_GRID)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_only_rows_that_need_it_reach_the_evaluator(monkeypatch):
+    # a nonnegative row never; a row at the clamp in 1-norm, and one with a
+    # NaN, on every ring; a row with random phases on some rings
+    n = SWEEP_GRID.n_angles
+    rng = np.random.default_rng(3)
+    nonnegative = TaylorSeries(rng.random(2 * n + 1))
+    phases = rng.random(2 * n + 1) * np.exp(2j * np.pi * rng.random(2 * n + 1))
+    at_clamp = TaylorSeries(phases * (OVERFLOW_CLAMP / np.sum(np.abs(phases))))
+    nan = TaylorSeries(np.where(np.arange(2 * n + 1) == 5, np.nan, phases))
+    fs = [nonnegative, TaylorSeries(phases), at_clamp, nan, nonnegative]
+    swept = _spy_on_grid_path(monkeypatch)
+    for alpha in (0.0, 0.5, 2.0):
+        radii, _ = spaces._rings(SWEEP_GRID, alpha, alpha == 0.0)
+        swept.clear()
+        weighted_sup_norms(fs, alpha, SWEEP_GRID)
+        assert _rings_swept(swept, nonnegative) == []
+        assert sorted(_rings_swept(swept, at_clamp)) == radii.tolist()
+        assert sorted(_rings_swept(swept, nan)) == radii.tolist()
+        assert 1 <= len(_rings_swept(swept, fs[1])) < len(radii)
+        assert len(swept) == 2 * len(radii) + len(_rings_swept(swept, fs[1]))
+
+
+def test_a_report_battery_sweeps_few_ring_rows(monkeypatch):
+    # the T_g battery of cayley from H-infinity_0 to H-infinity_1, a default
+    # report row: at most 15 % of the ring rows of a full sweep
+    battery = build_battery(0.0, DEFAULT_DEGREE)
+    g = get_symbol("cayley").taylor(DEFAULT_DEGREE)
+    images = [apply_operator(OperatorKind.Tg, g, entry.series) for entry in battery.entries]
+    radii, _ = spaces._rings(ESTIMATION_GRID, 1.0, False)
+    full = len(radii) * sum(bool(np.any(f.array.imag) or not np.all(f.array.real >= 0.0))
+                            for f in images)
+    swept = _spy_on_grid_path(monkeypatch)
+    weighted_sup_norms(images, 1.0, ESTIMATION_GRID)
+    assert full > 0 and len(swept) <= 0.15 * full
 
 
 def test_bloch_norm_needs_a_derivative_evaluator():
