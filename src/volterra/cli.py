@@ -32,13 +32,11 @@ from .spaces import SpacePair, bloch_norm, weighted_sup_details
 from .symbols import get_symbol, ground_truth_table, registry
 
 
-# the largest counts accepted: on a 2-vCPU machine a lacunary T_g cell at 8192
-# angles takes about 4 s and 0.3 GB, and a density estimate holds about 140
-# bytes per sample (1.4 GB at 10^7); larger counts fail to allocate.  The work
-# of the other counts grows without an allocation failure to stop it: the
-# report takes about 10 s at degree 4096 and 15 s at 1024 probe monomials, and
-# the lemma2 sweep costs one density estimate per angle (about 2 s for 4096
-# angles at 1000 samples, 4 min at 10^5)
+# the largest counts accepted.  No subcommand reaches the angle grid: every
+# symbol the CLI can name has a peak ray.  A density estimate holds about 140
+# bytes per sample (1.4 GB at 10^7); on a 2-vCPU machine the report takes about
+# 10 s at degree 4096 and 15 s at 1024 probe monomials; lemma2 costs a density
+# estimate per angle (about 2 s at 4096 angles and 1000 samples, 4 min at 10^5)
 MAX_ANGLES = 8192
 MAX_SAMPLES = 10 ** 7
 MAX_DEGREE = 4096
@@ -72,6 +70,13 @@ def _positive_int(value: str) -> int:
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {value}")
+    return n
+
+
+def _degree(value: str) -> int:
+    n = _positive_int(value)
+    if n < 8:  # the report schema's minimum for config.degree
+        raise argparse.ArgumentTypeError(f"the report needs a degree of at least 8, got {value}")
     return n
 
 
@@ -164,7 +169,7 @@ def _build_parser(preset=None):
     p.add_argument("--kmax", type=_kmax, default=40)
     p.add_argument("--angles", type=_angle_count, default=512,
                    help="angle grid for a symbol without a peak ray")
-    p.add_argument("--degree", type=_at_most(MAX_DEGREE), default=256)
+    p.add_argument("--degree", type=_at_most(MAX_DEGREE, _degree), default=256)
     p.add_argument("--probe-nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
     add_common(p, "json", "csv", "text")
 

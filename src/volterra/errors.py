@@ -13,10 +13,6 @@ class HypothesisError(VolterraError, ValueError):
     """A criterion was invoked outside the parameter range where it applies."""
 
 
-class SymbolZeroDerivative(VolterraError, ArithmeticError):
-    """g' vanishes on the sampling grid, so the log-derivative quotient is meaningless."""
-
-
 class ConstructionError(VolterraError, RuntimeError):
     """A normalization solve failed to reach its residual target."""
 

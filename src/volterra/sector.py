@@ -37,23 +37,20 @@ _RADIAL_DECADES = math.log(1e6)
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Open sector ``0 < |z| < radius``, ``|arg z - theta| < eta/2``."""
+    """Open unit-radius sector ``0 < |z| < 1``, ``|arg z - theta| < eta/2``."""
 
     eta: float
     theta: float = 0.0
-    radius: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.eta < math.pi):
             raise ValueError("aperture eta must lie in (0, pi)")
         if not (0.0 <= self.theta < 2.0 * math.pi):
             raise ValueError("bisector angle theta must lie in [0, 2 pi)")
-        if not (0.0 < self.radius <= 1.0):
-            raise ValueError("radius must lie in (0, 1]")
 
     def contains(self, z: complex) -> bool:
         az = abs(z)
-        if not (0.0 < az < self.radius):
+        if not (0.0 < az < 1.0):
             return False
         d = (np.angle(z) - self.theta + math.pi) % (2.0 * math.pi) - math.pi
         return abs(d) < 0.5 * self.eta
@@ -69,7 +66,6 @@ class SectorMap:
     one_minus_abs2: Callable     # stable 1 - |psi|^2
     center_residual: float       # |psi| at the half-radius bisector point
     vertex_solve_residual: float  # |normalized vertex image - e^{i theta}|
-    rotation: complex            # final unimodular factor
 
     def vertex_residuals(self, eps_values=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
         """|psi(eps e^{i theta}) - e^{i theta}| along the bisector."""
@@ -132,7 +128,7 @@ def build_sector_map(params: SectorParams) -> SectorMap:
             f"normalization residuals {center_residual:.3e}/{vertex_residual:.3e}")
     return SectorMap(params=params, psi=psi, dpsi=dpsi, one_minus_abs2=one_minus_abs2,
                      center_residual=center_residual,
-                     vertex_solve_residual=vertex_residual, rotation=rho)
+                     vertex_solve_residual=vertex_residual)
 
 
 def density_ratio(smap: SectorMap, z: complex) -> float:

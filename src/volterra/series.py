@@ -4,8 +4,7 @@ Coefficients are double-precision complex throughout.  A series keeps its
 coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as one read-only complex array,
 and as an immutable tuple built on first read; derivatives, antiderivatives and
 Cauchy products run on the array, rounded exactly like the per-coefficient
-Python expressions.  Every operation that can drop tail terms records the fact
-in the ``truncated`` flag of its result instead of failing silently.
+Python expressions.
 
 Polynomials are evaluated by one Horner loop, :func:`evaluate_polynomial`.  On the
 rings of a polar grid, :func:`evaluate_on_rings` folds the coefficients modulo the
@@ -19,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,12 +58,10 @@ class TaylorSeries:
 
     ``coeffs`` (numbers or a 1-D array; empty means the zero series) is kept as
     the read-only ``array``, and read back as a tuple of Python complex numbers,
-    built from the array on first read.  ``truncated`` is set when the series is
-    the result of an operation that discarded tail coefficients.
+    built from the array on first read.
     """
 
     coeffs: tuple
-    truncated: bool = False
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,12 +87,6 @@ class TaylorSeries:
 
     def __call__(self, z):
         return evaluate_polynomial(self.coeffs, z)
-
-    def derivative(self) -> "TaylorSeries":
-        return derivative(self)
-
-    def antiderivative(self) -> "TaylorSeries":
-        return antiderivative(self)
 
     def coefficient(self, n: int) -> complex:
         return self.coeffs[n] if 0 <= n <= self.degree else 0j
@@ -165,7 +156,7 @@ def _ring_powers(radii: bytes, n_cols: int) -> np.ndarray:
 def derivative(f: TaylorSeries) -> TaylorSeries:
     """Term-by-term derivative; degree drops by one (minimum 0)."""
     # complex times (n + 1 + 0j), rounded like Python's ``(n + 1) * c``
-    return TaylorSeries(np.arange(1, f.degree + 1) * f.array[1:], f.truncated)
+    return TaylorSeries(np.arange(1, f.degree + 1) * f.array[1:])
 
 
 def antiderivative(f: TaylorSeries) -> TaylorSeries:
@@ -177,22 +168,12 @@ def antiderivative(f: TaylorSeries) -> TaylorSeries:
     cs = np.zeros(f.degree + 2, dtype=complex)
     cs.real[1:] = (c.real + c.imag * 0.0) / k
     cs.imag[1:] = (c.imag - c.real * 0.0) / k
-    return TaylorSeries(cs, f.truncated)
+    return TaylorSeries(cs)
 
 
-def cauchy_product(f: TaylorSeries, g: TaylorSeries, out_degree: Optional[int] = None) -> TaylorSeries:
-    """Coefficient convolution of two series, truncated to ``out_degree``.
-
-    ``out_degree`` defaults to the full product degree and may not exceed it.
-    A result shorter than the full product is flagged ``truncated``.
-    """
-    full = f.degree + g.degree
-    if out_degree is None:
-        out_degree = full
-    if out_degree > full:
-        raise ValueError(f"out_degree {out_degree} exceeds product degree {full}")
-    conv = np.convolve(f.array, g.array)[: out_degree + 1]
-    return TaylorSeries(conv, f.truncated or g.truncated or out_degree < full)
+def cauchy_product(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
+    """Coefficient convolution of two series, of degree ``f.degree + g.degree``."""
+    return TaylorSeries(np.convolve(f.array, g.array))
 
 
 def check_derivative_consistency(fn: Callable, dfn: Callable, h: float = 1e-5,

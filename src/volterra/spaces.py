@@ -38,7 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .series import OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, evaluate_on_rings
+from .series import (OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, derivative,
+                     evaluate_on_rings)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per bracket of the sweep refinement
@@ -115,9 +116,6 @@ class SupremumReport:
     argmax: complex
     divergent: bool = False
     clamped_samples: int = 0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def radial_weight(one_minus_r, alpha: float):
@@ -380,6 +378,6 @@ def bloch_norm(f: TaylorSeries | Callable, df: Optional[Callable] = None,
     if df is None:
         if not isinstance(f, TaylorSeries):
             raise DomainError("a closed form needs its derivative evaluator df")
-        df = f.derivative()
+        df = derivative(f)
     return float(abs(_values(f, 0j))) + weighted_sup_norm(df, 1.0, grid)
 

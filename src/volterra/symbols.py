@@ -38,6 +38,10 @@ class SymbolMetadata:
 class SymbolSpec:
     """A named symbol with vectorized evaluators for g, g', g''.
 
+    :meth:`taylor` gives the degree-``N`` partial sum of the exact symbol;
+    nothing bounds or records the dropped tail, so what is computed from that
+    series describes the partial sum.
+
     ``polar_eval`` and ``polar_deriv`` are optional boundary-stable forms
     ``(r, s, theta) -> |g|, |g'|`` of the unrotated symbol at ``r e^{i theta}``,
     with ``s = 1 - r`` carried exactly; :meth:`abs_eval` and :meth:`abs_deriv`
@@ -59,7 +63,6 @@ class SymbolSpec:
     deriv2: Callable
     taylor_coeff: Callable  # n -> complex coefficient of z^n
     metadata: SymbolMetadata = field(default_factory=SymbolMetadata)
-    tail_bound: Optional[Callable] = None  # (N, r) -> bound on the dropped series tail
     rotation: float = 0.0  # total angle of rotated(); the polar forms shift theta by it
     polar_eval: Optional[Callable] = None
     polar_deriv: Optional[Callable] = None
@@ -89,9 +92,8 @@ class SymbolSpec:
         return TaylorSeries(tuple(self.taylor_coeff(n) for n in range(degree + 1)))
 
     def rotated(self, phi: float) -> "SymbolSpec":
-        """The symbol ``z -> g(e^{i phi} z)``; metadata, tail bound, polar
-        forms and peak survive rotation, the polar forms shifted by the summed
-        angle."""
+        """The symbol ``z -> g(e^{i phi} z)``; metadata, polar forms and peak
+        survive rotation, the polar forms shifted by the summed angle."""
         w = complex(math.cos(phi), math.sin(phi))
         return replace(
             self,
@@ -193,14 +195,6 @@ def _zero(z):
     return np.zeros_like(_c(z))
 
 
-def _poly_tail(top_degree: int):
-    return lambda N, r: 0.0 if N >= top_degree else float("inf")
-
-
-def _geom_tail(N, r):
-    return r ** (N + 1) / (1.0 - r)
-
-
 def _lacunary_eval(z):
     # sum of z^(2^k) by repeated squaring
     z = _c(z)
@@ -248,7 +242,6 @@ def _build_registry():
         eval=_zero, deriv=_zero, deriv2=_zero,
         taylor_coeff=lambda n: 0j,
         metadata=SymbolMetadata(is_zero=True, note="both operators vanish"),
-        tail_bound=lambda N, r: 0.0,
         polar_eval=_const(0.0), polar_deriv=_const(0.0),
         peak=0.0,
     ))
@@ -259,7 +252,6 @@ def _build_registry():
         taylor_coeff=lambda n: 1 + 0j if n == 0 else 0j,
         metadata=SymbolMetadata(log_symbol_bloch=True,
                                 note="T_g vanishes; S_g f = f - f(0)"),
-        tail_bound=_poly_tail(0),
         polar_eval=_const(1.0), polar_deriv=_const(0.0),
         peak=0.0,
     ))
@@ -271,7 +263,6 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True,
                                 log_symbol_bloch=False,
                                 note="log g' = 0; log g singular at the interior zero"),
-        tail_bound=_poly_tail(1),
         polar_eval=_radial(lambda r: r), polar_deriv=_const(1.0),
         peak=0.0,
     ))
@@ -284,7 +275,6 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=False, log_deriv_bloch=False,
                                 log_symbol_bloch=False,
                                 note="g' = z vanishes at 0, so the log-derivative quotient blows up there"),
-        tail_bound=_poly_tail(2),
         polar_eval=_radial(lambda r: 0.5 * r * r), polar_deriv=_radial(lambda r: r),
         peak=0.0,
     ))
@@ -301,7 +291,6 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True,
                                 log_symbol_bloch=False,
                                 note="conformal onto a half-plane image; g(0) = 0 kills log g"),
-        tail_bound=lambda N, r: _geom_tail(N, r) / (N + 1),
         polar_eval=_log_abs,
         polar_deriv=lambda r, s, t: 1.0 / _dist(r, s, t),
         peak=0.0,
@@ -320,7 +309,6 @@ def _build_registry():
         taylor_coeff=lambda n: 0j if n == 0 else 1 + 0j,
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
                                 note="Moebius; g(0) = 0 kills log g"),
-        tail_bound=_geom_tail,
         polar_eval=lambda r, s, t: r / _dist(r, s, t),
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
         peak=0.0,
@@ -333,7 +321,6 @@ def _build_registry():
         deriv2=lambda z: 3.0 * (1.0 - _c(z)) ** -4.0,
         taylor_coeff=lambda n: 0j if n == 0 else complex(0.5 * (n + 1)),
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False),
-        tail_bound=lambda N, r: 0.5 * (N + 2) * r ** (N + 1) / (1.0 - r) ** 2,
         polar_eval=_koebe3_abs,
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -3.0,
         peak=0.0,
@@ -347,7 +334,6 @@ def _build_registry():
         taylor_coeff=lambda n: (1 + 0j, -1 + 0j)[n] if n <= 1 else 0j,
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
                                 note="log g = log(1-z) has derivative -1/(1-z), Bloch"),
-        tail_bound=_poly_tail(1),
         polar_eval=_dist, polar_deriv=_const(1.0),
         peak=math.pi,  # |1 - z| = |1 + r e^{i (theta - pi)}|; |g'| = 1
     ))
@@ -360,7 +346,6 @@ def _build_registry():
         taylor_coeff=lambda n: 1 + 0j,
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
                                 note="Moebius, zero-free; log g = -log(1-z), Bloch"),
-        tail_bound=_geom_tail,
         polar_eval=lambda r, s, t: 1.0 / _dist(r, s, t),
         polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
         peak=0.0,
@@ -373,7 +358,6 @@ def _build_registry():
         taylor_coeff=lambda n: 1 + 0j if n in _LACUNARY_EXPONENTS else 0j,
         metadata=SymbolMetadata(univalent=False, log_deriv_bloch=None, log_symbol_bloch=None,
                                 note="gap-series partial sum; Bloch flags left unknown on purpose"),
-        tail_bound=_poly_tail(2 ** LACUNARY_K),
         polar_eval=lacunary_abs, polar_deriv=lacunary_abs_deriv,
         peak=0.0,
     ))

@@ -201,6 +201,8 @@ def test_lemma2_counts_must_be_positive(capsys, option, value):
      "argument --nmax: probe traces need at least 16"),
     (("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1", "--nmax", "-3"),
      "argument --nmax: probe traces need at least 16"),
+    # a degree below the schema's minimum of 8 wrote a JSON report that failed it
+    (("report", "--degree", "7"), "argument --degree: the report needs a degree of at least 8"),
 ])
 def test_report_and_probe_counts_are_checked_at_parse_time(capsys, argv, message):
     # `report --degree -1` failed in the battery with "battery entries need a
@@ -542,6 +544,17 @@ def test_report_document_validates_against_schema(full_report):
     jsonschema.validate(doc, schema)
     # JSON serialization round-trips
     assert json.loads(to_json(doc)) == doc
+
+
+def test_smallest_accepted_degree_writes_a_valid_report(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as resources
+    code, out, err = run(capsys, "report", "--degree", "8", "--kmax", "6", "--probe-nmax", "16",
+                         "--format", "json")
+    assert code in (0, 2), err
+    schema = json.loads(
+        resources.files("volterra").joinpath("data/report_schema.json").read_text())
+    jsonschema.validate(json.loads(out), schema)
 
 
 def test_report_csv_rows_align_with_document(full_report):

@@ -1,5 +1,6 @@
 """Criterion ladders, pointwise profiles, and the merged classifier."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -386,6 +387,52 @@ def test_polar_forms_match_an_mpmath_oracle(name, which, rotations):
         bound = 1e-13 * _modulus_sum(name, which, r[:, 0])[:, None]
     for got in (grid, flat):
         assert np.all(np.abs(got - want) <= bound)
+
+
+# |g'| on the peak ray as a power s^-p of s = 1 - r: identity and affine (whose
+# ray is theta = pi) have |g'| = 1, log 1/s, cayley 1/s^2 and koebe3 1/s^3
+RUNG_ORACLE_POLES = {"identity": 0, "affine": 0, "log": 1, "cayley": 2, "koebe3": 3}
+
+
+@functools.lru_cache(maxsize=None)
+def _rung_oracle(p, alpha, k_max=40):
+    """The rungs ``int_0^{1-2^-k} s^-p (1-r^2)^-alpha dr``, k = 0..k_max, as
+    mpmath.quad integrals over the dyadic cells ``s in [2^-(j+1), 2^-j]``,
+    summed at 20 digits.  Each cell is integrated in ``u = -log s``, where it
+    has width log 2 and its integrand ``s^(1-p) (s(2-s))^-alpha`` is analytic
+    well beyond it; the quadrature's own error estimate must be below 1e-18."""
+    import mpmath
+    with mpmath.workdps(20):
+        a, ln2 = mpmath.mpf(alpha), mpmath.log(2)
+
+        def integrand(u):
+            s = mpmath.exp(-u)
+            return s ** (1 - p) * (s * (2 - s)) ** -a
+
+        total, rungs = mpmath.mpf(0), [0.0]
+        for j in range(k_max):
+            cell, err = mpmath.quad(integrand, [j * ln2, (j + 1) * ln2],
+                                    method="gauss-legendre", maxdegree=5, error=True)
+            assert err <= 1e-18 * cell
+            total += cell
+            rungs.append(float(total))
+    return np.array(rungs)
+
+
+@pytest.mark.parametrize("name", sorted(RUNG_ORACLE_POLES))
+def test_ladder_rungs_match_an_mpmath_oracle(name):
+    """Every rung k = 1..40 of the beta = 0 ladder on the peak ray,
+    ``int_0^{1-2^-k} |g'(r)| (1-r^2)^-alpha dr``, within 1e-13 relative of the
+    mpmath cell sums, at alpha in {0, 0.5, 1, 2}: the rung values, not only the
+    verdicts they lead to, are checked (the worst seen is 6.4e-15, koebe3 at
+    alpha = 2)."""
+    from volterra.criteria import DEFAULT_LADDER, _ladder_engine
+    g = get_symbol(name)
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        got = _ladder_engine(g, "deriv", alpha, 0.0, DEFAULT_LADDER).values[1:]
+        want = _rung_oracle(RUNG_ORACLE_POLES[name], alpha)[1:]
+        rel = np.abs(got - want) / want
+        assert np.all(rel <= 1e-13), (alpha, float(np.max(rel)))
 
 
 def _boom(z):

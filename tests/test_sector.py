@@ -32,8 +32,6 @@ def test_params_validation():
         SectorParams(eta=math.pi)
     with pytest.raises(ValueError):
         SectorParams(eta=1.0, theta=7.0)
-    with pytest.raises(ValueError):
-        SectorParams(eta=1.0, radius=0.0)
 
 
 def test_contains():

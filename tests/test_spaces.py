@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from volterra.errors import DomainError, SymbolZeroDerivative
+from volterra.errors import DomainError
 from volterra import spaces
 from volterra.estimation import ESTIMATION_GRID, build_battery
 from volterra.operators import OperatorKind, apply_operator
@@ -18,7 +18,7 @@ from volterra.spaces import (DEFAULT_GRID, RING_GROUP, DiskGrid, SpacePair, bloc
 from volterra.symbols import get_symbol
 
 from test_series import combination
-from test_symbols import log_deriv_bloch_seminorm
+from test_symbols import SymbolZeroDerivative, log_deriv_bloch_seminorm
 
 def cayley(z):
     return 1.0 / (1.0 - z)
