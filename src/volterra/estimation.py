@@ -11,12 +11,14 @@ integral beyond it.
 
 Each battery and each probe trace first builds all its operator images
 exactly, then measures them with one :func:`~volterra.spaces.weighted_sup_norms`
-call on ``ESTIMATION_GRID``.  An image whose coefficients are all real and
-``>= 0`` is read on the ray ``theta = 0`` alone; so is every probe image of a
-registry symbol other than ``affine``, 70 % of a default report's images.
-Only the rest are swept over every angle, and only on the rings whose
-majorant ``sum |c_m| r^m`` can reach the image's largest sample: 3,168 of
-their 33,502 rings in a default report.
+call on ``ESTIMATION_GRID``.  A battery's images share one ``g'``; a probe's
+are shifted copies of ``g'`` or ``n g``, with no convolution
+(:func:`~volterra.operators.monomial_images`).  An image whose coefficients
+are all real and ``>= 0`` is read on the ray ``theta = 0`` alone; so is every
+probe image of a registry symbol other than ``affine``, 70 % of a default
+report's images.  Only the rest are swept over every angle, and only on the
+rings whose majorant ``sum |c_m| r^m`` can reach the image's largest sample:
+3,168 of their 33,502 rings in a default report.
 
 Probes send the normalized monomials through the operator.  These tend to zero
 uniformly on compact subsets, so a compact operator must crush them; a trace
@@ -35,8 +37,8 @@ import numpy as np
 
 from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag, tg_boundedness
-from .operators import OperatorKind, apply_operator
-from .series import TaylorSeries, evaluate_polynomial
+from .operators import OperatorKind, apply_operator, monomial_images
+from .series import TaylorSeries, derivative, evaluate_polynomial
 from .spaces import DiskGrid, SpacePair, radial_weight, ray_max, weighted_sup_norms
 # bound here only for perfbench's tracer, which wraps estimation.weighted_sup_norm
 from .spaces import weighted_sup_norm  # noqa: F401
@@ -135,10 +137,11 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
             # exact sup-norm of the truncated kernel: (1+lam)(1 - lam^(N+1))
             kernels.append((j, radial_weight(2.0 ** -j, 1.0) * lam ** np.arange(degree + 1),
                             (1.0 + lam) * (1.0 - lam ** (degree + 1))))
+    # each direction's powers once, as Python's complex ** int rounds them
+    turns = np.array([[complex(math.cos(phi), math.sin(phi)) ** n for n in range(degree + 1)]
+                      for phi in PEAK_DIRECTIONS])
     for j, mags, norm in kernels:
-        for phi in PEAK_DIRECTIONS:
-            w = complex(math.cos(phi), math.sin(phi))
-            cs = tuple(mags[n] * w ** n for n in range(degree + 1))
+        for phi, cs in zip(PEAK_DIRECTIONS, mags * turns):
             entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), float(norm)))
     return TestBattery(alpha=alpha, entries=tuple(entries))
 
@@ -153,10 +156,14 @@ class LowerBoundReport:
 def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                         battery: Optional[TestBattery] = None,
                         degree: int = DEFAULT_DEGREE) -> LowerBoundReport:
-    """Largest image-to-source norm ratio over the battery."""
+    """Largest image-to-source norm ratio over the battery, which must be built
+    for ``pair.alpha``: its source norms are norms in ``H^inf_alpha``."""
     battery = battery or build_battery(pair.alpha, degree)
+    if battery.alpha != pair.alpha:
+        raise ValueError(f"the battery is built for alpha = {battery.alpha}, not {pair.alpha}")
     g_series = g.taylor(degree)
-    images = [apply_operator(operator, g_series, entry.series) for entry in battery.entries]
+    dg = derivative(g_series)
+    images = [apply_operator(operator, g_series, entry.series, dg) for entry in battery.entries]
     nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID).tolist()
     ratios = []
     best, best_label = 0.0, ""
@@ -231,10 +238,8 @@ def compactness_probe(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     """Drive the normalized monomials through the operator and fit the decay."""
     if n_max < 16:
         raise ValueError("n_max must be at least 16")
-    g_series = g.taylor(degree)
     ns = list(range(1, n_max + 1))
-    images = [apply_operator(operator, g_series, TaylorSeries((0j,) * n + (1 + 0j,)))
-              for n in ns]
+    images = monomial_images(operator, g.taylor(degree), n_max)
     nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID).tolist()
     values = [num / monomial_norm(n, pair.alpha) for n, num in zip(ns, nums)]
     half = np.array(values[n_max // 2 - 1:])

@@ -159,15 +159,19 @@ def derivative(f: TaylorSeries) -> TaylorSeries:
     return TaylorSeries(np.arange(1, f.degree + 1) * f.array[1:])
 
 
+def _divide_by_index(c: np.ndarray, k):
+    """The real and imaginary parts of ``c / k`` for complex ``c`` and real
+    ``k``, rounded like Python's ``c / k``: each part is divided by ``k`` after
+    adding the other part times the zero ratio (which fixes a zero's sign);
+    NumPy's complex division would multiply by a reciprocal and round
+    differently."""
+    return (c.real + c.imag * 0.0) / k, (c.imag - c.real * 0.0) / k
+
+
 def antiderivative(f: TaylorSeries) -> TaylorSeries:
     """Antiderivative vanishing at 0; degree rises by one."""
-    # Python's ``c / (n + 1)`` divides each part by n + 1 after adding the other
-    # part times the zero ratio (which fixes a zero's sign); NumPy's complex
-    # division would multiply by a reciprocal and round differently
-    k, c = np.arange(1.0, f.degree + 2), f.array
     cs = np.zeros(f.degree + 2, dtype=complex)
-    cs.real[1:] = (c.real + c.imag * 0.0) / k
-    cs.imag[1:] = (c.imag - c.real * 0.0) / k
+    cs.real[1:], cs.imag[1:] = _divide_by_index(f.array, np.arange(1.0, f.degree + 2))
     return TaylorSeries(cs)
 
 

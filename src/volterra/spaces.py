@@ -13,11 +13,12 @@ Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
 All sweeps are pure and deterministic; refinement can only increase the
 reported supremum.
 
-On every circle ``|f| <= sum |c_m| r^m``, the ring majorant, which is one
-matrix-vector product with a memoised ``r^m`` table.  A series whose
-coefficients are all real and ``>= 0`` attains it at ``theta = 0``, so its ring
-maxima are its majorants and no angle is swept.  Any other series is swept a
-whole ring at a time by the folded-FFT ring evaluator of
+On every circle ``|f| <= sum |c_m| r^m``, the ring majorant.  The majorants of
+a stack of series come from one pass over all of them, with one matrix-vector
+product per series at its own length against a memoised ``r^m`` table.  A
+series whose coefficients are all real and ``>= 0`` attains it at
+``theta = 0``, so its ring maxima are its majorants and no angle is swept.  Any
+other series is swept a whole ring at a time by the folded-FFT ring evaluator of
 :mod:`volterra.series`; :func:`weighted_sup_norms` sweeps it on the ring of
 largest majorant, then only on the rings whose majorant reaches that ring's
 maximum, about a tenth of them in a default report.  The evaluator takes ring
@@ -204,20 +205,27 @@ def _ring_sweep(coeffs: np.ndarray, radii, weights, n_angles: int) -> np.ndarray
     return mags
 
 
-def _ring_majorants(coeffs: np.ndarray, radii, weights, n_angles: int):
-    """Weighted ring majorants ``(1-r^2)^alpha sum_m |c_m| r^m`` of a row, and
-    whether they are its ring maxima: they are when the coefficients are all
-    real and ``>= 0`` (an exact test: a NaN fails it), since then
+def _ring_majorants(rows, radii, weights, n_angles: int):
+    """Weighted ring majorants ``(1-r^2)^alpha sum_m |c_m| r^m`` of each
+    coefficient row of ``rows``, shaped ``(len(rows), R)``, and whether they are
+    the row's ring maxima: they are when its coefficients are all real and
+    ``>= 0`` (an exact test: a NaN fails it), since then
     ``|sum c_m r^m e^{i m theta}| <= sum c_m r^m`` is attained at the grid angle
-    ``theta = 0``.  Values above the clamp are ``inf``, tagged before weighting
-    as on the ring sweep."""
-    exact = not np.any(coeffs.imag) and bool(np.all(coeffs.real >= 0.0))
-    q = -(-len(coeffs) // n_angles)
-    powers = _ring_powers(radii.tobytes(), q * n_angles)[:, :len(coeffs)]
+    ``theta = 0``.  The test, the magnitudes, the clamp and the weights run
+    once over the stacked rows.  Values above the clamp are ``inf``, tagged
+    before weighting as on the ring sweep."""
+    lengths = np.array([len(c) for c in rows])
+    flat = np.concatenate(rows)
+    starts = np.cumsum(lengths) - lengths
+    exact = ~np.logical_or.reduceat((flat.imag != 0.0) | ~(flat.real >= 0.0), starts)
+    mags = np.where(np.repeat(exact, lengths), flat.real, np.abs(flat))
+    powers = _ring_powers(radii.tobytes(), -(-int(np.max(lengths)) // n_angles) * n_angles)
+    v = np.empty((len(rows), len(radii)))
     with np.errstate(invalid="ignore", over="ignore"):
-        # one matrix-vector product per row: a matrix-matrix product over a
-        # stack would round a row differently depending on the rest of it
-        v = powers @ (coeffs.real if exact else np.abs(coeffs))
+        # one matrix-vector product per row at its own length: zero padding or a
+        # matrix-matrix product would round a row by the rest of the stack
+        for k, (i, d) in enumerate(zip(starts.tolist(), lengths.tolist())):
+            v[k] = powers[:, :d] @ mags[i:i + d]
     return np.where(v <= OVERFLOW_CLAMP, v, np.inf) * weights, exact
 
 
@@ -248,9 +256,9 @@ def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
     """``weighted_sup_norm(f, alpha, grid)`` for each series ``f`` of ``series``,
     on a grid without refinement (``refine_top = 0``), as a float array.
 
-    Each series' weighted ring majorants ``(1-r^2)^alpha sum |c_m| r^m`` come
-    first (:func:`_ring_majorants`); for real, nonnegative coefficients they
-    are the ring maxima.  Any other series is swept on its ring of largest
+    The weighted ring majorants ``(1-r^2)^alpha sum |c_m| r^m`` of all series
+    come first, in one pass (:func:`_ring_majorants`); for real, nonnegative
+    coefficients they are the ring maxima.  Any other series is swept on its ring of largest
     majorant, then only on the rings whose majorant, widened by
     ``PRUNE_MARGIN``, reaches that ring's maximum: the rest cannot hold a
     larger sample.  A series whose coefficient 1-norm is above
@@ -262,26 +270,25 @@ def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
         raise ValueError("stacked sweeps need a grid without refinement (refine_top = 0)")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
+    if not len(series):
+        return np.empty(0)
     radii, weights = _rings(grid, alpha, alpha == 0.0)
-    out = np.full(len(series), -np.inf)
-    first, rest, majorants = [], [], {}
-    for k, f in enumerate(series):
-        maj, exact = _ring_majorants(f.array, radii, weights, grid.n_angles)
-        if exact:
-            out[k] = np.max(maj)
-        elif np.sum(np.abs(f.array)) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN):
-            majorants[k] = maj
-            first.append((k, int(np.argmax(maj))))
-        else:
-            rest.extend((k, i) for i in range(len(radii)))
-    out[[k for k, _ in first]] = _sweep_ring_rows(series, first, radii, weights, grid.n_angles)
-    for k, i in first:
-        # written so that a NaN majorant is swept
-        keep = ~(majorants[k] * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL < out[k])
-        keep[i] = False
-        rest.extend((k, j) for j in np.flatnonzero(keep).tolist())
-    np.maximum.at(out, np.array([k for k, _ in rest], dtype=np.intp),
-                  _sweep_ring_rows(series, rest, radii, weights, grid.n_angles))
+    maj, exact = _ring_majorants([f.array for f in series], radii, weights, grid.n_angles)
+    out = np.where(exact, np.max(maj, axis=1), -np.inf)
+    odd = np.flatnonzero(~exact)
+    guarded = np.array([np.sum(np.abs(series[k].array)) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN)
+                        for k in odd.tolist()], dtype=bool)
+    first, whole = odd[guarded], odd[~guarded]
+    best = np.argmax(maj[first], axis=1)
+    out[first] = _sweep_ring_rows(series, np.column_stack((first, best)), radii, weights,
+                                  grid.n_angles)
+    # written so that a NaN majorant is swept
+    keep = ~(maj[first] * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL < out[first, None])
+    keep[np.arange(len(first)), best] = False
+    kept, rings = np.nonzero(keep)
+    rest = np.column_stack((np.r_[np.repeat(whole, len(radii)), first[kept]],
+                            np.r_[np.tile(np.arange(len(radii)), len(whole)), rings]))
+    np.maximum.at(out, rest[:, 0], _sweep_ring_rows(series, rest, radii, weights, grid.n_angles))
     return out
 
 
@@ -306,9 +313,9 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     thetas = grid.angles()
     if isinstance(f, TaylorSeries):
         radii, weights = _rings(grid, alpha, alpha == 0.0)
-        maj, exact = _ring_majorants(f.array, radii, weights, grid.n_angles)
+        maj, exact = _ring_majorants([f.array], radii, weights, grid.n_angles)
         # an exact majorant is the ring's value at thetas[0] = 0
-        vals = maj[:, None] if exact else _ring_sweep(f.array, radii, weights, grid.n_angles)
+        vals = maj.T if exact[0] else _ring_sweep(f.array, radii, weights, grid.n_angles)
     else:
         radii, weights = _rings(grid, alpha, False)
         with np.errstate(invalid="ignore", over="ignore"):

@@ -10,7 +10,7 @@ from volterra.estimation import (ESTIMATION_GRID, BatteryEntry, _radial_max, bui
 from volterra.operators import OperatorKind, apply_operator
 from volterra.series import TaylorSeries
 from volterra.spaces import SpacePair, weighted_sup_norm
-from volterra.symbols import DEFAULT_DEGREE, get_symbol, ground_truth_table
+from volterra.symbols import DEFAULT_DEGREE, get_symbol, ground_truth_table, registry
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
@@ -99,6 +99,15 @@ def test_lower_bound_identity_is_exactly_one():
     assert detail.value == 1.0
 
 
+def test_battery_for_another_alpha_is_refused():
+    # its source norms belong to alpha = 2: against them T_g of the identity
+    # from H-infinity_0 read 0.5996, above its norm max r(1 - r^2) = 2/(3 sqrt 3)
+    with pytest.raises(ValueError, match="alpha"):
+        lower_bound_details(get_symbol("identity"), T, SpacePair(0, 1), build_battery(2.0))
+    detail = lower_bound_details(get_symbol("identity"), T, SpacePair(0, 1), build_battery(0.0))
+    assert detail.value <= 2.0 / (3.0 * np.sqrt(3.0)) * (1.0 + 1e-12)
+
+
 def test_lower_bound_zero_symbol():
     assert lower_bound_details(get_symbol("zero"), T, SpacePair(0, 0)).value == 0.0
     assert lower_bound_details(get_symbol("zero"), S, SpacePair(1, 0)).value == 0.0
@@ -111,12 +120,19 @@ def test_lower_bound_monomial_symbol():
     assert detail.best_label == "const"
 
 
-@pytest.mark.parametrize("name, op, alpha, beta", [
+_FIRST_CASES = [
     ("cayley", T, 1.0, 2.0),   # T_g with alpha > 0: the rotational and peak battery
     ("affine", S, 1.0, 1.0),
     ("lacunary", T, 0.0, 0.0),  # beta = 0: the boundary ring
-])
+]
+
+
+@pytest.mark.parametrize("name, op, alpha, beta", _FIRST_CASES + [
+    case for case in ((spec.name, op, alpha, beta) for spec in registry() for op in (T, S)
+                      for alpha, beta in ((0.0, 0.0), (1.0, 2.0)))
+    if case not in _FIRST_CASES])
 def test_stacked_estimates_equal_the_per_image_sweeps(name, op, alpha, beta):
+    # the probe's shift-built images against the convolution's, image by image
     g, pair = get_symbol(name), SpacePair(alpha, beta)
     g_series = g.taylor(DEFAULT_DEGREE)
 

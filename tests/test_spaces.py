@@ -387,6 +387,46 @@ def test_only_rows_that_need_it_reach_the_evaluator(monkeypatch):
         assert len(swept) == 2 * len(radii) + len(_rings_swept(swept, fs[1]))
 
 
+def _stack_case(name):
+    n = SWEEP_GRID.n_angles
+    rng = np.random.default_rng(17)
+    phases = rng.random(n + 1) * np.exp(2j * np.pi * rng.random(n + 1))
+    if name == "empty":
+        return []
+    if name == "all exact":
+        return [TaylorSeries(rng.random(d) / np.arange(1, d + 1))
+                for d in (1, n, n + 1, 4 * n + 1)]
+    if name == "nan":
+        nan = np.where(np.arange(n + 1) == 3, np.nan, phases)
+        return [TaylorSeries(phases), TaylorSeries(nan), TaylorSeries(np.abs(phases))]
+    # 12 rows of one length among rows of other lengths, exact or not
+    rows = [rng.random(d) * np.exp(2j * np.pi * rng.random(d) * (k % 3 > 0))
+            for k, d in enumerate([2 * n + 3] * 12 + [1, n - 1, n, 2 * n + 2, 4 * n + 1])]
+    return [TaylorSeries(rows[k] / np.arange(1, len(rows[k]) + 1)) for k in rng.permutation(17)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("case", ["empty", "all exact", "nan", "one length many times"])
+def test_stacked_pass_edge_cases(monkeypatch, case, alpha):
+    # each value as weighted_sup_details reads its series alone; an all-exact
+    # stack never reaches the ring sweep, and a NaN row reaches it on every ring
+    fs = _stack_case(case)
+    want = np.array([weighted_sup_details(f, alpha, SWEEP_GRID).value for f in fs])
+    calls, sweep = [], spaces._ring_sweep
+    monkeypatch.setattr(spaces, "_ring_sweep", lambda *args: calls.append(1) or sweep(*args))
+    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    assert got.shape == (len(fs),)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    if case == "all exact":
+        assert calls == []
+    if case == "nan":
+        swept = _spy_on_grid_path(monkeypatch)
+        weighted_sup_norms(fs, alpha, SWEEP_GRID)
+        radii, _ = spaces._rings(SWEEP_GRID, alpha, alpha == 0.0)
+        assert sorted(_rings_swept(swept, fs[1])) == radii.tolist()
+        assert _rings_swept(swept, fs[2]) == []
+
+
 def test_a_report_battery_sweeps_few_ring_rows(monkeypatch):
     # the T_g battery of cayley from H-infinity_0 to H-infinity_1, a default
     # report row: at most 15 % of the ring rows of a full sweep
