@@ -113,22 +113,24 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
     if alpha > 0.0:
         half = degree // 2
         c = _binom_series(alpha, half)
-        rotational = []
+        # coefficients c_m w^m at z^(2m), each direction's powers w^m once, as
+        # Python's complex ** int rounds them
+        rotational = np.zeros((THETA_FAMILY_COUNT, degree + 1), dtype=complex)
         for j in range(THETA_FAMILY_COUNT):
             theta = math.pi * j / THETA_FAMILY_COUNT
             w = complex(math.cos(-2.0 * theta), math.sin(-2.0 * theta))
-            cs = [0j] * (degree + 1)
-            for m in range(half + 1):
-                cs[2 * m] = c[m] * w ** m
-            rotational.append(cs)
+            rotational[j, ::2] = [w ** m for m in range(half + 1)]
+        rotational[:, ::2] *= c
         d = _binom_series(2.0 * alpha, degree)
         # (1 - lambda^2)^alpha of lambda = 1 - 2^-j, all exact at s = 2^-j
         peaks = [radial_weight(2.0 ** -j, alpha) * d * (1.0 - 2.0 ** -j) ** np.arange(degree + 1)
                  for j in PEAK_RUNGS]
-        norms = _radial_max(np.array([[abs(v) for v in cs] for cs in rotational] + peaks),
+        # np.hypot rounds like abs() of one complex; np.abs of a complex array
+        # can be an ulp away from it
+        norms = _radial_max(np.vstack([np.hypot(rotational.real, rotational.imag)] + peaks),
                             alpha)
         for j, (cs, norm) in enumerate(zip(rotational, norms)):
-            entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(tuple(cs)), float(norm)))
+            entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(cs), float(norm)))
         kernels = zip(PEAK_RUNGS, peaks, norms[THETA_FAMILY_COUNT:])
     else:
         kernels = []
@@ -150,7 +152,6 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
 class LowerBoundReport:
     value: float
     best_label: str
-    ratios: tuple  # (label, ratio) in battery order
 
 
 def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
@@ -165,14 +166,12 @@ def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     dg = derivative(g_series)
     images = [apply_operator(operator, g_series, entry.series, dg) for entry in battery.entries]
     nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID).tolist()
-    ratios = []
     best, best_label = 0.0, ""
     for entry, num in zip(battery.entries, nums):
         ratio = num / entry.norm_alpha
-        ratios.append((entry.label, ratio))
         if ratio > best:
             best, best_label = ratio, entry.label
-    return LowerBoundReport(value=best, best_label=best_label, ratios=tuple(ratios))
+    return LowerBoundReport(value=best, best_label=best_label)
 
 
 def tg_upper_bound(g: SymbolSpec, pair: SpacePair, t0: float,

@@ -3,12 +3,13 @@
 The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
 :func:`radial_weight` everywhere in the package.  Maxima in this problem family
 concentrate at the boundary, so the radial grid is geometrically graded toward
-``|z| = 1``, and golden-section search (:func:`golden_max`, the package's one
-kernel) refines the best candidates: in the angle on the outermost rungs, then
-in the radius at each refined angle.  A supremum along a fixed ray (the
-classifier's interior sweep on a peak ray, the battery's source norms) is
-:func:`ray_max`, on the radii of ``DEFAULT_GRID``; the disk sweep's radial
-refinement at its refined angles stays its own.  A function is a truncated
+``|z| = 1``.  A supremum along a fixed ray (the classifier's interior sweep
+on a peak ray, the battery's source norms) is :func:`ray_max`: a sample on the
+radii of ``DEFAULT_GRID``, then a few vectorised zoom passes around each
+profile's best sample.  Golden-section search (:func:`golden_max`) serves only
+the disk sweep's refinement, in the angle on the outermost rungs, then in the
+radius at each refined angle, and the classifier's angle-grid path for a
+symbol without a peak ray.  A function is a truncated
 Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
 All sweeps are pure and deterministic; refinement can only increase the
 reported supremum.
@@ -45,6 +46,13 @@ from .series import (OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, derivat
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps per bracket of the sweep refinement
 REFINE_ITERS = 40
+# ray_max's zoom passes and their radii per bracket: each pass narrows a
+# bracket to 2/64 of its width, (2/64)^6 = 9.3e-10 in all, finer than the
+# 0.618^40 = 4.4e-9 of REFINE_ITERS golden-section steps
+ZOOM_PASSES = 6
+ZOOM_POINTS = 65
+# the radii's positions in a bracket, exact multiples of 1/64
+_ZOOM_STEPS = np.arange(ZOOM_POINTS) / (ZOOM_POINTS - 1)
 # ring rows per evaluator call of weighted_sup_norms (why bounded: module docstring)
 RING_GROUP = 4 * 82
 # Relative slack of the pruning test in weighted_sup_norms.  With u = 2^-53, a
@@ -98,9 +106,6 @@ class DiskGrid:
     def one_minus_r(self) -> np.ndarray:
         # stored as exact powers of 2^(1/4); 1 - r is never formed by subtraction
         return 2.0 ** (-np.arange(self.radial_k + 1) / 4.0)
-
-    def radii(self) -> np.ndarray:
-        return 1.0 - self.one_minus_r()
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
@@ -174,25 +179,27 @@ def ray_max(fn: Callable, exponent: float) -> np.ndarray:
     """``max_r (1-r^2)^exponent fn(r, 1-r)`` for each column of ``fn``.
 
     ``fn(r, s)`` broadcasts: a column of radii gives ``(R, P)`` values and a
-    row of ``P`` radii gives ``P``, one per column.  The radii are those of
-    ``DEFAULT_GRID``, all inside the disk; each column is then refined by
-    golden-section search between the neighbours of its best sample.  Values
-    that are not finite read as ``inf``.
+    ``(K, P)`` array of radii, one column per profile, gives ``(K, P)``.  The
+    first call samples the radii of ``DEFAULT_GRID``, all inside the disk.
+    Each of ``ZOOM_PASSES`` further calls samples every column's bracket, the
+    radii next to its best sample so far, at ``ZOOM_POINTS`` evenly spaced
+    radii.  The result is each column's best sample, so it never falls below
+    the grid.  Values that are not finite read as ``inf``.
     """
-    s = DEFAULT_GRID.one_minus_r()
-    radii, weights = 1.0 - s, radial_weight(s, exponent)
-
-    def weighted(r, s, w):
-        v = w * fn(r, s)
-        return np.where(np.isfinite(v), v, np.inf)
-
+    s = DEFAULT_GRID.one_minus_r()[:, None]
+    r = 1.0 - s
+    best = -np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = weighted(radii[:, None], s[:, None], weights[:, None])
-        i = np.argmax(vals, axis=0)
-        _, best = golden_max(lambda r: weighted(r, 1.0 - r, radial_weight(1.0 - r, exponent)),
-                             radii[np.maximum(i - 1, 0)], radii[np.minimum(i + 1, len(radii) - 1)],
-                             REFINE_ITERS)
-    return np.maximum(np.max(vals, axis=0), best)
+        for _ in range(1 + ZOOM_PASSES):
+            v = radial_weight(s, exponent) * fn(r, s)
+            v = np.where(np.isfinite(v), v, np.inf)
+            best = np.maximum(best, np.max(v, axis=0))
+            # the next bracket: the neighbours of each column's best sample
+            j, r, cols = np.argmax(v, axis=0), np.broadcast_to(r, v.shape), np.arange(v.shape[1])
+            lo, hi = r[np.maximum(j - 1, 0), cols], r[np.minimum(j + 1, len(v) - 1), cols]
+            r = lo + _ZOOM_STEPS[:, None] * (hi - lo)
+            s = 1.0 - r
+    return best
 
 
 def _ring_sweep(coeffs: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:

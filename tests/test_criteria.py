@@ -478,13 +478,16 @@ def _ray_sup_reference(absmat, ray, exponent):
 
 
 @pytest.mark.parametrize("name", symbol_names())
-def test_interior_ray_sweep_equals_the_reference_bit_for_bit(name):
+def test_interior_ray_sweep_is_never_below_the_reference(name):
+    """The zoom passes against the golden-section search they replaced: never
+    below it, and at most 4 ulps above it (0 to 2 ulps seen)."""
     from volterra.criteria import _pointwise_value
     g = get_symbol(name)
     for which in ("deriv", "eval"):
         for exponent in (0.0, 0.5, 1.0, 2.0):
-            want = _ray_sup_reference(_abs(g, which), g.peak_ray, exponent)
-            assert _pointwise_value(g, which, exponent, 0.0) == max(0.0, want)
+            want = max(0.0, _ray_sup_reference(_abs(g, which), g.peak_ray, exponent))
+            got = _pointwise_value(g, which, exponent, 0.0)
+            assert got == want or want < got <= want + 4.0 * np.spacing(want), (which, exponent)
 
 
 @pytest.mark.parametrize("phi", [0.0, 2.7])

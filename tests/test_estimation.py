@@ -8,8 +8,8 @@ from volterra.estimation import (ESTIMATION_GRID, BatteryEntry, _radial_max, bui
                                  compactness_probe, lower_bound_details, monomial_norm,
                                  tg_min_upper_bound, tg_upper_bound)
 from volterra.operators import OperatorKind, apply_operator
-from volterra.series import TaylorSeries
-from volterra.spaces import SpacePair, weighted_sup_norm
+from volterra.series import TaylorSeries, derivative, evaluate_polynomial
+from volterra.spaces import SpacePair, weighted_sup_norm, weighted_sup_norms
 from volterra.symbols import DEFAULT_DEGREE, get_symbol, ground_truth_table, registry
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
@@ -88,6 +88,50 @@ def test_radial_max_agrees_with_its_own_mesh_reference(monkeypatch, alpha):
     np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
 
+def test_radial_max_evaluates_once_per_pass(monkeypatch):
+    # the grid, then one Horner evaluation over all rows per zoom pass
+    from volterra import estimation, spaces
+    calls = []
+
+    def spy(coeffs, z):
+        calls.append(np.shape(z))
+        return evaluate_polynomial(coeffs, z)
+    monkeypatch.setattr(estimation, "evaluate_polynomial", spy)
+    build_battery(1.0)
+    assert len(calls) == 1 + spaces.ZOOM_PASSES == 7
+    # the 8 rotational and 6 peak-kernel rows in every pass
+    assert calls[1:] == [(spaces.ZOOM_POINTS, 14)] * spaces.ZOOM_PASSES
+
+
+@pytest.mark.parametrize("degree", [8, 9, 16, 64, 256, 1000])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
+def test_rotational_family_equals_the_per_coefficient_loop(monkeypatch, alpha, degree):
+    """The rotational entries and the magnitude rows their source norms are
+    read from, uint64-equal to the loop ``c_m w^m`` and ``abs`` per entry."""
+    import math
+    from volterra import estimation
+    rows = []
+
+    def spy(mag_rows, a):
+        rows.append(mag_rows)
+        return _radial_max(mag_rows, a)
+    monkeypatch.setattr(estimation, "_radial_max", spy)
+    battery = build_battery(alpha, degree)
+    c = estimation._binom_series(alpha, degree // 2)
+    want = []
+    for j in range(estimation.THETA_FAMILY_COUNT):
+        theta = math.pi * j / estimation.THETA_FAMILY_COUNT
+        w = complex(math.cos(-2.0 * theta), math.sin(-2.0 * theta))
+        cs = [0j] * (degree + 1)
+        for m in range(degree // 2 + 1):
+            cs[2 * m] = c[m] * w ** m
+        want.append(cs)
+    got = [e.series.array for e in battery.entries if e.label.startswith("rotational:")]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    mags = np.array([[abs(v) for v in cs] for cs in want])
+    assert np.array_equal(rows[0][:len(want)].view(np.uint64), mags.view(np.uint64))
+
+
 def test_battery_entry_validation():
     with pytest.raises(ValueError):
         BatteryEntry("bad", TaylorSeries((1,)), 0.0)
@@ -120,6 +164,24 @@ def test_lower_bound_monomial_symbol():
     assert detail.best_label == "const"
 
 
+def _battery_ratios(g, op, pair, battery):
+    """``(label, ratio)`` of each battery entry: the stacked image norm
+    ``weighted_sup_norms`` over the entry's source norm, in battery order."""
+    g_series = g.taylor(DEFAULT_DEGREE)
+    dg = derivative(g_series)
+    images = [apply_operator(op, g_series, e.series, dg) for e in battery.entries]
+    nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID)
+    return [(e.label, float(num) / e.norm_alpha) for e, num in zip(battery.entries, nums)]
+
+
+def _assert_lower_bound_is_their_max(detail, ratios):
+    # the witness is the first entry of largest ratio; none when every ratio is 0
+    values = [ratio for _, ratio in ratios]
+    best = max(values)
+    assert detail.value == best
+    assert detail.best_label == (ratios[values.index(best)][0] if best > 0.0 else "")
+
+
 _FIRST_CASES = [
     ("cayley", T, 1.0, 2.0),   # T_g with alpha > 0: the rotational and peak battery
     ("affine", S, 1.0, 1.0),
@@ -140,9 +202,9 @@ def test_stacked_estimates_equal_the_per_image_sweeps(name, op, alpha, beta):
         return weighted_sup_norm(apply_operator(op, g_series, f), beta, ESTIMATION_GRID)
 
     battery = build_battery(alpha)
-    lower = lower_bound_details(g, op, pair, battery)
-    assert lower.ratios == tuple((e.label, norm(e.series) / e.norm_alpha)
-                                 for e in battery.entries)
+    ratios = _battery_ratios(g, op, pair, battery)
+    assert ratios == [(e.label, norm(e.series) / e.norm_alpha) for e in battery.entries]
+    _assert_lower_bound_is_their_max(lower_bound_details(g, op, pair, battery), ratios)
     trace = compactness_probe(g, op, pair)
     assert trace.values == tuple(norm(TaylorSeries((0,) * n + (1,))) / monomial_norm(n, alpha)
                                  for n in trace.indices)
@@ -242,9 +304,11 @@ def test_weak_null_premise():
 def test_peaking_growth_witnesses_power_divergence():
     # (affine, Sg, 1 -> 0) diverges like 1/(1-t): the boundary-peaking ratios
     # must keep growing through the last three rungs
-    detail = lower_bound_details(get_symbol("affine"), S, SpacePair(1, 0))
+    g, pair = get_symbol("affine"), SpacePair(1, 0)
+    ratios = _battery_ratios(g, S, pair, build_battery(1.0))
+    _assert_lower_bound_is_their_max(lower_bound_details(g, S, pair), ratios)
     per_rung = {}
-    for label, ratio in detail.ratios:
+    for label, ratio in ratios:
         if label.startswith("peak:"):
             rung = int(label.split(":")[1])
             per_rung[rung] = max(per_rung.get(rung, 0.0), ratio)

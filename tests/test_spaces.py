@@ -17,6 +17,7 @@ from volterra.spaces import (DEFAULT_GRID, RING_GROUP, DiskGrid, SpacePair, bloc
                              weighted_sup_norms)
 from volterra.symbols import get_symbol
 
+from test_criteria import RUNG_ORACLE_POLES
 from test_series import combination
 from test_symbols import SymbolZeroDerivative, log_deriv_bloch_seminorm
 
@@ -479,7 +480,7 @@ def test_weighted_sup_rejects_non_finite_or_negative_alpha(alpha):
 
 def test_grid_nodes_structure():
     g = DEFAULT_GRID
-    r = g.radii()
+    r = 1.0 - g.one_minus_r()
     assert r[0] == 0.0
     assert np.all(np.diff(r) > 0)
     assert r[-1] >= 1.0 - 1e-6
@@ -532,14 +533,71 @@ def test_ray_max_batch_equals_each_column_alone():
             assert alone[0] == batch[k]
 
 
+def _within_ray_slack(got, want, exponent):
+    """``got``, a ray maximum of ``(s(2-s))^exponent h(s)``, against its exact
+    value ``want``: 4 ulps for the maximiser, plus the rounding of the sampled
+    objective itself, at most ``(2 exponent + 3) u`` relative (``u = 2^-53``):
+    ``2u`` in ``s(2-s)``, which the power multiplies by ``exponent``, then one
+    rounding each for the power, for ``h`` and for the product.  At
+    ``exponent = 6.7`` the float objective of a cubic pole exceeds its exact
+    maximum by up to 7 ulps near the peak (a dense scan), so no sampling
+    maximiser stays within 4 ulps there."""
+    slack = 4.0 * np.spacing(want) + (2.0 * exponent + 3.0) * 2.0 ** -53 * want
+    return abs(got - want) <= slack
+
+
 def test_ray_max_finds_a_closed_form_maximum():
     # (1-r^2)^2 / (1-r) = (1-r)(1+r)^2 peaks at r = 1/3 with value 32/27
     value = spaces.ray_max(lambda r, s: 1.0 / s, 2.0)
-    assert abs(value[0] - 32.0 / 27.0) <= 1e-12
+    assert _within_ray_slack(value[0], 32.0 / 27.0, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(RUNG_ORACLE_POLES))
+def test_ray_max_matches_an_mpmath_oracle_on_peak_rays(name):
+    """On the peak ray ``|g'| = s^-p`` (``RUNG_ORACLE_POLES``), so for
+    ``e > p`` the profile ``(s(2-s))^e s^-p`` peaks at
+    ``s* = 2(e-p)/(2e-p)``; its value there at 50 digits is the oracle."""
+    import mpmath
+    g, p = get_symbol(name), RUNG_ORACLE_POLES[name]
+    for e in (p + 0.5, p + 1.0, p + 2.0, p + 3.7):
+        with mpmath.workdps(50):
+            em, pm = mpmath.mpf(e), mpmath.mpf(p)
+            s = 2 * (em - pm) / (2 * em - pm)
+            want = float((s * (2 - s)) ** em * s ** -pm)
+        got = spaces.ray_max(lambda r, s: g.abs_deriv(r, s, g.peak_ray), e)[0]
+        assert _within_ray_slack(got, want, e), (e, got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
+def test_ray_max_matches_the_monomial_norm_at_50_digits(alpha):
+    # the battery's r^n, against monomial_norm's closed form evaluated in
+    # mpmath (in floats, its power of n/(n+2 alpha) is itself off by up to
+    # 24 ulps at n = 64)
+    import mpmath
+    from volterra.estimation import MONOMIAL_POWERS, monomial_norm
+    for n in MONOMIAL_POWERS:
+        with mpmath.workdps(50):
+            want = float(monomial_norm(mpmath.mpf(n), mpmath.mpf(alpha)))
+        got = spaces.ray_max(lambda r, s: r ** n, alpha)[0]
+        assert _within_ray_slack(got, want, alpha), (n, got, want)
+
+
+@pytest.mark.parametrize("columns", [1, 14])
+def test_ray_max_calls_its_objective_once_per_pass(columns):
+    # the grid, then one call per zoom pass over every column's bracket
+    shapes = []
+
+    def fn(r, s):
+        shapes.append(np.broadcast_shapes(np.shape(r), (columns,)))
+        return r * (1.0 + np.arange(columns))
+    spaces.ray_max(fn, 1.0)
+    assert len(shapes) == 1 + spaces.ZOOM_PASSES
+    assert shapes[1:] == [(spaces.ZOOM_POINTS, columns)] * spaces.ZOOM_PASSES
 
 
 def test_ray_max_reads_a_pole_and_nan_as_inf():
-    # r = 1/2 is a grid radius (s = 2^-1); golden search never lands on it
+    # r = 1/2 is a grid radius (s = 2^-1); the zoom passes can only raise the
+    # grid's inf sample there
     assert spaces.ray_max(lambda r, s: np.abs(1.0 / (r - 0.5)), 1.0)[0] == np.inf
     assert spaces.ray_max(lambda r, s: np.where(r == 0.5, np.nan, r), 0.0)[0] == np.inf
     # a divergent column does not leak into its neighbours
