@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import HypothesisError, UnknownSymbolError, VolterraError
 from .criteria import LadderConfig, classify
@@ -28,12 +30,12 @@ from .operators import OperatorKind
 from .report import (ReportConfig, _verdict_payload, build_report, report_exit_code, to_csv,
                      to_json, to_text)
 from .sector import SectorParams, build_sector_map, estimate_density_bound
-from .spaces import SpacePair, bloch_norm, weighted_sup_details
+from .spaces import SpacePair, ray_argmax
 from .symbols import get_symbol, ground_truth_table, registry
 
 
-# the largest counts accepted.  No subcommand reaches the angle grid: every
-# symbol the CLI can name has a peak ray.  A density estimate holds about 140
+# the largest counts accepted.  report --angles only sets the config.n_angles
+# that the JSON report prints.  A density estimate holds about 140
 # bytes per sample (1.4 GB at 10^7); on a 2-vCPU machine the report takes about
 # 10 s at degree 4096 and 15 s at 1024 probe monomials; lemma2 costs a density
 # estimate per angle (about 2 s at 4096 angles and 1000 samples, 4 min at 10^5)
@@ -161,19 +163,18 @@ def _build_parser(preset=None):
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     p.add_argument("--beta", type=_nonnegative, required=required("beta"))
     p.add_argument("--kmax", type=_kmax, default=40)
-    p.add_argument("--angles", type=_angle_count, default=512,
-                   help="angle grid for a symbol without a peak ray")
     add_common(p, "json", "text")
 
     p = sub.add_parser("report", help="classify and probe the whole ground-truth table")
     p.add_argument("--kmax", type=_kmax, default=40)
     p.add_argument("--angles", type=_angle_count, default=512,
-                   help="angle grid for a symbol without a peak ray")
+                   help="only sets the config.n_angles that the report prints; every "
+                        "angular sup is taken on the symbol's peak ray")
     p.add_argument("--degree", type=_at_most(MAX_DEGREE, _degree), default=256)
     p.add_argument("--probe-nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
     add_common(p, "json", "csv", "text")
 
-    p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol")
+    p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol, on its peak ray")
     p.add_argument("--symbol", required=required("symbol"))
     p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
     functions = ("g", "gprime")
@@ -260,7 +261,7 @@ def _verdict_line(name, v) -> str:
 
 def cmd_classify(args) -> int:
     symbol = get_symbol(args.symbol)
-    cfg = LadderConfig(k_max=args.kmax, n_angles=args.angles)
+    cfg = LadderConfig(k_max=args.kmax)
     rep = classify(symbol, args.op, SpacePair(args.alpha, args.beta), cfg)
     if args.format == "json":
         payload = json.dumps({
@@ -297,15 +298,29 @@ def cmd_report(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    """The sup of ``(1-r^2)^alpha |f|`` on the symbol's peak ray, which holds
+    the sup of ``|g|``, ``|g'|`` and ``|g''|`` on every circle, and the Bloch
+    norm ``|f(0)| + sup (1-r^2) |f'|`` read the same way."""
     symbol = get_symbol(args.symbol)
-    f, df = (symbol.eval, symbol.deriv) if args.of == "g" else (symbol.deriv, symbol.deriv2)
-    detail = weighted_sup_details(f, args.alpha)
+    ray = symbol.peak_ray
+    # the ray's unit vector, rounded so that the ray pi reads -1, not -1 + 1.2e-16i
+    unit = complex(round(math.cos(ray), 15), round(math.sin(ray), 15))
+    if args.of == "g":
+        f, absf, absdf = symbol.eval, symbol.abs_eval, symbol.abs_deriv
+    else:
+        f, absf = symbol.deriv, symbol.abs_deriv
+
+        def absdf(r, s, theta):
+            return np.abs(symbol.deriv2(r * unit))
+    value, radius = (float(a[0]) for a in ray_argmax(lambda r, s: absf(r, s, ray), args.alpha))
+    z = radius * unit + 0.0  # + 0.0: the origin reads 0, not -0, on the ray pi
     lines = [f"weighted sup-norm of {args.of}({args.symbol}) at alpha={args.alpha:g}: "
-             f"{detail.value:.12g}",
-             f"arg-max z = {detail.argmax.real:.9g}{detail.argmax.imag:+.9g}i"
-             f"{'  [divergent]' if detail.divergent else ''}"]
+             f"{value:.12g}",
+             f"arg-max z = {z.real:.9g}{z.imag:+.9g}i"
+             f"{'' if math.isfinite(value) else '  [divergent]'}"]
     if args.bloch:
-        lines.append(f"bloch norm: {bloch_norm(f, df):.12g}")
+        seminorm = float(ray_argmax(lambda r, s: absdf(r, s, ray), 1.0)[0][0])
+        lines.append(f"bloch norm: {float(abs(f(0j))) + seminorm:.12g}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

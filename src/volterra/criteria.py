@@ -17,14 +17,12 @@ every prefix integral is a partial sum.  Moduli come from the symbol's own
 :meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``, and every
 weight ``(1-r^2)^e`` from :func:`~volterra.spaces.radial_weight`.
 
-Every criterion is an angular sup.  A symbol that declares a peak
-(:attr:`~volterra.symbols.SymbolSpec.peak`, set for every registry symbol)
-has ``|g|`` and ``|g'|`` largest on one ray at every radius, so each sup is
-read on that ray alone: the ladder integrals, the boundary profile and the
-interior sweep along it (the package's one ray maximiser,
-:func:`~volterra.spaces.ray_max`).  A symbol without a peak, such as a
-user-built one, takes the same engine on ``LadderConfig.n_angles`` grid angles
-refined by golden-section search, and the interior sweep over the disk grid.
+Every criterion is an angular sup.  Every symbol declares a peak
+(:attr:`~volterra.symbols.SymbolSpec.peak`): ``|g|`` and ``|g'|`` are largest
+on one ray at every radius, so each sup is read on that ray alone, by the
+ladder integrals, the boundary profile and the interior sweep along it (the
+package's one ray maximiser, :func:`~volterra.spaces.ray_max`).  A symbol
+whose peak is None is refused with a HypothesisError.
 
 A decision is never forced: when the slope lands between the thresholds the
 verdict is Inconclusive with the slope recorded, since no numerical scheme can
@@ -42,7 +40,9 @@ import numpy as np
 from .errors import HypothesisError
 from .quadrature import gauss_legendre
 from .series import OVERFLOW_CLAMP
-from .spaces import SpacePair, golden_max, radial_weight, ray_max, weighted_sup_details
+from .spaces import SpacePair, radial_weight, ray_max
+# bound here only for perfbench's tracer, which wraps criteria.weighted_sup_details
+from .spaces import weighted_sup_details  # noqa: F401
 from .symbols import SymbolSpec
 from .operators import OperatorKind
 
@@ -93,27 +93,21 @@ LOG_SUBSTITUTION_ALPHA = 0.5
 CELL_REL_TOL = 1e-9
 MAX_PANELS = 64
 # integrand samples per call of the cell integrator: a peak ray's 40 rung cells
-# take one call even at MAX_PANELS; on a 512-angle grid a call takes about 4
-# cells, which measured no slower than one cell per call, and unbounded calls
-# (blocks up to 5 MB) slower
+# take one call even at MAX_PANELS (40,960 samples); a row of many angles
+# takes fewer cells per call, since unbounded blocks (5 MB on 512 angles)
+# measured slower
 BLOCK_SAMPLES = 1 << 16
-# the schedule's first classified rung, and the angular refinement: grid
-# angles refined per rung and golden-section steps per bracket
+# the schedule's first classified rung
 K_MIN = 3
-REFINE_TOP = 3
-REFINE_ITERS = 72
 
 
 @dataclass(frozen=True)
 class LadderConfig:
     k_max: int = 40
-    n_angles: int = 512
 
     def __post_init__(self):
         if self.k_max <= K_MIN:
             raise ValueError(f"need k_max > {K_MIN}")
-        if self.n_angles < 64:
-            raise ValueError("need at least 64 angles")
 
     def rung_ks(self) -> np.ndarray:
         return np.arange(K_MIN, self.k_max + 1)
@@ -172,7 +166,7 @@ class _Cells(NamedTuple):
     errs: np.ndarray      # change at each cell's last panel doubling, max over angles
     accurate: np.ndarray  # errs within 100 * CELL_REL_TOL of the largest angle total
     clamped: np.ndarray   # a sample of the cell was clamped
-    nodes: list           # each cell's final nodes (r, s, w), w with the weight
+    panels: np.ndarray    # each cell's final panel count
 
 
 def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
@@ -180,7 +174,7 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
     """Integrals of ``absmat(r, s, theta) (s(2-s))^-weight_exponent dr`` over the
     cells ``(s_lo, s_hi)``, per angle.
 
-    The ladder engine passes the rung cells and its angles; an integral up to
+    The ladder engine passes the rung cells and its peak ray; an integral up to
     any ``t`` at one angle is the sum of the rows over ``_rung_cells(1 - t)``.
     Each cell is taken with one and two panels; a cell whose change exceeds
     ``CELL_REL_TOL`` of the largest angle total doubles its panels, at most six
@@ -193,7 +187,6 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
     thetas = np.asarray(thetas, dtype=float)
     bounds = np.asarray(cells, dtype=float).reshape(-1, 2)
     n_cells, n_angles = len(bounds), len(thetas)
-    nodes = [None] * n_cells
 
     def block(idx, panels):
         # the rows of the cells idx at one panel count and whether each was
@@ -212,8 +205,6 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
             if np.any(hit[i:i + step]):
                 vals = np.where(bad, OVERFLOW_CLAMP, vals)
             out[i:i + step] = (w[:, None, :] @ vals)[:, 0, :]
-            for k, j in enumerate(part):
-                nodes[j] = (r[k], s[k], w[k])
         return out, hit
 
     every = np.arange(n_cells)
@@ -235,7 +226,7 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
             clamped[idx] |= cl
             panels[idx] = 2 * p
     scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
-    return _Cells(rows, errs, errs <= 100.0 * CELL_REL_TOL * scale, clamped, nodes)
+    return _Cells(rows, errs, errs <= 100.0 * CELL_REL_TOL * scale, clamped, panels)
 
 
 def _rung_cells(s_end: float) -> list:
@@ -257,87 +248,35 @@ class _LadderEngine:
 
     Cell j covers ``s in [2^{-j-1}, 2^{-j}]``, so the integral up to rung t_k is
     the prefix sum of the first k cells and the tail between two rungs is a
-    prefix difference, per angle.  The angular sup per rung runs over one
-    common angle set, which keeps beta = 0 ladders exactly monotone and the
-    whole computation schedule-independent.  Given the peak ray ``ray`` of a
+    prefix difference.  The integrals run along the peak ray ``ray`` of a
     symbol (:attr:`~volterra.symbols.SymbolSpec.peak_ray`), on which the
-    integrand is largest at every radius, that set is the ray alone and the sup
-    is exact.  Without one it is the ``cfg.n_angles`` grid angles plus
-    golden-section-refined candidates: the grid-angle prefixes are the
-    cumulative sums of the cell rows that :func:`_integrate_cells` returns for
-    the rung cells and grid angles, and the final nodes of each cell are kept
-    so that :meth:`_prefix_at` can serve the refined angles.  ``absmat`` is
-    ``(r, s, theta) -> |h|``, broadcasting, such as a symbol's ``abs_deriv``.
+    integrand is largest at every radius, so each angular sup is exact and a
+    beta = 0 ladder exactly monotone.  ``absmat`` is ``(r, s, theta) -> |h|``,
+    broadcasting, such as a symbol's ``abs_deriv``.
     """
 
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
-                 cfg: LadderConfig, ray: Optional[float] = None):
+                 cfg: LadderConfig, ray: float):
         self.cfg = cfg
-        self.absmat = absmat
-        self._thetas = _angles(cfg, ray)
         mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max),
-                                self._thetas)
+                                np.array([ray], dtype=float))
         self.clamped = bool(np.any(mesh.clamped))
         # reliability of the prefix through cell j: every earlier cell clean
         ok = ~mesh.clamped & mesh.accurate
         self.reliable = np.concatenate([[True], np.cumprod(ok).astype(bool)])
-        self._grid_prefix = _prefix_sums(mesh.rows)
-        # the final nodes of every cell, flattened, for prefixes at other angles
-        self._node_r, self._node_s, self._node_w = (np.concatenate(p) for p in zip(*mesh.nodes))
-        self._cell_starts = np.cumsum([0] + [len(r) for r, _, _ in mesh.nodes[:-1]])
-        self._refined = self._refine() if ray is None else np.zeros(0)
-        self.prefix_all = np.concatenate([self._grid_prefix, self._prefix_at(self._refined)],
-                                         axis=1)
-        self.angles_all = np.concatenate([self._thetas, self._refined])
+        # the integrals up to each rung k = 0..k_max, rung 0 the empty sum
+        self.prefix = np.concatenate([[0.0], np.cumsum(mesh.rows[:, 0])])
         sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
         self.rung_weight = radial_weight(sk, beta)
         with np.errstate(over="ignore", invalid="ignore"):
-            weighted = self.rung_weight[:, None] * self.prefix_all
-        self.values = np.max(weighted, axis=1)
-
-    # -- mesh ---------------------------------------------------------------
-
-    def _prefix_at(self, thetas: np.ndarray) -> np.ndarray:
-        """Prefix integrals I(t_k, theta) for k = 0..k_max at off-grid angles."""
-        if len(thetas) == 0:
-            return np.zeros((self.cfg.k_max + 1, 0))
-        vals = self.absmat(self._node_r[:, None], self._node_s[:, None],
-                           np.asarray(thetas)[None, :])
-        bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
-        if np.any(bad):
-            vals = np.where(bad, OVERFLOW_CLAMP, vals)
-        weighted = self._node_w[:, None] * vals
-        return _prefix_sums(np.add.reduceat(weighted, self._cell_starts, axis=0))
-
-    # -- angular refinement ---------------------------------------------------
-
-    def _refine(self) -> np.ndarray:
-        cfg = self.cfg
-        # top angles per rung, deduped: each distinct bracket is optimized once,
-        # against the deepest rung that selected it (the sharpest objective),
-        # and the refined angles are pooled back into every rung's sup
-        deepest = {}
-        for k in cfg.rung_ks():
-            row = self._grid_prefix[k]
-            order = np.argsort(-row, kind="stable")[:REFINE_TOP]
-            for j in order:
-                deepest[int(j)] = k
-        items = sorted(deepest.items())
-        center = np.asarray([self._thetas[j] for j, _ in items])
-        rung = np.asarray([k for _, k in items])
-        cols = np.arange(len(center))
-        dtheta = 2.0 * np.pi / cfg.n_angles
-        best_t, _ = golden_max(lambda th: self._prefix_at(th)[rung, cols],
-                               center - dtheta, center + dtheta, REFINE_ITERS)
-        return best_t
+            self.values = self.rung_weight * self.prefix
 
     # -- derived quantities -----------------------------------------------
 
     def tail_sup(self, ms, ks) -> np.ndarray:
-        """sup_theta of the weighted tail integral between rungs m < k, as a
+        """The weighted tail integral between rungs m < k, as a
         ``(len(ms), len(ks))`` array over outer rungs ``ms`` and inner rungs ``ks``."""
-        diff = self.prefix_all[ks][None, :, :] - self.prefix_all[ms][:, None, :]
-        return self.rung_weight[ks] * np.max(diff, axis=2)
+        return self.rung_weight[ks] * (self.prefix[ks][None, :] - self.prefix[ms][:, None])
 
     def split_bound(self, k0: int) -> float:
         """Upper bound M + N from splitting the radius range at rung k0.
@@ -348,31 +287,17 @@ class _LadderEngine:
         covers the continuous sup, not just the rung values.  The tail piece
         beyond the cut rung is handled the same way with prefix differences.
         """
-        k_max, w = self.cfg.k_max, self.rung_weight
-        pmax = np.max(self.prefix_all, axis=1)
-        m_part = float(np.max(w[:k0] * pmax[1:k0 + 1]))
+        k_max, w, prefix = self.cfg.k_max, self.rung_weight, self.prefix
+        m_part = float(np.max(w[:k0] * prefix[1:k0 + 1]))
         if k0 >= k_max:
             return m_part
-        tails = np.max(self.prefix_all[k0 + 1:k_max + 1] - self.prefix_all[k0], axis=1)
+        tails = prefix[k0 + 1:k_max + 1] - prefix[k0]
         return m_part + float(np.max(w[k0:k_max] * tails))
-
-
-def _prefix_sums(cells: np.ndarray) -> np.ndarray:
-    """Cumulative sums of per-cell rows, starting with a zero row (rung 0)."""
-    return np.concatenate([np.zeros((1, cells.shape[1])), np.cumsum(cells, axis=0)])
 
 
 def _abs_fun(symbol: SymbolSpec, which: str) -> Callable:
     """The symbol's broadcasting ``(r, s, theta) -> |g'|`` or ``|g|``."""
     return symbol.abs_deriv if which == "deriv" else symbol.abs_eval
-
-
-def _angles(cfg: LadderConfig, ray: Optional[float]) -> np.ndarray:
-    """The angles an angular sup is taken over: the peak ray alone, or the
-    ``cfg.n_angles`` grid angles when there is none."""
-    if ray is not None:
-        return np.array([ray], dtype=float)
-    return 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
 
 
 def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
@@ -535,38 +460,21 @@ def _pointwise_form(operator: OperatorKind, pair: SpacePair):
 
 
 def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderConfig):
-    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``.
-
-    The sup is read on the symbol's peak ray; without one, on the grid angles,
-    with each rung's top ``REFINE_TOP`` grid angles refined, all in one batch.
-    """
-    absmat = _abs_fun(g, which)
+    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``,
+    the sup read on the symbol's peak ray, all rungs in one call (a column of
+    radii against the one-angle row)."""
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
-    r = 1.0 - s
-    ray = g.peak_ray
-    thetas = _angles(cfg, ray)
-    vals = absmat(r[:, None], s[:, None], thetas[None, :])
+    theta = np.array([[g.peak_ray]], dtype=float)
+    vals = _abs_fun(g, which)((1.0 - s)[:, None], s[:, None], theta)[:, 0]
     bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
     clamped = bool(np.any(bad))
     if clamped:
         # clamped samples read as "as large as representable": they can only
         # push the profile over the divergence threshold, never hide growth
         vals = np.where(bad, OVERFLOW_CLAMP, vals)
-    sup_raw = np.max(vals, axis=1)
-    if ray is None:
-        order = np.argsort(-vals, axis=1, kind="stable")[:, :REFINE_TOP]
-        rows = np.repeat(np.arange(len(ks)), order.shape[1])
-        center = thetas[order.ravel()]
-        dtheta = 2.0 * np.pi / cfg.n_angles
-
-        def obj(th):
-            v = absmat(r[rows], s[rows], th)
-            return np.where(np.isfinite(v), v, OVERFLOW_CLAMP)
-        _, best = golden_max(obj, center - dtheta, center + dtheta, REFINE_ITERS)
-        sup_raw = np.maximum(sup_raw, np.max(best.reshape(order.shape), axis=1))
     with np.errstate(over="ignore"):
-        profile = radial_weight(s, exponent) * sup_raw
+        profile = radial_weight(s, exponent) * vals
     return ks, profile, clamped
 
 
@@ -574,17 +482,11 @@ def _pointwise_value(g: SymbolSpec, which: str, exponent: float, profile_max: fl
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
     weight exponent is nonnegative (interior maxima exist only then).  The
     sweep runs along the symbol's peak ray, by the ray maximiser
-    :func:`~volterra.spaces.ray_max` that the battery's norms share, or over the
-    whole disk grid when there is none."""
+    :func:`~volterra.spaces.ray_max` that the battery's norms share."""
     if exponent < 0:
         return profile_max
-    ray = g.peak_ray
-    if ray is not None:
-        absmat = _abs_fun(g, which)
-        interior = float(ray_max(lambda r, s: absmat(r, s, ray), exponent)[0])
-    else:
-        interior = weighted_sup_details(g.deriv if which == "deriv" else g.eval, exponent).value
-    return max(profile_max, interior)
+    absmat, ray = _abs_fun(g, which), g.peak_ray
+    return max(profile_max, float(ray_max(lambda r, s: absmat(r, s, ray), exponent)[0]))
 
 
 def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
@@ -640,13 +542,13 @@ def pointwise_compactness(g: SymbolSpec, pair: SpacePair, operator: OperatorKind
 
 
 def sg_zero_symbol_compactness(g: SymbolSpec) -> Verdict:
-    """Into an unweighted target the companion operator is compact only for g = 0."""
+    """Into an unweighted target the companion operator is compact only for g = 0.
+    Short of metadata, ``|g|`` is sampled on its peak ray, which holds its max
+    on every circle."""
     if g.metadata.is_zero:
         return Verdict(VerdictTag.COMPACT, value=0.0, evidence=("zero-symbol-rule",))
     rs = np.linspace(0.05, 0.95, 19)
-    thetas = 2.0 * np.pi * np.arange(64) / 64.0
-    z = rs[:, None] * np.exp(1j * thetas[None, :])
-    if float(np.max(np.abs(g.eval(z)))) < 1e-14:
+    if float(np.max(g.abs_eval(rs, 1.0 - rs, g.peak_ray))) < 1e-14:
         return Verdict(VerdictTag.COMPACT, value=0.0, evidence=("zero-symbol-rule",))
     return Verdict(VerdictTag.NOT_COMPACT, evidence=("zero-symbol-rule",),
                    diagnostics={"criterion": "zero-symbol-rule"})

@@ -46,8 +46,8 @@ from .symbols import DEFAULT_DEGREE, SymbolSpec
 
 # coarser polar grid for battery/probe image norms; series images are
 # additionally sampled on the boundary ring when the target weight vanishes,
-# which pins the polynomial sup-norms exactly, so refinement is skipped
-ESTIMATION_GRID = DiskGrid(radial_k=80, n_angles=128, refine_top=0, outer_rungs=4)
+# which pins the polynomial sup-norms exactly
+ESTIMATION_GRID = DiskGrid(radial_k=80, n_angles=128, outer_rungs=4)
 
 # peaking-parameter schedule lambda = 1 - 2^{-j} and aim directions
 PEAK_RUNGS = (1, 2, 3, 4, 5, 6)

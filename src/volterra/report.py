@@ -34,12 +34,14 @@ WORKERS_ENV = "VOLTERRA_WORKERS"
 @dataclass(frozen=True)
 class ReportConfig:
     k_max: int = 40
+    # printed as the JSON report's config.n_angles and read by nothing else:
+    # every angular sup is taken on a peak ray
     n_angles: int = 512
     degree: int = DEFAULT_DEGREE
     probe_n_max: int = 64
 
     def ladder(self) -> LadderConfig:
-        return LadderConfig(k_max=self.k_max, n_angles=self.n_angles)
+        return LadderConfig(k_max=self.k_max)
 
     def resolve_workers(self) -> int:
         """Row workers: ``WORKERS_ENV`` when set, else the machine's CPU count."""

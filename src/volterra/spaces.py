@@ -4,15 +4,13 @@ The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
 :func:`radial_weight` everywhere in the package.  Maxima in this problem family
 concentrate at the boundary, so the radial grid is geometrically graded toward
 ``|z| = 1``.  A supremum along a fixed ray (the classifier's interior sweep
-on a peak ray, the battery's source norms) is :func:`ray_max`: a sample on the
-radii of ``DEFAULT_GRID``, then a few vectorised zoom passes around each
-profile's best sample.  Golden-section search (:func:`golden_max`) serves only
-the disk sweep's refinement, in the angle on the outermost rungs, then in the
-radius at each refined angle, and the classifier's angle-grid path for a
-symbol without a peak ray.  A function is a truncated
+and the ``norm`` command on a symbol's peak ray, the battery's source norms) is
+:func:`ray_max`: a sample on the radii of ``DEFAULT_GRID``, then a few
+vectorised zoom passes around each profile's best sample, which can only
+increase it.  A supremum over the disk is a sweep of a polar grid
+(:func:`weighted_sup_details`), with no refinement.  A function is a truncated
 Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
-All sweeps are pure and deterministic; refinement can only increase the
-reported supremum.
+All sweeps are pure and deterministic.
 
 On every circle ``|f| <= sum |c_m| r^m``, the ring majorant.  The majorants of
 a stack of series come from one pass over all of them, with one matrix-vector
@@ -43,12 +41,8 @@ from .errors import DomainError
 from .series import (OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, derivative,
                      evaluate_on_rings)
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps per bracket of the sweep refinement
-REFINE_ITERS = 40
 # ray_max's zoom passes and their radii per bracket: each pass narrows a
-# bracket to 2/64 of its width, (2/64)^6 = 9.3e-10 in all, finer than the
-# 0.618^40 = 4.4e-9 of REFINE_ITERS golden-section steps
+# bracket to 2/64 of its width, (2/64)^6 = 9.3e-10 in all
 ZOOM_PASSES = 6
 ZOOM_POINTS = 65
 # the radii's positions in a bracket, exact multiples of 1/64
@@ -87,14 +81,12 @@ class DiskGrid:
     """Polar sampling grid with geometric grading toward the boundary.
 
     Radial rungs are ``r_k = 1 - 2^(-k/4)`` for ``k = 0..radial_k``; angles are
-    uniform.  Golden-section search (``REFINE_ITERS`` steps) refines the top
-    ``refine_top`` angular maxima of the outermost ``outer_rungs`` rungs (and
-    the interior maximum); ``refine_top = 0`` turns refinement off.
+    uniform.  A sweep with samples that overflow reads divergent when its
+    outermost ``outer_rungs`` rung maxima grow.
     """
 
     radial_k: int = 96
     n_angles: int = 512
-    refine_top: int = 3
     outer_rungs: int = 8
 
     def __post_init__(self):
@@ -131,34 +123,6 @@ def radial_weight(one_minus_r, alpha: float):
     return np.ones_like(s) if alpha == 0.0 else (s * (2.0 - s)) ** alpha
 
 
-def golden_max(fn, lo, hi, iters: int):
-    """Golden-section maximization on a batch of brackets ``[lo[i], hi[i]]``.
-
-    ``fn`` maps an array of points, one per bracket, to their values.  Returns
-    the best point and value evaluated in each bracket, arrays shaped like
-    ``lo``; for a unimodal objective these are the bracket's maximum to within
-    ``0.618^iters`` of its width.
-    """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_t = np.where(fc >= fd, c, d)
-    best_v = np.maximum(fc, fd)
-    for _ in range(iters):
-        # keep [a, d] when f(c) >= f(d), else [c, b]; one new probe per step
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
-        fp = fn(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-        best_t = np.where(fp > best_v, probe, best_t)
-        best_v = np.maximum(best_v, fp)
-    return best_t, best_v
-
-
 def _values(f: TaylorSeries | Callable, z):
     """``f(z)`` for a series or a vectorised closed form; divergent samples
     (overflow, poles, NaN) come back as the tagged infinite marker."""
@@ -175,8 +139,9 @@ def _rings(grid: DiskGrid, alpha: float, boundary: bool):
     return 1.0 - s, radial_weight(s, alpha)
 
 
-def ray_max(fn: Callable, exponent: float) -> np.ndarray:
-    """``max_r (1-r^2)^exponent fn(r, 1-r)`` for each column of ``fn``.
+def ray_argmax(fn: Callable, exponent: float):
+    """``max_r (1-r^2)^exponent fn(r, 1-r)`` for each column of ``fn``, and the
+    radius of the first sample that attains it, as two arrays.
 
     ``fn(r, s)`` broadcasts: a column of radii gives ``(R, P)`` values and a
     ``(K, P)`` array of radii, one column per profile, gives ``(K, P)``.  The
@@ -188,18 +153,25 @@ def ray_max(fn: Callable, exponent: float) -> np.ndarray:
     """
     s = DEFAULT_GRID.one_minus_r()[:, None]
     r = 1.0 - s
-    best = -np.inf
+    best, arg = -np.inf, 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(1 + ZOOM_PASSES):
             v = radial_weight(s, exponent) * fn(r, s)
             v = np.where(np.isfinite(v), v, np.inf)
-            best = np.maximum(best, np.max(v, axis=0))
-            # the next bracket: the neighbours of each column's best sample
             j, r, cols = np.argmax(v, axis=0), np.broadcast_to(r, v.shape), np.arange(v.shape[1])
+            top = v[j, cols]
+            arg = np.where(top > best, r[j, cols], arg)
+            best = np.maximum(best, top)
+            # the next bracket: the neighbours of each column's best sample
             lo, hi = r[np.maximum(j - 1, 0), cols], r[np.minimum(j + 1, len(v) - 1), cols]
             r = lo + _ZOOM_STEPS[:, None] * (hi - lo)
             s = 1.0 - r
-    return best
+    return best, arg
+
+
+def ray_max(fn: Callable, exponent: float) -> np.ndarray:
+    """The maxima of :func:`ray_argmax` alone."""
+    return ray_argmax(fn, exponent)[0]
 
 
 def _ring_sweep(coeffs: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:
@@ -261,7 +233,7 @@ def _sweep_ring_rows(series, rows, radii, weights, n_angles: int) -> np.ndarray:
 
 def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
     """``weighted_sup_norm(f, alpha, grid)`` for each series ``f`` of ``series``,
-    on a grid without refinement (``refine_top = 0``), as a float array.
+    as a float array.
 
     The weighted ring majorants ``(1-r^2)^alpha sum |c_m| r^m`` of all series
     come first, in one pass (:func:`_ring_majorants`); for real, nonnegative
@@ -273,8 +245,6 @@ def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
     the clamp acts on block sums and unweighted samples, which its weighted
     majorants do not bound.
     """
-    if grid.refine_top > 0:
-        raise ValueError("stacked sweeps need a grid without refinement (refine_top = 0)")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
     if not len(series):
@@ -304,8 +274,7 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     """Estimate ``sup (1-|z|^2)^alpha |f(z)|`` over the disk.
 
     ``f`` is a :class:`~volterra.series.TaylorSeries` or a vectorised closed
-    form ``z -> f(z)``.  Sweeps the polar grid, then refines the best
-    candidates by golden-section search unless ``grid.refine_top`` is 0.  A
+    form ``z -> f(z)``.  Sweeps the polar grid, with no refinement.  A
     series takes the path it takes in :func:`weighted_sup_norms`: one sample
     per ring at ``theta = 0`` when its coefficients are real and ``>= 0``,
     else a sweep ring by ring with :func:`~volterra.series.evaluate_on_rings`.
@@ -333,37 +302,6 @@ def weighted_sup_details(f: TaylorSeries | Callable, alpha: float,
     i_best = int(np.argmax(rung_max))
     best_val = float(rung_max[i_best])
     best_z = radii[i_best] * np.exp(1j * thetas[rung_arg[i_best]])
-    if grid.refine_top > 0:
-        # seeds: the top angles of the outermost rungs, plus the grid maximum
-        # when it lies inside them; each is searched in the angle at its rung,
-        # then in the radius between the neighboring rungs at the refined
-        # angle (for maxima attained strictly inside the disk)
-        n = len(radii)
-        outer = np.arange(max(0, n - grid.outer_rungs), n)
-        order = np.argsort(-vals[outer], axis=1, kind="stable")[:, : grid.refine_top]
-        rung, col = np.repeat(outer, order.shape[1]), order.ravel()
-        if i_best < n - grid.outer_rungs:
-            rung, col = np.append(rung, i_best), np.append(col, rung_arg[i_best])
-
-        def weighted_abs(r, t):
-            with np.errstate(invalid="ignore", over="ignore"):
-                m = np.abs(_values(f, r * np.exp(1j * t)))
-            return np.where(np.isfinite(m), radial_weight(1.0 - r, alpha) * m, np.inf)
-
-        r = radii[rung]
-        dtheta = 2.0 * np.pi / grid.n_angles
-        t_star, v_ang = golden_max(lambda t: weighted_abs(r, t), thetas[col] - dtheta,
-                                   thetas[col] + dtheta, REFINE_ITERS)
-        r_lo = np.where(rung > 0, radii[np.maximum(rung - 1, 0)], 0.0)
-        r_star, v_rad = golden_max(lambda rr: weighted_abs(rr, t_star), r_lo,
-                                   radii[np.minimum(rung + 1, n - 1)], REFINE_ITERS)
-        # candidates in seed order, angular before radial; argmax keeps the
-        # first of equal maxima
-        cand_v = np.column_stack([v_ang, v_rad]).ravel()
-        k = int(np.argmax(cand_v))
-        if cand_v[k] > best_val:
-            best_val = float(cand_v[k])
-            best_z = np.column_stack([r, r_star]).ravel()[k] * np.exp(1j * t_star[k // 2])
 
     divergent = False
     if clamped > 0:

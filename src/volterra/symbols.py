@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnknownSymbolError
+from .errors import HypothesisError, UnknownSymbolError
 from .operators import OperatorKind
 from .series import TaylorSeries
 
@@ -47,14 +47,14 @@ class SymbolSpec:
     with ``s = 1 - r`` carried exactly; :meth:`abs_eval` and :meth:`abs_deriv`
     use them when present and the closed forms otherwise.
 
-    ``peak`` is an unrotated angle on which ``|g|`` and ``|g'|`` are largest on
-    every circle ``|z| = r``, or None when none is known.  A symbol whose Taylor
+    ``peak`` is a required unrotated angle on which ``|g|``, ``|g'|`` and
+    ``|g''|`` are largest on every circle ``|z| = r``.  A symbol whose Taylor
     coefficients are real and nonnegative peaks at 0, since then
     ``|g^(j)(r e^{i theta})| <= g^(j)(r)``; every registry symbol is of that
     kind after the rotation by its peak.  :meth:`rotated` keeps the field, and
     :attr:`peak_ray` is the angle ``peak - rotation`` of the rotated symbol.
-    The classifier takes every angular sup of a symbol with a peak on that one
-    ray, and sweeps a grid of angles for a symbol without one.
+    The classifier and the ``norm`` command take every angular sup on that one
+    ray; a symbol whose peak is None has no angular sup they can read.
     """
 
     name: str
@@ -62,17 +62,21 @@ class SymbolSpec:
     deriv: Callable
     deriv2: Callable
     taylor_coeff: Callable  # n -> complex coefficient of z^n
+    peak: float
     metadata: SymbolMetadata = field(default_factory=SymbolMetadata)
     rotation: float = 0.0  # total angle of rotated(); the polar forms shift theta by it
     polar_eval: Optional[Callable] = None
     polar_deriv: Optional[Callable] = None
-    peak: Optional[float] = None
 
     @property
-    def peak_ray(self) -> Optional[float]:
+    def peak_ray(self) -> float:
         """The angle at which :meth:`abs_eval` and :meth:`abs_deriv` take their
-        sup over every circle, ``peak - rotation``; None without a peak."""
-        return None if self.peak is None else self.peak - self.rotation
+        sup over every circle, ``peak - rotation``; HypothesisError when the
+        peak is None."""
+        if self.peak is None:
+            raise HypothesisError(f"symbol {self.name!r} declares no peak ray, "
+                                  "on which every angular sup is read")
+        return self.peak - self.rotation
 
     def abs_eval(self, r, s, theta):
         """``|g(r e^{i theta})|``, broadcasting ``r``, ``s`` and ``theta``."""
@@ -148,7 +152,7 @@ def _term_forms(terms: dict):
     engine and the pointwise profile pass them, the sum over the K terms is one
     ``(R, K) @ (K, N)`` product for each of its real and imaginary parts; a
     broadcast ``(R, N, K)`` sum is slower than the closed form there, so it only
-    serves other shapes, such as the elementwise golden-section refinement.
+    serves other shapes, such as the interior sweep's radii at a scalar angle.
     """
     n = np.array(sorted(terms), dtype=float)
     c = np.array([terms[m] for m in sorted(terms)], dtype=float)

@@ -256,7 +256,7 @@ def test_criterion_08_sector_map_validation():
 
 def test_criterion_09_report_determinism(tmp_path):
     args = ["-m", "volterra.cli", "report", "--format", "json",
-            "--kmax", "24", "--angles", "128", "--degree", "64", "--probe-nmax", "16"]
+            "--kmax", "24", "--degree", "64", "--probe-nmax", "16"]
     env_one = dict(os.environ, VOLTERRA_WORKERS="1")
     env_default = dict(os.environ)
     env_default.pop("VOLTERRA_WORKERS", None)

@@ -5,12 +5,15 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from volterra.cli import main
 from volterra.report import (CSV_HEADER, ReportConfig, build_report,
                              report_exit_code, to_csv, to_json)
+from volterra.spaces import weighted_sup_norm
+from volterra.symbols import get_symbol, symbol_names
 
 
 def run(capsys, *argv):
@@ -63,9 +66,12 @@ def test_parameter_violations_exit_one(capsys):
     code, _, _ = run(capsys, "classify", "--symbol", "log", "--op", "Tg",
                      "--alpha", "0", "--beta", "0", "--kmax", "99")
     assert code == 1
-    code, _, _ = run(capsys, "classify", "--symbol", "log", "--op", "Tg",
-                     "--alpha", "0", "--beta", "0", "--angles", "100")
+    code, _, _ = run(capsys, "report", "--angles", "100")
     assert code == 1
+    # every angular sup is taken on the peak ray: classify has no angle grid
+    code, _, err = run(capsys, "classify", "--symbol", "log", "--op", "Tg",
+                       "--alpha", "0", "--beta", "0", "--angles", "64")
+    assert code == 1 and "unrecognized arguments: --angles" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -99,6 +105,26 @@ def test_norm_command(capsys):
     code, out, _ = run(capsys, "norm", "--symbol", "cayley", "--alpha", "1")
     assert code == 0
     assert "2.0" in out or "1.999" in out
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_norm_reads_its_sup_on_the_peak_ray(capsys, name):
+    """The printed arg-max lies on the peak ray: on the real axis, and left of
+    the origin for affine's g, whose ray is pi.  The value is never below the
+    disk grid's, allowing 4 ulps (compared at the 12 digits printed, a
+    rounding that keeps the order)."""
+    g = get_symbol(name)
+    for of, f in (("g", g.eval), ("gprime", g.deriv)):
+        for alpha in ("0.5", "2"):
+            code, out, _ = run(capsys, "norm", "--symbol", name, "--of", of, "--alpha", alpha)
+            assert code == 0
+            value = float(re.search(r"alpha=\S+: (\S+)\n", out).group(1))
+            real, imag = (float(x) for x in
+                          re.search(r"arg-max z = (\S+?)([+-][^i]+)i", out).groups())
+            assert imag == 0.0
+            assert real < 0.0 if (name, of) == ("affine", "g") else real >= 0.0
+            grid = weighted_sup_norm(f, float(alpha))
+            assert value >= float(f"{grid - 4.0 * np.spacing(grid):.12g}"), (of, alpha)
 
 
 def test_opnorm_command(capsys):
@@ -140,7 +166,7 @@ FLOAT_SPELLINGS = ["nan", "inf", "-inf", "1e400", "-1e400", "-0", "0"]
 CELL = ("--symbol", "identity", "--op", "Tg")
 # each command with cheap settings, and its float options with valid values
 FLOAT_COMMANDS = [
-    (("classify",) + CELL + ("--kmax", "4", "--angles", "64"), {"alpha": "0", "beta": "0"}),
+    (("classify",) + CELL + ("--kmax", "4"), {"alpha": "0", "beta": "0"}),
     (("norm", "--symbol", "identity"), {"alpha": "0"}),
     (("opnorm",) + CELL, {"alpha": "0", "beta": "0", "t0": "0.5"}),
     (("probe",) + CELL + ("--nmax", "16"), {"alpha": "0", "beta": "0"}),
@@ -223,8 +249,8 @@ def test_report_degree_in_config_file_is_checked(tmp_path, capsys):
 
 
 OVERSIZED_COUNTS = [
-    (("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0"),
-     "angles", "1073741824", "argument --angles: angle count must be a power of two in [64, 8192]"),
+    (("report",), "angles", "1073741824",
+     "argument --angles: angle count must be a power of two in [64, 8192]"),
     (("report",), "angles", "16384",
      "argument --angles: angle count must be a power of two in [64, 8192]"),
     (("lemma2", "--gamma", "0.5", "--eta", "1.0"), "samples", "1000,1000000000000",
@@ -240,12 +266,12 @@ OVERSIZED_COUNTS = [
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, key, value, message", OVERSIZED_COUNTS,
-                         ids=["classify-angles", "report-angles", "lemma2-samples",
+                         ids=["report-angles-huge", "report-angles", "lemma2-samples",
                               "lemma2-theta-count", "report-degree", "report-probe-nmax",
                               "probe-nmax"])
 def test_oversized_counts_are_usage_errors(tmp_path, monkeypatch, capsys, source,
                                            argv, key, value, message):
-    # `classify --angles 1073741824` and `lemma2 --samples 1000000000000` ended
+    # `--angles 1073741824` and `lemma2 --samples 1000000000000` ended
     # in an uncaught allocation error (8 GiB and 7.3 TiB arrays); the other
     # counts parsed at any size and ran for hours (lemma2 computes one density
     # estimate per angle); the command itself must not start
@@ -271,10 +297,10 @@ def test_oversized_counts_are_usage_errors(tmp_path, monkeypatch, capsys, source
 
 @pytest.mark.parametrize("argv", [
     ("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0",
-     "--kmax", "4", "--angles", "8192"),
+     "--kmax", "4"),
     ("lemma2", "--gamma", "0.5", "--eta", "1.0", "--samples", "10000000",
      "--theta-count", "4096"),
-    ("report", "--degree", "4096", "--probe-nmax", "1024"),
+    ("report", "--degree", "4096", "--probe-nmax", "1024", "--angles", "8192"),
     ("probe", "--symbol", "log", "--op", "Tg", "--alpha", "0", "--beta", "1", "--nmax", "1024"),
 ])
 def test_largest_counts_still_parse(monkeypatch, argv):
@@ -287,7 +313,7 @@ def test_largest_counts_still_parse(monkeypatch, argv):
 
 OUTPUT_COMMANDS = {
     "classify": ("classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0",
-                 "--beta", "0", "--kmax", "8", "--angles", "64"),
+                 "--beta", "0", "--kmax", "8"),
     "norm": ("norm", "--symbol", "cayley", "--alpha", "1"),
     "report": ("report", "--format", "json"),
 }
@@ -377,7 +403,7 @@ def test_config_value_is_checked_like_a_flag(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, key, value, runner", [
     (("report",), "format", "xml", "build_report"),
-    (("norm", "--symbol", "cayley", "--alpha", "1"), "of", "xyz", "weighted_sup_details"),
+    (("norm", "--symbol", "cayley", "--alpha", "1"), "of", "xyz", "ray_argmax"),
 ], ids=["report-format", "norm-of"])
 def test_choice_in_config_file_is_checked_like_a_flag(tmp_path, monkeypatch, capsys,
                                                       argv, key, value, runner, source):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra.criteria import (K_MIN, REFINE_ITERS, REFINE_TOP, LadderConfig, VerdictTag,
+from volterra.criteria import (DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag,
                                classify, pointwise_compactness, sg_boundedness, sg_pointwise,
                                sg_zero_symbol_compactness, tg_boundedness,
                                tg_pointwise, tg_tail_compactness)
@@ -19,10 +19,7 @@ from volterra.symbols import (LACUNARY_K, SymbolMetadata, SymbolSpec, get_symbol
                               symbol_names)
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
-
-# a smaller angle grid keeps the sweeps of symbols without a peak fast;
-# registry symbols read their peak ray and take no grid
-FAST = LadderConfig(n_angles=64)
+CFG = DEFAULT_LADDER
 
 
 def _pair(a, b):
@@ -32,50 +29,50 @@ def _pair(a, b):
 # -- boundedness ladders -----------------------------------------------------
 
 def test_identity_ladder_bounded_value_one():
-    out = tg_boundedness(get_symbol("identity"), _pair(0, 0), FAST)
+    out = tg_boundedness(get_symbol("identity"), _pair(0, 0), CFG)
     assert out.verdict.tag is VerdictTag.BOUNDED
     assert out.verdict.value == pytest.approx(1.0, abs=1e-6)
     # closed form: L(t_k) = t_k
-    ks = FAST.rung_ks()
+    ks = CFG.rung_ks()
     for t, v in zip(1.0 - 2.0 ** -ks.astype(float), out.engine.values[ks]):
         assert v == pytest.approx(t, abs=1e-10)
 
 
 def test_log_ladder_unbounded_linear_growth():
-    out = tg_boundedness(get_symbol("log"), _pair(0, 0), FAST)
+    out = tg_boundedness(get_symbol("log"), _pair(0, 0), CFG)
     assert out.verdict.tag is VerdictTag.UNBOUNDED
     # closed form: L(t_k) = k log 2 at theta = 0
-    ks = FAST.rung_ks()
+    ks = CFG.rung_ks()
     for k, v in zip(ks, out.engine.values[ks]):
         assert v == pytest.approx(k * math.log(2.0), rel=1e-6)
 
 
 def test_log_ladder_weighted_target_decays_to_bounded():
-    out = tg_boundedness(get_symbol("log"), _pair(0, 1), FAST)
+    out = tg_boundedness(get_symbol("log"), _pair(0, 1), CFG)
     assert out.verdict.tag is VerdictTag.BOUNDED
     # decaying ladder: limsup 0, criterion constant = rung max
-    assert out.verdict.value == pytest.approx(max(out.engine.values[FAST.rung_ks()]), abs=0)
+    assert out.verdict.value == pytest.approx(max(out.engine.values[CFG.rung_ks()]), abs=0)
 
 
 def test_ladder_monotone_at_beta_zero():
     for name in ("identity", "monomial", "lacunary"):
-        out = tg_boundedness(get_symbol(name), _pair(0, 0), FAST)
-        vals = out.engine.values[FAST.rung_ks()]
+        out = tg_boundedness(get_symbol(name), _pair(0, 0), CFG)
+        vals = out.engine.values[CFG.rung_ks()]
         assert np.all(np.diff(vals) >= -1e-12 * np.maximum(vals[:-1], 1.0))
 
 
 def test_sg_ladder_needs_positive_alpha():
     with pytest.raises(HypothesisError):
-        sg_boundedness(get_symbol("affine"), _pair(0.0, 1.0), FAST)
+        sg_boundedness(get_symbol("affine"), _pair(0.0, 1.0), CFG)
 
 
 def test_sg_ladder_affine_unweighted_target_diverges():
-    out = sg_boundedness(get_symbol("affine"), _pair(1, 0), FAST)
+    out = sg_boundedness(get_symbol("affine"), _pair(1, 0), CFG)
     assert out.verdict.tag is VerdictTag.UNBOUNDED
 
 
 def test_sg_ladder_zero_symbol():
-    out = sg_boundedness(get_symbol("zero"), _pair(1, 0), FAST)
+    out = sg_boundedness(get_symbol("zero"), _pair(1, 0), CFG)
     assert out.verdict.tag is VerdictTag.BOUNDED
     assert out.verdict.value == 0.0
 
@@ -83,86 +80,85 @@ def test_sg_ladder_zero_symbol():
 # -- tail compactness ---------------------------------------------------------
 
 def test_tail_identity_compact():
-    v = tg_tail_compactness(get_symbol("identity"), _pair(0, 0), FAST)
+    v = tg_tail_compactness(get_symbol("identity"), _pair(0, 0), CFG)
     assert v.tag is VerdictTag.COMPACT
 
 
 def test_tail_log_weighted_compact():
-    v = tg_tail_compactness(get_symbol("log"), _pair(0, 1), FAST)
+    v = tg_tail_compactness(get_symbol("log"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.COMPACT
 
 
 def test_tail_constant_symbol_trivially_compact():
-    v = tg_tail_compactness(get_symbol("one"), _pair(0, 0), FAST)
+    v = tg_tail_compactness(get_symbol("one"), _pair(0, 0), CFG)
     assert v.tag is VerdictTag.COMPACT
 
 
 def test_tail_cayley_weighted_not_compact():
-    v = tg_tail_compactness(get_symbol("cayley"), _pair(0, 1), FAST)
+    v = tg_tail_compactness(get_symbol("cayley"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.NOT_COMPACT
 
 
 def test_tail_monotone_in_inner_cut():
-    out = tg_boundedness(get_symbol("cayley"), _pair(0, 1), FAST)
-    k = FAST.k_max
+    out = tg_boundedness(get_symbol("cayley"), _pair(0, 1), CFG)
+    k = CFG.k_max
     sups = out.engine.tail_sup(np.arange(K_MIN, k), [k])[:, 0]
     assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
 
 
 
-@pytest.mark.parametrize("peak", [True, False])
-def test_tail_and_split_bound_arrays_equal_the_rung_loops(peak):
+@pytest.mark.parametrize("rotated", [True, False])
+def test_tail_and_split_bound_arrays_equal_the_rung_loops(rotated):
     # reference: the per-rung loops the arrays replaced; every product and max
     # is the same, so the bits are too
     g = get_symbol("cayley")
-    out = tg_boundedness(g if peak else replace(g, peak=None), _pair(0, 1), FAST)
-    eng, k_max = out.engine, FAST.k_max
-    w, pre = eng.rung_weight, eng.prefix_all
+    out = tg_boundedness(g.rotated(0.9) if rotated else g, _pair(0, 1), CFG)
+    eng, k_max = out.engine, CFG.k_max
+    w, pre = eng.rung_weight, eng.prefix
     ms, ks = np.arange(K_MIN, k_max - 5), np.arange(k_max - 5, k_max + 1)
-    want = [[float(w[k] * np.max(pre[k] - pre[m])) for k in ks] for m in ms]
+    want = [[float(w[k] * (pre[k] - pre[m])) for k in ks] for m in ms]
     assert eng.tail_sup(ms, ks).tolist() == want
-    pmax = np.max(pre, axis=1)
     for k0 in range(K_MIN, k_max + 1):
-        m_part = max(float(w[j] * pmax[j + 1]) for j in range(k0))
-        n_part = max((float(w[k] * np.max(pre[k + 1] - pre[k0])) for k in range(k0, k_max)),
+        m_part = max(float(w[j] * pre[j + 1]) for j in range(k0))
+        n_part = max((float(w[k] * (pre[k + 1] - pre[k0])) for k in range(k0, k_max)),
                      default=None)
         assert eng.split_bound(k0) == (m_part if n_part is None else m_part + n_part)
 
 # -- pointwise criteria --------------------------------------------------------
 
 def test_pointwise_tg_identity():
-    v = tg_pointwise(get_symbol("identity"), _pair(0, 1), FAST)
+    v = tg_pointwise(get_symbol("identity"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.BOUNDED
     assert v.value == pytest.approx(1.0, abs=1e-6)  # sup (1-|z|^2)^2 at origin
 
 
 def test_pointwise_tg_log_interior_maximum():
-    v = tg_pointwise(get_symbol("log"), _pair(0, 1), FAST)
+    v = tg_pointwise(get_symbol("log"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.BOUNDED
     # sup (1-|z|^2)^2/|1-z| = sup (1+r)^2 (1-r) = 32/27 at r = 1/3
     assert v.value == pytest.approx(32.0 / 27.0, abs=1e-4)
 
 
 def test_pointwise_tg_cubic_pole_unbounded():
-    v = tg_pointwise(get_symbol("koebe3"), _pair(0, 1), FAST)
+    v = tg_pointwise(get_symbol("koebe3"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.UNBOUNDED
 
 
 def test_pointwise_requires_beta_positive():
     with pytest.raises(HypothesisError):
-        tg_pointwise(get_symbol("identity"), _pair(0, 0), FAST)
+        tg_pointwise(get_symbol("identity"), _pair(0, 0), CFG)
     with pytest.raises(HypothesisError):
-        sg_pointwise(get_symbol("identity"), _pair(0, 0), FAST)
+        sg_pointwise(get_symbol("identity"), _pair(0, 0), CFG)
 
 
 def test_pointwise_sg_cayley_value_two():
-    v = sg_pointwise(get_symbol("cayley"), _pair(0, 1), FAST)
+    v = sg_pointwise(get_symbol("cayley"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.BOUNDED
     assert v.value == pytest.approx(2.0, abs=1e-3)
 
 
 def test_pointwise_sg_polynomial_bounded():
-    v = sg_pointwise(get_symbol("affine"), _pair(0, 1), FAST)
+    v = sg_pointwise(get_symbol("affine"), _pair(0, 1), CFG)
     assert v.tag is VerdictTag.BOUNDED
 
 
@@ -174,26 +170,27 @@ def test_pointwise_sg_double_pole_unbounded():
         deriv=lambda z: 2.0 * (1.0 - np.asarray(z, dtype=complex)) ** -3.0,
         deriv2=lambda z: 6.0 * (1.0 - np.asarray(z, dtype=complex)) ** -4.0,
         taylor_coeff=lambda n: complex(n + 1),
+        peak=0.0,
         metadata=SymbolMetadata(univalent=False),
     )
-    v = sg_pointwise(dbl, _pair(0, 1), FAST)
+    v = sg_pointwise(dbl, _pair(0, 1), CFG)
     assert v.tag is VerdictTag.UNBOUNDED
 
 
 def test_pointwise_compactness_examples():
-    assert pointwise_compactness(get_symbol("identity"), _pair(0, 1), T, FAST).tag \
+    assert pointwise_compactness(get_symbol("identity"), _pair(0, 1), T, CFG).tag \
         is VerdictTag.COMPACT
-    assert pointwise_compactness(get_symbol("cayley"), _pair(0, 1), S, FAST).tag \
+    assert pointwise_compactness(get_symbol("cayley"), _pair(0, 1), S, CFG).tag \
         is VerdictTag.NOT_COMPACT
-    assert pointwise_compactness(get_symbol("affine"), _pair(0, 1), S, FAST).tag \
+    assert pointwise_compactness(get_symbol("affine"), _pair(0, 1), S, CFG).tag \
         is VerdictTag.COMPACT
 
 
 def test_pointwise_compactness_beta_zero_redirects():
     with pytest.raises(HypothesisError):
-        pointwise_compactness(get_symbol("identity"), _pair(0, 0), T, FAST)
+        pointwise_compactness(get_symbol("identity"), _pair(0, 0), T, CFG)
     with pytest.raises(HypothesisError):
-        pointwise_compactness(get_symbol("identity"), _pair(0, 0), S, FAST)
+        pointwise_compactness(get_symbol("identity"), _pair(0, 0), S, CFG)
 
 
 def test_zero_symbol_rule():
@@ -205,6 +202,7 @@ def test_zero_symbol_rule():
         deriv=lambda z: np.full_like(np.asarray(z, dtype=complex), 1e-9),
         deriv2=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         taylor_coeff=lambda n: 1e-9 if n == 1 else 0j,
+        peak=0.0,
     )
     assert sg_zero_symbol_compactness(tiny).tag is VerdictTag.NOT_COMPACT
 
@@ -216,9 +214,9 @@ def test_full_integral_agrees_with_ladder_limit():
     # is sup_theta int_0^1 |g'|: 1, 1/2, sum 2^k = 9 (at theta = 0), 0 and 0
     full = {"identity": 1.0, "monomial": 0.5, "lacunary": 9.0, "one": 0.0, "zero": 0.0}
     for name, want in full.items():
-        out = tg_boundedness(get_symbol(name), _pair(0, 0), FAST)
+        out = tg_boundedness(get_symbol(name), _pair(0, 0), CFG)
         assert out.verdict.tag is VerdictTag.BOUNDED
-        ks = FAST.rung_ks()
+        ks = CFG.rung_ks()
         reliable = out.engine.values[ks][out.engine.reliable[ks]]
         assert abs(reliable[-1] - want) <= 1e-4, name
 
@@ -226,7 +224,7 @@ def test_full_integral_agrees_with_ladder_limit():
 # -- classify: merging, forwarding, agreement ------------------------------------
 
 def test_classify_weighted_log_all_criteria_agree():
-    rep = classify(get_symbol("log"), T, _pair(0, 1), FAST)
+    rep = classify(get_symbol("log"), T, _pair(0, 1), CFG)
     assert rep.boundedness.tag is VerdictTag.BOUNDED
     assert rep.compactness.tag is VerdictTag.COMPACT
     assert rep.cross_check_agreement
@@ -238,14 +236,14 @@ def test_classify_weighted_log_all_criteria_agree():
 
 
 def test_classify_sg_unweighted_forwards():
-    rep = classify(get_symbol("identity"), S, _pair(0, 0), FAST)
+    rep = classify(get_symbol("identity"), S, _pair(0, 0), CFG)
     assert rep.boundedness.tag is VerdictTag.BOUNDED
     assert "unweighted-forwarding" in rep.boundedness.evidence
     assert rep.compactness.tag is VerdictTag.NOT_COMPACT
 
 
 def test_classify_sg_cayley_bounded_not_compact():
-    rep = classify(get_symbol("cayley"), S, _pair(0, 1), FAST)
+    rep = classify(get_symbol("cayley"), S, _pair(0, 1), CFG)
     assert rep.boundedness.tag is VerdictTag.BOUNDED
     assert rep.boundedness.value == pytest.approx(2.0, abs=1e-3)
     assert rep.compactness.tag is VerdictTag.NOT_COMPACT
@@ -255,13 +253,13 @@ def test_classify_never_compact_and_unbounded():
     cases = [("log", T, 0, 0), ("log", T, 0, 1), ("koebe3", T, 0, 1),
              ("cayley", S, 0, 1), ("affine", S, 1, 0), ("zero", S, 1, 0)]
     for name, op, a, b in cases:
-        rep = classify(get_symbol(name), op, _pair(a, b), FAST)
+        rep = classify(get_symbol(name), op, _pair(a, b), CFG)
         assert not (rep.compactness.tag is VerdictTag.COMPACT
                     and rep.boundedness.tag is VerdictTag.UNBOUNDED)
 
 
 def test_classify_lacunary_is_sufficiency_only():
-    rep = classify(get_symbol("lacunary"), T, _pair(0, 0), FAST)
+    rep = classify(get_symbol("lacunary"), T, _pair(0, 0), CFG)
     assert rep.boundedness.tag is VerdictTag.BOUNDED
     assert "sufficient-only" in rep.boundedness.evidence
     assert any("one-sided" in n for n in rep.notes)
@@ -270,13 +268,23 @@ def test_classify_lacunary_is_sufficiency_only():
 def test_classify_log_sg_pointwise_decides_despite_oneside_ladder():
     # log g is not Bloch for this symbol, so the divergent companion ladder
     # cannot claim unboundedness; the pointwise criterion still settles it
-    rep = classify(get_symbol("log"), S, _pair(1, 1), FAST)
+    rep = classify(get_symbol("log"), S, _pair(1, 1), CFG)
     assert rep.boundedness.tag is VerdictTag.UNBOUNDED
     assert "sg-pointwise-sup" in rep.boundedness.evidence
 
 
+@pytest.mark.parametrize("op, alpha, beta", [(T, 0, 0), (S, 0, 0), (S, 1, 0), (T, 1, 1),
+                                             (S, 0, 1)])
+def test_classify_refuses_a_symbol_without_a_peak(op, alpha, beta):
+    """Every criterion reads its angular sup on the peak ray, so a symbol that
+    declares none is refused on every path, never classified on a guess."""
+    g = replace(get_symbol("cayley"), peak=None)
+    with pytest.raises(HypothesisError, match="no peak ray"):
+        classify(g, op, _pair(alpha, beta))
+
+
 def test_classify_starved_schedule_goes_inconclusive():
-    starved = LadderConfig(k_max=6, n_angles=64)
+    starved = LadderConfig(k_max=6)
     rep = classify(get_symbol("identity"), T, _pair(0, 0), starved)
     assert not (rep.boundedness.decided and rep.compactness.decided)
     assert (rep.boundedness.reason or rep.compactness.reason)
@@ -426,10 +434,10 @@ def test_ladder_rungs_match_an_mpmath_oracle(name):
     mpmath cell sums, at alpha in {0, 0.5, 1, 2}: the rung values, not only the
     verdicts they lead to, are checked (the worst seen is 6.4e-15, koebe3 at
     alpha = 2)."""
-    from volterra.criteria import DEFAULT_LADDER, _ladder_engine
+    from volterra.criteria import _ladder_engine
     g = get_symbol(name)
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        got = _ladder_engine(g, "deriv", alpha, 0.0, DEFAULT_LADDER).values[1:]
+        got = _ladder_engine(g, "deriv", alpha, 0.0, CFG).values[1:]
         want = _rung_oracle(RUNG_ORACLE_POLES[name], alpha)[1:]
         rel = np.abs(got - want) / want
         assert np.all(rel <= 1e-13), (alpha, float(np.max(rel)))
@@ -439,29 +447,55 @@ def _boom(z):
     raise AssertionError("a closed form was evaluated")
 
 
+GRID_64 = 2.0 * np.pi * np.arange(64) / 64
+
+
+def _grid_ladder(g, which, weight, beta, cfg):
+    """The ladder read as a max over the 64 angles of ``GRID_64``, each angle's
+    integrals summed from the cell integrator's rows."""
+    from volterra.criteria import _abs_fun, _integrate_cells, _rung_cells
+    from volterra.spaces import radial_weight
+    mesh = _integrate_cells(_abs_fun(g, which), weight, _rung_cells(2.0 ** -cfg.k_max), GRID_64)
+    prefix = np.concatenate([np.zeros((1, len(GRID_64))), np.cumsum(mesh.rows, axis=0)])
+    w = radial_weight(2.0 ** -np.arange(cfg.k_max + 1, dtype=float), beta)
+    return np.max(w[:, None] * prefix, axis=1)
+
+
 @pytest.mark.parametrize("phi", [0.0, 2.7])
 def test_lacunary_grid_criteria_never_call_the_closed_forms(phi):
-    """On the angle grid, which a symbol without a peak takes: the ladder
-    engine (grid rows, off-grid prefixes, golden refinement) and the pointwise
-    profile read lacunary only through its polar forms."""
-    from volterra.criteria import _ladder_engine, _pointwise_profile
-    real = replace(get_symbol("lacunary"), peak=None).rotated(phi)
-    guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom, peak=None).rotated(phi)
+    """On an angle grid, which the cell integrator keeps as an axis: lacunary's
+    ladder rows are read only through its polar forms, by their
+    ``(R, K) @ (K, N)`` table path."""
+    real = get_symbol("lacunary").rotated(phi)
+    guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom).rotated(phi)
     for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
-        engine = _ladder_engine(guarded, which, weight, beta, FAST)
-        assert np.array_equal(engine.values,
-                              _ladder_engine(real, which, weight, beta, FAST).values)
-        assert len(engine.angles_all) > FAST.n_angles  # refined angles were added
-        profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, FAST)
-        assert np.array_equal(profile[1],
-                              _pointwise_profile(real, which, beta + 1.0 - weight, FAST)[1])
+        assert np.array_equal(_grid_ladder(guarded, which, weight, beta, CFG),
+                              _grid_ladder(real, which, weight, beta, CFG))
+
+
+def _golden_scalar(fn, lo, hi, iters):
+    # the classic one-bracket golden-section loop, kept here as a reference
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
 
 
 def _ray_sup_reference(absmat, ray, exponent):
     """The interior sweep along a peak ray as it was written before the shared
     ray maximiser: the radii of ``DEFAULT_GRID``, then 40 golden-section steps
     between the neighbours of the best one; non-finite samples read as inf."""
-    from volterra.spaces import DEFAULT_GRID, REFINE_ITERS as SWEEP_ITERS, golden_max
+    from volterra.spaces import DEFAULT_GRID
 
     def weighted(r, s):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -472,9 +506,8 @@ def _ray_sup_reference(absmat, ray, exponent):
     vals = weighted(r, s)
     i = int(np.argmax(vals))
     lo, hi = (r[i - 1] if i > 0 else 0.0), r[min(i + 1, len(r) - 1)]
-    _, best = golden_max(lambda rr: weighted(rr, 1.0 - rr), np.array([lo]), np.array([hi]),
-                         SWEEP_ITERS)
-    return max(float(vals[i]), float(best[0]))
+    _, best = _golden_scalar(lambda rr: float(weighted(rr, 1.0 - rr)), lo, hi, 40)
+    return max(float(vals[i]), best)
 
 
 @pytest.mark.parametrize("name", symbol_names())
@@ -493,19 +526,17 @@ def test_interior_ray_sweep_is_never_below_the_reference(name):
 @pytest.mark.parametrize("phi", [0.0, 2.7])
 def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
     """On the peak ray: the ladder engine, the pointwise profile and the
-    interior sweep along the ray read lacunary only through its polar forms,
-    and the engine takes that one angle."""
+    interior sweep along the ray read lacunary only through its polar forms."""
     from volterra.criteria import _ladder_engine, _pointwise_profile, _pointwise_value
     real = get_symbol("lacunary").rotated(phi)
     guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom).rotated(phi)
     for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
-        engine = _ladder_engine(guarded, which, weight, beta, FAST)
+        engine = _ladder_engine(guarded, which, weight, beta, CFG)
         assert np.array_equal(engine.values,
-                              _ladder_engine(real, which, weight, beta, FAST).values)
-        assert np.array_equal(engine.angles_all, [-phi])  # the ray alone, no refinement
-        profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, FAST)
+                              _ladder_engine(real, which, weight, beta, CFG).values)
+        profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, CFG)
         assert np.array_equal(profile[1],
-                              _pointwise_profile(real, which, beta + 1.0 - weight, FAST)[1])
+                              _pointwise_profile(real, which, beta + 1.0 - weight, CFG)[1])
         exponent = beta + 1.0 - weight
         assert (_pointwise_value(guarded, which, exponent, 0.0)
                 == _pointwise_value(real, which, exponent, 0.0))
@@ -515,23 +546,23 @@ def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("name", symbol_names())
 def test_grid_engine_never_exceeds_the_peak_engine(name, beta, phi):
-    """A wrong peak would read a sup below the true one.  Every grid angle and
-    refined candidate of the engine without the peak is a lower bound for the
-    sup, so it must never exceed the engine on the ray by more than a few
-    ulps, on any rung.  (It may read far below it: on 64 angles lacunary's
-    grid misses its needle at rotation 0.9.)"""
+    """A wrong peak would read a sup below the true one.  The integrals at every
+    angle of a 64-angle grid are lower bounds for the sup, so the grid ladder
+    must never exceed the engine on the ray by more than a few ulps, on any
+    rung.  (It may read far below it: on 64 angles lacunary's grid misses its
+    needle at rotation 0.9.)"""
     from volterra.criteria import _ladder_engine
     g = get_symbol(name).rotated(phi)
     for which, weight in (("deriv", 0.5), ("eval", 1.5)):
-        peak = _ladder_engine(g, which, weight, beta, FAST).values
-        grid = _ladder_engine(replace(g, peak=None), which, weight, beta, FAST).values
+        peak = _ladder_engine(g, which, weight, beta, CFG).values
+        grid = _grid_ladder(g, which, weight, beta, CFG)
         assert np.all(grid <= peak * (1.0 + 8.0 * np.finfo(float).eps))
 
 
 def _user_copy(g, name):
     # a user-built symbol: the functions of ``g`` without its polar forms
     return SymbolSpec(name=name, eval=g.eval, deriv=g.deriv, deriv2=g.deriv2,
-                      taylor_coeff=g.taylor_coeff, metadata=g.metadata)
+                      taylor_coeff=g.taylor_coeff, peak=g.peak, metadata=g.metadata)
 
 
 def test_user_symbol_named_log_is_evaluated_by_its_own_functions():
@@ -581,8 +612,8 @@ def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
     ``H^inf_beta`` stays Bounded (Compact) into ``H^inf_beta'`` for beta < beta',
     and from ``H^inf_alpha`` stays Bounded (Compact) from ``H^inf_alpha'`` for
     alpha' < alpha; no cell is Compact and Unbounded; an Inconclusive verdict
-    says why.  The decided values of a symbol with a peak do not depend on a
-    rotation either, since every sup is read on the rotated peak ray."""
+    says why.  The decided values do not depend on a rotation either, since
+    every sup is read on the rotated peak ray."""
     beta, beta_up = betas
     g = get_symbol(name)
     base = classify(g, op, _pair(alpha, beta))
@@ -607,7 +638,7 @@ def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
                  (base.compactness, rotated.compactness)):
         if a.decided and b.decided:
             assert a.tag is b.tag
-            if g.peak is not None and a.value is not None:
+            if a.value is not None:
                 assert b.value == pytest.approx(a.value, rel=1e-12, abs=0.0)
     if base.boundedness.tag is VerdictTag.BOUNDED:
         assert wider.boundedness.tag is VerdictTag.BOUNDED
@@ -623,53 +654,25 @@ def test_verdict_requires_reason_when_inconclusive():
 
 # -- the batched pointwise profile -------------------------------------------
 
-def _golden_scalar(fn, lo, hi, iters):
-    # the classic one-bracket golden-section loop, kept here as a reference
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def _profile_reference(g, which, exponent, cfg):
-    """The pointwise profile refined one rung and one bracket at a time."""
+    """The pointwise profile one rung at a time, each radius a scalar on the
+    peak ray (the polar forms' elementwise path)."""
     from volterra.series import OVERFLOW_CLAMP
     absfun = _abs(g, which)
     s = 2.0 ** -cfg.rung_ks().astype(float)
-    r = 1.0 - s
-    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
-    vals = absfun(r[:, None], s[:, None], thetas[None, :])
-    vals = np.where(~np.isfinite(vals) | (vals > OVERFLOW_CLAMP), OVERFLOW_CLAMP, vals)
-    sup = np.max(vals, axis=1)
-    dtheta = 2.0 * np.pi / cfg.n_angles
-    for i in range(len(s)):
-        for j in np.argsort(-vals[i], kind="stable")[:REFINE_TOP]:
-            def obj(th, _i=i):
-                v = float(absfun(r[_i], s[_i], th))
-                return v if math.isfinite(v) else OVERFLOW_CLAMP
-            _, best = _golden_scalar(obj, thetas[j] - dtheta, thetas[j] + dtheta,
-                                     REFINE_ITERS)
-            sup[i] = max(sup[i], best)
+    sup = np.array([float(absfun(1.0 - si, si, g.peak_ray)) for si in s])
+    sup = np.where(~np.isfinite(sup) | (sup > OVERFLOW_CLAMP), OVERFLOW_CLAMP, sup)
     return (s * (2.0 - s)) ** exponent * sup
 
 
 @pytest.mark.parametrize("name", ["zero", "one", "identity", "monomial", "log", "koebe1",
                                   "koebe2", "koebe3", "affine", "cayley", "lacunary"])
 def test_batched_profile_matches_scalar_reference(name):
-    """The grid profile, which a symbol without a peak takes."""
+    """The profile takes every rung in one call, a column of radii against the
+    one-angle row; the rungs taken one at a time agree."""
     from volterra.criteria import _pointwise_profile
-    cfg = LadderConfig(k_max=24, n_angles=64)
-    g = replace(get_symbol(name), peak=None).rotated(0.9)
+    cfg = LadderConfig(k_max=24)
+    g = get_symbol(name).rotated(0.9)
     for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
         _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
         ref = _profile_reference(g, which, exponent, cfg)
@@ -678,11 +681,11 @@ def test_batched_profile_matches_scalar_reference(name):
 
 @pytest.mark.parametrize("name", symbol_names())
 def test_peak_profile_is_the_ray_value(name):
-    """The profile of a symbol with a peak is the weighted modulus on its ray:
-    a rotated symbol's equals its unrotated base's, and it never reads below
-    the grid profile of the same symbol without its peak."""
+    """The profile is the weighted modulus on the peak ray: a rotated symbol's
+    equals its unrotated base's, and it never reads below the weighted modulus
+    at any angle of a 64-angle grid."""
     from volterra.criteria import _pointwise_profile
-    cfg = LadderConfig(k_max=24, n_angles=64)
+    cfg = LadderConfig(k_max=24)
     base = get_symbol(name)
     g = base.rotated(0.9)
     s = 2.0 ** -cfg.rung_ks().astype(float)
@@ -693,8 +696,9 @@ def test_peak_profile_is_the_ray_value(name):
         np.testing.assert_array_equal(profile, ray)
         np.testing.assert_allclose(profile, _pointwise_profile(base, which, exponent, cfg)[1],
                                    rtol=1e-15, atol=0.0)
-        grid = _profile_reference(replace(g, peak=None), which, exponent, cfg)
-        assert np.all(profile >= grid * (1.0 - 1e-15))
+        grid = _abs(g, which)((1.0 - s)[:, None], s[:, None], GRID_64[None, :])
+        assert np.all(profile >= (s * (2.0 - s)) ** exponent * np.max(grid, axis=1)
+                      * (1.0 - 1e-15))
 
 
 @pytest.mark.parametrize("op", [T, S])
@@ -707,15 +711,15 @@ def test_classify_builds_the_pointwise_profile_once(monkeypatch, op):
         calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(criteria, "_pointwise_profile", counting)
-    rep = classify(get_symbol("cayley"), op, _pair(1, 2), FAST)
+    rep = classify(get_symbol("cayley"), op, _pair(1, 2), CFG)
     assert len(calls) == 1
     assert any(e.endswith("pointwise-sup") for e in rep.boundedness.evidence)
     assert any(e.endswith("pointwise-vanishing") for e in rep.compactness.evidence)
 
 
-# -- the ladder engine's grid-angle prefixes ---------------------------------
+# -- the cell rows behind the ladder engine ------------------------------------
 
-ENGINE_CFG = LadderConfig(k_max=24, n_angles=64)
+ENGINE_CFG = LadderConfig(k_max=24)
 
 
 def _steep_pole(r, s, theta):
@@ -725,26 +729,26 @@ def _steep_pole(r, s, theta):
         return _dist(r, s, theta) ** -60.0
 
 
-def _engine_cases(peak: bool):
-    """Integrands of the registry symbols, without their peaks unless ``peak``,
-    and a clamped steep pole: ``(absmat, exponent, clamped, ray)``."""
+def _engine_cases():
+    """Integrands of the registry symbols with their peak rays, and a clamped
+    steep pole: ``(absmat, exponent, clamped, ray)``."""
     from volterra.symbols import registry
     cases = []
     for g in registry():
-        h = g if peak else replace(g, peak=None)
-        cases += [pytest.param(_abs(h, which), exponent, False, h.peak_ray,
+        cases += [pytest.param(_abs(g, which), exponent, False, g.peak_ray,
                                id=f"{g.name}-{which}-{exponent}")
                   for which in ("deriv", "eval") for exponent in (0.0, 0.5, 2.0)]
-    return cases + [pytest.param(_steep_pole, 0.5, True, 0.0 if peak else None,
-                                 id="steep-pole-clamped")]
+    return cases + [pytest.param(_steep_pole, 0.5, True, 0.0, id="steep-pole-clamped")]
 
 
-def _sampled_engine(monkeypatch, absmat, exponent, ray, thetas):
-    """The ladder engine at ``ray`` (None: the grid), with the integrand samples
-    it takes at exactly the angle row ``thetas``, and the cells x panels of
-    every ``_cell_nodes`` call."""
+def _sampled_cells(monkeypatch, absmat, exponent, thetas, ray=None):
+    """The cell rows over the rung cells of ``ENGINE_CFG`` at the angle row
+    ``thetas``, taken by the ladder engine on ``ray`` when it is given, else by
+    the cell integrator alone: the mesh, the engine (or None), the integrand
+    samples taken at exactly ``thetas`` and the cells x panels of every
+    ``_cell_nodes`` call."""
     from volterra import criteria
-    samples, panels = [], []
+    samples, panels, meshes = [], [], []
 
     def counting(r, s, theta):
         vals = absmat(r, s, theta)
@@ -752,51 +756,74 @@ def _sampled_engine(monkeypatch, absmat, exponent, ray, thetas):
             samples.append(np.broadcast_to(vals, np.broadcast(r, theta).shape))
         return vals
 
-    real_nodes = criteria._cell_nodes
+    real_nodes, real_cells = criteria._cell_nodes, criteria._integrate_cells
 
     def nodes_spy(s_lo, s_hi, n_panels, *args):
         panels.append(len(s_lo) * n_panels)
         return real_nodes(s_lo, s_hi, n_panels, *args)
+
+    def cells_spy(*args):
+        meshes.append(real_cells(*args))
+        return meshes[-1]
     monkeypatch.setattr(criteria, "_cell_nodes", nodes_spy)
-    engine = criteria._LadderEngine(counting, exponent, 0.5, ENGINE_CFG, ray)
-    return engine, samples, panels
+    monkeypatch.setattr(criteria, "_integrate_cells", cells_spy)
+    engine = None
+    if ray is None:
+        cells = criteria._rung_cells(2.0 ** -ENGINE_CFG.k_max)
+        criteria._integrate_cells(counting, exponent, cells, thetas)
+    else:
+        engine = criteria._LadderEngine(counting, exponent, 0.5, ENGINE_CFG, ray)
+    monkeypatch.undo()
+    return meshes[0], engine, samples, panels
 
 
-def _check_cell_rows(engine, samples, panels, thetas, clamped):
+def _check_cell_rows(mesh, absmat, exponent, samples, panels, thetas, clamped):
+    """The integrand is sampled only by the adaptive cell rows, and each row
+    equals a fresh evaluation at its cell's final nodes."""
     from volterra import criteria
     from volterra.series import OVERFLOW_CLAMP
+    from volterra.spaces import radial_weight
     taken = sum(v.size for v in samples)
     assert taken == sum(criteria.NODES_PER_CELL * p * len(thetas) for p in panels)
     seen_clamp = any(np.any(~np.isfinite(v) | (v > OVERFLOW_CLAMP)) for v in samples)
-    assert engine.clamped == seen_clamp == clamped
+    assert bool(np.any(mesh.clamped)) == seen_clamp == clamped
+    assert bool(np.all(~mesh.clamped & mesh.accurate)) != clamped
+    use_log = exponent >= criteria.LOG_SUBSTITUTION_ALPHA
+    cells = criteria._rung_cells(2.0 ** -ENGINE_CFG.k_max)
+    for (lo, hi), p, row in zip(cells, mesh.panels.tolist(), mesh.rows):
+        r, s, w = (a[0] for a in criteria._cell_nodes([lo], [hi], p, criteria.NODES_PER_CELL,
+                                                      use_log))
+        vals = np.broadcast_to(absmat(r[:, None], s[:, None], thetas[None, :]),
+                               (len(r), len(thetas)))
+        vals = np.where(~np.isfinite(vals) | (vals > OVERFLOW_CLAMP), OVERFLOW_CLAMP, vals)
+        np.testing.assert_allclose(row, (w * radial_weight(s, -exponent)) @ vals,
+                                   rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases())
+def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
+                                                      ray):
+    """The cell integrator under the engine keeps an angle axis: on the
+    64-angle grid ``GRID_64`` it samples the integrand only in the adaptive
+    cell rows, and each row equals a fresh evaluation at the final nodes.
+    ``_cell_nodes`` takes a batch of cells at one panel count, so a call counts
+    cells x panels."""
+    mesh, _, samples, panels = _sampled_cells(monkeypatch, absmat, exponent, GRID_64)
+    _check_cell_rows(mesh, absmat, exponent, samples, panels, GRID_64, clamped)
+
+
+@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases())
+def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
+                                                       ray):
+    """The ladder engine on the peak ray: one angle, every cell taken at one
+    panel count shares one integrand call, and the prefixes are the
+    cumulative cell rows."""
+    thetas = np.array([ray])
+    mesh, engine, samples, panels = _sampled_cells(monkeypatch, absmat, exponent, thetas, ray)
+    assert len(samples) == len(panels)
+    _check_cell_rows(mesh, absmat, exponent, samples, panels, thetas, clamped)
+    assert engine.clamped == clamped
     reliable = engine.reliable
     assert reliable[0] and np.all(reliable[1:] <= reliable[:-1])
     assert bool(np.all(reliable)) != clamped
-    np.testing.assert_allclose(engine.prefix_all[:, : len(thetas)], engine._prefix_at(thetas),
-                               rtol=1e-14, atol=0.0)
-
-
-@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases(peak=False))
-def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
-                                                      ray):
-    """The grid-angle prefixes are the cumulative cell rows: the integrand is
-    sampled at the grid angles only by the adaptive cell rows, and the prefixes
-    equal a fresh evaluation at the final nodes.  ``_cell_nodes`` takes a batch
-    of cells at one panel count, so a call counts cells x panels."""
-    cfg = ENGINE_CFG
-    assert ray is None
-    thetas = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
-    engine, samples, panels = _sampled_engine(monkeypatch, absmat, exponent, ray, thetas)
-    _check_cell_rows(engine, samples, panels, thetas, clamped)
-
-
-@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases(peak=True))
-def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
-                                                       ray):
-    """The twin on the peak ray: one angle, no refinement, and every cell
-    taken at one panel count shares one integrand call."""
-    thetas = np.array([ray])
-    engine, samples, panels = _sampled_engine(monkeypatch, absmat, exponent, ray, thetas)
-    assert len(samples) == len(panels)
-    _check_cell_rows(engine, samples, panels, thetas, clamped)
-    assert np.array_equal(engine.angles_all, thetas)
+    assert np.array_equal(engine.prefix, np.concatenate([[0.0], np.cumsum(mesh.rows[:, 0])]))

@@ -47,12 +47,33 @@ def test_batched_radial_max_equals_each_row_alone(alpha):
         assert _radial_max(row[None, :], alpha)[0] == value
 
 
+def _golden_max(fn, lo, hi, iters):
+    """Golden-section maximisation on a batch of brackets ``[lo[i], hi[i]]``:
+    the best point and value evaluated in each, for ``fn`` mapping one point
+    per bracket to its value."""
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = fn(c), fn(d)
+    best_t, best_v = np.where(fc >= fd, c, d), np.maximum(fc, fd)
+    for _ in range(iters):
+        # keep [a, d] when f(c) >= f(d), else [c, b]; one new probe per step
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        fp = fn(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+        best_t = np.where(fp > best_v, probe, best_t)
+        best_v = np.maximum(best_v, fp)
+    return best_t, best_v
+
+
 def _radial_max_reference(mag_rows, alpha):
     """``_radial_max`` as it was written with its own mesh: 241 radii
     ``1 - 2^(-k/8)`` (and ``r = 1`` at alpha = 0), a matrix-vector product per
     row, then 60 golden-section steps."""
     from volterra.series import evaluate_polynomial
-    from volterra.spaces import golden_max
     s = 2.0 ** (-np.arange(0, 241) / 8.0)
     r = 1.0 - s
     if alpha == 0.0:
@@ -66,7 +87,7 @@ def _radial_max_reference(mag_rows, alpha):
         sx = 1.0 - x
         wx = (sx * (2.0 - sx)) ** alpha if alpha else 1.0
         return wx * evaluate_polynomial(mag_rows.T, x).real
-    _, peak = golden_max(f, r[np.maximum(i - 1, 0)], r[np.minimum(i + 1, len(r) - 1)], 60)
+    _, peak = _golden_max(f, r[np.maximum(i - 1, 0)], r[np.minimum(i + 1, len(r) - 1)], 60)
     return np.maximum(np.max(prof, axis=0), peak)
 
 

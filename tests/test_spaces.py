@@ -13,8 +13,7 @@ from volterra.operators import OperatorKind, apply_operator
 from volterra.series import OVERFLOW_CLAMP, TaylorSeries, _ring_powers, evaluate_on_rings
 from volterra.symbols import DEFAULT_DEGREE
 from volterra.spaces import (DEFAULT_GRID, RING_GROUP, DiskGrid, SpacePair, bloch_norm,
-                             golden_max, weighted_sup_details, weighted_sup_norm,
-                             weighted_sup_norms)
+                             weighted_sup_details, weighted_sup_norm, weighted_sup_norms)
 from volterra.symbols import get_symbol
 
 from test_criteria import RUNG_ORACLE_POLES
@@ -84,9 +83,8 @@ def poly_handles(max_degree=12):
         lambda cs: TaylorSeries(tuple(cs)))
 
 
-# refinement off: the pure grid max is exactly positively homogeneous, while
-# golden-section refinement carries ~1e-10 positional noise at interior maxima
-SMALL_GRID = DiskGrid(radial_k=80, n_angles=64, refine_top=0, outer_rungs=3)
+# a small grid keeps the property tests fast
+SMALL_GRID = DiskGrid(radial_k=80, n_angles=64, outer_rungs=3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,15 +115,21 @@ def test_triangle_inequality(f, g, alpha):
 
 
 def test_refinement_never_decreases():
-    raw = DiskGrid(radial_k=96, n_angles=128, refine_top=0)
-    refined = DiskGrid(radial_k=96, n_angles=128, refine_top=3)
-    # rotate so the boundary peak falls between grid angles
-    def rotated_cayley(z):
-        return 1.0 / (1.0 - np.exp(-0.01j) * z)
-    v0 = weighted_sup_norm(rotated_cayley, 1.0, raw)
-    v1 = weighted_sup_norm(rotated_cayley, 1.0, refined)
-    assert v1 >= v0
-    assert v1 == pytest.approx(2.0, abs=1e-3)
+    # the ray maximiser's zoom passes only add samples to those on the radii of
+    # DEFAULT_GRID: on the ray of log, whose weighted modulus peaks between
+    # two grid radii, its value is above the grid's and never below a dense
+    # scan of 10^5 radii
+    g = get_symbol("log")
+
+    def fn(r, s):
+        return g.abs_eval(r, s, 0.0)
+    s = DEFAULT_GRID.one_minus_r()
+    on_grid = np.max(spaces.radial_weight(s, 1.0) * fn(1.0 - s, s))
+    r = np.linspace(0.0, 0.999, 100_001)
+    dense = np.max(spaces.radial_weight(1.0 - r, 1.0) * fn(r, 1.0 - r))
+    value = spaces.ray_max(fn, 1.0)[0]
+    assert value > on_grid
+    assert value >= dense * (1.0 - 1e-15)
 
 
 def test_divergent_norm_is_tagged():
@@ -163,7 +167,7 @@ def test_series_sup_never_below_reference_sweep(seed, size, alpha):
     assert weighted_sup_norm(TaylorSeries(tuple(cs)), alpha) >= ref * (1.0 - 1e-13)
 
 
-SWEEP_GRID = DiskGrid(radial_k=80, n_angles=64, refine_top=0, outer_rungs=4)
+SWEEP_GRID = DiskGrid(radial_k=80, n_angles=64, outer_rungs=4)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
@@ -195,13 +199,6 @@ def test_stacked_norms_equal_each_sweep_alone(monkeypatch, alpha):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert got[3] == float("inf") and np.all(np.isfinite(np.delete(got, 3)))
     assert weighted_sup_norms([], alpha, SWEEP_GRID).shape == (0,)
-
-
-def test_stacked_norms_need_a_grid_without_refinement():
-    with pytest.raises(ValueError, match="refine_top"):
-        weighted_sup_norms([TaylorSeries((1,))], 0.0, DEFAULT_GRID)
-    with pytest.raises(ValueError):
-        weighted_sup_norms([TaylorSeries((1,))], -1.0, SWEEP_GRID)
 
 
 # -- ring maxima of series with real, nonnegative coefficients ------------------
@@ -442,15 +439,21 @@ def test_a_report_battery_sweeps_few_ring_rows(monkeypatch):
     assert full > 0 and len(swept) <= 0.15 * full
 
 
+def test_stacked_norms_reject_a_negative_alpha():
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        weighted_sup_norms([TaylorSeries((1,))], -1.0, SWEEP_GRID)
+
+
 def test_bloch_norm_needs_a_derivative_evaluator():
     with pytest.raises(DomainError):
         bloch_norm(cayley)
 
 
 def test_homogeneity_survives_refinement_on_boundary_peak():
-    g = DiskGrid(radial_k=96, n_angles=128, refine_top=3)
-    base = weighted_sup_norm(cayley, 1.0, g)
-    assert weighted_sup_norm(lambda z: 2.5 / (1.0 - z), 1.0, g) == \
+    # cayley's weighted ray profile (1 - r^2) / (1 - r) = 1 + r rises to the
+    # boundary; scaling it moves none of the zoom passes' brackets
+    base = spaces.ray_max(lambda r, s: np.abs(cayley(r)), 1.0)[0]
+    assert spaces.ray_max(lambda r, s: np.abs(2.5 / (1.0 - r)), 1.0)[0] == \
         pytest.approx(2.5 * base, rel=1e-9)
 
 
@@ -495,30 +498,6 @@ def test_series_boundary_ring_only_at_alpha_zero():
     assert weighted_sup_norm(f, 0.5) < 1.0
 
 
-# -- the golden-section kernel -------------------------------------------------
-
-def test_golden_max_batch_equals_each_bracket_searched_alone():
-    def fn(x):
-        return np.sin(3.0 * x) * np.exp(-0.2 * x)
-    lo = np.array([0.0, 1.5, -2.0, 0.4, 2.0])
-    hi = np.array([1.0, 2.5, -1.0, 0.6, 2.0])  # the last bracket is a point
-    t, v = golden_max(fn, lo, hi, 50)
-    for i in range(len(lo)):
-        ti, vi = golden_max(fn, lo[i:i + 1], hi[i:i + 1], 50)
-        assert (ti[0], vi[0]) == (t[i], v[i])
-
-
-def test_golden_max_finds_unimodal_maximum():
-    # a kink pins the position, a smooth peak the value (its position is only
-    # resolved to about sqrt(eps) by value comparisons)
-    t, v = golden_max(lambda x: -np.abs(x - 0.3), [0.0], [1.0], 80)
-    assert abs(t[0] - 0.3) <= 1e-12
-    assert abs(v[0]) <= 1e-12
-    t, v = golden_max(lambda x: np.cos(x - 0.7), [0.0], [2.0], 80)
-    assert abs(v[0] - 1.0) <= 1e-12
-    assert abs(t[0] - 0.7) <= 1e-7
-
-
 # -- the ray maximiser -----------------------------------------------------------
 
 def test_ray_max_batch_equals_each_column_alone():
@@ -544,6 +523,20 @@ def _within_ray_slack(got, want, exponent):
     maximiser stays within 4 ulps there."""
     slack = 4.0 * np.spacing(want) + (2.0 * exponent + 3.0) * 2.0 ** -53 * want
     return abs(got - want) <= slack
+
+
+def test_ray_argmax_radius_attains_the_max():
+    # each column's radius is a sample that reads the column's maximum
+    a = np.array([0.0, 1.0, 7.0, 40.0])
+    b = np.array([1.0, 0.5, 2.0, 0.01])
+
+    def fn(r, s):
+        return r ** a / (s + b)
+    for exponent in (0.0, 0.5, 2.0):
+        value, radius = spaces.ray_argmax(fn, exponent)
+        assert np.array_equal(value, spaces.ray_max(fn, exponent))
+        at = spaces.radial_weight(1.0 - radius, exponent) * fn(radius, 1.0 - radius)
+        np.testing.assert_allclose(at, value, rtol=1e-15, atol=0.0)
 
 
 def test_ray_max_finds_a_closed_form_maximum():
