@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import HypothesisError, UnknownSymbolError, VolterraError
-from .criteria import LadderConfig, classify
+from .criteria import LadderConfig, classify, profile_diverges
 from .estimation import (compactness_probe, lower_bound_details, tg_min_upper_bound,
                          tg_upper_bound)
 from .operators import OperatorKind
@@ -297,6 +297,17 @@ def cmd_report(args) -> int:
     return report_exit_code(doc)
 
 
+def _ray_sup(absf, exponent: float):
+    """``sup (1-r^2)^exponent absf`` on the peak ray and its radius; inf when
+    the boundary profile diverges, which the grid's last radius would cap."""
+    value, radius = (float(a[0]) for a in ray_argmax(absf, exponent))
+    return (math.inf if profile_diverges(absf, exponent) else value), radius
+
+
+def _divergent(value: float) -> str:
+    return "" if math.isfinite(value) else "  [divergent]"
+
+
 def cmd_norm(args) -> int:
     """The sup of ``(1-r^2)^alpha |f|`` on the symbol's peak ray, which holds
     the sup of ``|g|``, ``|g'|`` and ``|g''|`` on every circle, and the Bloch
@@ -310,17 +321,16 @@ def cmd_norm(args) -> int:
     else:
         f, absf = symbol.deriv, symbol.abs_deriv
 
-        def absdf(r, s, theta):
+        def absdf(r, s):
             return np.abs(symbol.deriv2(r * unit))
-    value, radius = (float(a[0]) for a in ray_argmax(lambda r, s: absf(r, s, ray), args.alpha))
+    value, radius = _ray_sup(absf, args.alpha)
     z = radius * unit + 0.0  # + 0.0: the origin reads 0, not -0, on the ray pi
     lines = [f"weighted sup-norm of {args.of}({args.symbol}) at alpha={args.alpha:g}: "
              f"{value:.12g}",
-             f"arg-max z = {z.real:.9g}{z.imag:+.9g}i"
-             f"{'' if math.isfinite(value) else '  [divergent]'}"]
+             f"arg-max z = {z.real:.9g}{z.imag:+.9g}i{_divergent(value)}"]
     if args.bloch:
-        seminorm = float(ray_argmax(lambda r, s: absdf(r, s, ray), 1.0)[0][0])
-        lines.append(f"bloch norm: {float(abs(f(0j))) + seminorm:.12g}")
+        bloch = float(abs(f(0j))) + _ray_sup(absdf, 1.0)[0]
+        lines.append(f"bloch norm: {bloch:.12g}{_divergent(bloch)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

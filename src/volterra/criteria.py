@@ -21,8 +21,9 @@ Every criterion is an angular sup.  Every symbol declares a peak
 (:attr:`~volterra.symbols.SymbolSpec.peak`): ``|g|`` and ``|g'|`` are largest
 on one ray at every radius, so each sup is read on that ray alone, by the
 ladder integrals, the boundary profile and the interior sweep along it (the
-package's one ray maximiser, :func:`~volterra.spaces.ray_max`).  A symbol
-whose peak is None is refused with a HypothesisError.
+package's one ray maximiser, :func:`~volterra.spaces.ray_max`), from the
+symbol's moduli ``(r, s) -> |h|`` on that ray; no criterion takes an angle.  A
+symbol whose peak is None is refused with a HypothesisError.
 
 A decision is never forced: when the slope lands between the thresholds the
 verdict is Inconclusive with the slope recorded, since no numerical scheme can
@@ -87,16 +88,11 @@ COMPACT_TOL = 1e-3
 NOT_COMPACT_FACTOR = 10.0
 # the cell integrator: Gauss-Legendre nodes per panel, the weight exponent
 # from which nodes are placed in -log(1 - r), the change (relative to the
-# largest angle total) that doubles a cell's panels, and the panel cap
+# total over all cells) that doubles a cell's panels, and the panel cap
 NODES_PER_CELL = 16
 LOG_SUBSTITUTION_ALPHA = 0.5
 CELL_REL_TOL = 1e-9
 MAX_PANELS = 64
-# integrand samples per call of the cell integrator: a peak ray's 40 rung cells
-# take one call even at MAX_PANELS (40,960 samples); a row of many angles
-# takes fewer cells per call, since unbounded blocks (5 MB on 512 angles)
-# measured slower
-BLOCK_SAMPLES = 1 << 16
 # the schedule's first classified rung
 K_MIN = 3
 
@@ -153,8 +149,8 @@ def _cell_nodes(s_lo, s_hi, panels: int, n: int, use_log: bool):
     lo, hi = (-np.log(s_hi), -np.log(s_lo)) if use_log else (s_lo, s_hi)
     edges = np.linspace(lo, hi, panels + 1, axis=-1)
     mid, half = 0.5 * (edges[:, :-1] + edges[:, 1:]), 0.5 * (edges[:, 1:] - edges[:, :-1])
-    u = (mid[..., None] + half[..., None] * x).reshape(len(s_lo), -1)
-    hw = (half[..., None] * w).reshape(len(s_lo), -1)
+    u = (mid[..., None] + half[..., None] * x).reshape(len(s_lo), panels * n)
+    hw = (half[..., None] * w).reshape(len(s_lo), panels * n)
     if not use_log:
         return 1.0 - u, u, hw
     s = np.exp(-u)
@@ -162,70 +158,58 @@ def _cell_nodes(s_lo, s_hi, panels: int, n: int, use_log: bool):
 
 
 class _Cells(NamedTuple):
-    rows: np.ndarray      # (cells, angles) integrals of the weighted integrand
-    errs: np.ndarray      # change at each cell's last panel doubling, max over angles
-    accurate: np.ndarray  # errs within 100 * CELL_REL_TOL of the largest angle total
+    rows: np.ndarray      # each cell's integral of the weighted integrand
+    errs: np.ndarray      # change at each cell's last panel doubling
+    accurate: np.ndarray  # errs within 100 * CELL_REL_TOL of the total
     clamped: np.ndarray   # a sample of the cell was clamped
     panels: np.ndarray    # each cell's final panel count
 
 
-def _integrate_cells(absmat: Callable, weight_exponent: float, cells,
-                     thetas: np.ndarray) -> _Cells:
-    """Integrals of ``absmat(r, s, theta) (s(2-s))^-weight_exponent dr`` over the
-    cells ``(s_lo, s_hi)``, per angle.
+def _integrate_cells(absmat: Callable, weight_exponent: float, cells) -> _Cells:
+    """Integrals of ``absmat(r, s) (s(2-s))^-weight_exponent dr`` over the
+    cells ``(s_lo, s_hi)``; an integral up to any ``t`` is the sum of the rows
+    over ``_rung_cells(1 - t)``.
 
-    The ladder engine passes the rung cells and its peak ray; an integral up to
-    any ``t`` at one angle is the sum of the rows over ``_rung_cells(1 - t)``.
     Each cell is taken with one and two panels; a cell whose change exceeds
-    ``CELL_REL_TOL`` of the largest angle total doubles its panels, at most six
-    times and up to ``MAX_PANELS``.  All cells taken at one panel count share
-    one ``absmat`` call on their stacked nodes (a column of radii against the
-    row of angles), whose ``(cells, nodes, angles)`` block is summed per cell.
+    ``CELL_REL_TOL`` of the total doubles its panels, at most six times and up
+    to ``MAX_PANELS``.  All cells at one panel count share one ``absmat`` call
+    on their ``(cells, nodes)`` radii, at most 40 x 64 x 16 on the rung cells.
     Samples that are not finite or exceed ``OVERFLOW_CLAMP`` are clamped to it.
     """
     use_log = weight_exponent >= LOG_SUBSTITUTION_ALPHA
-    thetas = np.asarray(thetas, dtype=float)
     bounds = np.asarray(cells, dtype=float).reshape(-1, 2)
-    n_cells, n_angles = len(bounds), len(thetas)
 
     def block(idx, panels):
-        # the rows of the cells idx at one panel count and whether each was
-        # clamped; an absmat call takes one cell or up to BLOCK_SAMPLES samples
-        step = max(1, BLOCK_SAMPLES // (panels * NODES_PER_CELL * n_angles))
-        out, hit = np.empty((len(idx), n_angles)), np.empty(len(idx), dtype=bool)
-        for i in range(0, len(idx), step):
-            part = idx[i:i + step]
-            r, s, w = _cell_nodes(bounds[part, 0], bounds[part, 1], panels, NODES_PER_CELL,
-                                  use_log)
-            vals = absmat(r.reshape(-1, 1), s.reshape(-1, 1), thetas[None, :])
-            vals = np.broadcast_to(vals, (r.size, n_angles)).reshape(r.shape + (n_angles,))
-            w = w * radial_weight(s, -weight_exponent)
-            bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
-            hit[i:i + step] = np.any(bad, axis=(1, 2))
-            if np.any(hit[i:i + step]):
-                vals = np.where(bad, OVERFLOW_CLAMP, vals)
-            out[i:i + step] = (w[:, None, :] @ vals)[:, 0, :]
-        return out, hit
+        # the rows of the cells idx at one panel count and whether each was clamped
+        r, s, w = _cell_nodes(bounds[idx, 0], bounds[idx, 1], panels, NODES_PER_CELL, use_log)
+        vals = np.broadcast_to(absmat(r, s), r.shape)
+        w = w * radial_weight(s, -weight_exponent)
+        bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
+        hit = np.any(bad, axis=1)
+        if np.any(hit):
+            vals = np.where(bad, OVERFLOW_CLAMP, vals)
+        # one product per cell: np.sum or einsum would round differently
+        return (w[:, None, :] @ vals[:, :, None])[:, 0, 0], hit
 
-    every = np.arange(n_cells)
+    every = np.arange(len(bounds))
     coarse, clamped = block(every, 1)
     rows, fine_clamped = block(every, 2)
-    errs = np.max(np.abs(rows - coarse), axis=1)
+    errs = np.abs(rows - coarse)
     clamped |= fine_clamped
-    panels = np.full(n_cells, 2, dtype=int)
+    panels = np.full(len(bounds), 2, dtype=int)
     for _ in range(6):
-        scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
+        scale = max(float(np.sum(rows)), 1.0)
         bad = (errs > CELL_REL_TOL * scale) & (panels < MAX_PANELS)
         if not np.any(bad):
             break
         for p in np.unique(panels[bad]):
             idx = np.flatnonzero(bad & (panels == p))
             new, cl = block(idx, 2 * int(p))
-            errs[idx] = np.max(np.abs(new - rows[idx]), axis=1)
+            errs[idx] = np.abs(new - rows[idx])
             rows[idx] = new
             clamped[idx] |= cl
             panels[idx] = 2 * p
-    scale = max(float(np.max(np.sum(rows, axis=0))), 1.0)
+    scale = max(float(np.sum(rows)), 1.0)
     return _Cells(rows, errs, errs <= 100.0 * CELL_REL_TOL * scale, clamped, panels)
 
 
@@ -248,24 +232,22 @@ class _LadderEngine:
 
     Cell j covers ``s in [2^{-j-1}, 2^{-j}]``, so the integral up to rung t_k is
     the prefix sum of the first k cells and the tail between two rungs is a
-    prefix difference.  The integrals run along the peak ray ``ray`` of a
-    symbol (:attr:`~volterra.symbols.SymbolSpec.peak_ray`), on which the
-    integrand is largest at every radius, so each angular sup is exact and a
-    beta = 0 ladder exactly monotone.  ``absmat`` is ``(r, s, theta) -> |h|``,
-    broadcasting, such as a symbol's ``abs_deriv``.
+    prefix difference.  ``absmat`` is ``(r, s) -> |h|`` on the peak ray of a
+    symbol, such as its ``abs_deriv``; the integrand is largest there at every
+    radius, so each angular sup is exact and a beta = 0 ladder exactly
+    monotone.
     """
 
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
-                 cfg: LadderConfig, ray: float):
+                 cfg: LadderConfig):
         self.cfg = cfg
-        mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max),
-                                np.array([ray], dtype=float))
+        mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max))
         self.clamped = bool(np.any(mesh.clamped))
         # reliability of the prefix through cell j: every earlier cell clean
         ok = ~mesh.clamped & mesh.accurate
         self.reliable = np.concatenate([[True], np.cumprod(ok).astype(bool)])
         # the integrals up to each rung k = 0..k_max, rung 0 the empty sum
-        self.prefix = np.concatenate([[0.0], np.cumsum(mesh.rows[:, 0])])
+        self.prefix = np.concatenate([[0.0], np.cumsum(mesh.rows)])
         sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
         self.rung_weight = radial_weight(sk, beta)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,14 +277,11 @@ class _LadderEngine:
         return m_part + float(np.max(w[k0:k_max] * tails))
 
 
-def _abs_fun(symbol: SymbolSpec, which: str) -> Callable:
-    """The symbol's broadcasting ``(r, s, theta) -> |g'|`` or ``|g|``."""
-    return symbol.abs_deriv if which == "deriv" else symbol.abs_eval
-
-
 def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
                    beta: float, cfg: LadderConfig) -> _LadderEngine:
-    return _LadderEngine(_abs_fun(symbol, which), weight_exponent, beta, cfg, symbol.peak_ray)
+    """The engine of ``|g'|`` (``which`` "deriv") or ``|g|`` on the symbol's peak ray."""
+    absmat = symbol.abs_deriv if which == "deriv" else symbol.abs_eval
+    return _LadderEngine(absmat, weight_exponent, beta, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +367,8 @@ def _trend_classify(seq, criterion: str, diag: dict, what: str,
     tw = min(TREND_WINDOW, len(seq))
     trail = seq[-tw:]
     last = float(trail[-1])
+    if limit_key is not None:
+        diag[limit_key] = last
     nonincreasing = bool(np.all(np.diff(trail) <= 1e-12 + 1e-9 * np.abs(trail[:-1])))
     if last < COMPACT_TOL and nonincreasing:
         tag = VerdictTag.COMPACT
@@ -399,8 +380,6 @@ def _trend_classify(seq, criterion: str, diag: dict, what: str,
                            reason=f"{what} {last:.3e} between thresholds",
                            evidence=(criterion,), diagnostics=diag)
         tag = VerdictTag.NOT_COMPACT
-    if limit_key is not None:
-        diag[limit_key] = last
     return Verdict(tag, value=last, evidence=(criterion,), diagnostics=diag)
 
 
@@ -452,41 +431,42 @@ def tg_tail_compactness(g: SymbolSpec, pair: SpacePair,
 # pointwise criteria
 # ---------------------------------------------------------------------------
 
-def _pointwise_form(operator: OperatorKind, pair: SpacePair):
-    """``(which, exponent)`` of the weighted modulus in the pointwise criteria."""
+def _pointwise_form(g: SymbolSpec, operator: OperatorKind, pair: SpacePair):
+    """``(absmat, exponent)`` of the weighted modulus in the pointwise criteria."""
     if operator is OperatorKind.Tg:
-        return "deriv", pair.beta + 1.0 - pair.alpha
-    return "eval", pair.beta - pair.alpha
+        return g.abs_deriv, pair.beta + 1.0 - pair.alpha
+    return g.abs_eval, pair.beta - pair.alpha
 
 
-def _pointwise_profile(g: SymbolSpec, which: str, exponent: float, cfg: LadderConfig):
-    """Weighted boundary profile ``(s(2-s))^exponent sup_theta |h(t_k e^{i theta})|``,
-    the sup read on the symbol's peak ray, all rungs in one call (a column of
-    radii against the one-angle row)."""
+def _pointwise_profile(absmat: Callable, exponent: float, cfg: LadderConfig):
+    """Weighted boundary profile ``(s(2-s))^exponent |h|`` at the rungs
+    ``t_k = 1 - 2^-k`` of a peak-ray modulus ``absmat``, all rungs in one call."""
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
-    theta = np.array([[g.peak_ray]], dtype=float)
-    vals = _abs_fun(g, which)((1.0 - s)[:, None], s[:, None], theta)[:, 0]
-    bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
-    clamped = bool(np.any(bad))
-    if clamped:
-        # clamped samples read as "as large as representable": they can only
-        # push the profile over the divergence threshold, never hide growth
-        vals = np.where(bad, OVERFLOW_CLAMP, vals)
+    vals = absmat(1.0 - s, s)
+    # clamped samples read as "as large as representable": they can only push
+    # the profile over the divergence threshold, never hide growth
+    vals = np.where(~np.isfinite(vals) | (vals > OVERFLOW_CLAMP), OVERFLOW_CLAMP, vals)
     with np.errstate(over="ignore"):
-        profile = radial_weight(s, exponent) * vals
-    return ks, profile, clamped
+        return ks, radial_weight(s, exponent) * vals
 
 
-def _pointwise_value(g: SymbolSpec, which: str, exponent: float, profile_max: float) -> float:
+def profile_diverges(absmat: Callable, exponent: float) -> bool:
+    """Whether the slope rule reads ``sup (1-r^2)^exponent |h|`` infinite from
+    the weighted boundary profile of the peak-ray modulus ``absmat``."""
+    ks, profile = _pointwise_profile(absmat, exponent, DEFAULT_LADDER)
+    verdict = _slope_classify(ks, profile, np.ones(len(ks), dtype=bool), "boundary-profile")
+    return verdict.tag is VerdictTag.UNBOUNDED
+
+
+def _pointwise_value(absmat: Callable, exponent: float, profile_max: float) -> float:
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
     weight exponent is nonnegative (interior maxima exist only then).  The
     sweep runs along the symbol's peak ray, by the ray maximiser
     :func:`~volterra.spaces.ray_max` that the battery's norms share."""
     if exponent < 0:
         return profile_max
-    absmat, ray = _abs_fun(g, which), g.peak_ray
-    return max(profile_max, float(ray_max(lambda r, s: absmat(r, s, ray), exponent)[0]))
+    return max(profile_max, float(ray_max(absmat, exponent)[0]))
 
 
 def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
@@ -495,14 +475,14 @@ def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
         kind = "derivative" if operator is OperatorKind.Tg else "symbol"
         raise HypothesisError(f"the pointwise {kind} criterion applies only for beta > 0")
     cfg = cfg or DEFAULT_LADDER
-    which, exponent = _pointwise_form(operator, pair)
+    absmat, exponent = _pointwise_form(g, operator, pair)
     if profile is None:
-        profile = _pointwise_profile(g, which, exponent, cfg)
-    ks, values, _ = profile
+        profile = _pointwise_profile(absmat, exponent, cfg)
+    ks, values = profile
     criterion = f"{operator.value.lower()}-pointwise-sup"
     verdict = _slope_classify(ks, values, np.ones(len(ks), dtype=bool), criterion)
     if verdict.tag is VerdictTag.BOUNDED:
-        value = _pointwise_value(g, which, exponent, float(np.max(values)))
+        value = _pointwise_value(absmat, exponent, float(np.max(values)))
         verdict = Verdict(VerdictTag.BOUNDED, value=value, evidence=verdict.evidence,
                           diagnostics=verdict.diagnostics)
     return verdict
@@ -533,8 +513,8 @@ def pointwise_compactness(g: SymbolSpec, pair: SpacePair, operator: OperatorKind
         raise HypothesisError("the pointwise compactness criterion applies only for beta > 0")
     cfg = cfg or DEFAULT_LADDER
     if profile is None:
-        profile = _pointwise_profile(g, *_pointwise_form(operator, pair), cfg)
-    _, values, _ = profile
+        profile = _pointwise_profile(*_pointwise_form(g, operator, pair), cfg)
+    _, values = profile
     criterion = f"{operator.value.lower()}-pointwise-vanishing"
     diag = {"criterion": criterion, "profile_last": float(values[-1]),
             "profile_max": float(np.max(values))}
@@ -548,7 +528,7 @@ def sg_zero_symbol_compactness(g: SymbolSpec) -> Verdict:
     if g.metadata.is_zero:
         return Verdict(VerdictTag.COMPACT, value=0.0, evidence=("zero-symbol-rule",))
     rs = np.linspace(0.05, 0.95, 19)
-    if float(np.max(g.abs_eval(rs, 1.0 - rs, g.peak_ray))) < 1e-14:
+    if float(np.max(g.abs_eval(rs, 1.0 - rs))) < 1e-14:
         return Verdict(VerdictTag.COMPACT, value=0.0, evidence=("zero-symbol-rule",))
     return Verdict(VerdictTag.NOT_COMPACT, evidence=("zero-symbol-rule",),
                    diagnostics={"criterion": "zero-symbol-rule"})
@@ -569,22 +549,24 @@ def _necessity(g: SymbolSpec, operator: OperatorKind):
 
 
 def _merge(claims, missing_reason: str):
+    """One verdict with the diagnostics of the decided claims, or of all when none decides."""
     decided = [c for c in claims if c.decided]
+    diags = {}
+    for c in decided or claims:
+        diags.update(c.diagnostics)
     if not decided:
         reasons = "; ".join(c.reason or "no applicable criterion" for c in claims) or missing_reason
-        return Verdict(VerdictTag.INCONCLUSIVE, reason=reasons,
+        return Verdict(VerdictTag.INCONCLUSIVE, reason=reasons, diagnostics=diags,
                        evidence=tuple(e for c in claims for e in c.evidence)), True
     tags = {c.tag for c in decided}
     if len(tags) > 1:
         detail = ", ".join(f"{c.evidence[0] if c.evidence else '?'}={c.tag.value}" for c in decided)
         return Verdict(VerdictTag.INCONCLUSIVE,
                        reason=f"applicable criteria disagree ({detail}); numerical fault",
-                       evidence=tuple(e for c in decided for e in c.evidence)), False
+                       evidence=tuple(e for c in decided for e in c.evidence),
+                       diagnostics=diags), False
     value = next((c.value for c in decided if c.value is not None), None)
     evidence = tuple(e for c in decided for e in c.evidence)
-    diags = {}
-    for c in decided:
-        diags.update(c.diagnostics)
     return Verdict(decided[0].tag, value=value, evidence=evidence, diagnostics=diags), True
 
 
@@ -629,7 +611,7 @@ def classify(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     notes, bound_claims, tg_engine = [], [], None
     profile = None
     if pair.beta > 0:
-        profile = _pointwise_profile(g, *_pointwise_form(operator, pair), cfg)
+        profile = _pointwise_profile(*_pointwise_form(g, operator, pair), cfg)
 
     outcome = None
     if tg or forwarded:

@@ -4,11 +4,14 @@ The analytic facts recorded here (univalence, Bloch membership of log g' or
 log g) are hypotheses consumed by the classifier, not computed quantities:
 they are declared with a one-line justification and sanity-checked numerically
 where the grid surrogate applies.  ``None`` means unknown.
+
+The classifier reads ``|g|`` and ``|g'|`` only on each symbol's peak ray, where
+a registry symbol gives them as profiles in ``r`` and ``s = 1 - r``: elementwise
+real expressions, accurate up to the boundary.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -42,19 +45,20 @@ class SymbolSpec:
     nothing bounds or records the dropped tail, so what is computed from that
     series describes the partial sum.
 
-    ``polar_eval`` and ``polar_deriv`` are optional boundary-stable forms
-    ``(r, s, theta) -> |g|, |g'|`` of the unrotated symbol at ``r e^{i theta}``,
-    with ``s = 1 - r`` carried exactly; :meth:`abs_eval` and :meth:`abs_deriv`
-    use them when present and the closed forms otherwise.
+    ``ray_eval`` and ``ray_deriv`` are optional boundary-stable profiles
+    ``(r, s) -> |g|, |g'|`` on the peak ray, with ``s = 1 - r`` carried exactly;
+    :meth:`abs_eval` and :meth:`abs_deriv` use them when present and the closed
+    forms on the peak ray otherwise.
 
     ``peak`` is a required unrotated angle on which ``|g|``, ``|g'|`` and
     ``|g''|`` are largest on every circle ``|z| = r``.  A symbol whose Taylor
     coefficients are real and nonnegative peaks at 0, since then
     ``|g^(j)(r e^{i theta})| <= g^(j)(r)``; every registry symbol is of that
-    kind after the rotation by its peak.  :meth:`rotated` keeps the field, and
-    :attr:`peak_ray` is the angle ``peak - rotation`` of the rotated symbol.
-    The classifier and the ``norm`` command take every angular sup on that one
-    ray; a symbol whose peak is None has no angular sup they can read.
+    kind after the rotation by its peak.  :meth:`rotated` keeps the field and
+    the profiles, since a rotated symbol's moduli on its peak ray are its
+    base's; :attr:`peak_ray` is the angle ``peak - rotation`` of the rotated
+    symbol.  The classifier and the ``norm`` command take every angular sup on
+    that one ray; a symbol whose peak is None has no angular sup they can read.
     """
 
     name: str
@@ -64,9 +68,9 @@ class SymbolSpec:
     taylor_coeff: Callable  # n -> complex coefficient of z^n
     peak: float
     metadata: SymbolMetadata = field(default_factory=SymbolMetadata)
-    rotation: float = 0.0  # total angle of rotated(); the polar forms shift theta by it
-    polar_eval: Optional[Callable] = None
-    polar_deriv: Optional[Callable] = None
+    rotation: float = 0.0  # total angle of rotated()
+    ray_eval: Optional[Callable] = None
+    ray_deriv: Optional[Callable] = None
 
     @property
     def peak_ray(self) -> float:
@@ -78,17 +82,20 @@ class SymbolSpec:
                                   "on which every angular sup is read")
         return self.peak - self.rotation
 
-    def abs_eval(self, r, s, theta):
-        """``|g(r e^{i theta})|``, broadcasting ``r``, ``s`` and ``theta``."""
-        return self._abs(self.polar_eval, self.eval, r, s, theta)
+    def abs_eval(self, r, s):
+        """``|g|`` at the radii ``r`` (``s = 1 - r``) of the peak ray."""
+        return self._abs(self.ray_eval, self.eval, r, s)
 
-    def abs_deriv(self, r, s, theta):
-        """``|g'(r e^{i theta})|``, broadcasting like :meth:`abs_eval`."""
-        return self._abs(self.polar_deriv, self.deriv, r, s, theta)
+    def abs_deriv(self, r, s):
+        """``|g'|`` on the peak ray, like :meth:`abs_eval`."""
+        return self._abs(self.ray_deriv, self.deriv, r, s)
 
-    def _abs(self, polar, f, r, s, theta):
-        if polar is not None:
-            return polar(r, s, theta + self.rotation)
+    def _abs(self, ray, f, r, s):
+        theta = self.peak_ray  # refuses a symbol that declares no peak
+        # arrays even for scalars: NumPy's scalar power rounds unlike its arrays'
+        r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+        if ray is not None:
+            return ray(r, s)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.abs(f(r * np.exp(1j * theta)))
 
@@ -96,8 +103,8 @@ class SymbolSpec:
         return TaylorSeries(tuple(self.taylor_coeff(n) for n in range(degree + 1)))
 
     def rotated(self, phi: float) -> "SymbolSpec":
-        """The symbol ``z -> g(e^{i phi} z)``; metadata, polar forms and peak
-        survive rotation, the polar forms shifted by the summed angle."""
+        """The symbol ``z -> g(e^{i phi} z)``; metadata, peak and profiles
+        survive rotation."""
         w = complex(math.cos(phi), math.sin(phi))
         return replace(
             self,
@@ -110,85 +117,22 @@ class SymbolSpec:
         )
 
 
-def _dist(r, s, theta):
-    # |1 - r e^{i theta}| via |1-z|^2 = s^2 + 4 r sin^2(theta/2), stable for s -> 0
-    half = np.sin(0.5 * theta)
-    return np.sqrt(s * s + 4.0 * r * half * half)
-
-
-def _modulus(x, y):
-    # |x + iy|; np.hypot guards against an overflow that the parts passed here,
-    # all far below 1e150, cannot reach, at several times the cost
-    return np.sqrt(x * x + y * y)
-
-
-def _log_abs(r, s, theta):
-    """``|log(1 - r e^{i theta})|`` in real arithmetic.
-
-    Near the boundary the naive ``1 - z`` loses all significant digits; the
-    identities ``Re(1-z) = s + 2 r sin^2(theta/2)`` and
-    ``|1-z|^2 = s^2 + 4 r sin^2(theta/2)`` do not.
-    """
-    half = np.sin(0.5 * theta)
-    h2 = 2.0 * r * half * half
-    return _modulus(0.5 * np.log(s * s + 2.0 * h2), np.arctan2(-r * np.sin(theta), s + h2))
-
-
-def _koebe3_abs(r, s, theta):
-    # g = z(2 - z) / (2(1-z)^2), with Re(2-z) = 1 + s + 2 r sin^2(theta/2)
-    half = np.sin(0.5 * theta)
-    h2 = 2.0 * r * half * half
-    return r * _modulus(1.0 + s + h2, r * np.sin(theta)) / (2.0 * (s * s + 2.0 * h2))
-
-
-def _term_forms(terms: dict):
-    """Polar forms ``(|g|, |g'|)`` of the polynomial ``sum c_n z^n`` with real
-    coefficients, from its nonzero terms ``{n: c_n}`` alone.
-
-    ``|g'|`` drops the unimodular factor ``e^{-i theta}`` of every term, so both
-    forms are ``|sum_n a_n r^p_n e^{i n theta}|``: for power-of-two exponents
-    each phase ``n theta`` is exact, and the error does not grow with
-    ``|theta|``.  On a grid (``r`` a column, ``theta`` a row), as the ladder
-    engine and the pointwise profile pass them, the sum over the K terms is one
-    ``(R, K) @ (K, N)`` product for each of its real and imaginary parts; a
-    broadcast ``(R, N, K)`` sum is slower than the closed form there, so it only
-    serves other shapes, such as the interior sweep's radii at a scalar angle.
-    """
-    n = np.array(sorted(terms), dtype=float)
-    c = np.array([terms[m] for m in sorted(terms)], dtype=float)
-
-    def form(a, p):
-        def polar(r, s, theta):
-            r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-            rp = a * r[..., None] ** p
-            if r.ndim == theta.ndim == 2 and r.shape[1] == 1 and theta.shape[0] == 1:
-                cos_ph, sin_ph = _phase_tables(theta.tobytes(), n.tobytes())
-                return _modulus(rp[:, 0] @ cos_ph, rp[:, 0] @ sin_ph)
-            ph = theta[..., None] * n
-            return _modulus(np.sum(rp * np.cos(ph), axis=-1), np.sum(rp * np.sin(ph), axis=-1))
-        return polar
-
-    return form(c, n), form(n * c, np.maximum(n - 1.0, 0.0))
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_tables(theta: bytes, n: bytes) -> tuple:
-    """The ``(K, N)`` tables ``cos(n_k theta_j)`` and ``sin(n_k theta_j)`` of
-    float64 angle-row and exponent bytes; memoised, read-only.  All rows of a
-    ladder engine share one angle row."""
-    ph = (np.frombuffer(theta)[:, None] * np.frombuffer(n)).T
-    tables = np.cos(ph), np.sin(ph)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
 def _const(value):
-    return lambda r, s, t: np.full(np.broadcast(r, t).shape, value)
+    return lambda r, s: np.full(np.shape(r), value)
 
 
-def _radial(h):
-    return lambda r, s, t: np.broadcast_to(h(r), np.broadcast(r, t).shape).copy()
+def _lacunary_ray(a, p):
+    """``sum_k a_k r^p_k`` over lacunary's nine terms: four lanes of two, the
+    lanes pairwise, then the ninth term.  That is the order in which OpenBLAS's
+    matrix-vector product sums a row of nine, so the values are that product's;
+    but the product rounds a row by the number of rows, and this sum rounds
+    every shape of ``r`` alike."""
+    def ray(r, s):
+        t = a * r[..., None] ** p
+        lanes = t[..., 0:4] + t[..., 4:8]
+        pairs = lanes[..., :2] + lanes[..., 2:]
+        return pairs[..., 0] + pairs[..., 1] + t[..., 8]
+    return ray
 
 
 def _c(z):
@@ -246,7 +190,7 @@ def _build_registry():
         eval=_zero, deriv=_zero, deriv2=_zero,
         taylor_coeff=lambda n: 0j,
         metadata=SymbolMetadata(is_zero=True, note="both operators vanish"),
-        polar_eval=_const(0.0), polar_deriv=_const(0.0),
+        ray_eval=_const(0.0), ray_deriv=_const(0.0),
         peak=0.0,
     ))
 
@@ -256,7 +200,7 @@ def _build_registry():
         taylor_coeff=lambda n: 1 + 0j if n == 0 else 0j,
         metadata=SymbolMetadata(log_symbol_bloch=True,
                                 note="T_g vanishes; S_g f = f - f(0)"),
-        polar_eval=_const(1.0), polar_deriv=_const(0.0),
+        ray_eval=_const(1.0), ray_deriv=_const(0.0),
         peak=0.0,
     ))
 
@@ -267,7 +211,7 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True,
                                 log_symbol_bloch=False,
                                 note="log g' = 0; log g singular at the interior zero"),
-        polar_eval=_radial(lambda r: r), polar_deriv=_const(1.0),
+        ray_eval=lambda r, s: 1.0 * r, ray_deriv=_const(1.0),
         peak=0.0,
     ))
 
@@ -279,7 +223,7 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=False, log_deriv_bloch=False,
                                 log_symbol_bloch=False,
                                 note="g' = z vanishes at 0, so the log-derivative quotient blows up there"),
-        polar_eval=_radial(lambda r: 0.5 * r * r), polar_deriv=_radial(lambda r: r),
+        ray_eval=lambda r, s: 0.5 * r * r, ray_deriv=lambda r, s: 1.0 * r,
         peak=0.0,
     ))
 
@@ -295,8 +239,8 @@ def _build_registry():
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True,
                                 log_symbol_bloch=False,
                                 note="conformal onto a half-plane image; g(0) = 0 kills log g"),
-        polar_eval=_log_abs,
-        polar_deriv=lambda r, s, t: 1.0 / _dist(r, s, t),
+        ray_eval=lambda r, s: np.abs(0.5 * np.log(s * s)),
+        ray_deriv=lambda r, s: 1.0 / s,
         peak=0.0,
     )
     syms.append(log)
@@ -313,8 +257,7 @@ def _build_registry():
         taylor_coeff=lambda n: 0j if n == 0 else 1 + 0j,
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
                                 note="Moebius; g(0) = 0 kills log g"),
-        polar_eval=lambda r, s, t: r / _dist(r, s, t),
-        polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
+        ray_eval=lambda r, s: r / s, ray_deriv=lambda r, s: s ** -2.0,
         peak=0.0,
     ))
 
@@ -325,8 +268,8 @@ def _build_registry():
         deriv2=lambda z: 3.0 * (1.0 - _c(z)) ** -4.0,
         taylor_coeff=lambda n: 0j if n == 0 else complex(0.5 * (n + 1)),
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False),
-        polar_eval=_koebe3_abs,
-        polar_deriv=lambda r, s, t: _dist(r, s, t) ** -3.0,
+        ray_eval=lambda r, s: r * (1.0 + s) / (2.0 * (s * s)),
+        ray_deriv=lambda r, s: s ** -3.0,
         peak=0.0,
     ))
 
@@ -338,7 +281,7 @@ def _build_registry():
         taylor_coeff=lambda n: (1 + 0j, -1 + 0j)[n] if n <= 1 else 0j,
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
                                 note="log g = log(1-z) has derivative -1/(1-z), Bloch"),
-        polar_eval=_dist, polar_deriv=_const(1.0),
+        ray_eval=lambda r, s: np.sqrt(s * s + 4.0 * r), ray_deriv=_const(1.0),
         peak=math.pi,  # |1 - z| = |1 + r e^{i (theta - pi)}|; |g'| = 1
     ))
 
@@ -350,19 +293,19 @@ def _build_registry():
         taylor_coeff=lambda n: 1 + 0j,
         metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
                                 note="Moebius, zero-free; log g = -log(1-z), Bloch"),
-        polar_eval=lambda r, s, t: 1.0 / _dist(r, s, t),
-        polar_deriv=lambda r, s, t: _dist(r, s, t) ** -2.0,
+        ray_eval=lambda r, s: 1.0 / s, ray_deriv=lambda r, s: s ** -2.0,
         peak=0.0,
     ))
 
-    lacunary_abs, lacunary_abs_deriv = _term_forms({n: 1.0 for n in _LACUNARY_EXPONENTS})
+    n = np.array(sorted(_LACUNARY_EXPONENTS), dtype=float)
     syms.append(SymbolSpec(
         name="lacunary",
         eval=_lacunary_eval, deriv=_lacunary_deriv, deriv2=_lacunary_deriv2,
         taylor_coeff=lambda n: 1 + 0j if n in _LACUNARY_EXPONENTS else 0j,
         metadata=SymbolMetadata(univalent=False, log_deriv_bloch=None, log_symbol_bloch=None,
                                 note="gap-series partial sum; Bloch flags left unknown on purpose"),
-        polar_eval=lacunary_abs, polar_deriv=lacunary_abs_deriv,
+        ray_eval=_lacunary_ray(np.ones(len(n)), n),
+        ray_deriv=_lacunary_ray(n, n - 1.0),
         peak=0.0,
     ))
 

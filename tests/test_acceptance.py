@@ -272,17 +272,18 @@ def test_criterion_09_report_determinism(tmp_path):
 
 
 def test_criterion_10_quadrature_accuracy():
-    # int_0^t |g'(r e^{i theta})| dr at one angle: the cell integrator over the
-    # rung cells clipped at s = 1 - t, with every integrand sample counted
+    # int_0^t |g'(r e^{i theta})| dr at one angle, read through the closed
+    # form: the cell integrator over the rung cells clipped at s = 1 - t, with
+    # every integrand sample counted
     for name, theta, t, want in (("identity", 1.3, 0.9, 0.9),
                                  ("log", 0.0, 0.99, math.log(100.0)),
                                  ("log", math.pi, 1.0 - 2.0 ** -40, math.log(2.0))):
-        absmat, samples = get_symbol(name).abs_deriv, []
+        deriv, unit, samples = get_symbol(name).deriv, np.exp(1j * theta), []
 
-        def counting(r, s, th):
-            samples.append(np.broadcast(r, s, th).size)
-            return absmat(r, s, th)
-        mesh = _integrate_cells(counting, 0.0, _rung_cells(1.0 - t), np.array([theta]))
+        def counting(r, s):
+            samples.append(np.size(r))
+            return np.abs(deriv(r * unit))
+        mesh = _integrate_cells(counting, 0.0, _rung_cells(1.0 - t))
         assert float(np.sum(mesh.rows)) == pytest.approx(want, abs=1e-5)
         assert sum(samples) <= 10_000
     _ok(10, "radial quadrature hits all three closed forms within 1e-5 "

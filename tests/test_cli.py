@@ -127,6 +127,46 @@ def test_norm_reads_its_sup_on_the_peak_ray(capsys, name):
             assert value >= float(f"{grid - 4.0 * np.spacing(grid):.12g}"), (of, alpha)
 
 
+# boundary orders on the peak ray, kept here rather than read from the
+# library: |h| grows like (1-r)^-p for h = g, g', g'' ("log" for log's g);
+# every symbol not named stays bounded with all its derivatives
+BOUNDARY_ORDERS = {"log": ("log", 1, 2), "koebe1": ("log", 1, 2), "koebe2": (1, 2, 3),
+                   "cayley": (1, 2, 3), "koebe3": (2, 3, 4)}
+
+
+def _diverges(order, alpha):
+    """Whether ``sup (1-r^2)^alpha |h|`` is infinite for ``|h|`` of that order."""
+    return alpha == 0.0 if order == "log" else order > alpha
+
+
+def test_infinite_bloch_norm_reads_inf(capsys):
+    # the Bloch norm of cayley, (1-r^2)|g'| = (1+r)/(1-r), printed the cap of
+    # the last grid radius 1 - 2^-24 as "bloch norm: 33554432"
+    code, out, _ = run(capsys, "norm", "--symbol", "cayley", "--alpha", "1", "--bloch")
+    assert code == 0
+    assert out.splitlines()[-1] == "bloch norm: inf  [divergent]"
+    assert "[divergent]" not in out.splitlines()[1]  # (1-r^2)/|1-z| stays below 2
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_norm_reads_divergence_from_the_boundary_order(capsys, name):
+    """A sup that the slope rule reads divergent on the boundary profile
+    prints inf and ``[divergent]``, on the value (arg-max) line or the Bloch
+    line, exactly where the symbol's boundary order makes it infinite."""
+    orders = BOUNDARY_ORDERS.get(name, (0, 0, 0))
+    for of, (order, d_order) in (("g", orders[:2]), ("gprime", orders[1:])):
+        for alpha in (0.0, 0.25, 0.5, 1.0, 2.0, 3.7):
+            code, out, _ = run(capsys, "norm", "--symbol", name, "--of", of,
+                               "--alpha", str(alpha), "--bloch")
+            value, argmax, bloch = out.splitlines()
+            assert code == 0
+            want = _diverges(order, alpha)
+            assert value.endswith(": inf") == argmax.endswith("  [divergent]") == want, \
+                (of, alpha)
+            want = _diverges(d_order, 1.0)
+            assert bloch.endswith("inf  [divergent]") == want, of
+
+
 def test_opnorm_command(capsys):
     code, out, _ = run(capsys, "opnorm", "--symbol", "identity", "--op", "Tg",
                        "--alpha", "0", "--beta", "0")

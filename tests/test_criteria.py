@@ -290,6 +290,21 @@ def test_classify_starved_schedule_goes_inconclusive():
     assert (rep.boundedness.reason or rep.compactness.reason)
 
 
+def test_inconclusive_verdicts_keep_their_diagnostics():
+    """An undecided verdict still says what it measured: lacunary's T_g tail
+    at (0.5, 0) records the limit that lies between the thresholds, and a
+    one-sided S_g ladder its criterion and largest rung."""
+    c = classify(get_symbol("lacunary"), T, _pair(0.5, 0)).compactness
+    assert c.tag is VerdictTag.INCONCLUSIVE
+    assert c.diagnostics["criterion"] == "tg-tail-ladder"
+    assert f"tail limit estimate {c.diagnostics['tail_limit']:.3e}" in c.reason
+    assert c.diagnostics["tail_limit"] == c.diagnostics["outer_last"]
+    b = classify(get_symbol("identity"), S, _pair(1, 0)).boundedness
+    assert b.tag is VerdictTag.INCONCLUSIVE
+    assert b.diagnostics["criterion"] == "sg-radial-ladder"
+    assert b.diagnostics["max_value"] > 1e8
+
+
 def test_rotation_invariance_of_verdicts():
     phi = 0.37
     # unbounded case: needle moves off the angular grid
@@ -301,14 +316,35 @@ def test_rotation_invariance_of_verdicts():
     rot = classify(get_symbol("cayley").rotated(phi), S, _pair(0, 1))
     assert rot.boundedness.tag is base.boundedness.tag
     assert rot.compactness.tag is base.compactness.tag
-    # the sup is taken on the symbol's peak ray, which rotates with it
-    assert rot.boundedness.value == pytest.approx(base.boundedness.value, rel=1e-12, abs=0.0)
+    # the sup is taken on the symbol's peak ray, where a rotated symbol's
+    # moduli are its base's
+    assert rot.boundedness.value == base.boundedness.value
+
+
+BASE_WEIGHTS = (0.0, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_rotated_symbol_classifies_as_its_base(name):
+    """Every field of a rotated registry symbol's report but its name equals
+    its base's, diagnostics included, on every weight pair of the classify
+    grid and under a composed rotation: its moduli on its own peak ray are the
+    base's profiles, so nothing the classifier reads depends on the angle."""
+    base_g = get_symbol(name)
+    rot_g = base_g.rotated(2.4).rotated(-7.9)
+    for op in (T, S):
+        for alpha in BASE_WEIGHTS:
+            for beta in BASE_WEIGHTS:
+                base = classify(base_g, op, _pair(alpha, beta))
+                rot = classify(rot_g, op, _pair(alpha, beta))
+                assert rot.symbol != base.symbol
+                assert replace(rot, symbol=base.symbol) == base, (op, alpha, beta)
 
 
 def _polar_cases():
     from volterra.symbols import registry
     return [(g.name, which) for g in registry() for which in ("deriv", "eval")
-            if getattr(g, f"polar_{which}") is not None]
+            if getattr(g, f"ray_{which}") is not None]
 
 
 def _abs(g, which):
@@ -327,35 +363,27 @@ def _modulus_sum(name, which, r):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_polar_cases()),
        st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=3),
-       st.lists(st.floats(0.05, 0.99), min_size=1, max_size=8),
-       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
-def test_polar_form_of_rotated_symbol_matches_its_evaluator(case, angles, radii, thetas):
-    """The boundary-stable polar |g'| or |g| of a composed rotation equals the
-    absolute value of the rotated symbol's own evaluator, off the pole.  The
-    polar path read only the first rotation of a composition, and only to the
-    six digits kept in the symbol's name."""
+       st.lists(st.floats(0.05, 0.99), min_size=1, max_size=8))
+def test_polar_form_of_rotated_symbol_matches_its_evaluator(case, angles, radii):
+    """The boundary-stable profile |g'| or |g| of a composed rotation equals
+    the absolute value of the rotated symbol's own evaluator on its peak ray,
+    off the pole.  The rotation must compose: an earlier path read only the
+    first rotation of a composition, and only to the six digits kept in the
+    symbol's name."""
     name, which = case
     g = get_symbol(name)
     for phi in angles:
         g = g.rotated(phi)
     assert g.rotation == pytest.approx(sum(angles), abs=1e-12)
-    r = np.asarray(radii)[:, None]
-    t = np.asarray(thetas)[None, :]
-    polar = _abs(g, which)(r, 1.0 - r, t)
-    direct = np.abs((g.deriv if which == "deriv" else g.eval)(r * np.exp(1j * t)))
-    atol = np.full(len(radii), 1e-300)
-    if name == "lacunary":
-        # both lacunary evaluators are ill-conditioned where the terms cancel,
-        # and the polar form's phases n (theta + rotation) multiply the rounding
-        # of that sum by up to 2^8: bound the difference by the modulus sum
-        atol = 1e-12 * _modulus_sum(name, which, radii)
-    for polar_row, direct_row, floor in zip(polar, direct, atol):
-        np.testing.assert_allclose(polar_row, direct_row, rtol=1e-12, atol=floor)
+    r = np.asarray(radii)
+    profile = _abs(g, which)(r, 1.0 - r)
+    direct = np.abs((g.deriv if which == "deriv" else g.eval)(r * np.exp(1j * g.peak_ray)))
+    # the evaluators round the rotated point; lacunary's powers multiply that
+    # rounding by up to 2^8
+    np.testing.assert_allclose(profile, direct, rtol=1e-12, atol=1e-300)
 
 
 ORACLE_S = (2.0 ** -40, 2.0 ** -20, 2.0 ** -6, 0.5, 0.999)  # r from 1 - 2^-40 down to 1e-3
-ORACLE_THETAS = (0.0, 1e-9, 2.0 ** -20, 0.7, math.pi / 3, 2.0, math.pi, 4.0, 5.5,
-                 2.0 * math.pi - 1e-6)
 
 
 def _oracle(name, which, r, phi):
@@ -375,25 +403,24 @@ def _oracle(name, which, r, phi):
 @pytest.mark.parametrize("name, which", [("lacunary", "deriv"), ("lacunary", "eval"),
                                          ("log", "eval")])
 def test_polar_forms_match_an_mpmath_oracle(name, which, rotations):
-    """At the angle ``theta + rotation`` that the polar form is given, on the
-    engine's grid shape (r a column, theta a row) and elementwise: lacunary
-    within 1e-13 of the modulus sum ``sum |terms|``, log within 1e-13 relative
-    (``log |1-z|^2`` near 0 carries the rounding of ``|1-z|^2`` near 1, about
-    ``eps / r`` relative at r = 1e-3)."""
+    """The profiles on the peak ray, which a rotation leaves as they are, for
+    a column of radii and a flat row: lacunary within 1e-13 of the modulus sum
+    ``sum |terms|``, log within 1e-13 relative, from ``r = 1 - 2^-40`` down
+    to ``r = 1e-3``."""
     g = get_symbol(name)
     for phi in rotations:
         g = g.rotated(phi)
-    s = np.array(ORACLE_S)[:, None]
-    r, t = 1.0 - s, np.array(ORACLE_THETAS)[None, :]
+    s = np.array(ORACLE_S)
+    r = 1.0 - s
     form = _abs(g, which)
-    grid = form(r, s, t)
-    flat = form(*(np.broadcast_to(a, grid.shape).ravel() for a in (r, s, t))).reshape(grid.shape)
-    want = np.array([[_oracle(name, which, ri, ti + g.rotation) for ti in t[0]] for ri in r[:, 0]])
+    column = form(r[:, None], s[:, None])[:, 0]
+    flat = form(r, s)
+    want = np.array([_oracle(name, which, ri, g.peak) for ri in r])
     if name == "log":
         bound = 1e-13 * want
     else:
-        bound = 1e-13 * _modulus_sum(name, which, r[:, 0])[:, None]
-    for got in (grid, flat):
+        bound = 1e-13 * _modulus_sum(name, which, r)
+    for got in (column, flat):
         assert np.all(np.abs(got - want) <= bound)
 
 
@@ -450,27 +477,28 @@ def _boom(z):
 GRID_64 = 2.0 * np.pi * np.arange(64) / 64
 
 
-def _grid_ladder(g, which, weight, beta, cfg):
-    """The ladder read as a max over the 64 angles of ``GRID_64``, each angle's
-    integrals summed from the cell integrator's rows."""
-    from volterra.criteria import _abs_fun, _integrate_cells, _rung_cells
+def _closed_form(g, which, theta):
+    """``(r, s) -> |h(r e^{i theta})|`` read through the closed form ``g.deriv``
+    (``which`` "deriv") or ``g.eval``."""
+    f = g.deriv if which == "deriv" else g.eval
+
+    def absmat(r, s):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.abs(f(r * np.exp(1j * theta)))
+    return absmat
+
+
+def _grid_ladder(g, which, weight, beta, cfg, thetas=GRID_64):
+    """The ladder read as a max over the angles ``thetas``, each angle's
+    integrals taken by the cell integrator on the closed forms."""
+    from volterra.criteria import _integrate_cells, _rung_cells
     from volterra.spaces import radial_weight
-    mesh = _integrate_cells(_abs_fun(g, which), weight, _rung_cells(2.0 ** -cfg.k_max), GRID_64)
-    prefix = np.concatenate([np.zeros((1, len(GRID_64))), np.cumsum(mesh.rows, axis=0)])
+    cells = _rung_cells(2.0 ** -cfg.k_max)
+    rows = np.array([_integrate_cells(_closed_form(g, which, t), weight, cells).rows
+                     for t in thetas])
+    prefix = np.concatenate([np.zeros((1, len(thetas))), np.cumsum(rows.T, axis=0)])
     w = radial_weight(2.0 ** -np.arange(cfg.k_max + 1, dtype=float), beta)
     return np.max(w[:, None] * prefix, axis=1)
-
-
-@pytest.mark.parametrize("phi", [0.0, 2.7])
-def test_lacunary_grid_criteria_never_call_the_closed_forms(phi):
-    """On an angle grid, which the cell integrator keeps as an axis: lacunary's
-    ladder rows are read only through its polar forms, by their
-    ``(R, K) @ (K, N)`` table path."""
-    real = get_symbol("lacunary").rotated(phi)
-    guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom).rotated(phi)
-    for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
-        assert np.array_equal(_grid_ladder(guarded, which, weight, beta, CFG),
-                              _grid_ladder(real, which, weight, beta, CFG))
 
 
 def _golden_scalar(fn, lo, hi, iters):
@@ -491,7 +519,7 @@ def _golden_scalar(fn, lo, hi, iters):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _ray_sup_reference(absmat, ray, exponent):
+def _ray_sup_reference(absmat, exponent):
     """The interior sweep along a peak ray as it was written before the shared
     ray maximiser: the radii of ``DEFAULT_GRID``, then 40 golden-section steps
     between the neighbours of the best one; non-finite samples read as inf."""
@@ -499,7 +527,7 @@ def _ray_sup_reference(absmat, ray, exponent):
 
     def weighted(r, s):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v = (s * (2.0 - s)) ** exponent * absmat(r, s, ray)
+            v = (s * (2.0 - s)) ** exponent * absmat(r, s)
         return np.where(np.isfinite(v), v, np.inf)
     s = DEFAULT_GRID.one_minus_r()
     r = 1.0 - s
@@ -518,15 +546,15 @@ def test_interior_ray_sweep_is_never_below_the_reference(name):
     g = get_symbol(name)
     for which in ("deriv", "eval"):
         for exponent in (0.0, 0.5, 1.0, 2.0):
-            want = max(0.0, _ray_sup_reference(_abs(g, which), g.peak_ray, exponent))
-            got = _pointwise_value(g, which, exponent, 0.0)
+            want = max(0.0, _ray_sup_reference(_abs(g, which), exponent))
+            got = _pointwise_value(_abs(g, which), exponent, 0.0)
             assert got == want or want < got <= want + 4.0 * np.spacing(want), (which, exponent)
 
 
 @pytest.mark.parametrize("phi", [0.0, 2.7])
 def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
     """On the peak ray: the ladder engine, the pointwise profile and the
-    interior sweep along the ray read lacunary only through its polar forms."""
+    interior sweep along the ray read lacunary only through its profiles."""
     from volterra.criteria import _ladder_engine, _pointwise_profile, _pointwise_value
     real = get_symbol("lacunary").rotated(phi)
     guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom).rotated(phi)
@@ -534,12 +562,11 @@ def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
         engine = _ladder_engine(guarded, which, weight, beta, CFG)
         assert np.array_equal(engine.values,
                               _ladder_engine(real, which, weight, beta, CFG).values)
-        profile = _pointwise_profile(guarded, which, beta + 1.0 - weight, CFG)
-        assert np.array_equal(profile[1],
-                              _pointwise_profile(real, which, beta + 1.0 - weight, CFG)[1])
         exponent = beta + 1.0 - weight
-        assert (_pointwise_value(guarded, which, exponent, 0.0)
-                == _pointwise_value(real, which, exponent, 0.0))
+        profile = _pointwise_profile(_abs(guarded, which), exponent, CFG)
+        assert np.array_equal(profile[1], _pointwise_profile(_abs(real, which), exponent, CFG)[1])
+        assert (_pointwise_value(_abs(guarded, which), exponent, 0.0)
+                == _pointwise_value(_abs(real, which), exponent, 0.0))
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.9])
@@ -548,26 +575,27 @@ def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
 def test_grid_engine_never_exceeds_the_peak_engine(name, beta, phi):
     """A wrong peak would read a sup below the true one.  The integrals at every
     angle of a 64-angle grid are lower bounds for the sup, so the grid ladder
-    must never exceed the engine on the ray by more than a few ulps, on any
-    rung.  (It may read far below it: on 64 angles lacunary's grid misses its
-    needle at rotation 0.9.)"""
-    from volterra.criteria import _ladder_engine
+    must never exceed the ladder on the peak ray by more than a few ulps, on
+    any rung.  Both read the closed forms, so both round alike: near the
+    boundary a node's ``1 - r`` carries the rounding of ``r``, which the
+    profiles avoid.  (The grid may read far below the ray: on 64 angles
+    lacunary's grid misses its needle at rotation 0.9.)"""
     g = get_symbol(name).rotated(phi)
     for which, weight in (("deriv", 0.5), ("eval", 1.5)):
-        peak = _ladder_engine(g, which, weight, beta, CFG).values
+        peak = _grid_ladder(g, which, weight, beta, CFG, thetas=[g.peak_ray])
         grid = _grid_ladder(g, which, weight, beta, CFG)
         assert np.all(grid <= peak * (1.0 + 8.0 * np.finfo(float).eps))
 
 
 def _user_copy(g, name):
-    # a user-built symbol: the functions of ``g`` without its polar forms
+    # a user-built symbol: the functions of ``g`` without its profiles
     return SymbolSpec(name=name, eval=g.eval, deriv=g.deriv, deriv2=g.deriv2,
                       taylor_coeff=g.taylor_coeff, peak=g.peak, metadata=g.metadata)
 
 
 def test_user_symbol_named_log_is_evaluated_by_its_own_functions():
     """The identity under the name ``log``: the classifier must read the
-    symbol's functions, not a polar form looked up by its name."""
+    symbol's functions, not a profile looked up by its name."""
     g = _user_copy(get_symbol("identity"), "log")
     rep = classify(g, T, _pair(0, 0))
     assert rep.boundedness.tag is VerdictTag.BOUNDED
@@ -577,22 +605,21 @@ def test_user_symbol_named_log_is_evaluated_by_its_own_functions():
 
 @pytest.mark.parametrize("phi", [0.0, 0.8])
 def test_symbol_without_polar_forms_uses_its_evaluators(phi):
+    """A symbol without profiles reads its closed forms on its peak ray."""
     g = _user_copy(get_symbol("cayley"), "cayley").rotated(phi)
-    assert g.polar_eval is None and g.polar_deriv is None
+    assert g.ray_eval is None and g.ray_deriv is None
     r = np.array([0.0, 0.3, 0.9, 0.999])[:, None]
-    t = np.linspace(-math.pi, math.pi, 7)[None, :]
-    z = r * np.exp(1j * t)
-    assert np.array_equal(g.abs_deriv(r, 1.0 - r, t), np.abs(g.deriv(z)))
-    assert np.array_equal(g.abs_eval(r, 1.0 - r, t), np.abs(g.eval(z)))
+    z = r * np.exp(1j * g.peak_ray)
+    assert np.array_equal(g.abs_deriv(r, 1.0 - r), np.abs(g.deriv(z)))
+    assert np.array_equal(g.abs_eval(r, 1.0 - r), np.abs(g.eval(z)))
 
 
 @pytest.mark.parametrize("phi", [0.0, 2.1])
 def test_koebe1_is_log_under_another_name(phi):
     k, g = get_symbol("koebe1").rotated(phi), get_symbol("log").rotated(phi)
     r = np.array([0.0, 0.5, 1.0 - 2.0 ** -30])[:, None]
-    t = np.linspace(0.0, 2.0 * math.pi, 9)[None, :]
-    assert np.array_equal(k.abs_eval(r, 1.0 - r, t), g.abs_eval(r, 1.0 - r, t))
-    assert np.array_equal(k.abs_deriv(r, 1.0 - r, t), g.abs_deriv(r, 1.0 - r, t))
+    assert np.array_equal(k.abs_eval(r, 1.0 - r), g.abs_eval(r, 1.0 - r))
+    assert np.array_equal(k.abs_deriv(r, 1.0 - r), g.abs_deriv(r, 1.0 - r))
     assert k.name.startswith("koebe1") and k.metadata != g.metadata
 
 
@@ -613,7 +640,7 @@ def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
     and from ``H^inf_alpha`` stays Bounded (Compact) from ``H^inf_alpha'`` for
     alpha' < alpha; no cell is Compact and Unbounded; an Inconclusive verdict
     says why.  The decided values do not depend on a rotation either, since
-    every sup is read on the rotated peak ray."""
+    every sup is read on the rotated peak ray, where the moduli are the base's."""
     beta, beta_up = betas
     g = get_symbol(name)
     base = classify(g, op, _pair(alpha, beta))
@@ -638,8 +665,7 @@ def test_metamorphic_properties(name, op, alpha, alpha_other, betas, phi):
                  (base.compactness, rotated.compactness)):
         if a.decided and b.decided:
             assert a.tag is b.tag
-            if a.value is not None:
-                assert b.value == pytest.approx(a.value, rel=1e-12, abs=0.0)
+            assert b.value == a.value
     if base.boundedness.tag is VerdictTag.BOUNDED:
         assert wider.boundedness.tag is VerdictTag.BOUNDED
     if base.compactness.tag is VerdictTag.COMPACT:
@@ -656,11 +682,11 @@ def test_verdict_requires_reason_when_inconclusive():
 
 def _profile_reference(g, which, exponent, cfg):
     """The pointwise profile one rung at a time, each radius a scalar on the
-    peak ray (the polar forms' elementwise path)."""
+    peak ray."""
     from volterra.series import OVERFLOW_CLAMP
     absfun = _abs(g, which)
     s = 2.0 ** -cfg.rung_ks().astype(float)
-    sup = np.array([float(absfun(1.0 - si, si, g.peak_ray)) for si in s])
+    sup = np.array([float(absfun(1.0 - si, si)) for si in s])
     sup = np.where(~np.isfinite(sup) | (sup > OVERFLOW_CLAMP), OVERFLOW_CLAMP, sup)
     return (s * (2.0 - s)) ** exponent * sup
 
@@ -668,37 +694,34 @@ def _profile_reference(g, which, exponent, cfg):
 @pytest.mark.parametrize("name", ["zero", "one", "identity", "monomial", "log", "koebe1",
                                   "koebe2", "koebe3", "affine", "cayley", "lacunary"])
 def test_batched_profile_matches_scalar_reference(name):
-    """The profile takes every rung in one call, a column of radii against the
-    one-angle row; the rungs taken one at a time agree."""
+    """The profile takes every rung in one call; the rungs taken one at a time
+    agree bit for bit, since a modulus rounds every shape of radii alike."""
     from volterra.criteria import _pointwise_profile
     cfg = LadderConfig(k_max=24)
     g = get_symbol(name).rotated(0.9)
     for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
-        _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
-        ref = _profile_reference(g, which, exponent, cfg)
-        np.testing.assert_allclose(profile, ref, rtol=1e-14, atol=0.0)
+        _, profile = _pointwise_profile(_abs(g, which), exponent, cfg)
+        np.testing.assert_array_equal(profile, _profile_reference(g, which, exponent, cfg))
 
 
 @pytest.mark.parametrize("name", symbol_names())
 def test_peak_profile_is_the_ray_value(name):
     """The profile is the weighted modulus on the peak ray: a rotated symbol's
     equals its unrotated base's, and it never reads below the weighted modulus
-    at any angle of a 64-angle grid."""
+    that the closed forms give at any angle of a 64-angle grid."""
     from volterra.criteria import _pointwise_profile
     cfg = LadderConfig(k_max=24)
     base = get_symbol(name)
     g = base.rotated(0.9)
     s = 2.0 ** -cfg.rung_ks().astype(float)
+    weight = s * (2.0 - s)
     for which, exponent in (("deriv", 1.5), ("eval", 0.5)):
-        _, profile, _ = _pointwise_profile(g, which, exponent, cfg)
-        at_ray = _abs(g, which)((1.0 - s)[:, None], s[:, None], np.array([[g.peak_ray]]))
-        ray = (s * (2.0 - s)) ** exponent * at_ray[:, 0]
-        np.testing.assert_array_equal(profile, ray)
-        np.testing.assert_allclose(profile, _pointwise_profile(base, which, exponent, cfg)[1],
-                                   rtol=1e-15, atol=0.0)
-        grid = _abs(g, which)((1.0 - s)[:, None], s[:, None], GRID_64[None, :])
-        assert np.all(profile >= (s * (2.0 - s)) ** exponent * np.max(grid, axis=1)
-                      * (1.0 - 1e-15))
+        _, profile = _pointwise_profile(_abs(g, which), exponent, cfg)
+        np.testing.assert_array_equal(profile, weight ** exponent * _abs(g, which)(1.0 - s, s))
+        np.testing.assert_array_equal(profile,
+                                      _pointwise_profile(_abs(base, which), exponent, cfg)[1])
+        grid = np.array([_closed_form(g, which, t)(1.0 - s, s) for t in GRID_64])
+        assert np.all(profile >= weight ** exponent * np.max(grid, axis=0) * (1.0 - 1e-15))
 
 
 @pytest.mark.parametrize("op", [T, S])
@@ -722,38 +745,40 @@ def test_classify_builds_the_pointwise_profile_once(monkeypatch, op):
 ENGINE_CFG = LadderConfig(k_max=24)
 
 
-def _steep_pole(r, s, theta):
-    # |1 - z|^-60 overflows near the pole, so the deep cells are clamped
-    from volterra.symbols import _dist
-    with np.errstate(over="ignore", divide="ignore"):
-        return _dist(r, s, theta) ** -60.0
+def _steep_pole(theta):
+    """``|1 - r e^{i theta}|^-60``, from ``|1-z|^2 = s^2 + 4 r sin^2(theta/2)``:
+    at ``theta = 0`` it overflows near the pole, so the deep cells are clamped."""
+    h = math.sin(0.5 * theta) ** 2
+
+    def absmat(r, s):
+        with np.errstate(over="ignore", divide="ignore"):
+            return (s * s + 4.0 * r * h) ** -30.0
+    return absmat
 
 
 def _engine_cases():
-    """Integrands of the registry symbols with their peak rays, and a clamped
-    steep pole: ``(absmat, exponent, clamped, ray)``."""
+    """The registry symbols' moduli and a steep pole: ``(symbol, which,
+    exponent, clamped)``, the pole's symbol None; only the pole on its ray is
+    clamped."""
     from volterra.symbols import registry
     cases = []
     for g in registry():
-        cases += [pytest.param(_abs(g, which), exponent, False, g.peak_ray,
-                               id=f"{g.name}-{which}-{exponent}")
+        cases += [pytest.param(g, which, exponent, False, id=f"{g.name}-{which}-{exponent}")
                   for which in ("deriv", "eval") for exponent in (0.0, 0.5, 2.0)]
-    return cases + [pytest.param(_steep_pole, 0.5, True, 0.0, id="steep-pole-clamped")]
+    return cases + [pytest.param(None, None, 0.5, True, id="steep-pole-clamped")]
 
 
-def _sampled_cells(monkeypatch, absmat, exponent, thetas, ray=None):
-    """The cell rows over the rung cells of ``ENGINE_CFG`` at the angle row
-    ``thetas``, taken by the ladder engine on ``ray`` when it is given, else by
-    the cell integrator alone: the mesh, the engine (or None), the integrand
-    samples taken at exactly ``thetas`` and the cells x panels of every
+def _sampled_cells(monkeypatch, absmat, exponent, engine=False):
+    """The cell rows over the rung cells of ``ENGINE_CFG``, taken by the ladder
+    engine when ``engine``, else by the cell integrator alone: the mesh, the
+    engine (or None), the integrand samples and the cells x panels of every
     ``_cell_nodes`` call."""
     from volterra import criteria
     samples, panels, meshes = [], [], []
 
-    def counting(r, s, theta):
-        vals = absmat(r, s, theta)
-        if np.shape(theta) == (1, len(thetas)) and np.array_equal(theta[0], thetas):
-            samples.append(np.broadcast_to(vals, np.broadcast(r, theta).shape))
+    def counting(r, s):
+        vals = absmat(r, s)
+        samples.append(np.broadcast_to(vals, np.shape(r)))
         return vals
 
     real_nodes, real_cells = criteria._cell_nodes, criteria._integrate_cells
@@ -767,24 +792,23 @@ def _sampled_cells(monkeypatch, absmat, exponent, thetas, ray=None):
         return meshes[-1]
     monkeypatch.setattr(criteria, "_cell_nodes", nodes_spy)
     monkeypatch.setattr(criteria, "_integrate_cells", cells_spy)
-    engine = None
-    if ray is None:
-        cells = criteria._rung_cells(2.0 ** -ENGINE_CFG.k_max)
-        criteria._integrate_cells(counting, exponent, cells, thetas)
+    built = None
+    if engine:
+        built = criteria._LadderEngine(counting, exponent, 0.5, ENGINE_CFG)
     else:
-        engine = criteria._LadderEngine(counting, exponent, 0.5, ENGINE_CFG, ray)
+        criteria._integrate_cells(counting, exponent, criteria._rung_cells(2.0 ** -ENGINE_CFG.k_max))
     monkeypatch.undo()
-    return meshes[0], engine, samples, panels
+    return meshes[0], built, samples, panels
 
 
-def _check_cell_rows(mesh, absmat, exponent, samples, panels, thetas, clamped):
+def _check_cell_rows(mesh, absmat, exponent, samples, panels, clamped):
     """The integrand is sampled only by the adaptive cell rows, and each row
     equals a fresh evaluation at its cell's final nodes."""
     from volterra import criteria
     from volterra.series import OVERFLOW_CLAMP
     from volterra.spaces import radial_weight
     taken = sum(v.size for v in samples)
-    assert taken == sum(criteria.NODES_PER_CELL * p * len(thetas) for p in panels)
+    assert taken == sum(criteria.NODES_PER_CELL * p for p in panels)
     seen_clamp = any(np.any(~np.isfinite(v) | (v > OVERFLOW_CLAMP)) for v in samples)
     assert bool(np.any(mesh.clamped)) == seen_clamp == clamped
     assert bool(np.all(~mesh.clamped & mesh.accurate)) != clamped
@@ -793,37 +817,35 @@ def _check_cell_rows(mesh, absmat, exponent, samples, panels, thetas, clamped):
     for (lo, hi), p, row in zip(cells, mesh.panels.tolist(), mesh.rows):
         r, s, w = (a[0] for a in criteria._cell_nodes([lo], [hi], p, criteria.NODES_PER_CELL,
                                                       use_log))
-        vals = np.broadcast_to(absmat(r[:, None], s[:, None], thetas[None, :]),
-                               (len(r), len(thetas)))
+        vals = np.broadcast_to(absmat(r, s), r.shape)
         vals = np.where(~np.isfinite(vals) | (vals > OVERFLOW_CLAMP), OVERFLOW_CLAMP, vals)
         np.testing.assert_allclose(row, (w * radial_weight(s, -exponent)) @ vals,
                                    rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases())
-def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
-                                                      ray):
-    """The cell integrator under the engine keeps an angle axis: on the
-    64-angle grid ``GRID_64`` it samples the integrand only in the adaptive
-    cell rows, and each row equals a fresh evaluation at the final nodes.
-    ``_cell_nodes`` takes a batch of cells at one panel count, so a call counts
-    cells x panels."""
-    mesh, _, samples, panels = _sampled_cells(monkeypatch, absmat, exponent, GRID_64)
-    _check_cell_rows(mesh, absmat, exponent, samples, panels, GRID_64, clamped)
+@pytest.mark.parametrize("g, which, exponent, clamped", _engine_cases())
+def test_engine_samples_grid_angles_only_in_cell_rows(monkeypatch, g, which, exponent, clamped):
+    """The cell integrator alone, at four angles of the 64-angle grid
+    ``GRID_64`` (the symbol's closed forms, or the pole turned by the angle):
+    it samples the integrand only in the adaptive cell rows, and each row
+    equals a fresh evaluation at the final nodes.  ``_cell_nodes`` takes a
+    batch of cells at one panel count, so a call counts cells x panels."""
+    for theta in GRID_64[::16]:
+        absmat = _steep_pole(theta) if g is None else _closed_form(g, which, theta)
+        mesh, _, samples, panels = _sampled_cells(monkeypatch, absmat, exponent)
+        _check_cell_rows(mesh, absmat, exponent, samples, panels, clamped and theta == 0.0)
 
 
-@pytest.mark.parametrize("absmat, exponent, clamped, ray", _engine_cases())
-def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, absmat, exponent, clamped,
-                                                       ray):
-    """The ladder engine on the peak ray: one angle, every cell taken at one
-    panel count shares one integrand call, and the prefixes are the
-    cumulative cell rows."""
-    thetas = np.array([ray])
-    mesh, engine, samples, panels = _sampled_cells(monkeypatch, absmat, exponent, thetas, ray)
+@pytest.mark.parametrize("g, which, exponent, clamped", _engine_cases())
+def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, g, which, exponent, clamped):
+    """The ladder engine on the peak ray: every cell taken at one panel count
+    shares one integrand call, and the prefixes are the cumulative cell rows."""
+    absmat = _steep_pole(0.0) if g is None else _abs(g, which)
+    mesh, engine, samples, panels = _sampled_cells(monkeypatch, absmat, exponent, engine=True)
     assert len(samples) == len(panels)
-    _check_cell_rows(mesh, absmat, exponent, samples, panels, thetas, clamped)
+    _check_cell_rows(mesh, absmat, exponent, samples, panels, clamped)
     assert engine.clamped == clamped
     reliable = engine.reliable
     assert reliable[0] and np.all(reliable[1:] <= reliable[:-1])
     assert bool(np.all(reliable)) != clamped
-    assert np.array_equal(engine.prefix, np.concatenate([[0.0], np.cumsum(mesh.rows[:, 0])]))
+    assert np.array_equal(engine.prefix, np.concatenate([[0.0], np.cumsum(mesh.rows)]))

@@ -119,10 +119,7 @@ def test_refinement_never_decreases():
     # DEFAULT_GRID: on the ray of log, whose weighted modulus peaks between
     # two grid radii, its value is above the grid's and never below a dense
     # scan of 10^5 radii
-    g = get_symbol("log")
-
-    def fn(r, s):
-        return g.abs_eval(r, s, 0.0)
+    fn = get_symbol("log").abs_eval
     s = DEFAULT_GRID.one_minus_r()
     on_grid = np.max(spaces.radial_weight(s, 1.0) * fn(1.0 - s, s))
     r = np.linspace(0.0, 0.999, 100_001)
@@ -557,7 +554,7 @@ def test_ray_max_matches_an_mpmath_oracle_on_peak_rays(name):
             em, pm = mpmath.mpf(e), mpmath.mpf(p)
             s = 2 * (em - pm) / (2 * em - pm)
             want = float((s * (2 - s)) ** em * s ** -pm)
-        got = spaces.ray_max(lambda r, s: g.abs_deriv(r, s, g.peak_ray), e)[0]
+        got = spaces.ray_max(g.abs_deriv, e)[0]
         assert _within_ray_slack(got, want, e), (e, got, want)
 
 

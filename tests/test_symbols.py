@@ -158,24 +158,23 @@ def test_registry_order_is_deterministic():
     assert [s.name for s in registry()] == symbol_names()
 
 
-def test_lacunary_grid_forms_equal_the_unmemoised_products():
-    # on a grid the lacunary forms read their cos/sin(n theta) tables from a
-    # memo shared by all rows; every row must equal the products formed afresh
-    from volterra.symbols import _modulus, _phase_tables
-    n = np.array(sorted(2.0 ** k for k in range(LACUNARY_K + 1)))
-    g = get_symbol("lacunary").rotated(0.3)
-    theta = (2.0 * np.pi * np.arange(512) / 512)[None, :]
-    for s in (2.0 ** -np.arange(0, 40, 3.0), np.array([0.5])):
-        r = 1.0 - s
-        for form, a, p in ((g.abs_eval, np.ones(len(n)), n),
-                           (g.abs_deriv, n, np.maximum(n - 1.0, 0.0))):
-            rp = a * r[:, None] ** p
-            ph = ((theta + 0.3)[..., None] * n)[0].T
-            want = _modulus(rp @ np.cos(ph), rp @ np.sin(ph))
-            got = form(r[:, None], s[:, None], theta)
-            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    tables = _phase_tables((theta + 0.3).tobytes(), n.tobytes())
-    assert not any(t.flags.writeable for t in tables)
+@pytest.mark.parametrize("name", symbol_names())
+def test_one_modulus_one_rounding(name):
+    """A modulus rounds the same whatever the shape of its radii: a scalar, a
+    flat array, a column (the profile and the ray maximiser) or a
+    ``(cells, nodes)`` block (the cell integrator) give the same bits, so a
+    ladder, its profile and the interior sweep read one function."""
+    g = get_symbol(name)
+    s = 2.0 ** -np.linspace(0.05, 40.0, 40 * 16).reshape(40, 16)
+    r = 1.0 - s
+    for form in (g.abs_eval, g.abs_deriv):
+        block = np.asarray(form(r, s), dtype=float)
+        assert block.shape == r.shape
+        flat = np.asarray(form(r.ravel(), s.ravel()), dtype=float)
+        column = np.asarray(form(r.reshape(-1, 1), s.reshape(-1, 1)), dtype=float)
+        scalars = np.array([float(form(ri, si)) for ri, si in zip(r.ravel(), s.ravel())])
+        for got in (flat, column.ravel(), scalars):
+            assert got.tobytes() == block.ravel().tobytes()
 
 
 # -- the declared peak rays ----------------------------------------------------
@@ -203,14 +202,19 @@ def test_rotation_by_the_peak_has_nonnegative_coefficients(name):
        st.lists(st.floats(-10.0, 10.0, allow_nan=False), max_size=2),
        st.floats(0.0, 1.0 - 2.0 ** -30), st.floats(-10.0, 10.0, allow_nan=False))
 def test_moduli_never_exceed_their_value_on_the_peak_ray(name, rotations, r, theta):
-    """A few ulps of the larger of the value and 1: near ``z = 0`` the polar
-    forms round in absolute terms (log's takes the log of ``|1-z|^2``, which
-    reads 0 on the ray below ``r = 1e-16``)."""
+    """The closed forms at any angle never exceed the profiles on the peak ray.
+
+    A closed form reads ``|g|`` at its rounding of ``z``, up to a few ulps
+    off the circle, so the profile is read 8 ulps further out; the margin is
+    2^12 ulps of the larger of the value and 1, since lacunary's repeated
+    squaring multiplies its rounding by up to 2^11, and near ``z = 0`` log's
+    profile rounds in absolute terms (it reads 0 below ``r = 1e-16``)."""
     g = get_symbol(name)
     for phi in rotations:
         g = g.rotated(phi)
-    rr = np.array([r, r])
-    tt = np.array([theta, g.peak_ray])
-    for form in (g.abs_eval, g.abs_deriv):
-        at, peak = form(rr, 1.0 - rr, tt)
-        assert at <= peak + 8.0 * EPS * max(peak, 1.0)
+    z = r * np.exp(1j * theta)
+    out = r * (1.0 + 8.0 * EPS)
+    for f, form in ((g.eval, g.abs_eval), (g.deriv, g.abs_deriv)):
+        at = abs(complex(f(z)))
+        peak = float(form(out, 1.0 - out))
+        assert at <= peak + 4096.0 * EPS * max(peak, 1.0)
