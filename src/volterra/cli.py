@@ -29,21 +29,25 @@ from .estimation import (compactness_probe, lower_bound_details, tg_min_upper_bo
 from .operators import OperatorKind
 from .report import (ReportConfig, _verdict_payload, build_report, report_exit_code, to_csv,
                      to_json, to_text)
-from .sector import SectorParams, build_sector_map, estimate_density_bound
+from .sector import SectorParams, build_sector_map, density_bound, estimate_density_bound
 from .spaces import SpacePair, ray_argmax
 from .symbols import get_symbol, ground_truth_table, registry
 
 
 # the largest counts accepted.  report --angles only sets the config.n_angles
-# that the JSON report prints.  A density estimate holds about 140
-# bytes per sample (1.4 GB at 10^7); on a 2-vCPU machine the report takes about
+# that the JSON report prints.  A density estimate holds about 64
+# bytes per sample (640 MB at 10^7); on a 2-vCPU machine the report takes about
 # 10 s at degree 4096 and 15 s at 1024 probe monomials; lemma2 costs a density
-# estimate per angle (about 2 s at 4096 angles and 1000 samples, 4 min at 10^5)
+# estimate per angle (about 0.8 s at 4096 angles and 1000 samples, 22 s at 10^5)
 MAX_ANGLES = 8192
 MAX_SAMPLES = 10 ** 7
 MAX_DEGREE = 4096
 MAX_PROBE_N = 1024
 MAX_THETA_COUNT = 4096
+
+# how far, in units in the last place of the exact bound, a sampled estimate
+# may exceed it before lemma2 fails
+DENSITY_BOUND_SLACK_ULPS = 4
 
 
 def _angle_count(value: str) -> int:
@@ -387,14 +391,18 @@ def cmd_lemma2(args) -> int:
     thetas = [2.0 * math.pi * j / args.theta_count for j in range(args.theta_count)]
     sweep = [estimate_density_bound(args.gamma, args.eta, sizes[0], theta=t) for t in thetas]
     sweep_dev = max(sweep) - min(sweep)
+    exact = density_bound(args.gamma, args.eta)
     lines = [f"center residual: {smap.center_residual:.3e}",
              f"vertex solve residual: {smap.vertex_solve_residual:.3e}",
-             f"vertex approach residual at 1e-6: {approach:.3e}"]
+             f"vertex approach residual at 1e-6: {approach:.3e}",
+             f"exact density bound: {exact:.9f}"]
     for n, est in zip(sizes, estimates):
-        lines.append(f"density bound estimate at {n} samples: {est:.9f}")
+        lines.append(f"density bound estimate at {n} samples: {est:.9f} "
+                     f"(relative gap {(exact - est) / exact:.3e})")
     lines.append(f"rotation sweep deviation over {args.theta_count} angles: {sweep_dev:.3e}")
     monotone = all(a <= b + 1e-12 for a, b in zip(estimates, estimates[1:]))
-    bounded = all(math.isfinite(e) for e in estimates)
+    bounded = all(math.isfinite(e) and e <= exact + DENSITY_BOUND_SLACK_ULPS * math.ulp(exact)
+                  for e in estimates)
     ok = (smap.center_residual < 1e-10 and smap.vertex_solve_residual < 1e-10
           and approach < 1e-3 and monotone and bounded)
     lines.append(f"status: {'ok' if ok else 'FAILED'}")

@@ -1,19 +1,23 @@
 """Conformal map of a circular sector onto the unit disk, with its density bound.
 
-The sector with vertex at 0, radius 1, aperture eta and bisector angle theta is
+The sector with vertex 0, radius 1, aperture eta and bisector angle theta is
 mapped onto the disk by an explicit chain: rotate the bisector onto the positive
-reals, apply the power ``w -> i w^(pi/eta)`` (upper half-disk), then the
-standard half-disk-to-half-plane map ``w -> -(w + 1/w)/2``, the Cayley map, and
-finally the disk automorphism that sends the image of the half-radius bisector
-point to 0 and the image of the vertex to ``e^{i theta}``.  Both normalizations
-are solved in closed form, so no root finding is involved, and the derivative
-comes from the chain rule.
+reals, apply ``w -> i w^p`` with ``p = pi/eta`` (upper half-disk), then
+``w -> -(w + 1/w)/2`` (upper half-plane), the Cayley map, and the disk
+automorphism sending the half-radius bisector point to 0 and the vertex to
+``e^{i theta}``; both normalizations are solved in closed form.
 
-The quantity of interest downstream is the scaled density ratio
-``|z| |psi'(z)| / (1 - |psi(z)|^2)``, which stays bounded on the half-radius
-subsector of any strictly smaller aperture.  ``1 - |psi|^2`` is computed through
-``Im w3`` and the automorphism identity rather than by subtraction, so the
-ratio keeps full precision arbitrarily close to the vertex.
+The scaled density ratio ``|z| |psi'(z)| / (1 - |psi(z)|^2)`` is unchanged by
+the last two maps, which are hyperbolic isometries, so it is
+``|z| |w3'(z)| / (2 Im w3)`` at the half-plane point ``w3``.  With
+``z e^{-i theta} = r e^{i phi}``, ``u = r^p`` and ``psi = p phi``, one has
+``Im w3 = cos(psi) (1 - u^2) / (2u)`` and ``|z| |w3'| = p |1 + u^2 e^{2i psi}| / (2u)``:
+
+    ratio = (p/2) sqrt(sec^2 psi + t^2),  t = 2u / (1 - u^2) = 1 / sinh(-p log r),
+
+evaluated in real arithmetic.  It increases in ``u`` and ``|psi|``, so its sup
+over the half-radius gamma-subsector is the corner value at ``u = 2^-p``,
+``psi = p gamma / 2``.
 """
 
 from __future__ import annotations
@@ -49,21 +53,16 @@ class SectorParams:
             raise ValueError("bisector angle theta must lie in [0, 2 pi)")
 
     def contains(self, z: complex) -> bool:
-        az = abs(z)
-        if not (0.0 < az < 1.0):
-            return False
         d = (np.angle(z) - self.theta + math.pi) % (2.0 * math.pi) - math.pi
-        return abs(d) < 0.5 * self.eta
+        return 0.0 < abs(z) < 1.0 and abs(d) < 0.5 * self.eta
 
 
 @dataclass(frozen=True)
 class SectorMap:
-    """The normalized conformal map psi with its closed-form derivative."""
+    """The normalized conformal map psi with its normalization residuals."""
 
     params: SectorParams
     psi: Callable
-    dpsi: Callable
-    one_minus_abs2: Callable     # stable 1 - |psi|^2
     center_residual: float       # |psi| at the half-radius bisector point
     vertex_solve_residual: float  # |normalized vertex image - e^{i theta}|
 
@@ -74,19 +73,9 @@ class SectorMap:
 
 
 def _chain(z, theta: float, p: float):
-    w1 = np.exp(-1j * theta) * np.asarray(z, dtype=complex)
-    w2 = 1j * w1 ** p
+    w2 = 1j * (np.exp(-1j * theta) * np.asarray(z, dtype=complex)) ** p
     w3 = -(w2 + 1.0 / w2) / 2.0
-    w4 = (w3 - 1j) / (w3 + 1j)
-    return w1, w2, w3, w4
-
-
-def _chain_deriv(w1, w2, w3, theta: float, p: float):
-    d1 = np.exp(-1j * theta)
-    d2 = 1j * p * w1 ** (p - 1.0) * d1
-    d3 = -(1.0 - 1.0 / (w2 * w2)) / 2.0 * d2
-    d4 = 2j / ((w3 + 1j) ** 2) * d3
-    return d4
+    return (w3 - 1j) / (w3 + 1j)
 
 
 def build_sector_map(params: SectorParams) -> SectorMap:
@@ -94,84 +83,92 @@ def build_sector_map(params: SectorParams) -> SectorMap:
     or, at small apertures, the half-radius point's image is lost to underflow."""
     theta, p = params.theta, math.pi / params.eta
     bis = complex(math.cos(theta), math.sin(theta))
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, _, _, a = _chain(0.5 * bis, theta, p)
-    a = complex(a)
+        a = complex(_chain(0.5 * bis, theta, p))
     if not cmath.isfinite(a) or a == 1.0:
         raise ConstructionError(f"aperture {params.eta:g} too small: the half-radius "
                                 f"point's image {a} is not finite or is the vertex image")
     # vertex: w2 -> 0 forces w3 -> infinity, hence w4 -> 1 along the chain
-    b = (1.0 - a) / (1.0 - a.conjugate())
-    rho = bis / b
+    rho = bis / ((1.0 - a) / (1.0 - a.conjugate()))
 
     def psi(z):
-        _, _, _, w4 = _chain(z, theta, p)
+        w4 = _chain(z, theta, p)
         return rho * (w4 - a) / (1.0 - a.conjugate() * w4)
 
-    def dpsi(z):
-        w1, w2, w3, w4 = _chain(z, theta, p)
-        d4 = _chain_deriv(w1, w2, w3, theta, p)
-        return rho * (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w4) ** 2 * d4
-
-    def one_minus_abs2(z):
-        _, _, w3, w4 = _chain(z, theta, p)
-        inner = 4.0 * np.imag(w3) / np.abs(w3 + 1j) ** 2
-        return (1.0 - abs(a) ** 2) * inner / np.abs(1.0 - a.conjugate() * w4) ** 2
-
     center_residual = float(abs(psi(0.5 * bis)))
-    # the vertex maps through the chain to 1; its normalized image must be the
-    # bisector direction on the circle
+    # the chain sends the vertex to 1, whose normalized image must be e^{i theta}
     vertex_residual = float(abs(rho * (1.0 - a) / (1.0 - a.conjugate()) - bis))
     if center_residual > 1e-10 or vertex_residual > 1e-10:
         raise ConstructionError(
             f"normalization residuals {center_residual:.3e}/{vertex_residual:.3e}")
-    return SectorMap(params=params, psi=psi, dpsi=dpsi, one_minus_abs2=one_minus_abs2,
-                     center_residual=center_residual,
+    return SectorMap(params=params, psi=psi, center_residual=center_residual,
                      vertex_solve_residual=vertex_residual)
+
+
+def _ratio_squared(s, psi):
+    """``(2/p)^2`` times the squared density ratio at ``s = -p log r``, ``psi = p phi``."""
+    with np.errstate(over="ignore"):
+        tan, t = np.tan(psi), 1.0 / np.sinh(s)
+    return 1.0 + (tan * tan + t * t)
 
 
 def density_ratio(smap: SectorMap, z: complex) -> float:
     """``|z| |psi'(z)| / (1 - |psi(z)|^2)`` at a sector point (vectorized)."""
     zs = np.asarray(z, dtype=complex)
-    if zs.ndim == 0:
-        if not smap.params.contains(complex(zs)):
-            raise DomainError(f"{complex(zs)} lies outside the open sector")
-        return float(np.abs(zs) * np.abs(smap.dpsi(zs)) / smap.one_minus_abs2(zs))
-    return np.abs(zs) * np.abs(smap.dpsi(zs)) / smap.one_minus_abs2(zs)
+    if zs.ndim == 0 and not smap.params.contains(complex(zs)):
+        raise DomainError(f"{complex(zs)} lies outside the open sector")
+    p = math.pi / smap.params.eta
+    phi = np.angle(np.exp(-1j * smap.params.theta) * zs)
+    ratio = 0.5 * p * np.sqrt(_ratio_squared(-p * np.log(np.abs(zs)), p * phi))
+    return float(ratio) if zs.ndim == 0 else ratio
+
+
+def density_bound(gamma: float, eta: float) -> float:
+    """Exact sup of the density ratio over the half-radius gamma-subsector."""
+    if not (0.0 < gamma < eta < math.pi):
+        raise ValueError("need 0 < gamma < eta < pi")
+    p = math.pi / eta
+    return 0.5 * p * math.sqrt(_ratio_squared(p * math.log(2.0), 0.5 * p * gamma))
+
+
+def _polar_sample(gamma: float, n: int):
+    """Depths ``log(0.5/r)`` and bisector offsets of the first n R2 points."""
+    i = np.arange(1, n + 1, dtype=float)
+    x, y = 0.5 + i * _R2_A1, 0.5 + i * _R2_A2
+    x -= np.floor(x)  # mod 1, exactly
+    y -= np.floor(y)
+    return _RADIAL_DECADES * x, (y - 0.5) * gamma
 
 
 def sector_sample(gamma: float, theta: float, n: int) -> np.ndarray:
-    """Deterministic low-discrepancy sample of the half-radius sector.
-
-    Prefixes are nested: the first m points of ``sector_sample(..., n)`` equal
-    ``sector_sample(..., m)``, which makes sampled maxima monotone in n.  The
-    radial coordinate is log-uniform down to 0.5e-6 so the vertex region is
-    well covered.
-    """
-    i = np.arange(1, n + 1, dtype=float)
-    x = np.mod(0.5 + i * _R2_A1, 1.0)
-    y = np.mod(0.5 + i * _R2_A2, 1.0)
-    radii = 0.5 * np.exp(-_RADIAL_DECADES * x)
-    angles = theta + (y - 0.5) * gamma
-    return radii * np.exp(1j * angles)
+    """Deterministic low-discrepancy sample of the half-radius sector: nested
+    (the first m of n points are the m-point sample, so sampled maxima are
+    monotone in n), with radii log-uniform down to 0.5e-6 near the vertex."""
+    depth, phi = _polar_sample(gamma, n)
+    return 0.5 * np.exp(-depth) * np.exp(1j * (theta + phi))
 
 
 def estimate_density_bound(gamma: float, eta: float, n_samples: int,
                            theta: float = 0.0) -> float:
     """Empirical max of the density ratio over the half-radius gamma-subsector.
 
-    Requires ``0 < gamma < eta < pi``.  Nondecreasing in ``n_samples`` by
-    construction of the nested sample.  Raises ConstructionError when the
-    ratio is not finite at some sample (``np.max`` propagates NaN), as happens
-    near the vertex at small apertures.
+    Requires ``0 < gamma < eta < pi``.  Nondecreasing in ``n_samples`` (nested
+    sample) and bit-identical for every ``theta``: the closed form runs on the
+    polar sample.  Only the maximiser is rotated into the sector, where
+    :func:`density_ratio` must agree (and raises DomainError off the sector).
     """
     if not (0.0 < gamma < eta < math.pi):
         raise ValueError("need 0 < gamma < eta < pi")
     smap = build_sector_map(SectorParams(eta=eta, theta=theta))
-    zs = sector_sample(gamma, theta, n_samples)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bound = float(np.max(density_ratio(smap, zs)))
-    if not math.isfinite(bound):
-        raise ConstructionError(f"density ratio not finite on the sample at aperture {eta:g}")
+    p = math.pi / eta
+    depth, phi = _polar_sample(gamma, n_samples)
+    squared = _ratio_squared(p * (math.log(2.0) + depth), p * phi)
+    k = int(np.argmax(squared))
+    bound = 0.5 * p * math.sqrt(squared[k])
+    check = density_ratio(smap, 0.5 * math.exp(-depth[k]) * cmath.exp(1j * (theta + phi[k])))
+    # rotating rounds the angle; the ratio's relative sensitivity to it is <= p |tan psi|
+    slack = 1e-12 * (1.0 + p * abs(math.tan(p * phi[k]))) * bound
+    if not (math.isfinite(bound) and abs(check - bound) <= slack):
+        raise ConstructionError(f"density ratio {bound!r} at aperture {eta:g} is not "
+                                f"finite or disagrees with its sector point ({check!r})")
     return bound

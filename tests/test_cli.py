@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -242,8 +243,31 @@ def test_lemma2_command(capsys):
                        "--samples", "500,1000,2000", "--theta-count", "4")
     assert code == 0
     assert "status: ok" in out
+    assert "exact density bound: 1.510619342\n" in out
+    assert "density bound estimate at 2000 samples: " in out
+    assert "(relative gap " in out
+    assert "rotation sweep deviation over 4 angles: 0.000e+00" in out
     code, _, err = run(capsys, "lemma2", "--gamma", "1.6", "--eta", "1.5")
     assert code == 1
+
+
+def test_lemma2_fails_when_an_estimate_exceeds_the_exact_bound(monkeypatch, capsys):
+    from volterra import cli
+    from volterra.sector import estimate_density_bound
+    est = estimate_density_bound(0.785, 1.571, 1000)
+    # an estimate more than the allowed ulps above the bound is a failure
+    monkeypatch.setattr(cli, "density_bound",
+                        lambda gamma, eta: est - (cli.DENSITY_BOUND_SLACK_ULPS + 1) * math.ulp(est))
+    code, out, _ = run(capsys, "lemma2", "--gamma", "0.785", "--eta", "1.571",
+                       "--samples", "1000", "--theta-count", "1")
+    assert code == 1
+    assert "status: FAILED" in out
+    monkeypatch.setattr(cli, "density_bound",
+                        lambda gamma, eta: est - cli.DENSITY_BOUND_SLACK_ULPS * math.ulp(est))
+    code, out, _ = run(capsys, "lemma2", "--gamma", "0.785", "--eta", "1.571",
+                       "--samples", "1000", "--theta-count", "1")
+    assert code == 0
+    assert "status: ok" in out
 
 
 @pytest.mark.parametrize("option, value", [("--theta-count", "0"), ("--theta-count", "-3"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from volterra.errors import ConstructionError, DomainError
-from volterra.sector import (SectorParams, build_sector_map, density_ratio,
+from volterra.sector import (SectorParams, build_sector_map, density_bound, density_ratio,
                              estimate_density_bound, sector_sample)
 
 ETA = math.pi / 2
@@ -62,22 +62,28 @@ def test_rotation_equivariance():
     assert dev < 1e-10
 
 
+def scaled_density_by_differences(m, zs, h=1e-6):
+    """``|z| |psi'| / (1 - |psi|^2)`` with psi' by a central difference."""
+    fd = (m.psi(zs + h) - m.psi(zs - h)) / (2.0 * h)
+    return np.abs(zs) * np.abs(fd) / (1.0 - np.abs(m.psi(zs)) ** 2)
+
+
 def test_conformality_spot_check():
-    # central difference at h = 1e-6; the derivative evaluator must match the
-    # map to second order on a 100-point interior sample
-    h = 1e-6
+    # central differences of the map at h = 1e-6 must reproduce the closed-form
+    # density on a 100-point interior sample
     for theta in (0.0, 1.1):
         m = build_sector_map(SectorParams(eta=ETA, theta=theta))
         zs = interior_sample(m.params)
-        fd = (m.psi(zs + h) - m.psi(zs - h)) / (2.0 * h)
-        assert np.max(np.abs(fd - m.dpsi(zs))) < 1e-6
+        assert np.max(np.abs(scaled_density_by_differences(m, zs)
+                             - density_ratio(m, zs))) < 1e-6
 
 
 def test_image_containment_and_boundary_proximity():
     m = build_sector_map(SectorParams(eta=ETA))
     inside = np.concatenate([interior_sample(m.params), sector_sample(ETA * 0.98, 0.0, 500)])
     assert np.all(np.abs(m.psi(inside)) < 1.0)
-    assert np.all(m.one_minus_abs2(inside) > 0.0)
+    dens = density_ratio(m, inside)
+    assert np.all(np.isfinite(dens) & (dens > 0.0))
     # samples within 1e-4 of the boundary arc (and of one straight edge)
     arc = 0.9999 * np.exp(1j * np.linspace(-0.48, 0.48, 9) * ETA)
     edge = np.linspace(0.1, 0.95, 9) * np.exp(1j * (ETA / 2 - 1e-4))
@@ -88,15 +94,16 @@ def test_image_containment_and_boundary_proximity():
 def test_density_positive_schwarz_pick():
     m = build_sector_map(SectorParams(eta=ETA))
     zs = interior_sample(m.params)
-    dens = np.abs(m.dpsi(zs)) / m.one_minus_abs2(zs)
-    assert np.all(dens > 0.0)
+    assert np.all(np.abs(m.psi(zs)) < 1.0)
+    assert np.all(density_ratio(m, zs) > 0.0)
 
 
 def test_density_ratio_at_center_point():
     m = build_sector_map(SectorParams(eta=ETA))
     z = 0.5 + 0j
-    # psi vanishes there, so the denominator is 1
-    assert density_ratio(m, z) == pytest.approx(0.5 * abs(m.dpsi(z)), rel=1e-12)
+    # psi vanishes there, so the ratio is |z| |psi'(z)| = |psi'(0.5)| / 2
+    assert abs(m.psi(z)) < 1e-10
+    assert density_ratio(m, z) == pytest.approx(scaled_density_by_differences(m, z), rel=1e-8)
 
 
 def test_density_ratio_rotation_invariant():
@@ -155,16 +162,96 @@ def test_small_aperture_fails_loudly_in_the_map():
 
 
 def test_small_aperture_fails_loudly_in_the_density_bound():
-    # at eta = 0.1 the map builds, but the chain underflows near the vertex
+    # at eta = 0.1 the map builds, and the closed form, unlike the complex
+    # chain it replaced, does not underflow near the vertex
     build_sector_map(SectorParams(eta=0.1))
-    with pytest.raises(ConstructionError):
-        estimate_density_bound(0.05, 0.1, 1000)
+    est = estimate_density_bound(0.05, 0.1, 1000)
+    assert math.isfinite(est)
+    assert est <= density_bound(0.05, 0.1)
+    assert est == pytest.approx(22.2037, rel=1e-5)
 
 
 @pytest.mark.parametrize("eta", [0.04, 0.1])
 def test_lemma2_small_aperture_exits_one(capsys, eta):
+    # eta = 0.04 fails in the map; eta = 0.1 is a clean run since the density
+    # is evaluated in closed form
     from volterra.cli import main
     code = main(["lemma2", "--gamma", str(eta / 2), "--eta", str(eta)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:")
+    out, err = capsys.readouterr()
+    if eta == 0.04:
+        assert code == 1
+        assert err.startswith("error:")
+    else:
+        assert code == 0
+        assert "status: ok" in out
+
+
+def chain_density_mp(z, theta, eta):
+    """``|z| |psi'(z)| / (1 - |psi(z)|^2)`` through the full map chain, at 60 digits.
+
+    ``1 - |psi|^2`` is taken from the Cayley and automorphism identities, since
+    it is far below 10^-60 near the vertex at small apertures.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p, rot = mp.pi / mp.mpf(eta), mp.expj(-mp.mpf(theta))
+
+        def chain(w):
+            w1 = rot * w
+            w2 = 1j * w1 ** p
+            w3 = -(w2 + 1 / w2) / 2
+            return w1, w2, w3, (w3 - 1j) / (w3 + 1j)
+
+        bis = mp.expj(mp.mpf(theta))
+        a = chain(bis / 2)[3]
+        rho = bis * (1 - mp.conj(a)) / (1 - a)
+        zz = mp.mpc(z.real, z.imag)
+        w1, w2, w3, w4 = chain(zz)
+        dw3 = -(1 - 1 / w2 ** 2) / 2 * 1j * p * w1 ** (p - 1) * rot
+        dpsi = rho * (1 - abs(a) ** 2) / (1 - mp.conj(a) * w4) ** 2 * 2j / (w3 + 1j) ** 2 * dw3
+        one_minus = (1 - abs(a) ** 2) * 4 * mp.im(w3) / abs(w3 + 1j) ** 2 \
+            / abs(1 - mp.conj(a) * w4) ** 2
+        return abs(zz) * abs(dpsi) / one_minus
+
+
+@pytest.mark.parametrize("eta", [0.1, math.pi / 4, math.pi / 2, 2.5])
+def test_density_ratio_matches_mpmath_chain(eta):
+    # at the vertex scale, on the bisector, 10 % of the aperture inside either
+    # edge and 5 % of the radius inside the arc.  The rounding of |z| and of
+    # the rotated angle, amplified by 1/(1 - |z|) and p |tan psi|, reads up to
+    # 4.2e-15 here (ulp-level input errors); closer to the boundary it alone
+    # would exceed 1e-14
+    theta = 1.3
+    m = build_sector_map(SectorParams(eta=eta, theta=theta))
+    for r in (1e-6, 0.5, 0.95):
+        for offset in (0.0, -0.4 * eta, 0.4 * eta):
+            z = complex(r * np.exp(1j * (theta + offset)))
+            want = chain_density_mp(z, theta, eta)
+            assert abs(density_ratio(m, z) - want) <= 1e-14 * want, (r, offset)
+
+
+def test_exact_bound_is_approached_from_below_at_the_corner():
+    gamma, eta = math.pi / 4, math.pi / 2
+    m = build_sector_map(SectorParams(eta=eta))
+    exact = density_bound(gamma, eta)
+    gaps = 10.0 ** -np.arange(1, 9)
+    corner = 0.5 * (1 - gaps) * np.exp(0.5j * gamma * (1 - gaps))
+    dens = density_ratio(m, corner)
+    assert np.all(np.diff(dens) > 0.0)
+    assert np.all(dens < exact)
+    assert dens[-1] == pytest.approx(exact, rel=1e-7)
+    assert estimate_density_bound(gamma, eta, 10 ** 5) < exact
+
+
+def test_density_bound_value_and_domain():
+    assert density_bound(0.785, 1.571) == pytest.approx(1.5106193, abs=5e-8)
+    assert density_bound(0.05, 0.1) == pytest.approx(22.2144, abs=5e-5)
+    with pytest.raises(ValueError):
+        density_bound(1.0, 1.0)
+
+
+@pytest.mark.parametrize("theta", [0.4, 2.0, 3.9, 6.1])
+def test_estimate_is_bit_identical_under_rotation(theta):
+    for gamma, eta in FROZEN_BOUNDS:
+        assert estimate_density_bound(gamma, eta, 10 ** 4, theta=theta) == \
+            estimate_density_bound(gamma, eta, 10 ** 4)
