@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import HypothesisError, UnknownSymbolError, VolterraError
-from .criteria import LadderConfig, classify, profile_diverges
+from .criteria import LadderConfig, classify, profile_sup
 from .estimation import (compactness_probe, lower_bound_details, tg_min_upper_bound,
                          tg_upper_bound)
 from .operators import OperatorKind
@@ -302,10 +302,15 @@ def cmd_report(args) -> int:
 
 
 def _ray_sup(absf, exponent: float):
-    """``sup (1-r^2)^exponent absf`` on the peak ray and its radius; inf when
-    the boundary profile diverges, which the grid's last radius would cap."""
+    """``sup (1-r^2)^exponent absf`` on the peak ray and a radius attaining it:
+    the larger of the ray maximum and the boundary profile's reading, since the
+    ray stops at the grid's last radius ``1 - 2^-24`` and misses a limit at the
+    boundary; inf (at the ray's radius) when the profile diverges."""
     value, radius = (float(a[0]) for a in ray_argmax(absf, exponent))
-    return (math.inf if profile_diverges(absf, exponent) else value), radius
+    edge, rung = profile_sup(absf, exponent)
+    if math.isinf(edge):
+        return edge, radius
+    return (edge, rung) if edge > value else (value, radius)
 
 
 def _divergent(value: float) -> str:

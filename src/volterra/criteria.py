@@ -451,12 +451,15 @@ def _pointwise_profile(absmat: Callable, exponent: float, cfg: LadderConfig):
         return ks, radial_weight(s, exponent) * vals
 
 
-def profile_diverges(absmat: Callable, exponent: float) -> bool:
-    """Whether the slope rule reads ``sup (1-r^2)^exponent |h|`` infinite from
-    the weighted boundary profile of the peak-ray modulus ``absmat``."""
+def profile_sup(absmat: Callable, exponent: float):
+    """The weighted boundary profile's reading of ``sup (1-r^2)^exponent |h|``
+    for the peak-ray modulus ``absmat``, and the rung radius of its largest
+    value: inf when the slope rule reads the profile divergent, else that value."""
     ks, profile = _pointwise_profile(absmat, exponent, DEFAULT_LADDER)
     verdict = _slope_classify(ks, profile, np.ones(len(ks), dtype=bool), "boundary-profile")
-    return verdict.tag is VerdictTag.UNBOUNDED
+    k = int(np.argmax(profile))
+    top = np.inf if verdict.tag is VerdictTag.UNBOUNDED else float(profile[k])
+    return top, 1.0 - 2.0 ** -float(ks[k])
 
 
 def _pointwise_value(absmat: Callable, exponent: float, profile_max: float) -> float:

@@ -74,8 +74,10 @@ class SectorMap:
 
 def _chain(z, theta: float, p: float):
     w2 = 1j * (np.exp(-1j * theta) * np.asarray(z, dtype=complex)) ** p
-    w3 = -(w2 + 1.0 / w2) / 2.0
-    return (w3 - 1j) / (w3 + 1j)
+    # w4 = (w3 - i)/(w3 + i) through v = 1/w3, which stays finite near the
+    # vertex, where w2 is subnormal and 1/w2 would overflow
+    v = -2.0 * w2 / (w2 * w2 + 1.0)
+    return (1.0 - 1j * v) / (1.0 + 1j * v)
 
 
 def build_sector_map(params: SectorParams) -> SectorMap:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import HypothesisError, UnknownSymbolError
 from .operators import OperatorKind
-from .series import TaylorSeries
+from .series import TaylorSeries, derivative
 
 DEFAULT_DEGREE = 256
 
@@ -48,7 +48,10 @@ class SymbolSpec:
     ``ray_eval`` and ``ray_deriv`` are optional boundary-stable profiles
     ``(r, s) -> |g|, |g'|`` on the peak ray, with ``s = 1 - r`` carried exactly;
     :meth:`abs_eval` and :meth:`abs_deriv` use them when present and the closed
-    forms on the peak ray otherwise.
+    forms on the peak ray otherwise.  A polynomial registry symbol is built
+    from its coefficient table alone: its closed forms are its Taylor series
+    and that series' derivatives, and its profiles ``sum |c_n| r^n`` and
+    ``sum n |c_n| r^(n-1)``.  The pole symbols write theirs out.
 
     ``peak`` is a required unrotated angle on which ``|g|``, ``|g'|`` and
     ``|g''|`` are largest on every circle ``|z| = r``.  A symbol whose Taylor
@@ -117,115 +120,73 @@ class SymbolSpec:
         )
 
 
-def _const(value):
-    return lambda r, s: np.full(np.shape(r), value)
-
-
-def _lacunary_ray(a, p):
-    """``sum_k a_k r^p_k`` over lacunary's nine terms: four lanes of two, the
-    lanes pairwise, then the ninth term.  That is the order in which OpenBLAS's
-    matrix-vector product sums a row of nine, so the values are that product's;
-    but the product rounds a row by the number of rows, and this sum rounds
-    every shape of ``r`` alike."""
-    def ray(r, s):
-        t = a * r[..., None] ** p
-        lanes = t[..., 0:4] + t[..., 4:8]
-        pairs = lanes[..., :2] + lanes[..., 2:]
-        return pairs[..., 0] + pairs[..., 1] + t[..., 8]
-    return ray
-
-
 def _c(z):
     return np.asarray(z, dtype=complex)
 
 
-def _zero(z):
-    return np.zeros_like(_c(z))
+def _power_sum(terms):
+    """The profile ``(r, s) -> sum c r^n`` over ``terms``, pairs ``(n, c)`` with
+    ``c >= 0``, summed from the highest power down.  Each ``r^n`` is a product
+    of repeated squares of ``r``, which rounds every shape of radii alike
+    (NumPy's ``**`` rounds a one-element array unlike a longer one); the
+    products are planned once, so a power shared by two terms is formed once.
+    A constant term is added last, or broadcast to the shape of ``r`` alone."""
+    plan, index = [], {1: 0}  # index[n]: the position of r^n among a call's values
+
+    def power(n):
+        if n not in index:
+            top = 1 << (n.bit_length() - 1)
+            plan.append((power(top // 2), power(top // 2)) if n == top
+                        else (power(n - top), power(top)))
+            index[n] = len(plan)
+        return index[n]
+    terms = [(power(n) if n else None, c) for n, c in sorted(terms, reverse=True)]
+
+    def ray(r, s):
+        values = [r]
+        for i, j in plan:
+            values.append(values[i] * values[j])
+        (k, c), *rest = terms
+        if k is None:  # a constant alone
+            return np.full(np.shape(r), c)
+        out = c * values[k]
+        for k, c in rest:
+            out = out + (c if k is None else c * values[k])
+        return out
+    return ray
 
 
-def _lacunary_eval(z):
-    # sum of z^(2^k) by repeated squaring
-    z = _c(z)
-    out = np.zeros_like(z)
-    p = z
-    for _ in range(LACUNARY_K + 1):
-        out = out + p
-        p = p * p
-    return out
-
-
-def _lacunary_deriv(z):
-    # z^(2^k - 1) satisfies p_{k+1} = p_k^2 * z
-    z = _c(z)
-    out = np.zeros_like(z)
-    p = np.ones_like(z)
-    coef = 1.0
-    for _ in range(LACUNARY_K + 1):
-        out = out + coef * p
-        coef *= 2.0
-        p = p * p * z
-    return out
-
-
-def _lacunary_deriv2(z):
-    # z^(2^k - 2) = (z^(2^(k-1) - 1))^2 for k >= 1
-    z = _c(z)
-    out = np.zeros_like(z)
-    m = np.ones_like(z)  # z^(2^(k-1) - 1), starting at k = 1
-    for k in range(1, LACUNARY_K + 1):
-        e = float(2 ** k)
-        out = out + e * (e - 1.0) * m * m
-        m = m * m * z
-    return out
-
-
-_LACUNARY_EXPONENTS = {2 ** k for k in range(LACUNARY_K + 1)}
+def _polynomial(name, terms, peak, metadata):
+    """The symbol ``sum c_n z^n`` of the table ``terms = {n: c_n}``: its closed
+    forms are its Taylor series and that series' derivatives, and its moduli
+    on the peak ray are ``sum |c_n| r^n`` and ``sum n |c_n| r^(n-1)``, exact
+    because the rotation by ``peak`` has nonnegative coefficients."""
+    series = TaylorSeries([terms.get(n, 0.0) for n in range(max(terms) + 1)])
+    mags = [(n, abs(c)) for n, c in terms.items()]
+    return SymbolSpec(
+        name=name, eval=series, deriv=derivative(series),
+        deriv2=derivative(derivative(series)), taylor_coeff=series.coefficient,
+        peak=peak, metadata=metadata, ray_eval=_power_sum(mags),
+        ray_deriv=_power_sum([(n - 1, n * c) for n, c in mags if n] or [(0, 0.0)]),
+    )
 
 
 def _build_registry():
     syms = []
 
-    syms.append(SymbolSpec(
-        name="zero",
-        eval=_zero, deriv=_zero, deriv2=_zero,
-        taylor_coeff=lambda n: 0j,
-        metadata=SymbolMetadata(is_zero=True, note="both operators vanish"),
-        ray_eval=_const(0.0), ray_deriv=_const(0.0),
-        peak=0.0,
-    ))
+    syms.append(_polynomial("zero", {0: 0.0}, 0.0, SymbolMetadata(
+        is_zero=True, note="both operators vanish")))
 
-    syms.append(SymbolSpec(
-        name="one",
-        eval=lambda z: np.ones_like(_c(z)), deriv=_zero, deriv2=_zero,
-        taylor_coeff=lambda n: 1 + 0j if n == 0 else 0j,
-        metadata=SymbolMetadata(log_symbol_bloch=True,
-                                note="T_g vanishes; S_g f = f - f(0)"),
-        ray_eval=_const(1.0), ray_deriv=_const(0.0),
-        peak=0.0,
-    ))
+    syms.append(_polynomial("one", {0: 1.0}, 0.0, SymbolMetadata(
+        log_symbol_bloch=True, note="T_g vanishes; S_g f = f - f(0)")))
 
-    syms.append(SymbolSpec(
-        name="identity",
-        eval=lambda z: _c(z), deriv=lambda z: np.ones_like(_c(z)), deriv2=_zero,
-        taylor_coeff=lambda n: 1 + 0j if n == 1 else 0j,
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True,
-                                log_symbol_bloch=False,
-                                note="log g' = 0; log g singular at the interior zero"),
-        ray_eval=lambda r, s: 1.0 * r, ray_deriv=_const(1.0),
-        peak=0.0,
-    ))
+    syms.append(_polynomial("identity", {1: 1.0}, 0.0, SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
+        note="log g' = 0; log g singular at the interior zero")))
 
-    syms.append(SymbolSpec(
-        name="monomial",
-        eval=lambda z: 0.5 * _c(z) ** 2, deriv=lambda z: _c(z),
-        deriv2=lambda z: np.ones_like(_c(z)),
-        taylor_coeff=lambda n: 0.5 + 0j if n == 2 else 0j,
-        metadata=SymbolMetadata(univalent=False, log_deriv_bloch=False,
-                                log_symbol_bloch=False,
-                                note="g' = z vanishes at 0, so the log-derivative quotient blows up there"),
-        ray_eval=lambda r, s: 0.5 * r * r, ray_deriv=lambda r, s: 1.0 * r,
-        peak=0.0,
-    ))
+    syms.append(_polynomial("monomial", {2: 0.5}, 0.0, SymbolMetadata(
+        univalent=False, log_deriv_bloch=False, log_symbol_bloch=False,
+        note="g' = z vanishes at 0, so the log-derivative quotient blows up there")))
 
     def _log_eval(z):
         return -np.log1p(-_c(z))
@@ -273,17 +234,10 @@ def _build_registry():
         peak=0.0,
     ))
 
-    syms.append(SymbolSpec(
-        name="affine",
-        eval=lambda z: 1.0 - _c(z),
-        deriv=lambda z: -np.ones_like(_c(z)),
-        deriv2=_zero,
-        taylor_coeff=lambda n: (1 + 0j, -1 + 0j)[n] if n <= 1 else 0j,
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
-                                note="log g = log(1-z) has derivative -1/(1-z), Bloch"),
-        ray_eval=lambda r, s: np.sqrt(s * s + 4.0 * r), ray_deriv=_const(1.0),
-        peak=math.pi,  # |1 - z| = |1 + r e^{i (theta - pi)}|; |g'| = 1
-    ))
+    # |1 - z| = |1 + r e^{i (theta - pi)}|: the peak ray is pi
+    syms.append(_polynomial("affine", {0: 1.0, 1: -1.0}, math.pi, SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
+        note="log g = log(1-z) has derivative -1/(1-z), Bloch")))
 
     syms.append(SymbolSpec(
         name="cayley",
@@ -297,17 +251,11 @@ def _build_registry():
         peak=0.0,
     ))
 
-    n = np.array(sorted(_LACUNARY_EXPONENTS), dtype=float)
-    syms.append(SymbolSpec(
-        name="lacunary",
-        eval=_lacunary_eval, deriv=_lacunary_deriv, deriv2=_lacunary_deriv2,
-        taylor_coeff=lambda n: 1 + 0j if n in _LACUNARY_EXPONENTS else 0j,
-        metadata=SymbolMetadata(univalent=False, log_deriv_bloch=None, log_symbol_bloch=None,
-                                note="gap-series partial sum; Bloch flags left unknown on purpose"),
-        ray_eval=_lacunary_ray(np.ones(len(n)), n),
-        ray_deriv=_lacunary_ray(n, n - 1.0),
-        peak=0.0,
-    ))
+    syms.append(_polynomial("lacunary", {2 ** k: 1.0 for k in range(LACUNARY_K + 1)}, 0.0,
+                            SymbolMetadata(univalent=False, log_deriv_bloch=None,
+                                           log_symbol_bloch=None,
+                                           note="gap-series partial sum; Bloch flags left "
+                                                "unknown on purpose")))
 
     return {s.name: s for s in syms}
 

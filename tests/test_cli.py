@@ -105,7 +105,23 @@ def test_non_finite_weight_exponent_in_config_file(tmp_path, capsys):
 def test_norm_command(capsys):
     code, out, _ = run(capsys, "norm", "--symbol", "cayley", "--alpha", "1")
     assert code == 0
-    assert "2.0" in out or "1.999" in out
+    assert "at alpha=1: 2\n" in out
+
+
+@pytest.mark.parametrize("argv,line,want", [
+    (("--symbol", "cayley", "--alpha", "1"), 0, 2.0),
+    (("--symbol", "identity", "--alpha", "0"), 0, 1.0),
+    (("--symbol", "log", "--alpha", "0", "--bloch"), -1, 2.0),
+], ids=["cayley", "identity", "log-bloch"])
+def test_norm_reads_a_sup_attained_only_at_the_boundary(capsys, argv, line, want):
+    """A sup approached only as ``r -> 1`` is read from the boundary profile:
+    the ray maximiser stops at the grid's last radius ``1 - 2^-24``, which
+    printed 1.9999999404 for cayley and log's Bloch norm and 0.999999940395
+    for identity."""
+    code, out, _ = run(capsys, "norm", *argv)
+    assert code == 0
+    value = float(out.splitlines()[line].rsplit(": ", 1)[1])
+    assert want - 1e-12 <= value <= want
 
 
 @pytest.mark.parametrize("name", symbol_names())

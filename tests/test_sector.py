@@ -1,6 +1,7 @@
 """Sector-to-disk conformal map: normalization, equivariance, density bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,28 @@ def test_small_aperture_fails_loudly_in_the_density_bound():
     assert math.isfinite(est)
     assert est <= density_bound(0.05, 0.1)
     assert est == pytest.approx(22.2037, rel=1e-5)
+
+
+def test_vertex_approach_is_finite_where_the_half_plane_point_overflows():
+    # at eta = 0.06, w2 is subnormal at 1e-6 on the bisector: 1/w2 overflows,
+    # so the chain must reach w4 through 1/w3, which does not
+    m = build_sector_map(SectorParams(eta=0.06))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = m.vertex_residuals()
+    assert all(math.isfinite(r) for r in residuals)
+    assert residuals[-1] < 1e-3
+
+
+def test_lemma2_near_the_smallest_aperture_is_a_clean_run(capsys):
+    from volterra.cli import main
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lemma2", "--gamma", "0.0599", "--eta", "0.06"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert "vertex approach residual at 1e-6: 0.000e+00" in out
+    assert "status: ok" in out
 
 
 @pytest.mark.parametrize("eta", [0.04, 0.1])

@@ -1,16 +1,17 @@
 """Registry symbols: evaluator consistency, Taylor data, metadata sanity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from volterra.errors import UnknownSymbolError
-from volterra.series import check_derivative_consistency
+from volterra.series import check_derivative_consistency, derivative
 from volterra.spaces import DEFAULT_GRID
-from volterra.symbols import (LACUNARY_K, get_symbol, ground_truth_table, registry,
-                              symbol_names)
+from volterra.symbols import (DEFAULT_DEGREE, LACUNARY_K, get_symbol, ground_truth_table,
+                              registry, symbol_names)
 
 
 class SymbolZeroDerivative(ArithmeticError):
@@ -107,6 +108,56 @@ def test_taylor_partial_sums_converge_inside(name):
     for z in (0.5 + 0j, 0.9 * np.exp(2.1j)):
         err = abs(complex(g.eval(np.asarray(z))) - complex(series(z)))
         assert err <= max(TAIL_AT_0_9.get(name, 0.0), 1e-12)
+
+
+# -- the polynomial symbols, built from their coefficient tables ---------------
+
+POLYNOMIALS = ("zero", "one", "identity", "monomial", "affine", "lacunary")
+
+
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_polynomial_closed_forms_are_its_taylor_series(name):
+    """``g``, ``g'`` and ``g''`` of a polynomial symbol are its Taylor series
+    and that series' derivatives, bit for bit, inside, on and outside the
+    unit circle."""
+    g = get_symbol(name)
+    series = g.taylor(DEFAULT_DEGREE)
+    rng = np.random.default_rng(7)
+    zs = np.concatenate([rng.uniform(0.0, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(size=64)),
+                         np.exp(2j * np.pi * np.arange(16) / 16), [0j, 1.01, -0.3 + 1e-9j]])
+    for f, h in ((g.eval, series), (g.deriv, derivative(series)),
+                 (g.deriv2, derivative(derivative(series)))):
+        assert np.asarray(f(zs)).tobytes() == np.asarray(h(zs)).tobytes()
+        assert complex(f(0.4 - 0.2j)) == complex(h(0.4 - 0.2j))
+
+
+def _exact_sum(terms, r):
+    return sum((c * Fraction(float(r)) ** n for n, c in terms), Fraction(0))
+
+
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_polynomial_moduli_are_their_coefficient_sums(name):
+    """``abs_eval`` and ``abs_deriv`` of a polynomial symbol against
+    ``sum |c_n| r^n`` and ``sum n |c_n| r^(n-1)``, summed exactly in fractions
+    of the float radii.  The allowance is the forward error bound of powers
+    formed from repeated squares and a sum of ``T`` nonnegative terms:
+    ``(N + T - 1) u`` relative at degree ``N``, with ``u = 2^-53``.  That is at
+    most 2 ulps for every polynomial but lacunary, whose powers of degree up to
+    256 double a square's rounding at each of eight squarings."""
+    g = get_symbol(name)
+    mags = [(n, Fraction(abs(g.taylor_coeff(n)))) for n in range(DEFAULT_DEGREE + 1)]
+    mags = [(n, c) for n, c in mags if c]
+    rng = np.random.default_rng(11)
+    s = np.concatenate([2.0 ** -rng.uniform(0.0, 40.0, 200), rng.uniform(0.0, 1.0, 100),
+                        2.0 ** -np.arange(41.0)])
+    r = 1.0 - s
+    for form, terms in ((g.abs_eval, mags), (g.abs_deriv, [(n - 1, n * c) for n, c in mags if n])):
+        got = form(r, s)
+        m = max((n for n, _ in terms), default=0) + len(terms) - 1
+        allowance = Fraction(m, 2 ** 53 - m)  # gamma_m = m u / (1 - m u)
+        for ri, value in zip(r, got):
+            want = _exact_sum(terms, ri)
+            assert abs(Fraction(float(value)) - want) <= allowance * want, (form, ri)
 
 
 def test_zero_symbol_evaluators_vanish():
@@ -206,9 +257,11 @@ def test_moduli_never_exceed_their_value_on_the_peak_ray(name, rotations, r, the
 
     A closed form reads ``|g|`` at its rounding of ``z``, up to a few ulps
     off the circle, so the profile is read 8 ulps further out; the margin is
-    2^12 ulps of the larger of the value and 1, since lacunary's repeated
-    squaring multiplies its rounding by up to 2^11, and near ``z = 0`` log's
-    profile rounds in absolute terms (it reads 0 below ``r = 1e-16``)."""
+    2^12 ulps of the larger of the value and 1, since lacunary's closed forms
+    are Horner sums of degree up to 256 and its profiles multiply repeated
+    squares, either of which multiplies its rounding by up to 2^8, and near
+    ``z = 0`` log's profile rounds in absolute terms (it reads 0 below
+    ``r = 1e-16``)."""
     g = get_symbol(name)
     for phi in rotations:
         g = g.rotated(phi)
