@@ -37,8 +37,9 @@ from .symbols import get_symbol, ground_truth_table, registry
 # the largest counts accepted.  report --angles only sets the config.n_angles
 # that the JSON report prints.  A density estimate holds about 64
 # bytes per sample (640 MB at 10^7); on a 2-vCPU machine the report takes about
-# 10 s at degree 4096 and 15 s at 1024 probe monomials; lemma2 costs a density
-# estimate per angle (about 0.8 s at 4096 angles and 1000 samples, 22 s at 10^5)
+# 10 s at degree 4096 and 15 s at 1024 probe monomials; lemma2 builds a sector
+# map per angle (about 0.05 s at 4096 angles) and a density estimate per sample
+# count (about 0.65 s at 10^7)
 MAX_ANGLES = 8192
 MAX_SAMPLES = 10 ** 7
 MAX_DEGREE = 4096
@@ -126,27 +127,8 @@ def _operator(value: str) -> OperatorKind:
         raise argparse.ArgumentTypeError("operator must be Tg or Sg") from None
 
 
-def _one_of(*options):
-    """A type that admits only ``options``.  argparse checks ``choices`` for
-    command-line values only, and config-file values arrive as defaults, which
-    it converts with the type."""
-    def choice(value: str) -> str:
-        if value not in options:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {value!r} (choose from {', '.join(options)})")
-        return value
-    return choice
-
-
-def _build_parser(preset=None):
-    """The top-level parser and its subcommand parsers by name.
-
-    Options named in ``preset`` are not required; with ``preset=None`` no
-    option is, so that a first pass can find the config file.
-    """
-    def required(dest):
-        return preset is not None and dest not in preset
-
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="volterra",
         description="Boundedness/compactness classification of Volterra-type "
@@ -158,14 +140,14 @@ def _build_parser(preset=None):
         p.add_argument("--config", type=Path, default=None,
                        help="key = value file presetting these options")
         if formats:
-            p.add_argument("--format", type=_one_of(*formats), choices=formats, default="text")
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", type=Path, default=None)
 
     p = sub.add_parser("classify", help="classify one (symbol, operator, alpha, beta) cell")
-    p.add_argument("--symbol", required=required("symbol"))
-    p.add_argument("--op", type=_operator, required=required("op"))
-    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
-    p.add_argument("--beta", type=_nonnegative, required=required("beta"))
+    p.add_argument("--symbol", required=True)
+    p.add_argument("--op", type=_operator, required=True)
+    p.add_argument("--alpha", type=_nonnegative, required=True)
+    p.add_argument("--beta", type=_nonnegative, required=True)
     p.add_argument("--kmax", type=_kmax, default=40)
     add_common(p, "json", "text")
 
@@ -179,33 +161,33 @@ def _build_parser(preset=None):
     add_common(p, "json", "csv", "text")
 
     p = sub.add_parser("norm", help="weighted sup-norm of a registry symbol, on its peak ray")
-    p.add_argument("--symbol", required=required("symbol"))
-    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
+    p.add_argument("--symbol", required=True)
+    p.add_argument("--alpha", type=_nonnegative, required=True)
     functions = ("g", "gprime")
-    p.add_argument("--of", type=_one_of(*functions), choices=functions, default="g")
+    p.add_argument("--of", choices=functions, default="g")
     p.add_argument("--bloch", action="store_true", help="also print the Bloch norm")
     add_common(p)
 
     p = sub.add_parser("opnorm", help="empirical lower / split upper operator-norm bounds")
-    p.add_argument("--symbol", required=required("symbol"))
-    p.add_argument("--op", type=_operator, required=required("op"))
-    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
-    p.add_argument("--beta", type=_nonnegative, required=required("beta"))
+    p.add_argument("--symbol", required=True)
+    p.add_argument("--op", type=_operator, required=True)
+    p.add_argument("--alpha", type=_nonnegative, required=True)
+    p.add_argument("--beta", type=_nonnegative, required=True)
     p.add_argument("--t0", type=_cut_radius, default=None,
                    help="cut rung for the split bound (default: best over the schedule)")
     add_common(p)
 
     p = sub.add_parser("probe", help="weakly-null compactness probe trace")
-    p.add_argument("--symbol", required=required("symbol"))
-    p.add_argument("--op", type=_operator, required=required("op"))
-    p.add_argument("--alpha", type=_nonnegative, required=required("alpha"))
-    p.add_argument("--beta", type=_nonnegative, required=required("beta"))
+    p.add_argument("--symbol", required=True)
+    p.add_argument("--op", type=_operator, required=True)
+    p.add_argument("--alpha", type=_nonnegative, required=True)
+    p.add_argument("--beta", type=_nonnegative, required=True)
     p.add_argument("--nmax", type=_at_most(MAX_PROBE_N, _probe_count), default=64)
     add_common(p, "json", "csv", "text")
 
     p = sub.add_parser("lemma2", help="validate the sector-map density bound")
-    p.add_argument("--gamma", type=float, required=required("gamma"))
-    p.add_argument("--eta", type=float, required=required("eta"))
+    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--eta", type=float, required=True)
     p.add_argument("--theta-count", type=_at_most(MAX_THETA_COUNT), default=8)
     p.add_argument("--samples", type=_sample_sizes, default="1000,10000,100000")
     add_common(p)
@@ -230,23 +212,33 @@ def _read_config(path: Path) -> dict:
 
 
 def _parse(argv):
-    """Parse once, with no option required, to find the subcommand and its
-    ``--config`` file, then again with the file's values as that subcommand's
-    defaults; an option the file presets is no longer required.  argparse
-    converts string defaults with the option's type, so file values are
-    checked like flags; explicit flags win, and keys that are not options are
-    ignored."""
-    first, _ = _build_parser()[0].parse_known_args(argv)
-    known = vars(first)
-    presets = {}
-    if first.config is not None:
-        for key, raw in _read_config(first.config).items():
-            if key in known and key not in ("command", "config"):
-                # store_true switches take a truth word, not a typed value
-                presets[key] = (raw.lower() in ("1", "true", "yes")
-                                if isinstance(known[key], bool) else raw)
-    parser, commands = _build_parser(presets)
-    commands[first.command].set_defaults(**presets)
+    """Parse ``argv`` with the ``--config`` file's values inserted as options
+    right after the subcommand, so that explicit flags, which come later, win
+    and file values are typed and checked like flags.  A key that is not an
+    option of the subcommand is ignored; a ``store_true`` switch takes a truth
+    word.  A malformed ``--config`` is left for the full parser to report."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", type=Path)
+    try:
+        config = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        config = None
+    parser, commands = _build_parser()
+    # the top-level options take no value, so the subcommand is the first word
+    at = next((i for i, word in enumerate(argv) if not word.startswith("-")), None)
+    if config is not None and at is not None and argv[at] in commands:
+        options = {action.dest: action for action in commands[argv[at]]._actions
+                   if action.option_strings and action.default is not argparse.SUPPRESS}
+        presets = []
+        for key, raw in _read_config(config).items():
+            action = options.get(key)
+            if action is None or key == "config":
+                continue
+            if action.nargs != 0:
+                presets.append(f"{action.option_strings[0]}={raw}")
+            elif raw.lower() in ("1", "true", "yes"):
+                presets.append(action.option_strings[0])
+        argv = argv[:at + 1] + presets + argv[at + 1:]
     return parser.parse_args(argv)
 
 
@@ -390,26 +382,32 @@ def cmd_lemma2(args) -> int:
         sys.stderr.write("error: need 0 < gamma < eta < pi\n")
         return 1
     sizes = args.samples
-    smap = build_sector_map(SectorParams(eta=args.eta))
-    approach = smap.vertex_residuals()[-1]
+
+    def residuals(theta):
+        smap = build_sector_map(SectorParams(eta=args.eta, theta=theta))
+        return (smap.center_residual, smap.vertex_solve_residual,
+                smap.vertex_residuals((1e-6,))[0])
+    # the estimate is the same at every bisector angle, so it is made once per
+    # count, and the rotation sweep checks each angle's map; the first angle is 0
+    sweep = [residuals(2.0 * math.pi * j / args.theta_count) for j in range(args.theta_count)]
+    center, solve, approach = sweep[0]
+    worst = [max(column) for column in zip(*sweep)]
     estimates = [estimate_density_bound(args.gamma, args.eta, n) for n in sizes]
-    thetas = [2.0 * math.pi * j / args.theta_count for j in range(args.theta_count)]
-    sweep = [estimate_density_bound(args.gamma, args.eta, sizes[0], theta=t) for t in thetas]
-    sweep_dev = max(sweep) - min(sweep)
     exact = density_bound(args.gamma, args.eta)
-    lines = [f"center residual: {smap.center_residual:.3e}",
-             f"vertex solve residual: {smap.vertex_solve_residual:.3e}",
+    lines = [f"center residual: {center:.3e}",
+             f"vertex solve residual: {solve:.3e}",
              f"vertex approach residual at 1e-6: {approach:.3e}",
              f"exact density bound: {exact:.9f}"]
     for n, est in zip(sizes, estimates):
         lines.append(f"density bound estimate at {n} samples: {est:.9f} "
                      f"(relative gap {(exact - est) / exact:.3e})")
-    lines.append(f"rotation sweep deviation over {args.theta_count} angles: {sweep_dev:.3e}")
+    lines.append("worst residuals over {} angles: center {:.3e}, vertex solve {:.3e}, "
+                 "vertex approach {:.3e}".format(args.theta_count, *worst))
     monotone = all(a <= b + 1e-12 for a, b in zip(estimates, estimates[1:]))
     bounded = all(math.isfinite(e) and e <= exact + DENSITY_BOUND_SLACK_ULPS * math.ulp(exact)
                   for e in estimates)
-    ok = (smap.center_residual < 1e-10 and smap.vertex_solve_residual < 1e-10
-          and approach < 1e-3 and monotone and bounded)
+    ok = (worst[0] < 1e-10 and worst[1] < 1e-10 and worst[2] < 1e-3
+          and monotone and bounded)
     lines.append(f"status: {'ok' if ok else 'FAILED'}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if ok else 1

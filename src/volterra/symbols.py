@@ -51,7 +51,9 @@ class SymbolSpec:
     forms on the peak ray otherwise.  A polynomial registry symbol is built
     from its coefficient table alone: its closed forms are its Taylor series
     and that series' derivatives, and its profiles ``sum |c_n| r^n`` and
-    ``sum n |c_n| r^(n-1)``.  The pole symbols write theirs out.
+    ``sum n |c_n| r^(n-1)``.  A pole symbol is built from its order ``p`` and
+    ``g(0)`` alone: ``g' = (1-z)^-p``, and one expression gives its closed form
+    and its profile ``|g|``.
 
     ``peak`` is a required unrotated angle on which ``|g|``, ``|g'|`` and
     ``|g''|`` are largest on every circle ``|z| = r``.  A symbol whose Taylor
@@ -171,6 +173,36 @@ def _polynomial(name, terms, peak, metadata):
     )
 
 
+def _pole(name, p, metadata, at_zero=0.0):
+    """The symbol ``g(0) + int_0^z (1-w)^-p dw`` of order ``p >= 1``, with
+    ``g(0) = at_zero``.  One expression ``g(0) + F(x, s)`` in ``x`` and
+    ``s = 1 - x`` is its closed form at ``x = z`` and its modulus on the peak
+    ray 0 at ``x = r``; ``g' = (1-z)^-p``, ``g'' = p (1-z)^-(p+1)`` and the
+    coefficients ``C(n+p-2, p-1)/n`` are all nonnegative."""
+    def value(x, s):
+        # F = log1p(x/s) at p = 1, else x (1 + s + ... + s^(p-2)) / ((p-1) s^(p-1)):
+        # no cancellation at either end of the radius
+        if p == 1:
+            f = np.log1p(x / s)
+        elif p == 2:
+            f = x / s
+        else:
+            ones, power = 1.0 + s, s * s
+            for _ in range(p - 3):
+                ones, power = 1.0 + s * ones, power * s
+            f = x * ones / ((p - 1.0) * power)
+        return f + at_zero if at_zero else f
+
+    return SymbolSpec(
+        name=name, eval=lambda z: value(_c(z), 1.0 - _c(z)),
+        deriv=lambda z: (1.0 - _c(z)) ** -float(p),
+        deriv2=lambda z: p * (1.0 - _c(z)) ** -(p + 1.0),
+        taylor_coeff=lambda n: complex(math.comb(n + p - 2, p - 1) / n if n else at_zero),
+        peak=0.0, metadata=metadata, ray_eval=value,
+        ray_deriv=lambda r, s: s ** -float(p),
+    )
+
+
 def _build_registry():
     syms = []
 
@@ -188,68 +220,28 @@ def _build_registry():
         univalent=False, log_deriv_bloch=False, log_symbol_bloch=False,
         note="g' = z vanishes at 0, so the log-derivative quotient blows up there")))
 
-    def _log_eval(z):
-        return -np.log1p(-_c(z))
+    syms.append(_pole("log", 1, SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
+        note="conformal onto a half-plane image; g(0) = 0 kills log g")))
 
-    log = SymbolSpec(
-        name="log",
-        eval=_log_eval,
-        deriv=lambda z: 1.0 / (1.0 - _c(z)),
-        deriv2=lambda z: (1.0 - _c(z)) ** -2.0,
-        taylor_coeff=lambda n: 0j if n == 0 else complex(1.0 / n),
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True,
-                                log_symbol_bloch=False,
-                                note="conformal onto a half-plane image; g(0) = 0 kills log g"),
-        ray_eval=lambda r, s: np.abs(0.5 * np.log(s * s)),
-        ray_deriv=lambda r, s: 1.0 / s,
-        peak=0.0,
-    )
-    syms.append(log)
-
-    # koebe1 is log under another name: the derivative family (1-z)^(-s) at s = 1
-    syms.append(replace(log, name="koebe1", metadata=SymbolMetadata(
+    syms.append(_pole("koebe1", 1, SymbolMetadata(
         univalent=True, log_deriv_bloch=True, log_symbol_bloch=False)))
 
-    syms.append(SymbolSpec(
-        name="koebe2",
-        eval=lambda z: _c(z) / (1.0 - _c(z)),
-        deriv=lambda z: (1.0 - _c(z)) ** -2.0,
-        deriv2=lambda z: 2.0 * (1.0 - _c(z)) ** -3.0,
-        taylor_coeff=lambda n: 0j if n == 0 else 1 + 0j,
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
-                                note="Moebius; g(0) = 0 kills log g"),
-        ray_eval=lambda r, s: r / s, ray_deriv=lambda r, s: s ** -2.0,
-        peak=0.0,
-    ))
+    syms.append(_pole("koebe2", 2, SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=False,
+        note="Moebius; g(0) = 0 kills log g")))
 
-    syms.append(SymbolSpec(
-        name="koebe3",
-        eval=lambda z: 0.5 * ((1.0 - _c(z)) ** -2.0 - 1.0),
-        deriv=lambda z: (1.0 - _c(z)) ** -3.0,
-        deriv2=lambda z: 3.0 * (1.0 - _c(z)) ** -4.0,
-        taylor_coeff=lambda n: 0j if n == 0 else complex(0.5 * (n + 1)),
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=False),
-        ray_eval=lambda r, s: r * (1.0 + s) / (2.0 * (s * s)),
-        ray_deriv=lambda r, s: s ** -3.0,
-        peak=0.0,
-    ))
+    syms.append(_pole("koebe3", 3, SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=False)))
 
     # |1 - z| = |1 + r e^{i (theta - pi)}|: the peak ray is pi
     syms.append(_polynomial("affine", {0: 1.0, 1: -1.0}, math.pi, SymbolMetadata(
         univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
         note="log g = log(1-z) has derivative -1/(1-z), Bloch")))
 
-    syms.append(SymbolSpec(
-        name="cayley",
-        eval=lambda z: 1.0 / (1.0 - _c(z)),
-        deriv=lambda z: (1.0 - _c(z)) ** -2.0,
-        deriv2=lambda z: 2.0 * (1.0 - _c(z)) ** -3.0,
-        taylor_coeff=lambda n: 1 + 0j,
-        metadata=SymbolMetadata(univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
-                                note="Moebius, zero-free; log g = -log(1-z), Bloch"),
-        ray_eval=lambda r, s: 1.0 / s, ray_deriv=lambda r, s: s ** -2.0,
-        peak=0.0,
-    ))
+    syms.append(_pole("cayley", 2, SymbolMetadata(
+        univalent=True, log_deriv_bloch=True, log_symbol_bloch=True,
+        note="Moebius, zero-free; log g = -log(1-z), Bloch"), at_zero=1.0))
 
     syms.append(_polynomial("lacunary", {2 ** k: 1.0 for k in range(LACUNARY_K + 1)}, 0.0,
                             SymbolMetadata(univalent=False, log_deriv_bloch=None,

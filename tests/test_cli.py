@@ -262,9 +262,28 @@ def test_lemma2_command(capsys):
     assert "exact density bound: 1.510619342\n" in out
     assert "density bound estimate at 2000 samples: " in out
     assert "(relative gap " in out
-    assert "rotation sweep deviation over 4 angles: 0.000e+00" in out
+    sweep = re.search(r"^worst residuals over 4 angles: center (\S+), vertex solve (\S+), "
+                      r"vertex approach (\S+)$", out, re.M)
+    assert all(float(x) < bound for x, bound in zip(sweep.groups(), (1e-10, 1e-10, 1e-3)))
     code, _, err = run(capsys, "lemma2", "--gamma", "1.6", "--eta", "1.5")
     assert code == 1
+
+
+def test_lemma2_estimates_each_count_once(monkeypatch, capsys):
+    # the estimate is bit-identical at every bisector angle, yet the rotation
+    # sweep made one per angle: 4,096 angles at 10^5 samples took 13 s
+    from volterra import cli
+    counts = []
+
+    def spy(gamma, eta, n, **kwargs):
+        counts.append(n)
+        return estimate(gamma, eta, n, **kwargs)
+    estimate = cli.estimate_density_bound
+    monkeypatch.setattr(cli, "estimate_density_bound", spy)
+    code, out, _ = run(capsys, "lemma2", "--gamma", "0.785", "--eta", "1.571",
+                       "--samples", "500,1000,2000", "--theta-count", "64")
+    assert code == 0 and "worst residuals over 64 angles: " in out
+    assert counts == [500, 1000, 2000]
 
 
 def test_lemma2_fails_when_an_estimate_exceeds_the_exact_bound(monkeypatch, capsys):
@@ -353,8 +372,8 @@ def test_oversized_counts_are_usage_errors(tmp_path, monkeypatch, capsys, source
                                            argv, key, value, message):
     # `--angles 1073741824` and `lemma2 --samples 1000000000000` ended
     # in an uncaught allocation error (8 GiB and 7.3 TiB arrays); the other
-    # counts parsed at any size and ran for hours (lemma2 computes one density
-    # estimate per angle); the command itself must not start
+    # counts parsed at any size and ran for hours (lemma2 then computed one
+    # density estimate per angle); the command itself must not start
     from volterra import cli
 
     def never(args):
@@ -474,10 +493,11 @@ def test_config_without_value_is_a_usage_error(capsys):
 def test_config_value_is_checked_like_a_flag(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kmax = 100\n")
-    code, _, err = run(capsys, "classify", "--symbol", "identity", "--op", "Tg",
-                       "--alpha", "0", "--beta", "0", "--config", str(cfg))
-    assert code == 1
-    assert "kmax must lie in [4, 40]" in err
+    for flag in ((), ("--kmax", "40")):  # checked even where a flag overrides it
+        code, _, err = run(capsys, "classify", "--symbol", "identity", "--op", "Tg",
+                           "--alpha", "0", "--beta", "0", "--config", str(cfg), *flag)
+        assert code == 1
+        assert "kmax must lie in [4, 40]" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -581,6 +601,26 @@ def test_fuzzed_config_files_exit_cleanly(tmp_path, monkeypatch, command, text, 
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().strip(), data
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_main_builds_one_parser(tmp_path, monkeypatch, capsys, with_config):
+    # reading the config file cost a second parser build per command
+    from volterra import cli
+    builds = []
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    cfg = tmp_path / "kmax.cfg"
+    cfg.write_text("kmax = 40\n")
+    extra = ("--config", str(cfg)) if with_config else ()
+    code, _, _ = run(capsys, "classify", "--symbol", "identity", "--op", "Tg", "--alpha", "0",
+                     "--beta", "0", *extra)
+    assert code == 0
+    assert len(builds) == 1
 
 
 def test_config_presets_a_required_option(tmp_path, capsys):

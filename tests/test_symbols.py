@@ -61,13 +61,55 @@ def test_identity_has_unit_derivative():
     assert np.allclose(g.deriv(zs), 1.0)
 
 
-def test_log_taylor_coefficients_are_harmonic():
-    g = get_symbol("log")
-    for n in range(1, 30):
-        assert g.taylor_coeff(n) == pytest.approx(1.0 / n)
-    assert g.taylor_coeff(0) == 0
-    # partial sums converge to the closed form: -log(1-0.5) = log 2
-    assert g.taylor(200)(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
+# the pole symbols, g' = (1-z)^-p: each order and g(0) written out here
+POLES = {"log": (1, 0.0), "koebe1": (1, 0.0), "koebe2": (2, 0.0), "koebe3": (3, 0.0),
+         "cayley": (2, 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(POLES))
+def test_pole_taylor_coefficients_are_binomial(name):
+    """``g(0) + int_0^z (1-w)^-p dw`` has the coefficients ``C(n+p-2, p-1)/n``
+    for ``n >= 1``: ``1/n`` at ``p = 1``, 1 at ``p = 2``, ``(n+1)/2`` at
+    ``p = 3``; each is the rounding of that rational."""
+    p, at_zero = POLES[name]
+    g = get_symbol(name)
+    assert g.taylor_coeff(0) == at_zero
+    for n in range(1, 4097):
+        assert g.taylor_coeff(n) == math.comb(n + p - 2, p - 1) / n, n
+    if p == 1:  # partial sums converge to the closed form: -log(1-0.5) = log 2
+        assert g.taylor(200)(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def _pole_oracle(p, at_zero, r=None, s=None):
+    """``g(0) + int_0^r (1-t)^-p dt`` and ``(1-r)^-p`` at 400 digits, at the
+    exact ``r`` or the exact ``s = 1 - r``, whichever is given."""
+    import mpmath
+    with mpmath.workdps(400):
+        s = mpmath.mpf(s) if r is None else 1 - mpmath.mpf(r)
+        value = -mpmath.log(s) if p == 1 else (s ** (1 - p) - 1) / (p - 1)
+        return float(at_zero + value), float(s ** -p)
+
+
+@pytest.mark.parametrize("name", sorted(POLES))
+def test_pole_moduli_are_their_order(name):
+    """``abs_eval`` and ``abs_deriv`` of a pole symbol within 4 units of
+    ``2^-53`` relative of a 400-digit ``g(0) + int_0^r (1-t)^-p dt`` and
+    ``(1-r)^-p``, from 1e-300 up to ``1 - 2^-40``.  The point is the exact one
+    of ``r`` and ``s``: ``s`` where it is drawn (``r = 1 - s`` then rounds),
+    ``r`` otherwise.  log's ``|g|`` read 0 below ``r = 1e-16`` from
+    ``|log(s^2)/2|``, since ``s`` rounds to 1 there."""
+    p, at_zero = POLES[name]
+    g = get_symbol(name)
+    rng = np.random.default_rng(24)
+    s_drawn = 2.0 ** -rng.uniform(0.0, 40.0, 200)
+    r_drawn = np.concatenate([10.0 ** -rng.uniform(0.0, 300.0, 200), rng.uniform(0.0, 1.0, 100)])
+    for r, s, from_s in ((1.0 - s_drawn, s_drawn, True), (r_drawn, 1.0 - r_drawn, False)):
+        values, derivs = g.abs_eval(r, s), g.abs_deriv(r, s)
+        for ri, si, value, deriv in zip(r, s, values, derivs):
+            point = {"s": si} if from_s else {"r": ri}
+            want_value, want_deriv = _pole_oracle(p, at_zero, **point)
+            assert abs(value - want_value) <= 4.0 * 2.0 ** -53 * want_value, (ri, si)
+            assert abs(deriv - want_deriv) <= 4.0 * 2.0 ** -53 * want_deriv, (ri, si)
 
 
 def test_cayley_value():
@@ -260,8 +302,9 @@ def test_moduli_never_exceed_their_value_on_the_peak_ray(name, rotations, r, the
     2^12 ulps of the larger of the value and 1, since lacunary's closed forms
     are Horner sums of degree up to 256 and its profiles multiply repeated
     squares, either of which multiplies its rounding by up to 2^8, and near
-    ``z = 0`` log's profile rounds in absolute terms (it reads 0 below
-    ``r = 1e-16``)."""
+    ``z = 0`` log's closed form rounds in absolute terms (NumPy's complex
+    ``log1p(w)`` is ``log(1 + w)``: at ``r = 1e-6`` it reads 5.6e-12 relative
+    above the profile)."""
     g = get_symbol(name)
     for phi in rotations:
         g = g.rotated(phi)
