@@ -58,6 +58,16 @@ RING_GROUP = 4 * 82
 # that is about 570u, or 1e-13.  1e-9 keeps the bound for D up to about
 # 9e6 coefficients (the largest report images have about 8,200) and still
 # prunes the same rings.
+# estimation.lower_bound_details prunes battery families with the same slack.
+# There a member's image coefficient, a D-term convolution of complex
+# coefficients, exceeds in modulus its magnitude image's coefficient, the same
+# convolution of their moduli, by at most about 2 gamma_D (gamma_D = D u /
+# (1 - D u)): each sum is within gamma_D of its exact value, and the moduli,
+# products and divisions by the index add a few u.  A swept sample of the
+# member exceeds its exact majorant by about 570u as above, and the magnitude
+# image's ring maxima are its computed majorants, short by (D - 1)u.  For
+# D = 8,200 that is about 3.3 D u = 3e-12 in all.  Underflow costs each
+# coefficient at most D 2^-1075 absolutely, which _SMALLEST_NORMAL covers.
 PRUNE_MARGIN = 1e-9
 # Absolute slack of the same test: underflow costs each sample at most
 # 2^-1075 per operation, far below the smallest normal number

@@ -173,6 +173,19 @@ def _polynomial(name, terms, peak, metadata):
     )
 
 
+def _log1p(w):
+    """``log(1 + w)``.  NumPy's complex ``log1p`` is ``log(1 + w)`` as written,
+    so near ``w = 0`` it rounds in absolute terms; Kahan's ``log(u) w / (u - 1)``
+    with ``u = 1 + w`` cancels the rounding of ``u``.  Below ``|w| = 2^-52``
+    it is ``w``, within an ulp, since ``u - 1`` may be too small to divide by.
+    Real arguments keep NumPy's ``log1p``."""
+    if not np.iscomplexobj(w):
+        return np.log1p(w)
+    u = 1.0 + w
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.where(np.abs(w) < 2.0 ** -52, w, np.log(u) * (w / (u - 1.0)))[()]
+
+
 def _pole(name, p, metadata, at_zero=0.0):
     """The symbol ``g(0) + int_0^z (1-w)^-p dw`` of order ``p >= 1``, with
     ``g(0) = at_zero``.  One expression ``g(0) + F(x, s)`` in ``x`` and
@@ -183,7 +196,7 @@ def _pole(name, p, metadata, at_zero=0.0):
         # F = log1p(x/s) at p = 1, else x (1 + s + ... + s^(p-2)) / ((p-1) s^(p-1)):
         # no cancellation at either end of the radius
         if p == 1:
-            f = np.log1p(x / s)
+            f = _log1p(x / s)
         elif p == 2:
             f = x / s
         else:

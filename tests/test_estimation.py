@@ -1,16 +1,23 @@
 """Empirical norm bounds, batteries, and weakly-null probes."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from volterra import estimation
 from volterra.errors import HypothesisError
-from volterra.estimation import (ESTIMATION_GRID, BatteryEntry, _radial_max, build_battery,
-                                 compactness_probe, lower_bound_details, monomial_norm,
-                                 tg_min_upper_bound, tg_upper_bound)
+from volterra.estimation import (ESTIMATION_GRID, MONOMIAL_POWERS, THETA_FAMILY_COUNT,
+                                 BatteryEntry, _radial_max, build_battery, compactness_probe,
+                                 lower_bound_details, monomial_norm, tg_min_upper_bound,
+                                 tg_upper_bound)
 from volterra.operators import OperatorKind, apply_operator
 from volterra.series import TaylorSeries, derivative, evaluate_polynomial
 from volterra.spaces import SpacePair, weighted_sup_norm, weighted_sup_norms
-from volterra.symbols import DEFAULT_DEGREE, get_symbol, ground_truth_table, registry
+from volterra.symbols import (DEFAULT_DEGREE, SymbolSpec, get_symbol, ground_truth_table,
+                              registry, symbol_names)
 
 T, S = OperatorKind.Tg, OperatorKind.Sg
 
@@ -34,6 +41,23 @@ def test_battery_structure():
     assert all(e.series.degree <= 64 for e in b0.entries)
     b1 = build_battery(1.0, degree=64)
     assert any(e.label.startswith("rotational:") for e in b1.entries)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_battery_families_are_the_rotations_of_one_base(alpha):
+    """Every rotational and peak entry is in exactly one family, in battery
+    order; a family's labels differ only in their last field, and its members'
+    coefficient moduli agree to rounding."""
+    battery = build_battery(alpha, degree=64)
+    grouped = [battery.entries[i] for family in battery.families for i in family]
+    assert [e.label for e in grouped] == [e.label for e in battery.entries
+                                          if e.label.startswith(("rotational:", "peak:"))]
+    for family in battery.families:
+        members = [battery.entries[i] for i in family]
+        assert len({e.label.rsplit(":", 1)[0] for e in members}) == 1
+        for e in members:
+            assert np.allclose(np.abs(e.series.array), np.abs(members[0].series.array),
+                               rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
@@ -185,10 +209,10 @@ def test_lower_bound_monomial_symbol():
     assert detail.best_label == "const"
 
 
-def _battery_ratios(g, op, pair, battery):
+def _battery_ratios(g, op, pair, battery, degree=DEFAULT_DEGREE):
     """``(label, ratio)`` of each battery entry: the stacked image norm
     ``weighted_sup_norms`` over the entry's source norm, in battery order."""
-    g_series = g.taylor(DEFAULT_DEGREE)
+    g_series = g.taylor(degree)
     dg = derivative(g_series)
     images = [apply_operator(op, g_series, e.series, dg) for e in battery.entries]
     nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID)
@@ -229,6 +253,63 @@ def test_stacked_estimates_equal_the_per_image_sweeps(name, op, alpha, beta):
     trace = compactness_probe(g, op, pair)
     assert trace.values == tuple(norm(TaylorSeries((0,) * n + (1,))) / monomial_norm(n, alpha)
                                  for n in trace.indices)
+
+
+def _user_symbol(coeffs):
+    series = TaylorSeries(coeffs)
+    return SymbolSpec(name="user", eval=series, deriv=derivative(series),
+                      deriv2=derivative(derivative(series)), taylor_coeff=series.coefficient,
+                      peak=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _battery(alpha, degree):
+    return build_battery(alpha, degree)
+
+
+_USER_SYMBOLS = st.builds(
+    lambda parts, e: _user_symbol([10.0 ** e * complex(a, b) for a, b in parts]),
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=21),
+    st.floats(-3.0, 3.0))
+_ROTATED_SYMBOLS = st.builds(lambda name, phi: get_symbol(name).rotated(phi),
+                             st.sampled_from(symbol_names()), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_USER_SYMBOLS, _ROTATED_SYMBOLS), st.sampled_from([T, S]),
+       st.sampled_from([0.0, 0.25, 1.0, 3.7]), st.floats(0.0, 3.0), st.sampled_from([8, 64]))
+def test_pruned_lower_bound_is_the_whole_battery_max(g, op, alpha, beta, degree):
+    """The families that the magnitude images prune cannot hold the largest
+    ratio: value and witness are those of every entry measured."""
+    battery, pair = _battery(alpha, degree), SpacePair(alpha, beta)
+    _assert_lower_bound_is_their_max(lower_bound_details(g, op, pair, battery, degree),
+                                     _battery_ratios(g, op, pair, battery, degree))
+
+
+def _lower_bound_and_built(monkeypatch, name, op, alpha, beta):
+    """The lower bound of a registry row and the labels of the battery entries
+    whose images it built."""
+    battery, built = build_battery(alpha), []
+
+    def spy(kind, g, f, dg=None):
+        built.append(f)
+        return apply_operator(kind, g, f, dg)
+    monkeypatch.setattr(estimation, "apply_operator", spy)
+    detail = lower_bound_details(get_symbol(name), op, SpacePair(alpha, beta), battery)
+    return detail, {e.label for e in battery.entries if any(f is e.series for f in built)}
+
+
+@pytest.mark.parametrize("name, beta", [("identity", 0.0), ("cayley", 1.0)])
+def test_t_g_rows_build_no_family_member(monkeypatch, name, beta):
+    detail, built = _lower_bound_and_built(monkeypatch, name, T, 0.0, beta)
+    assert detail.best_label == "const"
+    assert built == {"const"} | {f"monomial:{n}" for n in MONOMIAL_POWERS}
+
+
+def test_the_witness_family_is_built(monkeypatch):
+    detail, built = _lower_bound_and_built(monkeypatch, "affine", S, 1.0, 0.0)
+    assert detail.best_label == "rotational:0"
+    assert {f"rotational:{j}" for j in range(THETA_FAMILY_COUNT)} <= built
 
 
 def test_upper_bound_split_identity():

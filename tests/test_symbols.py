@@ -112,6 +112,22 @@ def test_pole_moduli_are_their_order(name):
             assert abs(deriv - want_deriv) <= 4.0 * 2.0 ** -53 * want_deriv, (ri, si)
 
 
+@pytest.mark.parametrize("name", ["log", "koebe1"])
+@pytest.mark.parametrize("r", [1e-6, 1e-9])
+def test_log_closed_form_is_relative_near_zero(name, r):
+    """The closed form ``-log(1-z)`` of the ``p = 1`` poles within 4 units of
+    ``2^-52`` relative of 60 digits near ``z = 0``.  NumPy's complex
+    ``log1p(w)`` is ``log(1 + w)``, which read 5.6e-12 relative high at
+    ``r = 1e-6``."""
+    import mpmath
+    g = get_symbol(name)
+    for theta in (0.0, 0.7, 0.5 * math.pi, 2.0, math.pi, 4.5):
+        z = complex(r * np.exp(1j * theta))
+        with mpmath.workdps(60):
+            want = complex(-mpmath.log(1 - mpmath.mpc(z.real, z.imag)))
+        assert abs(complex(g.eval(z)) - want) <= 4.0 * EPS * abs(want), theta
+
+
 def test_cayley_value():
     assert complex(get_symbol("cayley").eval(0.5 + 0j)) == pytest.approx(2.0)
 
@@ -302,9 +318,7 @@ def test_moduli_never_exceed_their_value_on_the_peak_ray(name, rotations, r, the
     2^12 ulps of the larger of the value and 1, since lacunary's closed forms
     are Horner sums of degree up to 256 and its profiles multiply repeated
     squares, either of which multiplies its rounding by up to 2^8, and near
-    ``z = 0`` log's closed form rounds in absolute terms (NumPy's complex
-    ``log1p(w)`` is ``log(1 + w)``: at ``r = 1e-6`` it reads 5.6e-12 relative
-    above the profile)."""
+    ``z = 0`` the values underflow (monomial's ``z^2 / 2`` at ``r = 5e-324``)."""
     g = get_symbol(name)
     for phi in rotations:
         g = g.rotated(phi)
