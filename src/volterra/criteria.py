@@ -466,7 +466,7 @@ def _pointwise_value(absmat: Callable, exponent: float, profile_max: float) -> f
     """Sup over the whole disk: boundary rungs plus an interior sweep when the
     weight exponent is nonnegative (interior maxima exist only then).  The
     sweep runs along the symbol's peak ray, by the ray maximiser
-    :func:`~volterra.spaces.ray_max` that the battery's norms share."""
+    :func:`~volterra.spaces.ray_max`."""
     if exponent < 0:
         return profile_max
     return max(profile_max, float(ray_max(absmat, exponent)[0]))

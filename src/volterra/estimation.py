@@ -10,18 +10,19 @@ ladder: the sup over radii up to a cut rung plus the sup of the weighted tail
 integral beyond it.
 
 A battery's families are rotations of one base: the 8 rotational entries, and
-the 4 directions of each peak rung.  Every member's image coefficients are at
-most, in modulus, those of its family's magnitude image: ``Op`` applied to the
-moduli of ``g``'s coefficients and the members' largest coefficient moduli.
-The lower bound measures the entries outside every family and one magnitude
-image per family in one :func:`~volterra.spaces.weighted_sup_norms` call on
-``ESTIMATION_GRID``, then builds and measures the members of only the families
-whose magnitude image can reach the best ratio outside them: 12 of a default
-report's 368 member images.  A probe's images are shifted copies of
-``g'`` or ``n g`` (:func:`~volterra.operators.monomial_images`), measured in
-one call.  An image whose coefficients are all real and ``>= 0``, as every
-magnitude image's are, is read on the ray ``theta = 0`` alone: 86 % of a
-default report's 1,108 images.  The rest are swept on 496 of their 12,557 rings.
+the 4 directions of each peak rung; at ``alpha > 0`` each member's source norm
+is the Schwarz-Pick bound 1.  A member's image coefficients are at most, in
+modulus, those of its family's magnitude image: ``Op`` applied to the moduli of
+``g``'s coefficients and the members' largest coefficient moduli.  A report row
+takes its lower bound and probe trace from one pass over one Taylor series
+(:func:`estimate_row`): one :func:`~volterra.spaces.weighted_sup_norms` call on
+``ESTIMATION_GRID`` measures the probe's images ``Op z^n``, which also serve
+the battery's monomial entries, its other entries outside every family and one
+magnitude image per family; a second measures the members of only the families
+that can win.  A default report applies the operator 114 times (``const``, 88
+magnitude images, 12 of 368 members).  Of its 1,010 images, the 86 % with all
+coefficients real and ``>= 0`` are read on the ray ``theta = 0`` alone; the
+rest are swept on 482 of their 11,416 rings.
 
 Probes send the normalized monomials through the operator.  These tend to zero
 uniformly on compact subsets, so a compact operator must crush them; a trace
@@ -41,8 +42,8 @@ import numpy as np
 from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator, monomial_images
-from .series import OVERFLOW_CLAMP, TaylorSeries, derivative, evaluate_polynomial
-from .spaces import (_SMALLEST_NORMAL, PRUNE_MARGIN, DiskGrid, SpacePair, radial_weight, ray_max,
+from .series import OVERFLOW_CLAMP, TaylorSeries, derivative
+from .spaces import (_SMALLEST_NORMAL, PRUNE_MARGIN, DiskGrid, SpacePair, radial_weight,
                      weighted_sup_norms)
 # bound here only for perfbench's tracer, which wraps estimation.weighted_sup_norm
 from .spaces import weighted_sup_norm  # noqa: F401
@@ -61,31 +62,24 @@ MONOMIAL_POWERS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def monomial_norm(n: int, alpha: float) -> float:
-    """``max_r r^n (1 - r^2)^alpha``, attained at ``r^2 = n / (n + 2 alpha)``."""
-    if n == 0:
+    """``max_r r^n (1 - r^2)^alpha`` at ``r^2 = n / (n + 2 alpha)``, rounded up."""
+    if n == 0 or alpha == 0.0:
         return 1.0
-    if alpha == 0.0:
-        return 1.0
-    return (n / (n + 2.0 * alpha)) ** (0.5 * n) * (2.0 * alpha / (n + 2.0 * alpha)) ** alpha
-
-
-def _radial_max(mag_rows: np.ndarray, alpha: float) -> np.ndarray:
-    """``max_r (1-r^2)^alpha sum_m |a_m| r^m`` for each row of magnitudes ``|a_m|``.
-
-    It serves the battery at ``alpha > 0``, where the weight vanishes on the
-    boundary circle: one :func:`~volterra.spaces.ray_max` over all rows, each
-    profile a column of one Horner evaluation.  For series whose terms align
-    in phase along some direction this equals the weighted sup-norm exactly;
-    it is never below it, so it is safe as a lower bound denominator.
-    """
-    return ray_max(lambda r, s: evaluate_polynomial(mag_rows.T, r).real, alpha)
+    # (n/(n + 2 alpha))^(n/2) would amplify its base's rounding by n/2, so it is
+    # exp(-(n/2) log1p(2 alpha/n)).  With u = 2^-53 and exp, log1p and ** within
+    # 1 ulp (2u), that exponent (at most alpha in modulus) is within 4u, the exp
+    # within (4 alpha + 2)u, the second power within (2 alpha + 2)u and the
+    # product adds u.  1 + (6 alpha + 10)u, itself within u, covers these.
+    first = math.exp(-0.5 * n * math.log1p(2.0 * alpha / n))
+    value = first * (2.0 * alpha / (n + 2.0 * alpha)) ** alpha
+    return value * (1.0 + (3.0 * alpha + 5.0) * 2.0 ** -52)
 
 
 @dataclass(frozen=True)
 class BatteryEntry:
     label: str
     series: TaylorSeries
-    norm_alpha: float  # at least the true source norm of the truncated entry
+    norm_alpha: float  # the entry's source norm or a bound above it (build_battery)
 
     def __post_init__(self):
         if self.norm_alpha <= 0:
@@ -130,24 +124,22 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
             rotational[j, ::2] = [w ** m for m in range(half + 1)]
         rotational[:, ::2] *= c
         d = _binom_series(2.0 * alpha, degree)
-        # (1 - lambda^2)^alpha of lambda = 1 - 2^-j, all exact at s = 2^-j
-        peaks = [radial_weight(2.0 ** -j, alpha) * d * (1.0 - 2.0 ** -j) ** np.arange(degree + 1)
-                 for j in PEAK_RUNGS]
-        # np.hypot rounds like abs() of one complex; np.abs of a complex array
-        # can be an ulp away from it
-        norms = _radial_max(np.vstack([np.hypot(rotational.real, rotational.imag)] + peaks),
-                            alpha)
+        # Schwarz-Pick: every member's source norm is at most 1.  A truncated
+        # series with coefficients >= 0 in w = e^{-2i theta} z^2 (or lambda z,
+        # rotated) is at most the full series at |z|, and (1 - |z|^2)/|1 - w| <= 1
+        # for |w| = |z|^2, (1 - |z|^2)(1 - lambda^2) <= (1 - lambda |z|)^2 (the
+        # gap is (lambda - |z|)^2).  Rounding lifts a swept norm by up to 1.2e-14.
         families.append(tuple(range(len(entries), len(entries) + THETA_FAMILY_COUNT)))
-        for j, (cs, norm) in enumerate(zip(rotational, norms)):
-            entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(cs), float(norm)))
-        kernels = zip(PEAK_RUNGS, peaks, norms[THETA_FAMILY_COUNT:])
+        for j, cs in enumerate(rotational):
+            entries.append(BatteryEntry(f"rotational:{j}", TaylorSeries(cs), 1.0))
+        # (1 - lambda^2)^alpha of lambda = 1 - 2^-j, all exact at s = 2^-j
+        kernels = [(j, radial_weight(2.0 ** -j, alpha) * d * lam ** np.arange(degree + 1), 1.0)
+                   for j, lam in ((j, 1.0 - 2.0 ** -j) for j in PEAK_RUNGS)]
     else:
-        kernels = []
-        for j in PEAK_RUNGS:
-            lam = 1.0 - 2.0 ** -j
-            # exact sup-norm of the truncated kernel: (1+lam)(1 - lam^(N+1))
-            kernels.append((j, radial_weight(2.0 ** -j, 1.0) * lam ** np.arange(degree + 1),
-                            (1.0 + lam) * (1.0 - lam ** (degree + 1))))
+        # exact sup-norm of the truncated kernel: (1+lam)(1 - lam^(N+1))
+        kernels = [(j, radial_weight(2.0 ** -j, 1.0) * lam ** np.arange(degree + 1),
+                    (1.0 + lam) * (1.0 - lam ** (degree + 1)))
+                   for j, lam in ((j, 1.0 - 2.0 ** -j) for j in PEAK_RUNGS)]
     # each direction's powers once, as Python's complex ** int rounds them
     turns = np.array([[complex(math.cos(phi), math.sin(phi)) ** n for n in range(degree + 1)]
                       for phi in PEAK_DIRECTIONS])
@@ -179,47 +171,10 @@ def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                         battery: Optional[TestBattery] = None,
                         degree: int = DEFAULT_DEGREE) -> LowerBoundReport:
     """Largest image-to-source norm ratio over the battery, which must be built
-    for ``pair.alpha``: its source norms are norms in ``H^inf_alpha``.
-
-    A family is measured only when its magnitude image (module docstring) can
-    reach the best ratio outside every family.  The others' ratios lie strictly
-    below it, so the value and the first entry attaining it are those of the
-    whole battery."""
+    for ``pair.alpha``: its source norms are norms in ``H^inf_alpha``.  It is
+    :func:`estimate_row` without a probe."""
     battery = battery or build_battery(pair.alpha, degree)
-    if battery.alpha != pair.alpha:
-        raise ValueError(f"the battery is built for alpha = {battery.alpha}, not {pair.alpha}")
-    entries, families = battery.entries, battery.families
-    g_series = g.taylor(degree)
-    dg = derivative(g_series)
-
-    def images(indices):
-        return [apply_operator(operator, g_series, entries[i].series, dg) for i in indices]
-    grouped = {i for family in families for i in family}
-    alone = [i for i in range(len(entries)) if i not in grouped]
-    abs_g = TaylorSeries(np.abs(g_series.array))
-    abs_dg = derivative(abs_g)
-    magnitude = [apply_operator(operator, abs_g, TaylorSeries(np.max(
-        [np.abs(entries[i].series.array) for i in family], axis=0)), abs_dg) for family in families]
-    nums = weighted_sup_norms(images(alone) + magnitude, pair.beta, ESTIMATION_GRID).tolist()
-    measured = dict(zip(alone, nums))
-    floor = _first_max([entries[i] for i in alone], nums)[0]
-    # a zero kernel (g' of T_g, g of S_g) makes every image exactly zero
-    nonzero_kernel = np.any((dg if operator is OperatorKind.Tg else g_series).array)
-    members = []
-    for family, image, bound in zip(families, magnitude, nums[len(alone):]):
-        # a member sample above the clamp reads inf, which a finite bound misses
-        if not np.sum(image.array.real) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN):
-            bound = math.inf
-        # slack as in spaces.PRUNE_MARGIN's comment; NaN and inf bounds stay live
-        cap = (bound * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL) / min(
-            entries[i].norm_alpha for i in family)
-        if nonzero_kernel and not cap < floor:
-            members.extend(family)
-    measured.update(zip(members, weighted_sup_norms(images(members), pair.beta,
-                                                    ESTIMATION_GRID).tolist()))
-    order = sorted(measured)
-    best, best_label = _first_max([entries[i] for i in order], [measured[i] for i in order])
-    return LowerBoundReport(value=best, best_label=best_label)
+    return estimate_row(g.taylor(degree), operator, pair, battery)[0]
 
 
 def tg_upper_bound(g: SymbolSpec, pair: SpacePair, t0: float,
@@ -282,18 +237,79 @@ class ProbeTrace:
 
 def compactness_probe(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
                       n_max: int = 64, degree: int = DEFAULT_DEGREE) -> ProbeTrace:
-    """Drive the normalized monomials through the operator and fit the decay."""
-    if n_max < 16:
+    """The normalized-monomial probe: :func:`estimate_row` without a battery."""
+    return estimate_row(g.taylor(degree), operator, pair, n_max=n_max)[1]
+
+
+def estimate_row(g_series: TaylorSeries, operator: OperatorKind, pair: SpacePair,
+                 battery: Optional[TestBattery] = None, n_max: Optional[int] = None
+                 ) -> tuple[Optional[LowerBoundReport], Optional[ProbeTrace]]:
+    """The largest image-to-source ratio over ``battery`` and the probe trace
+    to ``n_max`` of ``Op`` with symbol ``g_series``, from one pass (module
+    docstring); either is None when its argument is.  The families not measured
+    have ratios below the best, so value and witness are the whole battery's."""
+    if battery is not None and battery.alpha != pair.alpha:
+        raise ValueError(f"the battery is built for alpha = {battery.alpha}, not {pair.alpha}")
+    if n_max is not None and n_max < 16:
         raise ValueError("n_max must be at least 16")
+    n_max = n_max or 0
+    probe = monomial_images(operator, g_series, n_max) if n_max else []
+    if battery is None:
+        return None, _trace(weighted_sup_norms(probe, pair.beta, ESTIMATION_GRID).tolist(),
+                            operator, pair)
+    entries, families = battery.entries, battery.families
+    dg = derivative(g_series)
+
+    def images(indices):
+        return [apply_operator(operator, g_series, entries[i].series, dg) for i in indices]
+    grouped = {i for family in families for i in family}
+    alone = [i for i in range(len(entries)) if i not in grouped]
+    # an entry z^n, n <= n_max, reads the probe's image norm, equal to its own
+    shared = {i: len(c) - 1 for i in alone if (c := entries[i].series.array)[-1] == 1
+              and not np.any(c[:-1]) and 1 <= len(c) - 1 <= n_max}
+    own = [i for i in alone if i not in shared]
+    abs_g = TaylorSeries(np.abs(g_series.array))
+    abs_dg = derivative(abs_g)
+    magnitude = [apply_operator(operator, abs_g, TaylorSeries(np.max(
+        [np.abs(entries[i].series.array) for i in family], axis=0)), abs_dg) for family in families]
+    nums = weighted_sup_norms(probe + images(own) + magnitude, pair.beta,
+                              ESTIMATION_GRID).tolist()
+    probe_nums, nums = nums[:n_max], nums[n_max:]
+    measured = dict(zip(own, nums))
+    measured.update((i, probe_nums[n - 1]) for i, n in shared.items())
+    floor = _first_max([entries[i] for i in alone], [measured[i] for i in alone])[0]
+    # a zero kernel (g' of T_g, g of S_g) makes every image exactly zero
+    nonzero_kernel = np.any((dg if operator is OperatorKind.Tg else g_series).array)
+    members = []
+    for family, image, bound in zip(families, magnitude, nums[len(own):]):
+        # a member sample above the clamp reads inf, which a finite bound misses
+        if not np.sum(image.array.real) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN):
+            bound = math.inf
+        # slack as in spaces.PRUNE_MARGIN's comment; NaN and inf bounds stay live
+        cap = (bound * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL) / min(
+            entries[i].norm_alpha for i in family)
+        if nonzero_kernel and not cap < floor:
+            members.extend(family)
+    measured.update(zip(members, weighted_sup_norms(images(members), pair.beta,
+                                                    ESTIMATION_GRID).tolist()))
+    order = sorted(measured)
+    best, best_label = _first_max([entries[i] for i in order], [measured[i] for i in order])
+    return (LowerBoundReport(value=best, best_label=best_label),
+            _trace(probe_nums, operator, pair) if n_max else None)
+
+
+def _trace(nums, operator: OperatorKind, pair: SpacePair) -> ProbeTrace:
+    """The trace of the image norms ``||Op z^n||``, ``n = 1..len(nums)``."""
+    n_max = len(nums)
     ns = list(range(1, n_max + 1))
-    images = monomial_images(operator, g.taylor(degree), n_max)
-    nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID).tolist()
     values = [num / monomial_norm(n, pair.alpha) for n, num in zip(ns, nums)]
     half = np.array(values[n_max // 2 - 1:])
-    idx = np.array(ns[n_max // 2 - 1:], dtype=float)
     if np.all(half <= 1e-300):
         exponent = 0.0
     else:
-        exponent = float(np.polyfit(np.log(idx), np.log(np.maximum(half, 1e-300)), 1)[0])
+        # least squares of log value on log n in closed form, with no BLAS call
+        x, y = np.log(np.arange(n_max // 2, n_max + 1.0)), np.log(np.maximum(half, 1e-300))
+        dx = x - np.mean(x)
+        exponent = float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
     return ProbeTrace(indices=tuple(ns), values=tuple(values), decay_exponent=exponent,
                       operator=operator, alpha=pair.alpha, beta=pair.beta)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .criteria import CriterionReport, LadderConfig, VerdictTag, classify
-from .estimation import (build_battery, compactness_probe, lower_bound_details,
-                         tg_min_upper_bound)
+# compactness_probe and lower_bound_details are bound only for perfbench's tracer
+from .estimation import (build_battery, compactness_probe, estimate_row,  # noqa: F401
+                         lower_bound_details, tg_min_upper_bound)
 from .errors import HypothesisError
 from .operators import OperatorKind
 from .spaces import SpacePair
@@ -66,14 +67,14 @@ def _row_result(row: GroundTruthRow, cfg: ReportConfig, battery) -> dict:
     ladder_cfg = cfg.ladder()
     rep: CriterionReport = classify(symbol, row.operator, pair, ladder_cfg)
 
-    lower = lower_bound_details(symbol, row.operator, pair, battery, cfg.degree)
+    lower, probe = estimate_row(symbol.taylor(cfg.degree), row.operator, pair, battery,
+                                cfg.probe_n_max)
     upper = None
     if row.operator is OperatorKind.Tg:
         try:
             upper = tg_min_upper_bound(symbol, pair, ladder_cfg, rep.tg_engine)[0]
         except HypothesisError:
             upper = None
-    probe = compactness_probe(symbol, row.operator, pair, cfg.probe_n_max, cfg.degree)
 
     b, c = rep.boundedness, rep.compactness
     inconclusive = not (b.decided and c.decided)

@@ -3,14 +3,14 @@
 The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
 :func:`radial_weight` everywhere in the package.  Maxima in this problem family
 concentrate at the boundary, so the radial grid is geometrically graded toward
-``|z| = 1``.  A supremum along a fixed ray (the classifier's interior sweep
-and the ``norm`` command on a symbol's peak ray, the battery's source norms) is
-:func:`ray_max` of profiles ``(r, s) -> |h|``, such as a symbol's moduli on its
-peak ray: a sample on the radii of ``DEFAULT_GRID``, then a few vectorised zoom
-passes around each profile's best sample, which can only increase it.  A supremum over the disk is a sweep of a polar grid
-(:func:`weighted_sup_details`), with no refinement.  A function is a truncated
-Taylor series or a vectorised closed form ``z -> f(z)``, evaluated pointwise.
-All sweeps are pure and deterministic.
+``|z| = 1``.  A supremum along a fixed ray (the classifier's interior sweep and
+the ``norm`` command on a symbol's peak ray) is :func:`ray_max` of profiles
+``(r, s) -> |h|``, such as a symbol's moduli on its peak ray: a sample on the
+radii of ``DEFAULT_GRID``, then a few vectorised zoom passes around each
+profile's best sample, which can only increase it.  A supremum over the disk is
+a sweep of a polar grid (:func:`weighted_sup_details`), with no refinement.  A
+function is a truncated Taylor series or a vectorised closed form
+``z -> f(z)``, evaluated pointwise.  All sweeps are pure and deterministic.
 
 On every circle ``|f| <= sum |c_m| r^m``, the ring majorant.  The majorants of
 a stack of series come from one pass over all of them, with one matrix-vector
@@ -58,7 +58,7 @@ RING_GROUP = 4 * 82
 # that is about 570u, or 1e-13.  1e-9 keeps the bound for D up to about
 # 9e6 coefficients (the largest report images have about 8,200) and still
 # prunes the same rings.
-# estimation.lower_bound_details prunes battery families with the same slack.
+# estimation.estimate_row prunes battery families with the same slack.
 # There a member's image coefficient, a D-term convolution of complex
 # coefficients, exceeds in modulus its magnitude image's coefficient, the same
 # convolution of their moduli, by at most about 2 gamma_D (gamma_D = D u /

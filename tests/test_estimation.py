@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from volterra import estimation
 from volterra.errors import HypothesisError
 from volterra.estimation import (ESTIMATION_GRID, MONOMIAL_POWERS, THETA_FAMILY_COUNT,
-                                 BatteryEntry, _radial_max, build_battery, compactness_probe,
+                                 BatteryEntry, build_battery, compactness_probe, estimate_row,
                                  lower_bound_details, monomial_norm, tg_min_upper_bound,
                                  tg_upper_bound)
 from volterra.operators import OperatorKind, apply_operator
-from volterra.series import TaylorSeries, derivative, evaluate_polynomial
+from volterra.series import TaylorSeries, derivative
 from volterra.spaces import SpacePair, weighted_sup_norm, weighted_sup_norms
 from volterra.symbols import (DEFAULT_DEGREE, SymbolSpec, get_symbol, ground_truth_table,
                               registry, symbol_names)
@@ -29,6 +29,20 @@ def test_monomial_norm_against_dense_scan():
         assert monomial_norm(n, alpha) == pytest.approx(scan, rel=1e-8)
     assert monomial_norm(7, 0.0) == 1.0
     assert monomial_norm(0, 3.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
+def test_monomial_norm_never_reads_low(alpha):
+    """Against the closed form at 50 digits for every n <= 1024: never below
+    it, and above it by at most its stated rounding bound and the round-up,
+    (6 alpha + 5)u + (6 alpha + 11)u < (12 alpha + 16) ulps."""
+    import mpmath
+    a = mpmath.mpf(alpha)
+    for n in range(1, 1025):
+        with mpmath.workdps(50):
+            want = (n / (n + 2 * a)) ** (mpmath.mpf(n) / 2) * (2 * a / (n + 2 * a)) ** a
+            ulps = float((mpmath.mpf(monomial_norm(n, alpha)) - want) / math.ulp(float(want)))
+        assert 0.0 <= ulps <= 12.0 * alpha + 16.0, (n, ulps)
 
 
 def test_battery_structure():
@@ -60,107 +74,10 @@ def test_battery_families_are_the_rotations_of_one_base(alpha):
                                rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
-def test_batched_radial_max_equals_each_row_alone(alpha):
-    rng = np.random.default_rng(5)
-    rows = rng.random((9, 65)) * 0.9 ** np.arange(65)
-    rows[0] = 0.0
-    batch = _radial_max(rows, alpha)
-    assert batch.shape == (9,)
-    for row, value in zip(rows, batch):
-        assert _radial_max(row[None, :], alpha)[0] == value
-
-
-def _golden_max(fn, lo, hi, iters):
-    """Golden-section maximisation on a batch of brackets ``[lo[i], hi[i]]``:
-    the best point and value evaluated in each, for ``fn`` mapping one point
-    per bracket to its value."""
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_t, best_v = np.where(fc >= fd, c, d), np.maximum(fc, fd)
-    for _ in range(iters):
-        # keep [a, d] when f(c) >= f(d), else [c, b]; one new probe per step
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - inv * (b - a), a + inv * (b - a))
-        fp = fn(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-        best_t = np.where(fp > best_v, probe, best_t)
-        best_v = np.maximum(best_v, fp)
-    return best_t, best_v
-
-
-def _radial_max_reference(mag_rows, alpha):
-    """``_radial_max`` as it was written with its own mesh: 241 radii
-    ``1 - 2^(-k/8)`` (and ``r = 1`` at alpha = 0), a matrix-vector product per
-    row, then 60 golden-section steps."""
-    from volterra.series import evaluate_polynomial
-    s = 2.0 ** (-np.arange(0, 241) / 8.0)
-    r = 1.0 - s
-    if alpha == 0.0:
-        r, s = np.append(r, 1.0), np.append(s, 0.0)
-    w = (s * (2.0 - s)) ** alpha if alpha else np.ones_like(s)
-    powers = np.vander(r, mag_rows.shape[1], increasing=True)
-    prof = w[:, None] * np.column_stack([powers @ row for row in mag_rows])
-    i = np.argmax(prof, axis=0)
-
-    def f(x):
-        sx = 1.0 - x
-        wx = (sx * (2.0 - sx)) ** alpha if alpha else 1.0
-        return wx * evaluate_polynomial(mag_rows.T, x).real
-    _, peak = _golden_max(f, r[np.maximum(i - 1, 0)], r[np.minimum(i + 1, len(r) - 1)], 60)
-    return np.maximum(np.max(prof, axis=0), peak)
-
-
-@pytest.mark.parametrize("alpha", sorted({r.alpha for r in ground_truth_table() if r.alpha > 0}
-                                         | {0.5, 1.0, 2.0}))
-def test_radial_max_agrees_with_its_own_mesh_reference(monkeypatch, alpha):
-    """The rows the default battery measures, within 2e-15 relative of the
-    former dedicated mesh."""
-    from volterra import estimation
-    rows = []
-
-    def spy(mag_rows, a):
-        rows.append(mag_rows)
-        return _radial_max(mag_rows, a)
-    monkeypatch.setattr(estimation, "_radial_max", spy)
-    build_battery(alpha)
-    (mag_rows,) = rows
-    got, want = _radial_max(mag_rows, alpha), _radial_max_reference(mag_rows, alpha)
-    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
-
-
-def test_radial_max_evaluates_once_per_pass(monkeypatch):
-    # the grid, then one Horner evaluation over all rows per zoom pass
-    from volterra import estimation, spaces
-    calls = []
-
-    def spy(coeffs, z):
-        calls.append(np.shape(z))
-        return evaluate_polynomial(coeffs, z)
-    monkeypatch.setattr(estimation, "evaluate_polynomial", spy)
-    build_battery(1.0)
-    assert len(calls) == 1 + spaces.ZOOM_PASSES == 7
-    # the 8 rotational and 6 peak-kernel rows in every pass
-    assert calls[1:] == [(spaces.ZOOM_POINTS, 14)] * spaces.ZOOM_PASSES
-
-
 @pytest.mark.parametrize("degree", [8, 9, 16, 64, 256, 1000])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
-def test_rotational_family_equals_the_per_coefficient_loop(monkeypatch, alpha, degree):
-    """The rotational entries and the magnitude rows their source norms are
-    read from, uint64-equal to the loop ``c_m w^m`` and ``abs`` per entry."""
-    import math
-    from volterra import estimation
-    rows = []
-
-    def spy(mag_rows, a):
-        rows.append(mag_rows)
-        return _radial_max(mag_rows, a)
-    monkeypatch.setattr(estimation, "_radial_max", spy)
+def test_rotational_family_equals_the_per_coefficient_loop(alpha, degree):
+    """The rotational entries, uint64-equal to the loop ``c_m w^m`` per entry."""
     battery = build_battery(alpha, degree)
     c = estimation._binom_series(alpha, degree // 2)
     want = []
@@ -173,8 +90,19 @@ def test_rotational_family_equals_the_per_coefficient_loop(monkeypatch, alpha, d
         want.append(cs)
     got = [e.series.array for e in battery.entries if e.label.startswith("rotational:")]
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
-    mags = np.array([[abs(v) for v in cs] for cs in want])
-    assert np.array_equal(rows[0][:len(want)].view(np.uint64), mags.view(np.uint64))
+
+
+@pytest.mark.parametrize("degree", [8, 64, 256, 4096])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
+def test_family_members_have_source_norm_at_most_one(alpha, degree):
+    """Schwarz-Pick: every rotational and peak member's weighted norm is at
+    most the source norm 1 that the battery gives it, up to rounding."""
+    battery = build_battery(alpha, degree)
+    members = [battery.entries[i] for family in battery.families for i in family]
+    assert len(members) == THETA_FAMILY_COUNT + 24
+    assert all(e.norm_alpha == 1.0 for e in members)
+    norms = weighted_sup_norms([e.series for e in members], alpha, ESTIMATION_GRID)
+    assert np.all(norms <= 1.0 + 1e-12), float(np.max(norms))
 
 
 def test_battery_entry_validation():
@@ -284,6 +212,48 @@ def test_pruned_lower_bound_is_the_whole_battery_max(g, op, alpha, beta, degree)
     battery, pair = _battery(alpha, degree), SpacePair(alpha, beta)
     _assert_lower_bound_is_their_max(lower_bound_details(g, op, pair, battery, degree),
                                      _battery_ratios(g, op, pair, battery, degree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_USER_SYMBOLS, _ROTATED_SYMBOLS), st.sampled_from([T, S]),
+       st.sampled_from([0.0, 0.25, 1.0, 3.7]), st.floats(0.0, 3.0), st.sampled_from([8, 64]),
+       st.sampled_from([16, 64]))
+def test_one_pass_equals_the_separate_estimates(g, op, alpha, beta, degree, n_max):
+    """The row's shared pass, whose monomial entries read the probe's image
+    norms, gives the lower bound and the probe trace of the public functions
+    called alone, bit for bit."""
+    battery, pair = _battery(alpha, degree), SpacePair(alpha, beta)
+    lower, trace = estimate_row(g.taylor(degree), op, pair, battery, n_max)
+    alone = lower_bound_details(g, op, pair, battery, degree)
+    assert (lower.value.hex(), lower.best_label) == (alone.value.hex(), alone.best_label)
+    want = compactness_probe(g, op, pair, n_max, degree)
+    assert trace == want
+    assert np.array_equal(np.array(trace.values).view(np.uint64),
+                          np.array(want.values).view(np.uint64))
+    assert trace.decay_exponent.hex() == want.decay_exponent.hex()
+
+
+def test_a_report_builds_each_row_series_and_image_once(monkeypatch):
+    """A default serial report builds one Taylor series per row, and applies
+    the operator only to const, the families' magnitude images and the members
+    of the families that can win: the monomial entries are the probe's."""
+    from volterra.report import ReportConfig, build_report
+    counts = {"apply_operator": 0, "taylor": 0}
+
+    def apply_spy(*args):
+        counts["apply_operator"] += 1
+        return apply_operator(*args)
+    taylor = SymbolSpec.taylor
+
+    def taylor_spy(self, *args):
+        counts["taylor"] += 1
+        return taylor(self, *args)
+    monkeypatch.setenv("VOLTERRA_WORKERS", "1")
+    monkeypatch.setattr(estimation, "apply_operator", apply_spy)
+    monkeypatch.setattr(SymbolSpec, "taylor", taylor_spy)
+    doc = build_report(ReportConfig())
+    assert len(doc["rows"]) == 14
+    assert counts == {"apply_operator": 114, "taylor": 14}
 
 
 def _lower_bound_and_built(monkeypatch, name, op, alpha, beta):

@@ -560,14 +560,14 @@ def test_ray_max_matches_an_mpmath_oracle_on_peak_rays(name):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.7])
 def test_ray_max_matches_the_monomial_norm_at_50_digits(alpha):
-    # the battery's r^n, against monomial_norm's closed form evaluated in
-    # mpmath (in floats, its power of n/(n+2 alpha) is itself off by up to
-    # 24 ulps at n = 64)
+    # the battery's r^n, against the closed form of monomial_norm evaluated
+    # in mpmath: max_r r^n (1 - r^2)^alpha at r^2 = n/(n + 2 alpha)
     import mpmath
-    from volterra.estimation import MONOMIAL_POWERS, monomial_norm
+    from volterra.estimation import MONOMIAL_POWERS
     for n in MONOMIAL_POWERS:
         with mpmath.workdps(50):
-            want = float(monomial_norm(mpmath.mpf(n), mpmath.mpf(alpha)))
+            a = mpmath.mpf(alpha)
+            want = float((n / (n + 2 * a)) ** (mpmath.mpf(n) / 2) * (2 * a / (n + 2 * a)) ** a)
         got = spaces.ray_max(lambda r, s: r ** n, alpha)[0]
         assert _within_ray_slack(got, want, alpha), (n, got, want)
 
