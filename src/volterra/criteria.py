@@ -1,39 +1,30 @@
 """Boundedness and compactness criteria for the two operators.
 
-Everything here reduces to radial ladders and weighted boundary profiles.
-For a weight pair (alpha, beta) the boundedness ladder is
+Everything here reduces to rung sequences: radial ladders and weighted
+boundary profiles.  For a weight pair (alpha, beta) the boundedness ladder is
 
     L(t_k) = (1 - t_k^2)^beta * sup_theta  int_0^{t_k} |g'(r e^{i theta})| / (1-r^2)^alpha dr
 
-evaluated on the geometric schedule ``t_k = 1 - 2^{-k}``.  On that schedule a
-logarithmic divergence of the integral turns into linear growth of L against k
-and a power divergence into exponential growth, so the finite/infinite decision
-is made by regressing ``log L`` against ``k`` over the last reliable rungs
-(the slope rule).  Compactness replaces the integral by its tail between two
-schedule points, and the pointwise criteria replace it by a weighted modulus of
-g or g' on boundary rungs.  Every radial integral runs on one adaptive mesh
-whose cells are aligned with the rung schedule (:func:`_integrate_cells`), so
-every prefix integral is a partial sum.  Moduli come from the symbol's own
-:meth:`~volterra.symbols.SymbolSpec.abs_deriv` and ``abs_eval``, and every
-weight ``(1-r^2)^e`` from :func:`~volterra.spaces.radial_weight`.
-
-Every criterion is an angular sup.  Every symbol declares a peak
-(:attr:`~volterra.symbols.SymbolSpec.peak`): ``|g|`` and ``|g'|`` are largest
-on one ray at every radius, so each sup is read on that ray alone, by the
-ladder integrals, the boundary profile and the interior sweep along it (the
-package's one ray maximiser, :func:`~volterra.spaces.ray_max`), from the
-symbol's moduli ``(r, s) -> |h|`` on that ray; no criterion takes an angle.  A
-symbol whose peak is None is refused with a HypothesisError.
-
-A decision is never forced: when the slope lands between the thresholds the
-verdict is Inconclusive with the slope recorded, since no numerical scheme can
-tell a finite limsup from sufficiently slow divergence.
+on the geometric schedule ``t_k = 1 - 2^{-k}``, where a power-type boundary
+behaviour becomes a geometric sequence.  One rule (:func:`_rung_limit`) reads
+every sequence's limit from the exponents of the sequence and of its
+increments.  Boundedness is "not infinite"; the T_g tail is the ladder's own
+limit, and the pointwise criteria are compact iff the weighted modulus of g or
+g' vanishes.  Every radial integral runs on one adaptive mesh aligned with the
+rungs (:func:`_integrate_cells`), so every prefix integral is a partial sum.
+Every criterion is an angular sup, read on the symbol's peak ray
+(:attr:`~volterra.symbols.SymbolSpec.peak`, where ``|g|`` and ``|g'|`` are
+largest at every radius; a symbol without one is refused with a
+HypothesisError) from its moduli ``abs_deriv`` and ``abs_eval``, with every
+weight from :func:`~volterra.spaces.radial_weight`.  A decision is never
+forced: no numerical scheme tells a finite limit from slow enough divergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -73,19 +64,11 @@ class Verdict:
         return self.tag is not VerdictTag.INCONCLUSIVE
 
 
-# the slope rule: regression window (rungs), log-slope thresholds, the relative
-# rung change of a plateau and the value that reads divergent outright
-WINDOW = 8
-SLOPE_UP = 0.02
-SLOPE_DOWN = -0.02
-FLAT_TOL = 1e-3
-DIVERGENCE_THRESHOLD = 1e8
-# the tail and vanishing-limit rules: inner rungs of the tail rule, the trail
-# of the trend rule, and the Compact / NotCompact thresholds
-TAIL_WINDOW = 5
-TREND_WINDOW = 5
-COMPACT_TOL = 1e-3
-NOT_COMPACT_FACTOR = 10.0
+# the rung-exponent rule (:func:`_rung_limit`): the rungs it reads, and the
+# rounding of a rung value beyond its quadrature error, relative to it (4 ulps:
+# two consecutive prefix sums differ by their cell's row to within an ulp)
+READ_RUNGS = 8
+ROUNDING = 2.0 ** -50
 # the cell integrator: Gauss-Legendre nodes per panel, the weight exponent
 # from which nodes are placed in -log(1 - r), the change (relative to the
 # total over all cells) that doubles a cell's panels, and the panel cap
@@ -248,17 +231,21 @@ class _LadderEngine:
         self.reliable = np.concatenate([[True], np.cumprod(ok).astype(bool)])
         # the integrals up to each rung k = 0..k_max, rung 0 the empty sum
         self.prefix = np.concatenate([[0.0], np.cumsum(mesh.rows)])
+        # each prefix's quadrature error: the sum of its cells' errs
+        self.prefix_errs = np.concatenate([[0.0], np.cumsum(mesh.errs)])
         sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
         self.rung_weight = radial_weight(sk, beta)
         with np.errstate(over="ignore", invalid="ignore"):
             self.values = self.rung_weight * self.prefix
 
-    # -- derived quantities -----------------------------------------------
-
-    def tail_sup(self, ms, ks) -> np.ndarray:
-        """The weighted tail integral between rungs m < k, as a
-        ``(len(ms), len(ks))`` array over outer rungs ``ms`` and inner rungs ``ks``."""
-        return self.rung_weight[ks] * (self.prefix[ks][None, :] - self.prefix[ms][:, None])
+    @cached_property
+    def limit(self) -> "Limit":
+        """The rung-exponent rule's reading of the ladder on its reliable rungs,
+        taken once and shared by the boundedness and the tail claims."""
+        ks = self.cfg.rung_ks()
+        ks = ks[self.reliable[ks]]
+        return _rung_limit(ks, self.values[ks], self.rung_weight[ks] * self.prefix_errs[ks],
+                           self.clamped)
 
     def split_bound(self, k0: int) -> float:
         """Upper bound M + N from splitting the radius range at rung k0.
@@ -285,102 +272,114 @@ def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
 
 
 # ---------------------------------------------------------------------------
-# slope rule and tail rule
+# the rung-exponent rule
 # ---------------------------------------------------------------------------
 
-def _slope_classify(ks, values, reliable, criterion: str):
-    """Finite/infinite classification of a rung sequence.
+class Limit(NamedTuple):
+    """``kind`` zero, vanishing, finite, infinite or undecided; ``value`` the limit or None."""
+    kind: str
+    value: Optional[float]
+    diagnostics: dict
 
-    Returns a Verdict tagged Bounded/Unbounded/Inconclusive.  A plateau of the
-    values (relative change below ``FLAT_TOL``) or steady decay reads Bounded;
-    log-slope above ``SLOPE_UP`` or any value over the divergence threshold
-    reads Unbounded; anything else is left open.
-    """
-    ks = np.asarray(ks, dtype=float)
+
+def _exponent(x, err, k0: int):
+    """``(e, m)``: the exponent of the window ``x`` (first value at rung ``k0``;
+    values sunk into noise end it, and a window all noise has vanished:
+    ``(inf, 0)``) and its margin, or None when the signs differ or only one or
+    two values stand above noise.  ``e`` and ``e1`` are the means of
+    ``log2(x_k / x_{k+1})`` over the later and the earlier half, centred on
+    rungs ``m2 > m1``; ``m = 2 m1/(m2 - m1) |e1 - e|`` plus the error of ``e``,
+    at most ``-log2((1 - r_i)(1 - r_{i+h}))/h`` for values ``x (1 +- r)``."""
+    quiet = np.abs(x) <= 4.0 * err  # noise: sign and size say nothing
+    n = int(np.argmax(quiet)) if np.any(quiet) else len(x)
+    if n == 0:
+        return np.inf, 0.0
+    if n < 3 or not np.all(quiet[n:]) or not (np.all(x[:n] > 0) or np.all(x[:n] < 0)):
+        return None
+    r, h, i = err[:n] / np.abs(x[:n]), (n - 1) // 2, n - 1 - (n - 1) // 2
+    e1, e = float(np.log2(x[0] / x[h]) / h), float(np.log2(x[i] / x[n - 1]) / h)
+    error = float(-np.log2((1.0 - r[i]) * (1.0 - r[n - 1])) / h)
+    return e, 2.0 * (k0 + h / 2) / i * abs(e1 - e) + error
+
+
+def _rung_limit(ks, values, errors, clamped: bool = False) -> Limit:
+    """The limit of a rung sequence ``V_k`` on ``t_k = 1 - 2^-k`` (``ks``
+    consecutive) from its last ``READ_RUNGS`` values, each uncertain by its
+    quadrature error ``errors`` plus ``ROUNDING`` of itself.
+
+    Power-type boundary behaviour makes V geometric, so the rule reads the
+    exponent ``eps`` of V and ``delta`` of its increments dV, each against its
+    own margin m (:func:`_exponent`).  ``eps > m`` is vanishing, values all
+    noise zero.  ``eps < -m``, a clamped sample, or positive increments that
+    grow (``delta < -m``) or stay constant (log growth: their own increments
+    settle, with under half of them left to change) are infinite.  ``|eps| <= m``
+    with ``delta > m`` is finite, with limit ``V_K + dV_K rho/(1 - rho)``,
+    ``rho = 2^-delta``.  The rest is undecided.
+
+    The margin is a multiple of the window's drift plus the error: a log factor
+    makes exponents drift like ``c/k``, and ``int ds/(s log(e/s))`` diverges
+    while ``int ds/(s log^2(e/s))`` converges, yet both one's increments have
+    exponents drifting to 0 like ``c/k``; no finite window tells them apart.
+    Half-window means of a drift ``c/(k + a)`` are near ``c/(m1 + a)`` and
+    ``c/(m2 + a)``, the later ``(m1 + a)/(m2 - m1)`` times their difference, so
+    the multiple ``2 m1/(m2 - m1)`` holds every such drift with ``0 <= a <= m1``
+    inside the margin, while a power-type sequence's exponents settle like
+    ``2^-k``.  A geometric tail is extrapolated only past a window over which
+    it at least halves: a slower one lies mostly beyond, where a second power
+    may take over."""
     values = np.asarray(values, dtype=float)
-    rel = np.asarray(reliable, dtype=bool) & np.isfinite(values)
-    diag = {"criterion": criterion, "reliable_rungs": int(np.count_nonzero(rel))}
-    if np.count_nonzero(rel) < 3:
-        return Verdict(VerdictTag.INCONCLUSIVE, reason="fewer than 3 reliable rungs",
-                       evidence=(criterion,), diagnostics=diag)
-    kk, vv = ks[rel], values[rel]
-    vmax = float(np.max(vv))
-    if vmax > DIVERGENCE_THRESHOLD:
-        diag["max_value"] = vmax
-        return Verdict(VerdictTag.UNBOUNDED, evidence=(criterion, "divergence-threshold"),
-                       diagnostics=diag)
-    if vmax <= 1e-12:
-        return Verdict(VerdictTag.BOUNDED, value=vmax, evidence=(criterion, "identically-small"),
-                       diagnostics=diag)
-    w = min(WINDOW, len(vv))
-    kw, vw = kk[-w:], vv[-w:]
-    logs = np.log(np.maximum(vw, 1e-300))
-    slope = float(np.polyfit(kw, logs, 1)[0])
-    prev = np.maximum(np.abs(vw[:-1]), 1e-300)
-    rel_change = float(np.max(np.abs(np.diff(vw)) / prev))
-    diag.update(slope=slope, rel_change=rel_change, max_value=vmax)
-    if rel_change < FLAT_TOL:
-        return Verdict(VerdictTag.BOUNDED, value=vmax, evidence=(criterion, "slope-rule"),
-                       diagnostics=diag)
-    if w < WINDOW:
-        # a slope measured on a short window cannot tell transient growth of a
-        # converging ladder from real divergence; refuse rather than guess
-        return Verdict(VerdictTag.INCONCLUSIVE,
-                       reason=f"only {w} reliable rungs, the slope rule needs {WINDOW}",
-                       evidence=(criterion,), diagnostics=diag)
-    if slope > SLOPE_UP:
-        return Verdict(VerdictTag.UNBOUNDED, evidence=(criterion, "slope-rule"), diagnostics=diag)
-    if slope < SLOPE_DOWN:
-        # steady decay: the limsup is zero, the criterion constant is the rung max
-        return Verdict(VerdictTag.BOUNDED, value=vmax, evidence=(criterion, "decaying-ladder"),
-                       diagnostics=diag)
-    return Verdict(VerdictTag.INCONCLUSIVE,
-                   reason=f"slope {slope:.4f} between thresholds "
-                          f"({SLOPE_DOWN}, {SLOPE_UP}) with rung change {rel_change:.2e}",
-                   evidence=(criterion,), diagnostics=diag)
+    diag = {"reliable_rungs": len(values), "max_value": float(np.max(values, initial=0.0))}
+    err = np.broadcast_to(errors, values.shape) + ROUNDING * np.abs(values)
+    if clamped or len(values) and np.all(np.abs(values) <= 4.0 * err):
+        return Limit("infinite", None, diag) if clamped else Limit("zero", 0.0, diag)
+    if len(values) < READ_RUNGS:
+        return Limit("undecided", None, diag)
+    v, err, k0 = values[-READ_RUNGS:], err[-READ_RUNGS:], int(ks[-READ_RUNGS])
+    if (read := _exponent(v, err, k0)) is None:
+        return Limit("undecided", None, diag)
+    diag.update(exponent=read[0], margin=read[1])
+    if abs(read[0]) > read[1]:
+        return Limit("vanishing", 0.0, diag) if read[0] > 0 else Limit("infinite", None, diag)
+    dv, dv_err = np.diff(v), err[:-1] + err[1:]
+    if (read := _exponent(dv, dv_err, k0 + 1)) is None:
+        return Limit("undecided", None, diag)
+    delta, margin = read
+    diag.update(increment_exponent=delta, increment_margin=margin)
+    if delta > margin and delta * (READ_RUNGS - 2) >= 1.0:
+        diag["limit"] = limit = float(v[-1] + dv[-1] / (2.0 ** delta - 1.0))
+        return Limit("finite", limit, diag)
+    if delta <= margin and dv[-1] > 0:
+        d2, d2_err = np.diff(dv), dv_err[:-1] + dv_err[1:]
+        if delta < -margin or ((read := _exponent(d2, d2_err, k0 + 2)) and read[0] > read[1]
+                               and read[0] * (READ_RUNGS - 3) >= 1.0
+                               and abs(d2[-1] / (2.0 ** read[0] - 1.0)) < 0.5 * dv[-1]):
+            return Limit("infinite", None, diag)
+    return Limit("undecided", None, diag)
 
 
-def _tail_classify(engine: _LadderEngine, criterion: str) -> Verdict:
-    """Double-limit tail rule: inner limsup over t1 per fixed t2, outer limit over t2."""
-    cfg = engine.cfg
-    ks = np.arange(1, cfg.k_max + 1)
-    rel_ks = [int(k) for k in ks if engine.reliable[k]]
-    if len(rel_ks) < TAIL_WINDOW + 3:
-        return Verdict(VerdictTag.INCONCLUSIVE, reason="too few reliable rungs for the tail rule",
-                       evidence=(criterion,))
-    inner_ks = rel_ks[-TAIL_WINDOW:]
-    outer_ms = [m for m in rel_ks if K_MIN <= m < inner_ks[0]]
-    if len(outer_ms) < 3:
-        return Verdict(VerdictTag.INCONCLUSIVE, reason="tail window leaves no outer rungs",
-                       evidence=(criterion,))
-    # every inner rung lies beyond every outer one
-    outer = np.max(engine.tail_sup(outer_ms, inner_ks), axis=1)
-    diag = {"criterion": criterion, "outer_first": float(outer[0]), "outer_last": float(outer[-1])}
-    return _trend_classify(outer, criterion, diag, "tail limit estimate", "tail_limit")
+_EVIDENCE = {"zero": "identically-zero", "vanishing": "vanishing-limit",
+             "finite": "finite-limit", "infinite": "infinite-limit"}
 
 
-def _trend_classify(seq, criterion: str, diag: dict, what: str,
-                    limit_key: Optional[str] = None) -> Verdict:
-    """Vanishing-limit rule on the last ``TREND_WINDOW`` values of ``seq``: Compact
-    below ``COMPACT_TOL`` on a nonincreasing trail, NotCompact on a plateau or a
-    rise above ``NOT_COMPACT_FACTOR * COMPACT_TOL``."""
-    tw = min(TREND_WINDOW, len(seq))
-    trail = seq[-tw:]
-    last = float(trail[-1])
-    if limit_key is not None:
-        diag[limit_key] = last
-    nonincreasing = bool(np.all(np.diff(trail) <= 1e-12 + 1e-9 * np.abs(trail[:-1])))
-    if last < COMPACT_TOL and nonincreasing:
-        tag = VerdictTag.COMPACT
-    else:
-        plateau = bool(np.max(np.abs(np.diff(trail))) <= 0.25 * max(abs(last), 1e-300))
-        if not (last > NOT_COMPACT_FACTOR * COMPACT_TOL
-                and (plateau or trail[-1] >= trail[0])):
-            return Verdict(VerdictTag.INCONCLUSIVE,
-                           reason=f"{what} {last:.3e} between thresholds",
-                           evidence=(criterion,), diagnostics=diag)
-        tag = VerdictTag.NOT_COMPACT
-    return Verdict(tag, value=last, evidence=(criterion,), diagnostics=diag)
+def _verdict(limit: Limit, criterion: str, compact: Optional[tuple] = None) -> Verdict:
+    """A reading's boundedness claim, or its compactness claim when ``compact``
+    names the kinds that read Compact.  Boundedness fails only for an infinite
+    sequence and takes the larger of the largest rung value and a finite limit;
+    compactness takes the limit of what must vanish."""
+    diag = {"criterion": criterion, **limit.diagnostics}
+    if limit.kind == "undecided":
+        measured = ", ".join(f"{k} {v:.3g}" for k, v in limit.diagnostics.items())
+        return Verdict(VerdictTag.INCONCLUSIVE, evidence=(criterion,), diagnostics=diag,
+                       reason=f"the rung-exponent rule reads no limit ({measured})")
+    if compact is not None:
+        tag = VerdictTag.COMPACT if limit.kind in compact else VerdictTag.NOT_COMPACT
+        return Verdict(tag, 0.0 if limit.kind in compact else limit.value, (criterion,),
+                       diagnostics=diag)
+    evidence = (criterion, _EVIDENCE[limit.kind])
+    if limit.kind == "infinite":
+        return Verdict(VerdictTag.UNBOUNDED, evidence=evidence, diagnostics=diag)
+    return Verdict(VerdictTag.BOUNDED, max(diag["max_value"], limit.value), evidence,
+                   diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +398,7 @@ def tg_boundedness(g: SymbolSpec, pair: SpacePair,
     """Boundedness ladder for the operator ``f -> int f g'``."""
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "deriv", pair.alpha, pair.beta, cfg)
-    ks = cfg.rung_ks()
-    verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], "tg-radial-ladder")
-    return LadderOutcome(verdict, engine)
+    return LadderOutcome(_verdict(engine.limit, "tg-radial-ladder"), engine)
 
 
 def sg_boundedness(g: SymbolSpec, pair: SpacePair,
@@ -413,18 +410,21 @@ def sg_boundedness(g: SymbolSpec, pair: SpacePair,
                               "use the forwarded criterion at alpha = beta = 0")
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "eval", pair.alpha + 1.0, pair.beta, cfg)
-    ks = cfg.rung_ks()
-    verdict = _slope_classify(ks, engine.values[ks], engine.reliable[ks], "sg-radial-ladder")
-    return LadderOutcome(verdict, engine)
+    return LadderOutcome(_verdict(engine.limit, "sg-radial-ladder"), engine)
 
 
 def tg_tail_compactness(g: SymbolSpec, pair: SpacePair,
                         cfg: Optional[LadderConfig] = None,
                         engine: Optional[_LadderEngine] = None) -> Verdict:
-    """Tail-ladder compactness rule for ``f -> int f g'``."""
+    """Tail-ladder compactness rule for ``f -> int f g'``, read from the
+    ladder's own limit.  At beta = 0 the weight is 1 and the tail ``int_m^1``
+    tends to 0 iff the integral converges: compact iff the ladder is finite.
+    At beta > 0 the tail at ``R -> 1`` is ``lim V - lim w_R prefix_m = lim V``
+    for every m, since ``w_R -> 0``: compact iff the ladder vanishes."""
     cfg = cfg or DEFAULT_LADDER
     engine = engine or _ladder_engine(g, "deriv", pair.alpha, pair.beta, cfg)
-    return _tail_classify(engine, "tg-tail-ladder")
+    return _verdict(engine.limit, "tg-tail-ladder",
+                    ("zero", "vanishing", "finite") if pair.beta == 0 else ("zero", "vanishing"))
 
 
 # ---------------------------------------------------------------------------
@@ -438,28 +438,35 @@ def _pointwise_form(g: SymbolSpec, operator: OperatorKind, pair: SpacePair):
     return g.abs_eval, pair.beta - pair.alpha
 
 
-def _pointwise_profile(absmat: Callable, exponent: float, cfg: LadderConfig):
+class _Profile(tuple):
+    """``(ks, values)`` of a boundary profile; ``limit`` is read once, when it is built."""
+    limit: Limit
+
+
+def _pointwise_profile(absmat: Callable, exponent: float, cfg: LadderConfig) -> _Profile:
     """Weighted boundary profile ``(s(2-s))^exponent |h|`` at the rungs
     ``t_k = 1 - 2^-k`` of a peak-ray modulus ``absmat``, all rungs in one call."""
     ks = cfg.rung_ks()
     s = 2.0 ** -ks.astype(float)
     vals = absmat(1.0 - s, s)
-    # clamped samples read as "as large as representable": they can only push
-    # the profile over the divergence threshold, never hide growth
-    vals = np.where(~np.isfinite(vals) | (vals > OVERFLOW_CLAMP), OVERFLOW_CLAMP, vals)
+    # a clamped sample reads the profile infinite
+    bad = ~np.isfinite(vals) | (vals > OVERFLOW_CLAMP)
+    vals = np.where(bad, OVERFLOW_CLAMP, vals)
     with np.errstate(over="ignore"):
-        return ks, radial_weight(s, exponent) * vals
+        profile = _Profile((ks, radial_weight(s, exponent) * vals))
+    profile.limit = _rung_limit(ks, profile[1], 0.0, bool(np.any(bad)))
+    return profile
 
 
 def profile_sup(absmat: Callable, exponent: float):
     """The weighted boundary profile's reading of ``sup (1-r^2)^exponent |h|``
     for the peak-ray modulus ``absmat``, and the rung radius of its largest
-    value: inf when the slope rule reads the profile divergent, else that value."""
-    ks, profile = _pointwise_profile(absmat, exponent, DEFAULT_LADDER)
-    verdict = _slope_classify(ks, profile, np.ones(len(ks), dtype=bool), "boundary-profile")
-    k = int(np.argmax(profile))
-    top = np.inf if verdict.tag is VerdictTag.UNBOUNDED else float(profile[k])
-    return top, 1.0 - 2.0 ** -float(ks[k])
+    value: inf when the profile reads infinite, else the larger of that value
+    and a finite limit."""
+    ks, values = profile = _pointwise_profile(absmat, exponent, DEFAULT_LADDER)
+    v = _verdict(profile.limit, "boundary-profile")
+    top = np.inf if v.tag is VerdictTag.UNBOUNDED else v.value if v.decided else np.max(values)
+    return float(top), 1.0 - 2.0 ** -float(ks[int(np.argmax(values))])
 
 
 def _pointwise_value(absmat: Callable, exponent: float, profile_max: float) -> float:
@@ -477,17 +484,11 @@ def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
     if pair.beta <= 0:
         kind = "derivative" if operator is OperatorKind.Tg else "symbol"
         raise HypothesisError(f"the pointwise {kind} criterion applies only for beta > 0")
-    cfg = cfg or DEFAULT_LADDER
     absmat, exponent = _pointwise_form(g, operator, pair)
-    if profile is None:
-        profile = _pointwise_profile(absmat, exponent, cfg)
-    ks, values = profile
-    criterion = f"{operator.value.lower()}-pointwise-sup"
-    verdict = _slope_classify(ks, values, np.ones(len(ks), dtype=bool), criterion)
+    profile = profile or _pointwise_profile(absmat, exponent, cfg or DEFAULT_LADDER)
+    verdict = _verdict(profile.limit, f"{operator.value.lower()}-pointwise-sup")
     if verdict.tag is VerdictTag.BOUNDED:
-        value = _pointwise_value(absmat, exponent, float(np.max(values)))
-        verdict = Verdict(VerdictTag.BOUNDED, value=value, evidence=verdict.evidence,
-                          diagnostics=verdict.diagnostics)
+        verdict = replace(verdict, value=_pointwise_value(absmat, exponent, verdict.value))
     return verdict
 
 
@@ -507,31 +508,25 @@ def sg_pointwise(g: SymbolSpec, pair: SpacePair,
 
 def pointwise_compactness(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
                           cfg: Optional[LadderConfig] = None, profile=None) -> Verdict:
-    """Vanishing weighted modulus at the boundary (beta > 0): outer-rung maxima
-    must fall below tolerance with a decreasing trend; ``profile`` is as in
-    :func:`tg_pointwise`."""
+    """Vanishing weighted modulus at the boundary (beta > 0): compact iff the
+    boundary profile vanishes; ``profile`` is as in :func:`tg_pointwise`."""
     if pair.beta <= 0:
         if operator is OperatorKind.Sg:
             raise HypothesisError("for an unweighted target use the zero-symbol rule")
         raise HypothesisError("the pointwise compactness criterion applies only for beta > 0")
-    cfg = cfg or DEFAULT_LADDER
-    if profile is None:
-        profile = _pointwise_profile(*_pointwise_form(g, operator, pair), cfg)
-    _, values = profile
-    criterion = f"{operator.value.lower()}-pointwise-vanishing"
-    diag = {"criterion": criterion, "profile_last": float(values[-1]),
-            "profile_max": float(np.max(values))}
-    return _trend_classify(values, criterion, diag, "boundary profile")
+    profile = profile or _pointwise_profile(*_pointwise_form(g, operator, pair),
+                                            cfg or DEFAULT_LADDER)
+    return _verdict(profile.limit, f"{operator.value.lower()}-pointwise-vanishing",
+                    ("zero", "vanishing"))
 
 
 def sg_zero_symbol_compactness(g: SymbolSpec) -> Verdict:
     """Into an unweighted target the companion operator is compact only for g = 0.
     Short of metadata, ``|g|`` is sampled on its peak ray, which holds its max
-    on every circle."""
-    if g.metadata.is_zero:
-        return Verdict(VerdictTag.COMPACT, value=0.0, evidence=("zero-symbol-rule",))
+    on every circle; an analytic g that vanishes on a segment is 0, and any
+    nonzero sample, however small, rules g = 0 out at every scale."""
     rs = np.linspace(0.05, 0.95, 19)
-    if float(np.max(g.abs_eval(rs, 1.0 - rs))) < 1e-14:
+    if g.metadata.is_zero or not np.any(g.abs_eval(rs, 1.0 - rs)):
         return Verdict(VerdictTag.COMPACT, value=0.0, evidence=("zero-symbol-rule",))
     return Verdict(VerdictTag.NOT_COMPACT, evidence=("zero-symbol-rule",),
                    diagnostics={"criterion": "zero-symbol-rule"})

@@ -253,12 +253,13 @@ def estimate_row(g_series: TaylorSeries, operator: OperatorKind, pair: SpacePair
     if n_max is not None and n_max < 16:
         raise ValueError("n_max must be at least 16")
     n_max = n_max or 0
-    probe = monomial_images(operator, g_series, n_max) if n_max else []
+    # g' of T_g, derived once for the probe's images and the battery's
+    dg = derivative(g_series) if operator is OperatorKind.Tg else None
+    probe = monomial_images(operator, g_series, n_max, dg) if n_max else []
     if battery is None:
         return None, _trace(weighted_sup_norms(probe, pair.beta, ESTIMATION_GRID).tolist(),
                             operator, pair)
     entries, families = battery.entries, battery.families
-    dg = derivative(g_series)
 
     def images(indices):
         return [apply_operator(operator, g_series, entries[i].series, dg) for i in indices]

@@ -41,14 +41,17 @@ def apply_operator(kind: OperatorKind, g: TaylorSeries, f: TaylorSeries,
     return apply_tg(g, f, dg) if kind is OperatorKind.Tg else apply_sg(g, f)
 
 
-def monomial_images(kind: OperatorKind, g: TaylorSeries, n_max: int) -> list:
+def monomial_images(kind: OperatorKind, g: TaylorSeries, n_max: int,
+                    dg: Optional[TaylorSeries] = None) -> list:
     """``apply_operator(kind, g, z^n)`` for ``n = 1..n_max``, with no convolution:
     ``z^n g'`` is ``g'`` shifted by ``n`` and ``(z^n)' g`` is ``n g`` shifted by
     ``n - 1``; coefficient ``m`` is then divided by ``m`` as in
     :func:`~volterra.series.antiderivative`.  The values are those of
-    :func:`apply_operator`; only a zero coefficient may differ in its sign."""
+    :func:`apply_operator`; only a zero coefficient may differ in its sign.
+    ``dg`` is as in :func:`apply_tg`."""
     ns = np.arange(1, n_max + 1)
-    kernel, shifts = ((derivative(g).array[None, :], ns + 1) if kind is OperatorKind.Tg
+    kernel, shifts = (((derivative(g) if dg is None else dg).array[None, :], ns + 1)
+                      if kind is OperatorKind.Tg
                       else (ns[:, None] * g.array, ns))
     re, im = _divide_by_index(kernel, shifts[:, None] + np.arange(kernel.shape[1], dtype=float))
     images = []

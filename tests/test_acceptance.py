@@ -77,39 +77,39 @@ _FORWARD_NOTE = "unweighted companion verdict forwarded from the T_g criterion"
 # (boundedness evidence, compactness evidence, notes) of every ground-truth row;
 # all fourteen verdicts are decided, so neither carries a reason
 GROUND_TRUTH_EVIDENCE = {
-    ("identity", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "iff"),
+    ("identity", "Tg", 0, 0): (("tg-radial-ladder", "finite-limit", "iff"),
                                ("tg-tail-ladder",), ()),
-    ("log", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "iff"),
+    ("log", "Tg", 0, 0): (("tg-radial-ladder", "infinite-limit", "iff"),
                           ("compactness-implies-boundedness", "tg-tail-ladder"), ()),
-    ("log", "Tg", 0, 1): (("tg-radial-ladder", "decaying-ladder", "iff",
-                           "tg-pointwise-sup", "decaying-ladder"),
+    ("log", "Tg", 0, 1): (("tg-radial-ladder", "vanishing-limit", "iff",
+                           "tg-pointwise-sup", "vanishing-limit"),
                           ("tg-tail-ladder", "tg-pointwise-vanishing"), ()),
-    ("koebe3", "Tg", 0, 1): (("tg-radial-ladder", "divergence-threshold", "iff",
-                              "tg-pointwise-sup", "divergence-threshold"),
+    ("koebe3", "Tg", 0, 1): (("tg-radial-ladder", "infinite-limit", "iff",
+                              "tg-pointwise-sup", "infinite-limit"),
                              ("compactness-implies-boundedness", "tg-tail-ladder",
                               "tg-pointwise-vanishing"), ()),
-    ("cayley", "Tg", 0, 1): (("tg-radial-ladder", "slope-rule", "iff",
-                              "tg-pointwise-sup", "slope-rule"),
+    ("cayley", "Tg", 0, 1): (("tg-radial-ladder", "finite-limit", "iff",
+                              "tg-pointwise-sup", "finite-limit"),
                              ("tg-tail-ladder", "tg-pointwise-vanishing"), ()),
-    ("monomial", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "sufficient-only"),
+    ("monomial", "Tg", 0, 0): (("tg-radial-ladder", "finite-limit", "sufficient-only"),
                                ("tg-tail-ladder",), (_BLOCH_NOTE,)),
-    ("lacunary", "Tg", 0, 0): (("tg-radial-ladder", "slope-rule", "sufficient-only"),
+    ("lacunary", "Tg", 0, 0): (("tg-radial-ladder", "finite-limit", "sufficient-only"),
                                ("tg-tail-ladder",), (_BLOCH_NOTE,)),
-    ("cayley", "Sg", 0, 1): (("sg-pointwise-sup", "slope-rule"),
+    ("cayley", "Sg", 0, 1): (("sg-pointwise-sup", "finite-limit"),
                              ("sg-pointwise-vanishing",), ()),
-    ("affine", "Sg", 1, 0): (("sg-radial-ladder", "divergence-threshold", "iff"),
+    ("affine", "Sg", 1, 0): (("sg-radial-ladder", "infinite-limit", "iff"),
                              ("compactness-implies-boundedness", "zero-symbol-rule"), ()),
-    ("affine", "Sg", 1, 1): (("sg-radial-ladder", "slope-rule", "iff",
-                              "sg-pointwise-sup", "slope-rule"),
+    ("affine", "Sg", 1, 1): (("sg-radial-ladder", "finite-limit", "iff",
+                              "sg-pointwise-sup", "finite-limit"),
                              ("sg-pointwise-vanishing",), ()),
-    ("zero", "Sg", 1, 0): (("sg-radial-ladder", "identically-small", "sufficient-only"),
+    ("zero", "Sg", 1, 0): (("sg-radial-ladder", "identically-zero", "sufficient-only"),
                            ("zero-symbol-rule",), (_SG_BLOCH_NOTE,)),
-    ("identity", "Sg", 0, 0): (("tg-radial-ladder", "slope-rule", "iff", "unweighted-forwarding"),
+    ("identity", "Sg", 0, 0): (("tg-radial-ladder", "finite-limit", "iff", "unweighted-forwarding"),
                                ("zero-symbol-rule",), (_FORWARD_NOTE,)),
-    ("one", "Sg", 0, 0): (("tg-radial-ladder", "identically-small", "sufficient-only",
+    ("one", "Sg", 0, 0): (("tg-radial-ladder", "identically-zero", "sufficient-only",
                            "unweighted-forwarding"),
                           ("zero-symbol-rule",), (_FORWARD_NOTE,)),
-    ("log", "Sg", 1, 1): (("sg-pointwise-sup", "slope-rule"),
+    ("log", "Sg", 1, 1): (("sg-pointwise-sup", "infinite-limit"),
                           ("compactness-implies-boundedness", "sg-pointwise-vanishing"),
                           (_SG_BLOCH_NOTE,)),
 }

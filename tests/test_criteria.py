@@ -31,7 +31,8 @@ def _pair(a, b):
 def test_identity_ladder_bounded_value_one():
     out = tg_boundedness(get_symbol("identity"), _pair(0, 0), CFG)
     assert out.verdict.tag is VerdictTag.BOUNDED
-    assert out.verdict.value == pytest.approx(1.0, abs=1e-6)
+    # the finite ladder's extrapolated limit, not its last rung 1 - 2^-40
+    assert out.verdict.value == pytest.approx(1.0, abs=1e-12)
     # closed form: L(t_k) = t_k
     ks = CFG.rung_ks()
     for t, v in zip(1.0 - 2.0 ** -ks.astype(float), out.engine.values[ks]):
@@ -99,25 +100,14 @@ def test_tail_cayley_weighted_not_compact():
     assert v.tag is VerdictTag.NOT_COMPACT
 
 
-def test_tail_monotone_in_inner_cut():
-    out = tg_boundedness(get_symbol("cayley"), _pair(0, 1), CFG)
-    k = CFG.k_max
-    sups = out.engine.tail_sup(np.arange(K_MIN, k), [k])[:, 0]
-    assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
-
-
-
 @pytest.mark.parametrize("rotated", [True, False])
-def test_tail_and_split_bound_arrays_equal_the_rung_loops(rotated):
+def test_split_bound_equals_the_rung_loops(rotated):
     # reference: the per-rung loops the arrays replaced; every product and max
     # is the same, so the bits are too
     g = get_symbol("cayley")
     out = tg_boundedness(g.rotated(0.9) if rotated else g, _pair(0, 1), CFG)
     eng, k_max = out.engine, CFG.k_max
     w, pre = eng.rung_weight, eng.prefix
-    ms, ks = np.arange(K_MIN, k_max - 5), np.arange(k_max - 5, k_max + 1)
-    want = [[float(w[k] * (pre[k] - pre[m])) for k in ks] for m in ms]
-    assert eng.tail_sup(ms, ks).tolist() == want
     for k0 in range(K_MIN, k_max + 1):
         m_part = max(float(w[j] * pre[j + 1]) for j in range(k0))
         n_part = max((float(w[k] * (pre[k + 1] - pre[k0])) for k in range(k0, k_max)),
@@ -291,14 +281,16 @@ def test_classify_starved_schedule_goes_inconclusive():
 
 
 def test_inconclusive_verdicts_keep_their_diagnostics():
-    """An undecided verdict still says what it measured: lacunary's T_g tail
-    at (0.5, 0) records the limit that lies between the thresholds, and a
-    one-sided S_g ladder its criterion and largest rung."""
-    c = classify(get_symbol("lacunary"), T, _pair(0.5, 0)).compactness
+    """An undecided verdict still says what it measured: lacunary's one-sided
+    T_g tail at (1, 0) records the rung and increment exponents with their
+    margins (constant increments: log growth), and a one-sided S_g ladder its
+    criterion and largest rung."""
+    c = classify(get_symbol("lacunary"), T, _pair(1, 0)).compactness
     assert c.tag is VerdictTag.INCONCLUSIVE
     assert c.diagnostics["criterion"] == "tg-tail-ladder"
-    assert f"tail limit estimate {c.diagnostics['tail_limit']:.3e}" in c.reason
-    assert c.diagnostics["tail_limit"] == c.diagnostics["outer_last"]
+    assert "non-compactness needs log g'" in c.reason
+    assert abs(c.diagnostics["exponent"]) <= c.diagnostics["margin"]
+    assert abs(c.diagnostics["increment_exponent"]) <= c.diagnostics["increment_margin"]
     b = classify(get_symbol("identity"), S, _pair(1, 0)).boundedness
     assert b.tag is VerdictTag.INCONCLUSIVE
     assert b.diagnostics["criterion"] == "sg-radial-ladder"
@@ -849,3 +841,204 @@ def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, g, which, ex
     assert reliable[0] and np.all(reliable[1:] <= reliable[:-1])
     assert bool(np.all(reliable)) != clamped
     assert np.array_equal(engine.prefix, np.concatenate([[0.0], np.cumsum(mesh.rows)]))
+
+
+# -- the rung-exponent rule ------------------------------------------------------
+
+def _rung_sequence(f):
+    ks = CFG.rung_ks()
+    return ks, np.array([f(float(k)) for k in ks])
+
+
+@pytest.mark.parametrize("f, kind, limit", [
+    (lambda k: 0.0, "zero", 0.0),
+    (lambda k: 3.0, "finite", 3.0),
+    (lambda k: 3.0 - 2.0 ** -k, "finite", 3.0),
+    (lambda k: 3.0 + 5.0 * 2.0 ** (-0.5 * k), "finite", 3.0),
+    (lambda k: 2.0 ** (-0.01 * k), "vanishing", 0.0),
+    (lambda k: k * 2.0 ** -k, "vanishing", 0.0),
+    (lambda k: 2.0 ** (0.01 * k), "infinite", None),
+    (lambda k: 0.7 * k + 2.0, "infinite", None),
+    # a c/k drift of the increments' exponent: log growth and a convergent
+    # sequence whose increments fall like 1/k^2 cannot be told apart
+    (lambda k: math.log(k), "undecided", None),
+    (lambda k: 5.0 - 1.0 / k, "undecided", None),
+    # increments that fall by less than half across the window
+    (lambda k: 1.0 - 2.0 ** (-0.1 * k), "undecided", None),
+])
+def test_rung_limit_reads_model_sequences(f, kind, limit):
+    from volterra.criteria import _rung_limit
+    ks, values = _rung_sequence(f)
+    got = _rung_limit(ks, values, 0.0)
+    assert got.kind == kind, got
+    if limit is not None:
+        assert got.value == pytest.approx(limit, rel=1e-12, abs=1e-300)
+
+
+def test_rung_limit_reads_a_clamped_or_short_sequence():
+    from volterra.criteria import READ_RUNGS, _rung_limit
+    ks, values = _rung_sequence(lambda k: 1.0)
+    assert _rung_limit(ks, values, 0.0, clamped=True).kind == "infinite"
+    short = _rung_limit(ks[:READ_RUNGS - 1], values[:READ_RUNGS - 1], 0.0)
+    assert short.kind == "undecided"
+    assert short.diagnostics["reliable_rungs"] == READ_RUNGS - 1
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_log_type_integrands_are_inconclusive(power):
+    """``int ds/(s log(e/s))`` diverges and ``int ds/(s log^2(e/s))``
+    converges; on any finite window both show increments whose exponent
+    drifts to 0 like ``c/k``, so both ladders and both tails are Inconclusive."""
+    from volterra.criteria import _LadderEngine
+
+    def integrand(r, s):
+        return 1.0 / (s * np.log(np.e / s) ** power)
+    engine = _LadderEngine(integrand, 0.0, 0.0, CFG)
+    assert engine.limit.kind == "undecided"
+    assert tg_boundedness(None, _pair(0, 0), CFG, engine).verdict.tag is VerdictTag.INCONCLUSIVE
+    assert tg_tail_compactness(None, _pair(0, 0), CFG, engine).tag is VerdictTag.INCONCLUSIVE
+
+
+def _real_pole(p):
+    """``g = ((1-z)^(1-p) - 1)/(p - 1)`` (``log 1/(1-z)`` at p = 1), so
+    ``g' = (1-z)^-p``, for real ``p > 0``: on the peak ray 0 its moduli are
+    ``s^-p`` and ``F = L expm1((p-1) L)/((p-1) L)`` with ``L = log1p(r/s)``.
+    ``log g' = -p log(1-z)`` is Bloch; ``g(0) = 0`` leaves ``log g`` singular."""
+    def ray_eval(r, s):
+        L = np.log1p(r / s)
+        return L if p == 1 else L * np.expm1((p - 1) * L) / ((p - 1) * L)
+
+    def power(z, q):
+        return (1.0 - np.asarray(z, dtype=complex)) ** q
+    return SymbolSpec(name=f"pole{p:g}", deriv=lambda z: power(z, -p),
+                      eval=lambda z: (-np.log(power(z, 1.0)) if p == 1
+                                      else (power(z, 1.0 - p) - 1.0) / (p - 1.0)),
+                      deriv2=lambda z: p * power(z, -p - 1.0),
+                      taylor_coeff=lambda n: 0j, peak=0.0,
+                      metadata=SymbolMetadata(log_deriv_bloch=True, log_symbol_bloch=False),
+                      ray_eval=ray_eval, ray_deriv=lambda r, s: s ** -float(p))
+
+
+SWEEP_OFFSETS = (0.0, 1e-3, 0.01, 0.02, 0.05, 0.1, 0.2)
+
+
+def _regime_cells():
+    """``(op, alpha, beta, p, offset, (boundedness, compactness))`` for
+    ``g' = (1-z)^-p`` with ``p`` at each regime threshold plus or minus each
+    offset, and the tags the characterization gives (``s = 1 - r`` on the peak
+    ray, where ``|g'| = s^-p`` and ``|g| ~ s^(1-p)/(p-1)`` for p > 1):
+
+    * T_g at beta = 0, alpha in {0, 1/4, 1/2}: bounded iff compact iff
+      ``int_0^1 |g'(r)| (1-r^2)^-alpha dr < infinity`` (log g' Bloch makes the
+      condition necessary), that is iff ``p + alpha < 1``;
+    * T_g at beta in {1/2, 1}: bounded iff ``sup (1-|z|^2)^(beta+1-alpha) |g'|``
+      is finite, ``p <= beta + 1 - alpha``; compact iff that weighted modulus
+      vanishes at the boundary, ``p < beta + 1 - alpha``;
+    * S_g at beta in {1/2, 1, 2}, alpha in {0, 1/2, 1}, p > 1: bounded iff
+      ``sup (1-|z|^2)^(beta-alpha) |g|`` is finite, ``p - 1 <= beta - alpha``;
+      compact iff it vanishes, ``p - 1 < beta - alpha``.
+    """
+    for alpha in (0.0, 0.25, 0.5):
+        for beta in (0.0, 0.5, 1.0):
+            edge = 1.0 - alpha if beta == 0 else beta + 1.0 - alpha
+            for offset in SWEEP_OFFSETS:
+                for p in sorted({edge - offset, edge + offset}):
+                    if beta == 0:
+                        tags = ("Bounded", "Compact") if p < edge else ("Unbounded", "NotCompact")
+                    else:
+                        tags = ("Bounded" if p <= edge else "Unbounded",
+                                "Compact" if p < edge else "NotCompact")
+                    yield T, alpha, beta, p, offset, tags
+    for alpha in (0.0, 0.5, 1.0):
+        for beta in (0.5, 1.0, 2.0):
+            edge = 1.0 + beta - alpha
+            for offset in SWEEP_OFFSETS:
+                for p in sorted({edge - offset, edge + offset}):
+                    if p > 1.0:
+                        yield S, alpha, beta, p, offset, (
+                            "Bounded" if p <= edge else "Unbounded",
+                            "Compact" if p < edge else "NotCompact")
+
+
+def _wrong_tags(g, op, alpha, beta, tags):
+    rep = classify(g, op, _pair(alpha, beta))
+    got = (rep.boundedness.tag.value, rep.compactness.tag.value)
+    wrong = [(op.value, alpha, beta, g.name, have, want)
+             for have, want in zip(got, tags) if have not in (want, "Inconclusive")]
+    return wrong, got
+
+
+def test_regime_sweep_of_real_order_poles_has_no_wrong_tag():
+    """No decided tag contradicts the characterization on any of the 207
+    cells near a regime boundary, and every cell 0.2 from its boundary is
+    decided."""
+    cells = list(_regime_cells())
+    assert len(cells) == 207
+    wrong, undecided_far = [], []
+    for op, alpha, beta, p, offset, tags in cells:
+        bad, got = _wrong_tags(_real_pole(p), op, alpha, beta, tags)
+        wrong += bad
+        if offset == 0.2 and "Inconclusive" in got:
+            undecided_far.append((op.value, alpha, beta, p))
+    assert wrong == []
+    assert undecided_far == []
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.05])
+def test_pole_mixtures_get_the_right_tag_or_inconclusive(gap):
+    """``g' = (1-z)^-p + (1-z)^-(p - gap)`` behaves like its stronger pole p
+    at the boundary, so it takes p's tags; a close second power may hide the
+    limit beyond the window, which must read Inconclusive, never wrong."""
+    wrong = []
+    for op, alpha, beta, p, _, tags in _regime_cells():
+        if p - gap <= 0:
+            continue
+        g1, g2 = _real_pole(p), _real_pole(p - gap)
+        mix = replace(g1, name=f"mix{p:g}",
+                      ray_eval=lambda r, s, a=g1, b=g2: a.abs_eval(r, s) + b.abs_eval(r, s),
+                      ray_deriv=lambda r, s, a=g1, b=g2: a.abs_deriv(r, s) + b.abs_deriv(r, s))
+        wrong += _wrong_tags(mix, op, alpha, beta, tags)[0]
+    assert wrong == []
+
+
+def _scaled(g, c):
+    return replace(g, name=f"{c:g}*{g.name}",
+                   ray_eval=lambda r, s: c * g.abs_eval(r, s),
+                   ray_deriv=lambda r, s: c * g.abs_deriv(r, s))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+def test_scaling_the_symbol_keeps_every_tag_and_scales_every_value(c):
+    """``||Op_{cg}|| = c ||Op_g||``: scaling the symbol changes no tag over the
+    registry (but zero) x {T_g, S_g} x the weight grid, and every decided
+    nonzero value scales by c."""
+    for name in symbol_names():
+        if name == "zero":
+            continue
+        g = get_symbol(name)
+        for op in (T, S):
+            for alpha in BASE_WEIGHTS:
+                for beta in BASE_WEIGHTS:
+                    base = classify(g, op, _pair(alpha, beta))
+                    rep = classify(_scaled(g, c), op, _pair(alpha, beta))
+                    for b, v in ((base.boundedness, rep.boundedness),
+                                 (base.compactness, rep.compactness)):
+                        assert v.tag is b.tag, (name, op, alpha, beta)
+                        if b.decided and b.value:
+                            assert v.value == pytest.approx(c * b.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("op, alpha, beta, reads", [
+    (T, 0.0, 0.0, 1), (T, 0.5, 1.0, 2), (S, 1.0, 0.0, 1), (S, 0.5, 1.0, 2), (S, 0.0, 1.0, 1)])
+def test_classify_reads_each_sequence_once(monkeypatch, op, alpha, beta, reads):
+    """The ladder's reading serves boundedness and the T_g tail, the profile's
+    the pointwise sup and vanishing claims: one rule call per sequence."""
+    from volterra import criteria
+    real, calls = criteria._rung_limit, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(criteria, "_rung_limit", counting)
+    classify(get_symbol("cayley"), op, _pair(alpha, beta))
+    assert len(calls) == reads
