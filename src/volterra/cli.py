@@ -23,14 +23,13 @@ import numpy as np
 
 from . import __version__
 from .errors import HypothesisError, UnknownSymbolError, VolterraError
-from .criteria import LadderConfig, classify, profile_sup
-from .estimation import (compactness_probe, lower_bound_details, tg_min_upper_bound,
-                         tg_upper_bound)
+from .criteria import LadderConfig, classify, ray_sup
+from .estimation import compactness_probe, lower_bound_details, tg_min_upper_bound
 from .operators import OperatorKind
 from .report import (ReportConfig, _verdict_payload, build_report, report_exit_code, to_csv,
                      to_json, to_text)
 from .sector import SectorParams, build_sector_map, density_bound, estimate_density_bound
-from .spaces import SpacePair, ray_argmax
+from .spaces import SpacePair
 from .symbols import get_symbol, ground_truth_table, registry
 
 
@@ -64,13 +63,6 @@ def _nonnegative(value: str) -> float:
     if not 0.0 <= x < math.inf:
         raise argparse.ArgumentTypeError("weight exponents must be finite and nonnegative")
     return x
-
-
-def _cut_radius(value: str) -> float:
-    t = float(value)
-    if not 0.0 < t < 1.0:
-        raise argparse.ArgumentTypeError(f"the cut radius must lie in (0, 1), got {value}")
-    return t
 
 
 def _positive_int(value: str) -> int:
@@ -168,13 +160,11 @@ def _build_parser():
     p.add_argument("--bloch", action="store_true", help="also print the Bloch norm")
     add_common(p)
 
-    p = sub.add_parser("opnorm", help="empirical lower / split upper operator-norm bounds")
+    p = sub.add_parser("opnorm", help="empirical lower / ladder upper operator-norm bounds")
     p.add_argument("--symbol", required=True)
     p.add_argument("--op", type=_operator, required=True)
     p.add_argument("--alpha", type=_nonnegative, required=True)
     p.add_argument("--beta", type=_nonnegative, required=True)
-    p.add_argument("--t0", type=_cut_radius, default=None,
-                   help="cut rung for the split bound (default: best over the schedule)")
     add_common(p)
 
     p = sub.add_parser("probe", help="weakly-null compactness probe trace")
@@ -293,18 +283,6 @@ def cmd_report(args) -> int:
     return report_exit_code(doc)
 
 
-def _ray_sup(absf, exponent: float):
-    """``sup (1-r^2)^exponent absf`` on the peak ray and a radius attaining it:
-    the larger of the ray maximum and the boundary profile's reading, since the
-    ray stops at the grid's last radius ``1 - 2^-24`` and misses a limit at the
-    boundary; inf (at the ray's radius) when the profile diverges."""
-    value, radius = (float(a[0]) for a in ray_argmax(absf, exponent))
-    edge, rung = profile_sup(absf, exponent)
-    if math.isinf(edge):
-        return edge, radius
-    return (edge, rung) if edge > value else (value, radius)
-
-
 def _divergent(value: float) -> str:
     return "" if math.isfinite(value) else "  [divergent]"
 
@@ -324,13 +302,13 @@ def cmd_norm(args) -> int:
 
         def absdf(r, s):
             return np.abs(symbol.deriv2(r * unit))
-    value, radius = _ray_sup(absf, args.alpha)
+    value, radius = ray_sup(absf, args.alpha)
     z = radius * unit + 0.0  # + 0.0: the origin reads 0, not -0, on the ray pi
     lines = [f"weighted sup-norm of {args.of}({args.symbol}) at alpha={args.alpha:g}: "
              f"{value:.12g}",
              f"arg-max z = {z.real:.9g}{z.imag:+.9g}i{_divergent(value)}"]
     if args.bloch:
-        bloch = float(abs(f(0j))) + _ray_sup(absdf, 1.0)[0]
+        bloch = float(abs(f(0j))) + ray_sup(absdf, 1.0)[0]
         lines.append(f"bloch norm: {bloch:.12g}{_divergent(bloch)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -343,15 +321,9 @@ def cmd_opnorm(args) -> int:
     lines = [f"empirical lower bound: {lower.value:.9g}  (witness {lower.best_label})"]
     if args.op is OperatorKind.Tg:
         try:
-            if args.t0 is not None:
-                upper = tg_upper_bound(symbol, pair, args.t0)
-                lines.append(f"split upper bound at t0={args.t0!r}: {upper:.9g}")
-            else:
-                # the cut in full: --t0 accepts only exact rungs such as 1 - 2^-39
-                upper, t0 = tg_min_upper_bound(symbol, pair)
-                lines.append(f"split upper bound: {upper:.9g}  (cut t0={t0!r})")
+            lines.append(f"upper bound: {tg_min_upper_bound(symbol, pair):.9g}")
         except HypothesisError as exc:
-            lines.append(f"split upper bound: not available ({exc})")
+            lines.append(f"upper bound: not available ({exc})")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import HypothesisError
 from .quadrature import gauss_legendre
 from .series import OVERFLOW_CLAMP
-from .spaces import SpacePair, radial_weight, ray_max
+from .spaces import SpacePair, radial_weight, ray_argmax
 # bound here only for perfbench's tracer, which wraps criteria.weighted_sup_details
 from .spaces import weighted_sup_details  # noqa: F401
 from .symbols import SymbolSpec
@@ -106,7 +106,7 @@ class CriterionReport:
     cross_check_agreement: bool
     notes: tuple = ()
     # the T_g ladder engine classify built for this (symbol, pair, cfg), kept
-    # so the split upper bound reuses it; None when no T_g ladder ran
+    # so the upper bound reuses it; None when no T_g ladder ran
     tg_engine: Optional["_LadderEngine"] = field(default=None, repr=False, compare=False)
 
 
@@ -148,6 +148,7 @@ class _Cells(NamedTuple):
     panels: np.ndarray    # each cell's final panel count
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_cells(absmat: Callable, weight_exponent: float, cells) -> _Cells:
     """Integrals of ``absmat(r, s) (s(2-s))^-weight_exponent dr`` over the
     cells ``(s_lo, s_hi)``; an integral up to any ``t`` is the sum of the rows
@@ -157,7 +158,8 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells) -> _Cells:
     ``CELL_REL_TOL`` of the total doubles its panels, at most six times and up
     to ``MAX_PANELS``.  All cells at one panel count share one ``absmat`` call
     on their ``(cells, nodes)`` radii, at most 40 x 64 x 16 on the rung cells.
-    Samples that are not finite or exceed ``OVERFLOW_CLAMP`` are clamped to it.
+    Samples that are not finite or exceed ``OVERFLOW_CLAMP`` are clamped to it;
+    a row that overflows all the same reads inf, with a NaN change.
     """
     use_log = weight_exponent >= LOG_SUBSTITUTION_ALPHA
     bounds = np.asarray(cells, dtype=float).reshape(-1, 2)
@@ -247,21 +249,12 @@ class _LadderEngine:
         return _rung_limit(ks, self.values[ks], self.rung_weight[ks] * self.prefix_errs[ks],
                            self.clamped)
 
-    def split_bound(self, k0: int) -> float:
-        """Upper bound M + N from splitting the radius range at rung k0.
-
-        Between consecutive rungs the weight decreases while the integral
-        increases, so the sup over the whole cell ``R in (t_j, t_{j+1}]`` is at
-        most ``weight(t_j) * integral(t_{j+1})``; maximizing these cell bounds
-        covers the continuous sup, not just the rung values.  The tail piece
-        beyond the cut rung is handled the same way with prefix differences.
-        """
-        k_max, w, prefix = self.cfg.k_max, self.rung_weight, self.prefix
-        m_part = float(np.max(w[:k0] * prefix[1:k0 + 1]))
-        if k0 >= k_max:
-            return m_part
-        tails = prefix[k0 + 1:k_max + 1] - prefix[k0]
-        return m_part + float(np.max(w[k0:k_max] * tails))
+    def envelope(self) -> float:
+        """The cell envelope ``max_j w_j P_{j+1}``, ``j < k_max``, of rung weights
+        ``w`` and prefix integrals ``P``: on the cell ``R in (t_j, t_{j+1}]`` the
+        weight falls while the integral rises, so it bounds the ladder at every
+        radius up to the last rung, not just at the rungs."""
+        return float(np.max(self.rung_weight[:-1] * self.prefix[1:]))
 
 
 def _ladder_engine(symbol: SymbolSpec, which: str, weight_exponent: float,
@@ -329,6 +322,8 @@ def _rung_limit(ks, values, errors, clamped: bool = False) -> Limit:
     may take over."""
     values = np.asarray(values, dtype=float)
     diag = {"reliable_rungs": len(values), "max_value": float(np.max(values, initial=0.0))}
+    # an overflowed value is clamped too: inf would sink into its own noise
+    clamped = clamped or not np.all(np.isfinite(values))
     err = np.broadcast_to(errors, values.shape) + ROUNDING * np.abs(values)
     if clamped or len(values) and np.all(np.abs(values) <= 4.0 * err):
         return Limit("infinite", None, diag) if clamped else Limit("zero", 0.0, diag)
@@ -458,25 +453,24 @@ def _pointwise_profile(absmat: Callable, exponent: float, cfg: LadderConfig) -> 
     return profile
 
 
-def profile_sup(absmat: Callable, exponent: float):
-    """The weighted boundary profile's reading of ``sup (1-r^2)^exponent |h|``
-    for the peak-ray modulus ``absmat``, and the rung radius of its largest
-    value: inf when the profile reads infinite, else the larger of that value
-    and a finite limit."""
-    ks, values = profile = _pointwise_profile(absmat, exponent, DEFAULT_LADDER)
+def ray_sup(absmat: Callable, exponent: float, profile: Optional[_Profile] = None):
+    """``sup (1-r^2)^exponent |h|`` on the peak ray of the modulus ``absmat``,
+    and a radius attaining it.  The boundary profile (``profile``, else one on
+    ``DEFAULT_LADDER``'s rungs) reads inf when its rule reads it infinite, else
+    the larger of its largest rung and a finite limit, which holds a sup
+    approached only at the boundary.  For ``exponent >= 0``, where interior
+    maxima exist, the ray maximiser :func:`~volterra.spaces.ray_argmax` may
+    exceed it.  The radius is the ray maximiser's, unless a finite profile
+    reading above it wins or the maximiser did not run: then the largest rung's."""
+    ks, values = profile = profile or _pointwise_profile(absmat, exponent, DEFAULT_LADDER)
     v = _verdict(profile.limit, "boundary-profile")
-    top = np.inf if v.tag is VerdictTag.UNBOUNDED else v.value if v.decided else np.max(values)
-    return float(top), 1.0 - 2.0 ** -float(ks[int(np.argmax(values))])
-
-
-def _pointwise_value(absmat: Callable, exponent: float, profile_max: float) -> float:
-    """Sup over the whole disk: boundary rungs plus an interior sweep when the
-    weight exponent is nonnegative (interior maxima exist only then).  The
-    sweep runs along the symbol's peak ray, by the ray maximiser
-    :func:`~volterra.spaces.ray_max`."""
+    edge = float(np.inf if v.tag is VerdictTag.UNBOUNDED else v.value if v.decided
+                 else np.max(values))
+    rung = 1.0 - 2.0 ** -float(ks[int(np.argmax(values))])
     if exponent < 0:
-        return profile_max
-    return max(profile_max, float(ray_max(absmat, exponent)[0]))
+        return edge, rung
+    value, radius = (float(a[0]) for a in ray_argmax(absmat, exponent))
+    return (edge, rung) if value < edge < np.inf else (max(edge, value), radius)
 
 
 def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
@@ -488,7 +482,7 @@ def _pointwise_sup(g: SymbolSpec, pair: SpacePair, operator: OperatorKind,
     profile = profile or _pointwise_profile(absmat, exponent, cfg or DEFAULT_LADDER)
     verdict = _verdict(profile.limit, f"{operator.value.lower()}-pointwise-sup")
     if verdict.tag is VerdictTag.BOUNDED:
-        verdict = replace(verdict, value=_pointwise_value(absmat, exponent, verdict.value))
+        verdict = replace(verdict, value=ray_sup(absmat, exponent, profile)[0])
     return verdict
 
 

@@ -5,9 +5,9 @@ of test functions with known (or safely overestimated) source norms and measure
 the image norms.  The battery mixes normalized monomials, the rotational family
 ``1/(1 - e^{-2 i theta} z^2)^alpha`` and a boundary-peaking kernel family aimed
 at several directions, so divergences localized at any boundary angle are
-witnessed.  Upper bounds come from the two-piece split of the boundedness
-ladder: the sup over radii up to a cut rung plus the sup of the weighted tail
-integral beyond it.
+witnessed.  The T_g upper bound is the boundedness ladder's cell envelope
+(``_LadderEngine.envelope`` in :mod:`~volterra.criteria`), which bounds the
+ladder at every radius up to its last rung.
 
 A battery's families are rotations of one base: the 8 rotational entries, and
 the 4 directions of each peak rung; at ``alpha > 0`` each member's source norm
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .criteria import DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag, tg_boundedness
+from .criteria import DEFAULT_LADDER, LadderConfig, VerdictTag, tg_boundedness
 from .operators import OperatorKind, apply_operator, monomial_images
 from .series import OVERFLOW_CLAMP, TaylorSeries, derivative
 from .spaces import (_SMALLEST_NORMAL, PRUNE_MARGIN, DiskGrid, SpacePair, radial_weight,
@@ -177,40 +177,14 @@ def lower_bound_details(g: SymbolSpec, operator: OperatorKind, pair: SpacePair,
     return estimate_row(g.taylor(degree), operator, pair, battery)[0]
 
 
-def tg_upper_bound(g: SymbolSpec, pair: SpacePair, t0: float,
-                   cfg: Optional[LadderConfig] = None, engine=None) -> float:
-    """Two-piece norm bound for the ``int f g'`` operator at cut radius ``t0``.
-
-    ``M`` is the sup of the weighted integral over radii up to ``t0``; the tail
-    piece takes the weighted integral from ``t0`` outward, which is the variant
-    of the split that tightens to the criterion value as ``t0`` grows.  Only
-    meaningful when the boundedness ladder actually converged.
-    """
-    cfg = cfg or DEFAULT_LADDER
-    if not 0.0 < t0 < 1.0:
-        raise ValueError(f"t0 must lie in (0, 1), got {t0}")
-    k0 = round(-math.log2(1.0 - t0))
-    if not (1 <= k0 <= cfg.k_max - 1) or abs((1.0 - 2.0 ** -k0) - t0) > 1e-12:
-        raise ValueError("t0 must be a rung of the ladder schedule")
-    outcome = tg_boundedness(g, pair, cfg, engine)
-    if outcome.verdict.tag is not VerdictTag.BOUNDED:
-        raise HypothesisError("the split bound needs a Bounded ladder verdict")
-    return outcome.engine.split_bound(k0)
-
-
 def tg_min_upper_bound(g: SymbolSpec, pair: SpacePair,
-                       cfg: Optional[LadderConfig] = None, engine=None):
-    """Tightest split bound over all cut rungs; returns ``(bound, t0)``."""
-    cfg = cfg or DEFAULT_LADDER
-    outcome = tg_boundedness(g, pair, cfg, engine)
+                       cfg: Optional[LadderConfig] = None, engine=None) -> float:
+    """The T_g ladder's cell envelope (``_LadderEngine.envelope``), which bounds
+    the ladder at every radius up to its last rung; only for a Bounded ladder."""
+    outcome = tg_boundedness(g, pair, cfg or DEFAULT_LADDER, engine)
     if outcome.verdict.tag is not VerdictTag.BOUNDED:
-        raise HypothesisError("the split bound needs a Bounded ladder verdict")
-    best, best_k = math.inf, K_MIN
-    for k0 in range(K_MIN, cfg.k_max):
-        b = outcome.engine.split_bound(k0)
-        if b < best:
-            best, best_k = b, k0
-    return best, 1.0 - 2.0 ** -best_k
+        raise HypothesisError("the upper bound needs a Bounded ladder verdict")
+    return outcome.engine.envelope()
 
 
 @dataclass(frozen=True)

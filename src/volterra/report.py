@@ -72,7 +72,7 @@ def _row_result(row: GroundTruthRow, cfg: ReportConfig, battery) -> dict:
     upper = None
     if row.operator is OperatorKind.Tg:
         try:
-            upper = tg_min_upper_bound(symbol, pair, ladder_cfg, rep.tg_engine)[0]
+            upper = tg_min_upper_bound(symbol, pair, ladder_cfg, rep.tg_engine)
         except HypothesisError:
             upper = None
 

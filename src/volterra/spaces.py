@@ -3,11 +3,11 @@
 The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
 :func:`radial_weight` everywhere in the package.  Maxima in this problem family
 concentrate at the boundary, so the radial grid is geometrically graded toward
-``|z| = 1``.  A supremum along a fixed ray (the classifier's interior sweep and
-the ``norm`` command on a symbol's peak ray) is :func:`ray_max` of profiles
-``(r, s) -> |h|``, such as a symbol's moduli on its peak ray: a sample on the
-radii of ``DEFAULT_GRID``, then a few vectorised zoom passes around each
-profile's best sample, which can only increase it.  A supremum over the disk is
+``|z| = 1``.  A supremum along a fixed ray (the interior of
+:func:`~volterra.criteria.ray_sup` on a symbol's peak ray) is :func:`ray_max`
+of profiles ``(r, s) -> |h|``, such as a symbol's moduli on its peak ray: a
+sample on the radii of ``DEFAULT_GRID``, then a few vectorised zoom passes
+around each profile's best sample, which can only increase it.  A supremum over the disk is
 a sweep of a polar grid (:func:`weighted_sup_details`), with no refinement.  A
 function is a truncated Taylor series or a vectorised closed form
 ``z -> f(z)``, evaluated pointwise.  All sweeps are pure and deterministic.

@@ -213,10 +213,10 @@ def test_criterion_06_norm_sandwich(full_report):
             assert r["upper_bound"] is not None
             assert r["lower_bound"] <= r["upper_bound"] + 1e-6, r["symbol"]
     lower = lower_bound_details(get_symbol("identity"), T, SpacePair(0, 0)).value
-    upper, _ = tg_min_upper_bound(get_symbol("identity"), SpacePair(0, 0))
+    upper = tg_min_upper_bound(get_symbol("identity"), SpacePair(0, 0))
     assert lower == pytest.approx(1.0, abs=1e-3)
     assert upper == pytest.approx(1.0, abs=1e-3)
-    _ok(6, "lower bound <= split upper bound on every Bounded row; "
+    _ok(6, "lower bound <= ladder upper bound on every Bounded row; "
            "classical Volterra sandwich pinned at 1.0")
 
 

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from volterra.cli import main
 from volterra.report import (CSV_HEADER, ReportConfig, build_report,
                              report_exit_code, to_csv, to_json)
-from volterra.spaces import weighted_sup_norm
+from volterra.estimation import tg_min_upper_bound
+from volterra.spaces import SpacePair, weighted_sup_norm
 from volterra.symbols import get_symbol, symbol_names
 
 
@@ -191,32 +192,7 @@ def test_opnorm_command(capsys):
     assert "lower bound" in out and "upper bound" in out
     code, out, _ = run(capsys, "opnorm", "--symbol", "cayley", "--op", "Sg",
                        "--alpha", "0", "--beta", "1")
-    assert code == 0  # no split bound for the companion operator
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("value", ["-inf", "-1e400", "inf", "nan", "0", "-0", "1", "1.5"])
-def test_opnorm_cut_radius_is_checked_at_parse_time(tmp_path, monkeypatch, capsys,
-                                                     source, value):
-    # `opnorm --t0=-inf` ran the whole lower-bound battery, then ended in an
-    # OverflowError traceback in the split bound
-    from volterra import cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("the battery ran with a bad cut radius")
-    monkeypatch.setattr(cli, "lower_bound_details", never)
-    argv = ("opnorm", "--symbol", "identity", "--op", "Tg", "--alpha", "0", "--beta", "0")
-    if source == "flag":
-        argv = argv + (f"--t0={value}",)
-    else:
-        cfg = tmp_path / "cut.cfg"
-        cfg.write_text(f"t0 = {value}\n")
-        argv = argv + ("--config", str(cfg))
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == "" and "Traceback" not in err
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--t0" in errors[0]
+    assert code == 0  # no upper bound for the companion operator
 
 
 FLOAT_SPELLINGS = ["nan", "inf", "-inf", "1e400", "-1e400", "-0", "0"]
@@ -225,7 +201,7 @@ CELL = ("--symbol", "identity", "--op", "Tg")
 FLOAT_COMMANDS = [
     (("classify",) + CELL + ("--kmax", "4"), {"alpha": "0", "beta": "0"}),
     (("norm", "--symbol", "identity"), {"alpha": "0"}),
-    (("opnorm",) + CELL, {"alpha": "0", "beta": "0", "t0": "0.5"}),
+    (("opnorm",) + CELL, {"alpha": "0", "beta": "0"}),
     (("probe",) + CELL + ("--nmax", "16"), {"alpha": "0", "beta": "0"}),
     (("lemma2", "--samples", "10", "--theta-count", "1"), {"gamma": "0.785", "eta": "1.571"}),
 ]
@@ -503,7 +479,7 @@ def test_config_value_is_checked_like_a_flag(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, key, value, runner", [
     (("report",), "format", "xml", "build_report"),
-    (("norm", "--symbol", "cayley", "--alpha", "1"), "of", "xyz", "ray_argmax"),
+    (("norm", "--symbol", "cayley", "--alpha", "1"), "of", "xyz", "ray_sup"),
 ], ids=["report-format", "norm-of"])
 def test_choice_in_config_file_is_checked_like_a_flag(tmp_path, monkeypatch, capsys,
                                                       argv, key, value, runner, source):
@@ -552,22 +528,23 @@ def test_format_key_in_config_is_ignored_where_there_is_no_format(tmp_path, caps
     assert run(capsys, *cell, "--config", str(cfg)) == run(capsys, *cell)
 
 
-@pytest.mark.parametrize("cell", [("log", "1", "2"), ("log", "0", "1"), ("cayley", "0", "1")])
-def test_opnorm_prints_a_cut_that_it_accepts(capsys, cell):
-    # the best cut is the rung 1 - 2^-39, which "{:g}" printed as 1, a
-    # value --t0 rejects
+@pytest.mark.parametrize("cell, upper", [(("log", "1", "2"), None), (("log", "0", "1"), None),
+                                         (("cayley", "0", "1"), 4.0)])
+def test_opnorm_prints_the_ladder_envelope(capsys, cell, upper):
+    # cayley's T_g(0, 1) ladder R(1 + R) tends to 2; the weight at a cell's
+    # inner rung times the integral to its outer one tends to 4
     symbol, alpha, beta = cell
-    argv = ("opnorm", "--symbol", symbol, "--op", "Tg", "--alpha", alpha, "--beta", beta)
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, "opnorm", "--symbol", symbol, "--op", "Tg",
+                       "--alpha", alpha, "--beta", beta)
     assert code == 0
-    bound, t0 = re.search(r"split upper bound: (\S+)  \(cut t0=(\S+)\)", out).groups()
-    code, out, err = run(capsys, *argv, "--t0", t0)
-    assert code == 0, err
-    assert f"split upper bound at t0={t0}: {bound}\n" in out
+    want = tg_min_upper_bound(get_symbol(symbol), SpacePair(float(alpha), float(beta)))
+    assert f"upper bound: {want:.9g}\n" in out
+    if upper is not None:
+        assert want == pytest.approx(upper, rel=1e-11)
 
 
 CONFIG_KEYS = ("symbol", "op", "alpha", "beta", "kmax", "angles", "degree", "probe-nmax",
-               "probe_nmax", "of", "bloch", "t0", "nmax", "gamma", "eta", "theta-count",
+               "probe_nmax", "of", "bloch", "nmax", "gamma", "eta", "theta-count",
                "samples", "format", "output", "config", "command", "help", "version")
 CONFIG_VALUES = ("", "log", "identity", "nosuch", "Tg", "Sg", "0", "1", "-1", "0.5", "64",
                  "1e400", "nan", "inf", "0x10", "json", "csv", "xml", "text", "g", "gprime",

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra.criteria import (DEFAULT_LADDER, K_MIN, LadderConfig, VerdictTag,
-                               classify, pointwise_compactness, sg_boundedness, sg_pointwise,
-                               sg_zero_symbol_compactness, tg_boundedness,
+from volterra.criteria import (DEFAULT_LADDER, LadderConfig, VerdictTag,
+                               classify, pointwise_compactness, ray_sup, sg_boundedness,
+                               sg_pointwise, sg_zero_symbol_compactness, tg_boundedness,
                                tg_pointwise, tg_tail_compactness)
 from volterra.errors import HypothesisError
 from volterra.operators import OperatorKind
@@ -101,18 +101,16 @@ def test_tail_cayley_weighted_not_compact():
 
 
 @pytest.mark.parametrize("rotated", [True, False])
-def test_split_bound_equals_the_rung_loops(rotated):
-    # reference: the per-rung loops the arrays replaced; every product and max
-    # is the same, so the bits are too
+def test_envelope_equals_the_cell_loop(rotated):
+    # reference: each cell's bound, the weight at its inner rung times the
+    # integral to its outer rung, in a loop; the products are the same, so the
+    # bits are too.  Every rung value lies on a cell, below its bound
     g = get_symbol("cayley")
-    out = tg_boundedness(g.rotated(0.9) if rotated else g, _pair(0, 1), CFG)
-    eng, k_max = out.engine, CFG.k_max
+    eng = tg_boundedness(g.rotated(0.9) if rotated else g, _pair(0, 1), CFG).engine
     w, pre = eng.rung_weight, eng.prefix
-    for k0 in range(K_MIN, k_max + 1):
-        m_part = max(float(w[j] * pre[j + 1]) for j in range(k0))
-        n_part = max((float(w[k] * (pre[k + 1] - pre[k0])) for k in range(k0, k_max)),
-                     default=None)
-        assert eng.split_bound(k0) == (m_part if n_part is None else m_part + n_part)
+    envelope = eng.envelope()
+    assert envelope == max(float(w[j] * pre[j + 1]) for j in range(CFG.k_max))
+    assert all(envelope >= value for value in eng.values)
 
 # -- pointwise criteria --------------------------------------------------------
 
@@ -533,13 +531,15 @@ def _ray_sup_reference(absmat, exponent):
 @pytest.mark.parametrize("name", symbol_names())
 def test_interior_ray_sweep_is_never_below_the_reference(name):
     """The zoom passes against the golden-section search they replaced: never
-    below it, and at most 4 ulps above it (0 to 2 ulps seen)."""
-    from volterra.criteria import _pointwise_value
+    below it, and at most 4 ulps above it (0 to 2 ulps seen).  A zero boundary
+    profile leaves the ray's own sup."""
+    from volterra.criteria import _pointwise_profile
     g = get_symbol(name)
     for which in ("deriv", "eval"):
         for exponent in (0.0, 0.5, 1.0, 2.0):
+            zero = _pointwise_profile(lambda r, s: np.zeros_like(r), exponent, CFG)
             want = max(0.0, _ray_sup_reference(_abs(g, which), exponent))
-            got = _pointwise_value(_abs(g, which), exponent, 0.0)
+            got = ray_sup(_abs(g, which), exponent, zero)[0]
             assert got == want or want < got <= want + 4.0 * np.spacing(want), (which, exponent)
 
 
@@ -547,7 +547,7 @@ def test_interior_ray_sweep_is_never_below_the_reference(name):
 def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
     """On the peak ray: the ladder engine, the pointwise profile and the
     interior sweep along the ray read lacunary only through its profiles."""
-    from volterra.criteria import _ladder_engine, _pointwise_profile, _pointwise_value
+    from volterra.criteria import _ladder_engine, _pointwise_profile
     real = get_symbol("lacunary").rotated(phi)
     guarded = replace(get_symbol("lacunary"), eval=_boom, deriv=_boom).rotated(phi)
     for which, weight, beta in (("deriv", 0.5, 1.0), ("eval", 1.5, 0.5)):
@@ -557,8 +557,7 @@ def test_lacunary_peak_criteria_never_call_the_closed_forms(phi):
         exponent = beta + 1.0 - weight
         profile = _pointwise_profile(_abs(guarded, which), exponent, CFG)
         assert np.array_equal(profile[1], _pointwise_profile(_abs(real, which), exponent, CFG)[1])
-        assert (_pointwise_value(_abs(guarded, which), exponent, 0.0)
-                == _pointwise_value(_abs(real, which), exponent, 0.0))
+        assert ray_sup(_abs(guarded, which), exponent) == ray_sup(_abs(real, which), exponent)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.9])
@@ -882,6 +881,26 @@ def test_rung_limit_reads_a_clamped_or_short_sequence():
     short = _rung_limit(ks[:READ_RUNGS - 1], values[:READ_RUNGS - 1], 0.0)
     assert short.kind == "undecided"
     assert short.diagnostics["reliable_rungs"] == READ_RUNGS - 1
+    # overflowed values, inf <= 4 ROUNDING inf: 30 ones and 8 infs read
+    # vanishing, 38 infs zero
+    for tail in (READ_RUNGS, len(values)):
+        assert _rung_limit(ks, np.where(ks > ks[-1] - tail, np.inf, values), 0.0).kind \
+            == "infinite"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_ladder_reads_unbounded_without_a_warning():
+    """``|g'| = 1e295`` at T_g(3, 1/2): the ladder's cell products overflow
+    (which leaked a matmul RuntimeWarning) and the pointwise profile
+    ``(1-r^2)^-1.5 |g'|`` overflows to inf, which the sup claim read
+    vanishing."""
+    big = SymbolSpec(name="big-test", eval=lambda z: 1e295 * np.asarray(z, dtype=complex),
+                     deriv=lambda z: np.full_like(np.asarray(z, dtype=complex), 1e295),
+                     deriv2=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
+                     taylor_coeff=lambda n: 1e295 if n == 1 else 0j, peak=0.0)
+    rep = classify(big, T, _pair(3, 0.5), CFG)
+    assert rep.boundedness.tag is VerdictTag.UNBOUNDED
+    assert rep.compactness.tag is VerdictTag.NOT_COMPACT
 
 
 @pytest.mark.parametrize("power", [1, 2])

@@ -11,8 +11,7 @@ from volterra import estimation
 from volterra.errors import HypothesisError
 from volterra.estimation import (ESTIMATION_GRID, MONOMIAL_POWERS, THETA_FAMILY_COUNT,
                                  BatteryEntry, build_battery, compactness_probe, estimate_row,
-                                 lower_bound_details, monomial_norm, tg_min_upper_bound,
-                                 tg_upper_bound)
+                                 lower_bound_details, monomial_norm, tg_min_upper_bound)
 from volterra.operators import OperatorKind, apply_operator
 from volterra.series import TaylorSeries, derivative
 from volterra.spaces import SpacePair, weighted_sup_norm, weighted_sup_norms
@@ -282,31 +281,14 @@ def test_the_witness_family_is_built(monkeypatch):
     assert {f"rotational:{j}" for j in range(THETA_FAMILY_COUNT)} <= built
 
 
-def test_upper_bound_split_identity():
-    pair = SpacePair(0, 0)
-    # the tail-refined split makes the bound the full criterion sup for any cut
-    for t0 in (0.875, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -30):
-        assert tg_upper_bound(get_symbol("identity"), pair, t0) == \
-            pytest.approx(1.0, abs=1e-3)
-    best, t_best = tg_min_upper_bound(get_symbol("identity"), pair)
+def test_upper_bound_identity():
+    best = tg_min_upper_bound(get_symbol("identity"), SpacePair(0, 0))
     assert best == pytest.approx(1.0, abs=1e-3)
 
 
 def test_upper_bound_needs_bounded_ladder():
     with pytest.raises(HypothesisError):
-        tg_upper_bound(get_symbol("log"), SpacePair(0, 0), 0.875)
-
-
-def test_upper_bound_requires_schedule_rung():
-    with pytest.raises(ValueError):
-        tg_upper_bound(get_symbol("identity"), SpacePair(0, 0), 0.8)
-
-
-@pytest.mark.parametrize("t0", [-np.inf, np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 2.0])
-def test_upper_bound_rejects_cut_radius_outside_the_unit_interval(t0):
-    # t0 = -inf took the log of an infinite 1 - t0 and raised OverflowError
-    with pytest.raises(ValueError, match=r"t0 must lie in \(0, 1\)"):
-        tg_upper_bound(get_symbol("identity"), SpacePair(0, 0), t0)
+        tg_min_upper_bound(get_symbol("log"), SpacePair(0, 0))
 
 
 def test_sandwich_on_bounded_rows():
@@ -314,8 +296,27 @@ def test_sandwich_on_bounded_rows():
     for name, a, b in cases:
         pair = SpacePair(a, b)
         lo = lower_bound_details(get_symbol(name), T, pair).value
-        up, _ = tg_min_upper_bound(get_symbol(name), pair)
+        up = tg_min_upper_bound(get_symbol(name), pair)
         assert lo <= up + 1e-6, name
+
+
+def test_upper_bound_is_above_the_lower_bound_at_positive_beta():
+    """On every Bounded T_g cell with beta > 0.  At beta = 0 the envelope,
+    which stops at the last rung, stays below the sup of identity, monomial,
+    affine and lacunary at (0, 0)."""
+    weights, cells = (0.0, 0.5, 1.0, 2.0), 0
+    for alpha in weights:
+        battery = build_battery(alpha)
+        for g in registry():
+            for beta in weights[1:]:
+                pair = SpacePair(alpha, beta)
+                try:
+                    up = tg_min_upper_bound(g, pair)
+                except HypothesisError:
+                    continue
+                assert lower_bound_details(g, T, pair, battery).value <= up, (g.name, pair)
+                cells += 1
+    assert cells == 95
 
 
 def test_probe_closed_form_identity():
