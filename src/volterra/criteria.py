@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -76,6 +76,8 @@ NODES_PER_CELL = 16
 LOG_SUBSTITUTION_ALPHA = 0.5
 CELL_REL_TOL = 1e-9
 MAX_PANELS = 64
+# the node tables at one and two panels kept by the memo of _cell_nodes
+MEMO_TABLES = 16
 # the schedule's first classified rung
 K_MIN = 3
 
@@ -126,9 +128,34 @@ def _cell_nodes(s_lo, s_hi, panels: int, n: int, use_log: bool):
     placed in s (or in ``u = -log s`` once the weight exponent makes the
     substitution pay off), which keeps ``1 - r`` exact at nodes arbitrarily
     close to the boundary.
+
+    The tables do not depend on the integrand, so those at one or two panels,
+    the every-cell tables each engine starts from, are memoised per process
+    (:func:`_memo_nodes`) and read-only; the refined tables of a few cells are
+    built fresh.
     """
-    x, w = gauss_legendre(n)
     s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
+    if panels <= 2:
+        return _memo_nodes(s_lo.tobytes(), s_hi.tobytes(), panels, n, use_log)
+    return _fresh_nodes(s_lo, s_hi, panels, n, use_log)
+
+
+@lru_cache(maxsize=MEMO_TABLES)
+def _memo_nodes(s_lo: bytes, s_hi: bytes, panels: int, n: int, use_log: bool):
+    """:func:`_fresh_nodes` of float64 bounds bytes, read-only.  Keyed by the
+    bounds' bytes, the panel count, ``n`` and the rule; at most ``MEMO_TABLES``
+    tables of ``cells x panels x n`` nodes, three float64 arrays each: at
+    ``n = NODES_PER_CELL``, 768 bytes a cell, so 0.5 MB in all for ladders of
+    up to 40 rungs (the command line's cap on ``k_max``).  ``lru_cache`` is
+    thread-safe, and two threads that miss at once build equal tables."""
+    nodes = _fresh_nodes(np.frombuffer(s_lo), np.frombuffer(s_hi), panels, n, use_log)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _fresh_nodes(s_lo, s_hi, panels: int, n: int, use_log: bool):
+    x, w = gauss_legendre(n)
     lo, hi = (-np.log(s_hi), -np.log(s_lo)) if use_log else (s_lo, s_hi)
     edges = np.linspace(lo, hi, panels + 1, axis=-1)
     mid, half = 0.5 * (edges[:, :-1] + edges[:, 1:]), 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -159,7 +186,8 @@ def _integrate_cells(absmat: Callable, weight_exponent: float, cells) -> _Cells:
     to ``MAX_PANELS``.  All cells at one panel count share one ``absmat`` call
     on their ``(cells, nodes)`` radii, at most 40 x 64 x 16 on the rung cells.
     Samples that are not finite or exceed ``OVERFLOW_CLAMP`` are clamped to it;
-    a row that overflows all the same reads inf, with a NaN change.
+    a row that overflows all the same reads inf, with a NaN change.  The
+    every-cell node tables come from the memo of :func:`_cell_nodes`.
     """
     use_log = weight_exponent >= LOG_SUBSTITUTION_ALPHA
     bounds = np.asarray(cells, dtype=float).reshape(-1, 2)
@@ -226,8 +254,16 @@ class _LadderEngine:
     def __init__(self, absmat: Callable, weight_exponent: float, beta: float,
                  cfg: LadderConfig):
         self.cfg = cfg
-        mesh = _integrate_cells(absmat, weight_exponent, _rung_cells(2.0 ** -cfg.k_max))
-        self.clamped = bool(np.any(mesh.clamped))
+        sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
+        # the rung cells [s_{j+1}, s_j], j < k_max: _rung_cells(s_{k_max}) as one array
+        mesh = _integrate_cells(absmat, weight_exponent, np.stack((sk[1:], sk[:-1]), axis=1))
+        self.rung_weight = radial_weight(sk, beta)
+        # a row that overflows puts every later rung value at least w_k DBL_MAX:
+        # where that passes OVERFLOW_CLAMP on every later rung, the ladder is
+        # clamped, as past a clamped sample; else those rungs stay unreliable
+        over = np.flatnonzero(np.isinf(mesh.rows))
+        self.clamped = bool(np.any(mesh.clamped)) or (len(over) > 0 and bool(
+            np.min(self.rung_weight[over[0] + 1:]) > OVERFLOW_CLAMP / np.finfo(float).max))
         # reliability of the prefix through cell j: every earlier cell clean
         ok = ~mesh.clamped & mesh.accurate
         self.reliable = np.concatenate([[True], np.cumprod(ok).astype(bool)])
@@ -235,8 +271,6 @@ class _LadderEngine:
         self.prefix = np.concatenate([[0.0], np.cumsum(mesh.rows)])
         # each prefix's quadrature error: the sum of its cells' errs
         self.prefix_errs = np.concatenate([[0.0], np.cumsum(mesh.errs)])
-        sk = 2.0 ** -np.arange(cfg.k_max + 1, dtype=float)
-        self.rung_weight = radial_weight(sk, beta)
         with np.errstate(over="ignore", invalid="ignore"):
             self.values = self.rung_weight * self.prefix
 

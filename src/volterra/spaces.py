@@ -4,7 +4,7 @@ The weight is ``(1-|z|^2)^alpha``, formed from ``s = 1 - |z|`` by
 :func:`radial_weight` everywhere in the package.  Maxima in this problem family
 concentrate at the boundary, so the radial grid is geometrically graded toward
 ``|z| = 1``.  A supremum along a fixed ray (the interior of
-:func:`~volterra.criteria.ray_sup` on a symbol's peak ray) is :func:`ray_max`
+:func:`~volterra.criteria.ray_sup` on a symbol's peak ray) is :func:`ray_argmax`
 of profiles ``(r, s) -> |h|``, such as a symbol's moduli on its peak ray: a
 sample on the radii of ``DEFAULT_GRID``, then a few vectorised zoom passes
 around each profile's best sample, which can only increase it.  A supremum over the disk is
@@ -41,7 +41,7 @@ from .errors import DomainError
 from .series import (OVERFLOW_CLAMP, TaylorSeries, _clamp, _ring_powers, derivative,
                      evaluate_on_rings)
 
-# ray_max's zoom passes and their radii per bracket: each pass narrows a
+# ray_argmax's zoom passes and their radii per bracket: each pass narrows a
 # bracket to 2/64 of its width, (2/64)^6 = 9.3e-10 in all
 ZOOM_PASSES = 6
 ZOOM_POINTS = 65
@@ -177,11 +177,6 @@ def ray_argmax(fn: Callable, exponent: float):
             r = lo + _ZOOM_STEPS[:, None] * (hi - lo)
             s = 1.0 - r
     return best, arg
-
-
-def ray_max(fn: Callable, exponent: float) -> np.ndarray:
-    """The maxima of :func:`ray_argmax` alone."""
-    return ray_argmax(fn, exponent)[0]
 
 
 def _ring_sweep(coeffs: np.ndarray, radii, weights, n_angles: int) -> np.ndarray:

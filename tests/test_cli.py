@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -617,6 +620,20 @@ def test_required_option_missing_from_flags_and_file(tmp_path, capsys):
         code, _, err = run(capsys, *cell, *extra)
         assert code == 1
         assert "the following arguments are required: --symbol" in err
+
+
+def test_a_fresh_process_reports_the_bytes_of_a_warm_second_report(capsys):
+    """The memoised node tables carry no state from one report to the next:
+    the default JSON report of a fresh process equals the second of two
+    reports built in this process, whose memo earlier tests have filled."""
+    env = dict(os.environ, VOLTERRA_WORKERS="1")
+    fresh = subprocess.run([sys.executable, "-m", "volterra.cli", "report", "--format", "json"],
+                           env=env, capture_output=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    for _ in range(2):
+        code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == 0
+    assert out.encode() == fresh.stdout
 
 
 def test_report_builds_one_engine_per_tg_row(monkeypatch):

@@ -842,6 +842,78 @@ def test_peak_engine_samples_the_ray_only_in_cell_rows(monkeypatch, g, which, ex
     assert np.array_equal(engine.prefix, np.concatenate([[0.0], np.cumsum(mesh.rows)]))
 
 
+@pytest.mark.parametrize("g, which, exponent, clamped", _engine_cases())
+def test_memoised_node_tables_change_no_bit(monkeypatch, g, which, exponent, clamped):
+    """An engine built from a cleared memo, a warm rebuild and a build whose
+    every node table is fresh (no cell memoised) give the same cell rows,
+    changes and panel counts bit for bit; the warm rebuild builds no table."""
+    from volterra import criteria
+    absmat = _steep_pole(0.0) if g is None else _abs(g, which)
+    criteria._memo_nodes.cache_clear()
+    cold, cold_engine, _, _ = _sampled_cells(monkeypatch, absmat, exponent, engine=True)
+    misses = criteria._memo_nodes.cache_info().misses
+    warm, warm_engine, _, _ = _sampled_cells(monkeypatch, absmat, exponent, engine=True)
+    assert criteria._memo_nodes.cache_info().misses == misses
+    monkeypatch.setattr(criteria, "_memo_nodes", lambda lo, hi, *args: criteria._fresh_nodes(
+        np.frombuffer(lo), np.frombuffer(hi), *args))
+    fresh, fresh_engine, _, _ = _sampled_cells(monkeypatch, absmat, exponent, engine=True)
+    monkeypatch.undo()
+    for mesh, engine in ((warm, warm_engine), (fresh, fresh_engine)):
+        for field in ("rows", "errs", "panels", "clamped"):
+            np.testing.assert_array_equal(getattr(mesh, field), getattr(cold, field))
+        np.testing.assert_array_equal(engine.prefix, cold_engine.prefix)
+    if g is None:
+        # the steep pole refines its deep cells to the panel cap
+        assert int(np.max(cold.panels)) == criteria.MAX_PANELS
+
+
+def test_memoised_tables_are_read_only():
+    """The memo hands out read-only arrays; a refined table is built fresh."""
+    from volterra import criteria
+    bounds = np.array(criteria._rung_cells(2.0 ** -CFG.k_max))
+    for use_log in (False, True):
+        for panels in (1, 2):
+            nodes = criteria._cell_nodes(bounds[:, 0], bounds[:, 1], panels,
+                                         criteria.NODES_PER_CELL, use_log)
+            for a in nodes:
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.5
+        refined = criteria._cell_nodes(bounds[:2, 0], bounds[:2, 1], 4,
+                                       criteria.NODES_PER_CELL, use_log)
+        assert all(a.flags.writeable for a in refined)
+
+
+def test_engines_built_on_four_threads_from_a_cleared_memo_agree():
+    """Four threads (more than the cores of a small machine) that start
+    together on a cleared memo, switching as often as the interpreter allows,
+    build engines with the prefixes of a serial build."""
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    from volterra import criteria
+    from volterra.symbols import registry
+    cases = [(g.abs_deriv, e) for g in registry() for e in (0.0, 0.5, 2.0)]
+    cases.append((_steep_pole(0.0), 0.5))
+    start = threading.Barrier(4)
+
+    def build(wait):
+        if wait:
+            start.wait(timeout=60)
+        return [criteria._LadderEngine(absmat, e, 0.5, CFG).prefix for absmat, e in cases]
+    criteria._memo_nodes.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(build, [True] * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = build(False)
+    for prefixes in threaded:
+        for got, want in zip(prefixes, serial):
+            np.testing.assert_array_equal(got, want)
+
+
 # -- the rung-exponent rule ------------------------------------------------------
 
 def _rung_sequence(f):
@@ -901,6 +973,41 @@ def test_an_overflowing_ladder_reads_unbounded_without_a_warning():
     rep = classify(big, T, _pair(3, 0.5), CFG)
     assert rep.boundedness.tag is VerdictTag.UNBOUNDED
     assert rep.compactness.tag is VerdictTag.NOT_COMPACT
+    # the rows overflow, and the rung weight (at least 2^-20) holds every later
+    # rung past OVERFLOW_CLAMP: the ladder is clamped, its rungs not dropped
+    assert rep.tg_engine.clamped
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta, clamped, tags", [
+    (0.0, True, (VerdictTag.UNBOUNDED, VerdictTag.NOT_COMPACT)),
+    (30.0, False, (VerdictTag.BOUNDED, VerdictTag.COMPACT))])
+def test_an_overflowed_row_clamps_the_ladder_only_past_the_clamp(beta, clamped, tags):
+    """At alpha = 30 the weight ``(1-r^2)^-30`` makes the identity's rows
+    overflow on rung cells 35-39.  At beta = 0 the rung weight is 1, every
+    later rung is past the clamp and the ladder is clamped: Unbounded, as the
+    ladder ``(1-R)^-29`` diverges.  At beta = 30 the rung weight brings the
+    ladder ``(1-R)^1`` back down, so those rungs are dropped, not clamped, and
+    the ladder agrees with the pointwise claims: Bounded and Compact."""
+    from volterra.criteria import _ladder_engine
+    engine = _ladder_engine(get_symbol("identity"), "deriv", 30.0, beta, CFG)
+    assert np.isfinite(engine.prefix[35]) and np.all(np.isinf(engine.prefix[36:]))
+    assert engine.clamped == clamped
+    rep = classify(get_symbol("identity"), T, _pair(30, beta), CFG)
+    assert (rep.boundedness.tag, rep.compactness.tag) == tags
+    assert rep.cross_check_agreement
+    assert rep.tg_engine.clamped == clamped
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowed_weight_on_a_zero_integrand_is_not_clamped():
+    """At alpha = 400 the weight ``(1-r^2)^-400`` overflows from the third rung
+    cell on.  Against ``g' = 0`` a row reads NaN (inf times 0), which is not
+    clamped: the constant's T_g, the zero operator, is not read Unbounded."""
+    one = classify(get_symbol("one"), T, _pair(400, 0), CFG)
+    assert not one.tg_engine.clamped
+    assert one.boundedness.tag is not VerdictTag.UNBOUNDED
+    assert one.compactness.tag is not VerdictTag.NOT_COMPACT
 
 
 @pytest.mark.parametrize("power", [1, 2])

@@ -124,7 +124,7 @@ def test_refinement_never_decreases():
     on_grid = np.max(spaces.radial_weight(s, 1.0) * fn(1.0 - s, s))
     r = np.linspace(0.0, 0.999, 100_001)
     dense = np.max(spaces.radial_weight(1.0 - r, 1.0) * fn(r, 1.0 - r))
-    value = spaces.ray_max(fn, 1.0)[0]
+    value = spaces.ray_argmax(fn, 1.0)[0][0]
     assert value > on_grid
     assert value >= dense * (1.0 - 1e-15)
 
@@ -449,8 +449,8 @@ def test_bloch_norm_needs_a_derivative_evaluator():
 def test_homogeneity_survives_refinement_on_boundary_peak():
     # cayley's weighted ray profile (1 - r^2) / (1 - r) = 1 + r rises to the
     # boundary; scaling it moves none of the zoom passes' brackets
-    base = spaces.ray_max(lambda r, s: np.abs(cayley(r)), 1.0)[0]
-    assert spaces.ray_max(lambda r, s: np.abs(2.5 / (1.0 - r)), 1.0)[0] == \
+    base = spaces.ray_argmax(lambda r, s: np.abs(cayley(r)), 1.0)[0][0]
+    assert spaces.ray_argmax(lambda r, s: np.abs(2.5 / (1.0 - r)), 1.0)[0][0] == \
         pytest.approx(2.5 * base, rel=1e-9)
 
 
@@ -502,10 +502,10 @@ def test_ray_max_batch_equals_each_column_alone():
     a = np.array([0.0, 1.0, 7.0, 40.0, 3.0])
     b = np.array([1.0, 0.5, 2.0, 0.01, 1e-9])
     for exponent in (0.0, 0.5, 2.0):
-        batch = spaces.ray_max(lambda r, s: r ** a / (s + b), exponent)
+        batch = spaces.ray_argmax(lambda r, s: r ** a / (s + b), exponent)[0]
         assert batch.shape == a.shape
         for k in range(len(a)):
-            alone = spaces.ray_max(lambda r, s: r ** a[k:k + 1] / (s + b[k:k + 1]), exponent)
+            alone = spaces.ray_argmax(lambda r, s: r ** a[k:k + 1] / (s + b[k:k + 1]), exponent)[0]
             assert alone[0] == batch[k]
 
 
@@ -531,14 +531,13 @@ def test_ray_argmax_radius_attains_the_max():
         return r ** a / (s + b)
     for exponent in (0.0, 0.5, 2.0):
         value, radius = spaces.ray_argmax(fn, exponent)
-        assert np.array_equal(value, spaces.ray_max(fn, exponent))
         at = spaces.radial_weight(1.0 - radius, exponent) * fn(radius, 1.0 - radius)
         np.testing.assert_allclose(at, value, rtol=1e-15, atol=0.0)
 
 
 def test_ray_max_finds_a_closed_form_maximum():
     # (1-r^2)^2 / (1-r) = (1-r)(1+r)^2 peaks at r = 1/3 with value 32/27
-    value = spaces.ray_max(lambda r, s: 1.0 / s, 2.0)
+    value = spaces.ray_argmax(lambda r, s: 1.0 / s, 2.0)[0]
     assert _within_ray_slack(value[0], 32.0 / 27.0, 2.0)
 
 
@@ -554,7 +553,7 @@ def test_ray_max_matches_an_mpmath_oracle_on_peak_rays(name):
             em, pm = mpmath.mpf(e), mpmath.mpf(p)
             s = 2 * (em - pm) / (2 * em - pm)
             want = float((s * (2 - s)) ** em * s ** -pm)
-        got = spaces.ray_max(g.abs_deriv, e)[0]
+        got = spaces.ray_argmax(g.abs_deriv, e)[0][0]
         assert _within_ray_slack(got, want, e), (e, got, want)
 
 
@@ -568,7 +567,7 @@ def test_ray_max_matches_the_monomial_norm_at_50_digits(alpha):
         with mpmath.workdps(50):
             a = mpmath.mpf(alpha)
             want = float((n / (n + 2 * a)) ** (mpmath.mpf(n) / 2) * (2 * a / (n + 2 * a)) ** a)
-        got = spaces.ray_max(lambda r, s: r ** n, alpha)[0]
+        got = spaces.ray_argmax(lambda r, s: r ** n, alpha)[0][0]
         assert _within_ray_slack(got, want, alpha), (n, got, want)
 
 
@@ -580,7 +579,7 @@ def test_ray_max_calls_its_objective_once_per_pass(columns):
     def fn(r, s):
         shapes.append(np.broadcast_shapes(np.shape(r), (columns,)))
         return r * (1.0 + np.arange(columns))
-    spaces.ray_max(fn, 1.0)
+    spaces.ray_argmax(fn, 1.0)
     assert len(shapes) == 1 + spaces.ZOOM_PASSES
     assert shapes[1:] == [(spaces.ZOOM_POINTS, columns)] * spaces.ZOOM_PASSES
 
@@ -588,13 +587,13 @@ def test_ray_max_calls_its_objective_once_per_pass(columns):
 def test_ray_max_reads_a_pole_and_nan_as_inf():
     # r = 1/2 is a grid radius (s = 2^-1); the zoom passes can only raise the
     # grid's inf sample there
-    assert spaces.ray_max(lambda r, s: np.abs(1.0 / (r - 0.5)), 1.0)[0] == np.inf
-    assert spaces.ray_max(lambda r, s: np.where(r == 0.5, np.nan, r), 0.0)[0] == np.inf
+    assert spaces.ray_argmax(lambda r, s: np.abs(1.0 / (r - 0.5)), 1.0)[0][0] == np.inf
+    assert spaces.ray_argmax(lambda r, s: np.where(r == 0.5, np.nan, r), 0.0)[0][0] == np.inf
     # a divergent column does not leak into its neighbours
     poles = np.array([0.5, 2.0])
-    both = spaces.ray_max(lambda r, s: np.abs(1.0 / (r - poles)), 1.0)
+    both = spaces.ray_argmax(lambda r, s: np.abs(1.0 / (r - poles)), 1.0)[0]
     assert both[0] == np.inf
-    assert both[1] == spaces.ray_max(lambda r, s: np.abs(1.0 / (r - poles[1:])), 1.0)[0] < 1.0
+    assert both[1] == spaces.ray_argmax(lambda r, s: np.abs(1.0 / (r - poles[1:])), 1.0)[0][0] < 1.0
 
 
 def test_ray_max_never_samples_the_boundary():
@@ -603,6 +602,6 @@ def test_ray_max_never_samples_the_boundary():
     def radii(r, s):
         seen.append(np.array(r, dtype=float).ravel())
         return r
-    inside = spaces.ray_max(radii, 0.0)[0]
+    inside = spaces.ray_argmax(radii, 0.0)[0][0]
     assert 1.0 not in np.concatenate(seen)
     assert inside < 1.0 and inside == 1.0 - DEFAULT_GRID.one_minus_r()[-1]
