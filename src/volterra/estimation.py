@@ -12,17 +12,18 @@ ladder at every radius up to its last rung.
 A battery's families are rotations of one base: the 8 rotational entries, and
 the 4 directions of each peak rung; at ``alpha > 0`` each member's source norm
 is the Schwarz-Pick bound 1.  A member's image coefficients are at most, in
-modulus, those of its family's magnitude image: ``Op`` applied to the moduli of
-``g``'s coefficients and the members' largest coefficient moduli.  A report row
-takes its lower bound and probe trace from one pass over one Taylor series
+modulus, those of its family's magnitude image: ``Op`` applied in real
+arithmetic to the moduli of ``g``'s coefficients and the battery's source of
+the family, its members' largest coefficient moduli.  A report row takes its
+lower bound and probe trace from one pass over coefficient rows
 (:func:`estimate_row`): one :func:`~volterra.spaces.weighted_sup_norms` call on
-``ESTIMATION_GRID`` measures the probe's images ``Op z^n``, which also serve
-the battery's monomial entries, its other entries outside every family and one
+``ESTIMATION_GRID`` measures the probe's rows ``Op z^n``, which also serve the
+battery's monomial entries, its other entries outside every family and one
 magnitude image per family; a second measures the members of only the families
-that can win.  A default report applies the operator 114 times (``const``, 88
-magnitude images, 12 of 368 members).  Of its 1,010 images, the 86 % with all
-coefficients real and ``>= 0`` are read on the ray ``theta = 0`` alone; the
-rest are swept on 482 of their 11,416 rings.
+that can win.  A default report calls :func:`apply_operator` 26 times
+(``const``, 12 of 368 members) and builds 119 Taylor series, 72 in batteries.
+Of its 1,010 images, the 86 % with all coefficients real and ``>= 0`` are read
+on the ray ``theta = 0`` alone; the rest are swept on 482 of their 11,416 rings.
 
 Probes send the normalized monomials through the operator.  These tend to zero
 uniformly on compact subsets, so a compact operator must crush them; a trace
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import HypothesisError
 from .criteria import DEFAULT_LADDER, LadderConfig, VerdictTag, tg_boundedness
-from .operators import OperatorKind, apply_operator, monomial_images
-from .series import OVERFLOW_CLAMP, TaylorSeries, derivative
+from .operators import OperatorKind, apply_operator, image_array, monomial_images
+from .series import OVERFLOW_CLAMP, TaylorSeries, _derivative, derivative
 from .spaces import (_SMALLEST_NORMAL, PRUNE_MARGIN, DiskGrid, SpacePair, radial_weight,
                      weighted_sup_norms)
 # bound here only for perfbench's tracer, which wraps estimation.weighted_sup_norm
@@ -90,9 +91,9 @@ class BatteryEntry:
 class TestBattery:
     alpha: float
     entries: tuple
-    # index tuples of the entries that are rotations of one base, each of one
-    # coefficient count; an entry in no family is measured on every row
-    families: tuple
+    families: tuple  # index tuples of rotations of one base, each of one coefficient count
+    sources: tuple  # each family's largest coefficient moduli, for its magnitude image
+    alone: tuple  # (i, n) of each entry in no family, z^n, measured on every row
 
 
 def _binom_series(exponent: float, degree: int) -> np.ndarray:
@@ -147,7 +148,9 @@ def build_battery(alpha: float, degree: int = DEFAULT_DEGREE) -> TestBattery:
         families.append(tuple(range(len(entries), len(entries) + len(PEAK_DIRECTIONS))))
         for phi, cs in zip(PEAK_DIRECTIONS, mags * turns):
             entries.append(BatteryEntry(f"peak:{j}:{phi:.4f}", TaylorSeries(cs), float(norm)))
-    return TestBattery(alpha=alpha, entries=tuple(entries), families=tuple(families))
+    sources = tuple(np.max([np.abs(entries[i].series.array) for i in f], axis=0) for f in families)
+    return TestBattery(alpha, tuple(entries), tuple(families), sources,
+                       alone=tuple(enumerate((0,) + MONOMIAL_POWERS)))
 
 
 @dataclass(frozen=True)
@@ -233,20 +236,17 @@ def estimate_row(g_series: TaylorSeries, operator: OperatorKind, pair: SpacePair
     if battery is None:
         return None, _trace(weighted_sup_norms(probe, pair.beta, ESTIMATION_GRID).tolist(),
                             operator, pair)
-    entries, families = battery.entries, battery.families
+    entries = battery.entries
 
     def images(indices):
-        return [apply_operator(operator, g_series, entries[i].series, dg) for i in indices]
-    grouped = {i for family in families for i in family}
-    alone = [i for i in range(len(entries)) if i not in grouped]
-    # an entry z^n, n <= n_max, reads the probe's image norm, equal to its own
-    shared = {i: len(c) - 1 for i in alone if (c := entries[i].series.array)[-1] == 1
-              and not np.any(c[:-1]) and 1 <= len(c) - 1 <= n_max}
+        return [apply_operator(operator, g_series, entries[i].series, dg).array for i in indices]
+    # an entry z^n, 1 <= n <= n_max, reads the probe's image norm, equal to its own
+    shared = {i: n for i, n in battery.alone if 1 <= n <= n_max}
+    alone = [i for i, _ in battery.alone]
     own = [i for i in alone if i not in shared]
-    abs_g = TaylorSeries(np.abs(g_series.array))
-    abs_dg = derivative(abs_g)
-    magnitude = [apply_operator(operator, abs_g, TaylorSeries(np.max(
-        [np.abs(entries[i].series.array) for i in family], axis=0)), abs_dg) for family in families]
+    abs_g = np.abs(g_series.array)
+    abs_dg = _derivative(abs_g)
+    magnitude = [image_array(operator, abs_g, s, abs_dg) for s in battery.sources]
     nums = weighted_sup_norms(probe + images(own) + magnitude, pair.beta,
                               ESTIMATION_GRID).tolist()
     probe_nums, nums = nums[:n_max], nums[n_max:]
@@ -256,9 +256,9 @@ def estimate_row(g_series: TaylorSeries, operator: OperatorKind, pair: SpacePair
     # a zero kernel (g' of T_g, g of S_g) makes every image exactly zero
     nonzero_kernel = np.any((dg if operator is OperatorKind.Tg else g_series).array)
     members = []
-    for family, image, bound in zip(families, magnitude, nums[len(own):]):
+    for family, image, bound in zip(battery.families, magnitude, nums[len(own):]):
         # a member sample above the clamp reads inf, which a finite bound misses
-        if not np.sum(image.array.real) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN):
+        if not np.sum(image) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN):
             bound = math.inf
         # slack as in spaces.PRUNE_MARGIN's comment; NaN and inf bounds stay live
         cap = (bound * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL) / min(

@@ -1,9 +1,9 @@
 """Truncated Taylor series of analytic functions on the disk.
 
-Coefficients are double-precision complex throughout.  A series keeps its
-coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as one read-only complex array,
-and as an immutable tuple built on first read; derivatives, antiderivatives and
-Cauchy products run on the array, rounded exactly like the per-coefficient
+A series keeps its coefficients ``c[0] + c[1] z + ... + c[N] z^N`` as one
+read-only double-precision complex array, and as an immutable tuple built on
+first read; derivatives, antiderivatives (also of bare float coefficient arrays)
+and Cauchy products run on the array, rounded exactly like the per-coefficient
 Python expressions.
 
 Polynomials are evaluated by one Horner loop, :func:`evaluate_polynomial`.  On the
@@ -153,26 +153,35 @@ def _ring_powers(radii: bytes, n_cols: int) -> np.ndarray:
     return table
 
 
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """:func:`derivative` of a float or complex array, rounded like ``(n + 1) * c``."""
+    return np.arange(1, len(c)) * c[1:] if len(c) > 1 else np.zeros(1, dtype=c.dtype)
+
+
 def derivative(f: TaylorSeries) -> TaylorSeries:
     """Term-by-term derivative; degree drops by one (minimum 0)."""
-    # complex times (n + 1 + 0j), rounded like Python's ``(n + 1) * c``
-    return TaylorSeries(np.arange(1, f.degree + 1) * f.array[1:])
+    return TaylorSeries(_derivative(f.array))
 
 
-def _divide_by_index(c: np.ndarray, k):
-    """The real and imaginary parts of ``c / k`` for complex ``c`` and real
-    ``k``, rounded like Python's ``c / k``: each part is divided by ``k`` after
-    adding the other part times the zero ratio (which fixes a zero's sign);
-    NumPy's complex division would multiply by a reciprocal and round
-    differently."""
-    return (c.real + c.imag * 0.0) / k, (c.imag - c.real * 0.0) / k
+def _divide_by_index(c: np.ndarray, k) -> np.ndarray:
+    """``c / k`` for real ``k``; a complex ``c`` rounds like Python's ``c / k``:
+    each part is divided by ``k`` after adding the other part times the zero
+    ratio (fixing a zero's sign), where NumPy would multiply by a reciprocal."""
+    if c.dtype.kind != "c":
+        return c / k
+    out = np.empty(np.broadcast_shapes(c.shape, np.shape(k)), dtype=complex)
+    out.real, out.imag = (c.real + c.imag * 0.0) / k, (c.imag - c.real * 0.0) / k
+    return out
+
+
+def _antiderivative(c: np.ndarray) -> np.ndarray:
+    """:func:`antiderivative` of a float or complex coefficient array."""
+    return np.concatenate(([0.0], _divide_by_index(c, np.arange(1.0, len(c) + 1))))
 
 
 def antiderivative(f: TaylorSeries) -> TaylorSeries:
     """Antiderivative vanishing at 0; degree rises by one."""
-    cs = np.zeros(f.degree + 2, dtype=complex)
-    cs.real[1:], cs.imag[1:] = _divide_by_index(f.array, np.arange(1.0, f.degree + 2))
-    return TaylorSeries(cs)
+    return TaylorSeries(_antiderivative(f.array))
 
 
 def cauchy_product(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:

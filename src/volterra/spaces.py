@@ -13,20 +13,20 @@ function is a truncated Taylor series or a vectorised closed form
 ``z -> f(z)``, evaluated pointwise.  All sweeps are pure and deterministic.
 
 On every circle ``|f| <= sum |c_m| r^m``, the ring majorant.  The majorants of
-a stack of series come from one pass over all of them, with one matrix-vector
-product per series at its own length against a memoised ``r^m`` table.  A
-series whose coefficients are all real and ``>= 0`` attains it at
-``theta = 0``, so its ring maxima are its majorants and no angle is swept.  Any
-other series is swept a whole ring at a time by the folded-FFT ring evaluator of
-:mod:`volterra.series`; :func:`weighted_sup_norms` sweeps it on the ring of
-largest majorant, then only on the rings whose majorant reaches that ring's
-maximum, about a tenth of them in a default report.  The evaluator takes ring
-rows, one coefficient row per ring, up to ``RING_GROUP`` per call, so the
-per-call work of a sweep is paid once per call.  The call is bounded because a
-sweep holds several ``(K, N)`` arrays at once: at ``N = 128`` a complex one
-takes about 0.7 MB for 4 x 82 rows (four series on the estimation grid's 82
-rings), but 1.3 MB for twice as many, and then the sweep no longer fits a 2 MB
-per-core cache and measured slower than one series at a time.
+a stack of coefficient rows, float or complex, come from one pass over all of
+them, with one matrix-vector product per row at its own length against a
+memoised ``r^m`` table.  A row whose coefficients are all real and ``>= 0``
+attains it at ``theta = 0``, so its ring maxima are its majorants and no angle
+is swept.  Any other row is swept a whole ring at a time by the folded-FFT ring
+evaluator of :mod:`volterra.series`; :func:`weighted_sup_norms` sweeps it on
+the ring of largest majorant, then only on the rings whose majorant reaches
+that ring's maximum, about a tenth of them in a default report.  The evaluator
+takes ring rows, one coefficient row per ring, up to ``RING_GROUP`` per call,
+so the per-call work of a sweep is paid once per call.  The call is bounded
+because a sweep holds several ``(K, N)`` arrays at once: at ``N = 128`` a
+complex one takes about 0.7 MB for 4 x 82 rows (four series on the estimation
+grid's 82 rings), but 1.3 MB for twice as many, and then the sweep no longer
+fits a 2 MB per-core cache and measured slower than one series at a time.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ RING_GROUP = 4 * 82
 # estimation.estimate_row prunes battery families with the same slack.
 # There a member's image coefficient, a D-term convolution of complex
 # coefficients, exceeds in modulus its magnitude image's coefficient, the same
-# convolution of their moduli, by at most about 2 gamma_D (gamma_D = D u /
-# (1 - D u)): each sum is within gamma_D of its exact value, and the moduli,
-# products and divisions by the index add a few u.  A swept sample of the
-# member exceeds its exact majorant by about 570u as above, and the magnitude
-# image's ring maxima are its computed majorants, short by (D - 1)u.  For
-# D = 8,200 that is about 3.3 D u = 3e-12 in all.  Underflow costs each
-# coefficient at most D 2^-1075 absolutely, which _SMALLEST_NORMAL covers.
+# convolution of their moduli in real arithmetic, by at most about 2 gamma_D
+# (gamma_D = D u / (1 - D u)): each sum is within gamma_D of its exact value,
+# and the moduli, products and divisions by the index add a few u.  A swept
+# sample of the member exceeds its exact majorant by about 570u as above, and
+# the magnitude image's ring maxima are its computed majorants, short by
+# (D - 1)u.  For D = 8,200 that is about 3.3 D u = 3e-12 in all.  Underflow
+# costs each coefficient at most D 2^-1075 absolutely: _SMALLEST_NORMAL covers it.
 PRUNE_MARGIN = 1e-9
 # Absolute slack of the same test: underflow costs each sample at most
 # 2^-1075 per operation, far below the smallest normal number
@@ -195,74 +195,76 @@ def _ring_majorants(rows, radii, weights, n_angles: int):
     the row's ring maxima: they are when its coefficients are all real and
     ``>= 0`` (an exact test: a NaN fails it), since then
     ``|sum c_m r^m e^{i m theta}| <= sum c_m r^m`` is attained at the grid angle
-    ``theta = 0``.  The test, the magnitudes, the clamp and the weights run
-    once over the stacked rows.  Values above the clamp are ``inf``, tagged
-    before weighting as on the ring sweep."""
+    ``theta = 0``.  The test and the magnitudes run once over the stacked rows
+    of each dtype, so no float row is copied to complex.  Values above the
+    clamp are ``inf``, tagged before weighting as on the ring sweep."""
     lengths = np.array([len(c) for c in rows])
-    flat = np.concatenate(rows)
-    starts = np.cumsum(lengths) - lengths
-    exact = ~np.logical_or.reduceat((flat.imag != 0.0) | ~(flat.real >= 0.0), starts)
-    mags = np.where(np.repeat(exact, lengths), flat.real, np.abs(flat))
     powers = _ring_powers(radii.tobytes(), -(-int(np.max(lengths)) // n_angles) * n_angles)
-    v = np.empty((len(rows), len(radii)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        # one matrix-vector product per row at its own length: zero padding or a
-        # matrix-matrix product would round a row by the rest of the stack
-        for k, (i, d) in enumerate(zip(starts.tolist(), lengths.tolist())):
-            v[k] = powers[:, :d] @ mags[i:i + d]
+    v, exact = np.empty((len(rows), len(radii))), np.empty(len(rows), dtype=bool)
+    is_complex = np.array([c.dtype.kind == "c" for c in rows])
+    for group in (np.flatnonzero(~is_complex), np.flatnonzero(is_complex)):
+        flat = np.concatenate([rows[k] for k in group.tolist()] or [np.empty(0)])
+        starts = np.cumsum(n := lengths[group]) - n
+        exact[group] = ~np.logical_or.reduceat((flat.imag != 0.0) | ~(flat.real >= 0.0), starts)
+        mags = np.where(np.repeat(exact[group], n), flat.real, np.abs(flat))
+        with np.errstate(invalid="ignore", over="ignore"):
+            # one matrix-vector product per row at its own length: zero padding or
+            # a matrix-matrix product would round a row by the rest of the stack
+            for k, i, d in zip(group.tolist(), starts.tolist(), n.tolist()):
+                v[k] = powers[:, :d] @ mags[i:i + d]
     return np.where(v <= OVERFLOW_CLAMP, v, np.inf) * weights, exact
 
 
-def _sweep_ring_rows(series, rows, radii, weights, n_angles: int) -> np.ndarray:
-    """The weighted maximum of each ring row ``(k, i)``, series ``k`` on ring
-    ``i``, swept at most ``RING_GROUP`` rows per evaluator call; the rows of
-    one call share a block count ``ceil(len / n_angles)``, so that no series is
-    padded with zero blocks."""
-    rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
-    blocks = np.array([-(-len(series[k].array) // n_angles) for k in rows[:, 0]], dtype=np.intp)
-    out = np.empty(len(rows))
+def _sweep_ring_rows(rows, ring_rows, radii, weights, n_angles: int) -> np.ndarray:
+    """The weighted maximum of each ring row ``(k, i)``, coefficient row ``k``
+    of ``rows`` on ring ``i``, swept at most ``RING_GROUP`` ring rows per
+    evaluator call; the ring rows of one call share a block count
+    ``ceil(len / n_angles)``, so that no row is padded with zero blocks."""
+    ring_rows = np.array(ring_rows, dtype=np.intp).reshape(-1, 2)
+    blocks = np.array([-(-len(rows[k]) // n_angles) for k in ring_rows[:, 0]], dtype=np.intp)
+    out = np.empty(len(ring_rows))
     for q in np.unique(blocks).tolist():
         run = np.flatnonzero(blocks == q)
-        members, which = np.unique(rows[run, 0], return_inverse=True)
+        members, which = np.unique(ring_rows[run, 0], return_inverse=True)
         padded = np.zeros((len(members), q * n_angles), dtype=complex)
         for row, k in enumerate(members.tolist()):
-            padded[row, :len(series[k].array)] = series[k].array
+            padded[row, :len(rows[k])] = rows[k]
         for i in range(0, len(run), RING_GROUP):
             part = run[i:i + RING_GROUP]
-            rings = rows[part, 1]
+            rings = ring_rows[part, 1]
             mags = _ring_sweep(padded[which[i:i + RING_GROUP]], radii[rings], weights[rings],
                                n_angles)
             out[part] = np.max(mags, axis=1)
     return out
 
 
-def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
-    """``weighted_sup_norm(f, alpha, grid)`` for each series ``f`` of ``series``,
-    as a float array.
+def weighted_sup_norms(rows, alpha: float, grid: DiskGrid) -> np.ndarray:
+    """``weighted_sup_norm`` of each coefficient row of ``rows`` (1-D float or
+    complex arrays; a float row reads as its complex copy), as a float array.
 
-    The weighted ring majorants ``(1-r^2)^alpha sum |c_m| r^m`` of all series
+    The weighted ring majorants ``(1-r^2)^alpha sum |c_m| r^m`` of all rows
     come first, in one pass (:func:`_ring_majorants`); for real, nonnegative
-    coefficients they are the ring maxima.  Any other series is swept on its ring of largest
-    majorant, then only on the rings whose majorant, widened by
+    coefficients they are the ring maxima.  Any other row is swept on its ring
+    of largest majorant, then only on the rings whose majorant, widened by
     ``PRUNE_MARGIN``, reaches that ring's maximum: the rest cannot hold a
-    larger sample.  A series whose coefficient 1-norm is above
+    larger sample.  A row whose coefficient 1-norm is above
     ``OVERFLOW_CLAMP * (1 - PRUNE_MARGIN)``, or NaN, is swept on every ring:
     the clamp acts on block sums and unweighted samples, which its weighted
     majorants do not bound.
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    if not len(series):
+    if not len(rows):
         return np.empty(0)
     radii, weights = _rings(grid, alpha, alpha == 0.0)
-    maj, exact = _ring_majorants([f.array for f in series], radii, weights, grid.n_angles)
+    maj, exact = _ring_majorants(rows, radii, weights, grid.n_angles)
     out = np.where(exact, np.max(maj, axis=1), -np.inf)
     odd = np.flatnonzero(~exact)
-    guarded = np.array([np.sum(np.abs(series[k].array)) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN)
+    guarded = np.array([np.sum(np.abs(rows[k])) <= OVERFLOW_CLAMP * (1.0 - PRUNE_MARGIN)
                         for k in odd.tolist()], dtype=bool)
     first, whole = odd[guarded], odd[~guarded]
     best = np.argmax(maj[first], axis=1)
-    out[first] = _sweep_ring_rows(series, np.column_stack((first, best)), radii, weights,
+    out[first] = _sweep_ring_rows(rows, np.column_stack((first, best)), radii, weights,
                                   grid.n_angles)
     # written so that a NaN majorant is swept
     keep = ~(maj[first] * (1.0 + PRUNE_MARGIN) + _SMALLEST_NORMAL < out[first, None])
@@ -270,7 +272,7 @@ def weighted_sup_norms(series, alpha: float, grid: DiskGrid) -> np.ndarray:
     kept, rings = np.nonzero(keep)
     rest = np.column_stack((np.r_[np.repeat(whole, len(radii)), first[kept]],
                             np.r_[np.tile(np.arange(len(radii)), len(whole)), rings]))
-    np.maximum.at(out, rest[:, 0], _sweep_ring_rows(series, rest, radii, weights, grid.n_angles))
+    np.maximum.at(out, rest[:, 0], _sweep_ring_rows(rows, rest, radii, weights, grid.n_angles))
     return out
 
 

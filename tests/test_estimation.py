@@ -12,7 +12,7 @@ from volterra.errors import HypothesisError
 from volterra.estimation import (ESTIMATION_GRID, MONOMIAL_POWERS, THETA_FAMILY_COUNT,
                                  BatteryEntry, build_battery, compactness_probe, estimate_row,
                                  lower_bound_details, monomial_norm, tg_min_upper_bound)
-from volterra.operators import OperatorKind, apply_operator
+from volterra.operators import OperatorKind, apply_operator, image_array
 from volterra.series import TaylorSeries, derivative
 from volterra.spaces import SpacePair, weighted_sup_norm, weighted_sup_norms
 from volterra.symbols import (DEFAULT_DEGREE, SymbolSpec, get_symbol, ground_truth_table,
@@ -100,7 +100,7 @@ def test_family_members_have_source_norm_at_most_one(alpha, degree):
     members = [battery.entries[i] for family in battery.families for i in family]
     assert len(members) == THETA_FAMILY_COUNT + 24
     assert all(e.norm_alpha == 1.0 for e in members)
-    norms = weighted_sup_norms([e.series for e in members], alpha, ESTIMATION_GRID)
+    norms = weighted_sup_norms([e.series.array for e in members], alpha, ESTIMATION_GRID)
     assert np.all(norms <= 1.0 + 1e-12), float(np.max(norms))
 
 
@@ -142,7 +142,7 @@ def _battery_ratios(g, op, pair, battery, degree=DEFAULT_DEGREE):
     g_series = g.taylor(degree)
     dg = derivative(g_series)
     images = [apply_operator(op, g_series, e.series, dg) for e in battery.entries]
-    nums = weighted_sup_norms(images, pair.beta, ESTIMATION_GRID)
+    nums = weighted_sup_norms([f.array for f in images], pair.beta, ESTIMATION_GRID)
     return [(e.label, float(num) / e.norm_alpha) for e, num in zip(battery.entries, nums)]
 
 
@@ -232,27 +232,58 @@ def test_one_pass_equals_the_separate_estimates(g, op, alpha, beta, degree, n_ma
     assert trace.decay_exponent.hex() == want.decay_exponent.hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_USER_SYMBOLS, _ROTATED_SYMBOLS), st.sampled_from([T, S]),
+       st.sampled_from([0.0, 0.25, 1.0, 3.7]), st.sampled_from([8, 64]))
+def test_real_magnitude_images_bound_every_member_image(g, op, alpha, degree):
+    """spaces.PRUNE_MARGIN's argument at the coefficient level: a member's
+    image coefficient, a convolution of complex coefficients, exceeds in
+    modulus the same coefficient of its family's magnitude image, the real
+    convolution of the moduli, by at most about 2 gamma_D, D the convolution's
+    length, and a few u: (3 D + 8) u here, with an underflow allowance."""
+    battery = _battery(alpha, degree)
+    g_series = g.taylor(degree)
+    abs_g = np.abs(g_series.array)
+    for family, source in zip(battery.families, battery.sources):
+        image = image_array(op, abs_g, source)
+        assert image.dtype == float and np.all(image >= 0.0)
+        slack = (3 * len(image) + 8) * 2.0 ** -53
+        for i in family:
+            member = apply_operator(op, g_series, battery.entries[i].series).array
+            assert len(member) == len(image)
+            assert np.all(np.abs(member) <= image * (1.0 + slack) + 2.0 ** -1022), \
+                (battery.entries[i].label, float(np.max(np.abs(member) / image)))
+
+
 def test_a_report_builds_each_row_series_and_image_once(monkeypatch):
     """A default serial report builds one Taylor series per row, and applies
-    the operator only to const, the families' magnitude images and the members
-    of the families that can win: the monomial entries are the probe's."""
+    the operator only to const and the members of the families that can win:
+    the monomial entries are the probe's rows and the magnitude images are
+    float coefficient rows.  Below 200 Taylor series in all (119): the 72
+    battery entries, one per row, g' of the 7 T_g rows and the 26 images."""
     from volterra.report import ReportConfig, build_report
-    counts = {"apply_operator": 0, "taylor": 0}
+    counts = {"apply_operator": 0, "taylor": 0, "series": 0}
 
     def apply_spy(*args):
         counts["apply_operator"] += 1
         return apply_operator(*args)
-    taylor = SymbolSpec.taylor
+    taylor, post_init = SymbolSpec.taylor, TaylorSeries.__post_init__
 
     def taylor_spy(self, *args):
         counts["taylor"] += 1
         return taylor(self, *args)
+
+    def post_init_spy(self):
+        counts["series"] += 1
+        post_init(self)
     monkeypatch.setenv("VOLTERRA_WORKERS", "1")
     monkeypatch.setattr(estimation, "apply_operator", apply_spy)
     monkeypatch.setattr(SymbolSpec, "taylor", taylor_spy)
+    monkeypatch.setattr(TaylorSeries, "__post_init__", post_init_spy)
     doc = build_report(ReportConfig())
     assert len(doc["rows"]) == 14
-    assert counts == {"apply_operator": 114, "taylor": 14}
+    assert (counts["apply_operator"], counts["taylor"]) == (26, 14)
+    assert counts["series"] <= 200, counts
 
 
 def _lower_bound_and_built(monkeypatch, name, op, alpha, beta):

@@ -162,28 +162,33 @@ def monomial(n):
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
 def test_monomial_images_are_bit_identical_for_every_registry_symbol(kind):
-    # the images the compactness probe measures, n = 1..64 at the default degree
+    # the rows the compactness probe measures, n = 1..64 at the default degree:
+    # each row's complex copy, signed zeros included, is the convolution's image
     for spec in registry():
         g = spec.taylor(DEFAULT_DEGREE)
-        images = monomial_images(kind, g, 64)
-        assert len(images) == 64
-        for n, image in enumerate(images, 1):
-            assert bits(image.array) == bits(apply_operator(kind, g, monomial(n)).array), \
-                (spec.name, n)
+        rows = monomial_images(kind, g, 64)
+        assert len(rows) == 64
+        assert len({row.dtype for row in rows}) == 1
+        kernel = (derivative(g) if kind is OperatorKind.Tg else g).array
+        assert (rows[0].dtype == float) == (not np.any(kernel.imag)), spec.name
+        for n, row in enumerate(rows, 1):
+            assert bits(row) == bits(apply_operator(kind, g, monomial(n)).array), (spec.name, n)
 
 
 @settings(max_examples=40, deadline=None)
-@given(coeff_tuples(max_size=300), st.integers(1, 24), st.sampled_from([0.0, 0.5, 2.0]))
-def test_monomial_images_equal_the_convolution_but_for_signs_of_zero(g_cs, n_max, beta):
+@given(coeff_tuples(max_size=300), st.booleans(), st.integers(1, 24),
+       st.sampled_from([0.0, 0.5, 2.0]))
+def test_monomial_images_equal_the_convolution_but_for_signs_of_zero(g_cs, real, n_max, beta):
     # signed zeros in g may come out with another sign from the convolution's
-    # sums of zero products; neither the norm nor its exactness test reads it
-    g = TaylorSeries(g_cs)
+    # sums of zero products; neither the norm nor its exactness test reads it.
+    # A real g gives float rows.
+    g = TaylorSeries(np.real(g_cs) if real else g_cs)
     for kind in OperatorKind:
-        images = monomial_images(kind, g, n_max)
-        want = [apply_operator(kind, g, monomial(n)) for n in range(1, n_max + 1)]
-        assert all(np.array_equal(a.array, b.array) for a, b in zip(images, want))
-        assert len(images[-1].array) == len(want[-1].array)
-        got_norms = weighted_sup_norms(images, beta, ESTIMATION_GRID)
+        rows = monomial_images(kind, g, n_max)
+        want = [apply_operator(kind, g, monomial(n)).array for n in range(1, n_max + 1)]
+        assert not real or all(row.dtype == float for row in rows)
+        assert all(len(a) == len(b) and np.array_equal(a, b) for a, b in zip(rows, want))
+        got_norms = weighted_sup_norms(rows, beta, ESTIMATION_GRID)
         want_norms = weighted_sup_norms(want, beta, ESTIMATION_GRID)
         assert got_norms.view(np.uint64).tolist() == want_norms.view(np.uint64).tolist()
 

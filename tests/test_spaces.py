@@ -189,7 +189,7 @@ def test_stacked_norms_equal_each_sweep_alone(monkeypatch, alpha):
         calls.append((coeffs.shape[-1], len(radii)))
         return sweep(coeffs, radii, *args)
     monkeypatch.setattr(spaces, "_ring_sweep", spy)
-    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    got = weighted_sup_norms([f.array for f in fs], alpha, SWEEP_GRID)
     assert max(k for _, k in calls) <= RING_GROUP
     assert sum(k for d, k in calls if d == 5 * n) > RING_GROUP
     want = np.array([weighted_sup_details(f, alpha, SWEEP_GRID).value for f in fs])
@@ -234,7 +234,7 @@ def test_nonnegative_ring_maxima_match_the_grid_path(monkeypatch, alpha):
     fs = [TaylorSeries(rng.random(d) / np.arange(1, d + 1)) for d in (1, n, n + 1, 4 * n + 1)]
     want = [_grid_path_norm(f, alpha, SWEEP_GRID) for f in fs]
     swept = _spy_on_grid_path(monkeypatch)
-    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    got = weighted_sup_norms([f.array for f in fs], alpha, SWEEP_GRID)
     for f, value, ref in zip(fs, got, want):
         assert abs(value - ref) <= 1e-13 * ref
         assert weighted_sup_details(f, alpha, SWEEP_GRID).value == value
@@ -248,7 +248,7 @@ def test_one_negative_complex_or_nan_coefficient_takes_the_grid_path(monkeypatch
     mixed = TaylorSeries((1.0, 0.5, odd, 2.0))
     swept = _spy_on_grid_path(monkeypatch)
     radii, _ = spaces._rings(SWEEP_GRID, 0.5, False)
-    weighted_sup_norms([good, mixed, good], 0.5, SWEEP_GRID)
+    weighted_sup_norms([good.array, mixed.array, good.array], 0.5, SWEEP_GRID)
     in_norms = len(swept)
     weighted_sup_details(good, 0.5, SWEEP_GRID)
     assert len(swept) == in_norms
@@ -265,7 +265,7 @@ def test_overflowing_nonnegative_series_reads_inf(monkeypatch, coeffs):
     f = TaylorSeries(coeffs)
     swept = _spy_on_grid_path(monkeypatch)
     for alpha in (0.0, 0.5):
-        assert weighted_sup_norms([f], alpha, SWEEP_GRID)[0] == np.inf
+        assert weighted_sup_norms([f.array], alpha, SWEEP_GRID)[0] == np.inf
         detail = weighted_sup_details(f, alpha, SWEEP_GRID)
         assert detail.value == np.inf
         assert detail.divergent and detail.clamped_samples > 0
@@ -355,8 +355,49 @@ def sweep_rows(draw):
 @example([np.array([1 + 3j, 4 - 3j, -2 - 4j, -1 - 1j]) * 5e-324], 0.5)
 def test_pruned_sweep_equals_the_full_sweep(rows, alpha):
     fs = [TaylorSeries(c) for c in rows]
-    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    got = weighted_sup_norms([f.array for f in fs], alpha, SWEEP_GRID)
     want = stacked_full_sweep(fs, alpha, SWEEP_GRID)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@st.composite
+def real_rows(draw):
+    """A float coefficient row for SWEEP_GRID: nonnegative with signed zeros,
+    with negative entries, a NaN or an inf, subnormal, with 1-norm above the
+    pruning's clamp guard, or with a block sum past the clamp."""
+    n = SWEEP_GRID.n_angles
+    d = draw(st.sampled_from([1, 2, n - 1, n, n + 1, 2 * n + 3, 4 * n + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    row = rng.random(d) / np.arange(1, d + 1) ** rng.uniform(0.0, 2.0)
+    kind = draw(st.sampled_from(["nonnegative", "negative", "nan", "inf", "subnormal",
+                                 "above clamp", "block sum"]))
+    if kind == "nonnegative":
+        row[rng.random(d) < 0.3] = -0.0
+    elif kind == "negative":
+        row *= rng.choice([1.0, -1.0], size=d)
+    elif kind in ("nan", "inf"):
+        row[rng.integers(d)] = draw(st.sampled_from([np.nan] if kind == "nan"
+                                                    else [np.inf, -np.inf]))
+    elif kind == "subnormal":
+        row = rng.integers(-4, 5, d) * 5e-324
+    elif kind == "above clamp":
+        row *= OVERFLOW_CLAMP * (1.0 - spaces.PRUNE_MARGIN) * (1.0 + 1e-6) / np.sum(row)
+        if draw(st.booleans()):
+            row[rng.integers(d)] *= -1.0
+    elif kind == "block sum" and d >= n:
+        row[n - 1] = 1e305
+    return row
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(real_rows(), sweep_rows()), min_size=1, max_size=8),
+       st.sampled_from([0.0, 0.5, 2.0]))
+def test_a_float_row_reads_as_its_complex_copy(rows, alpha):
+    # alone and among complex rows: the exactness test, the magnitudes, the
+    # clamp guard and the ring sweep read a float row as its copy with +0
+    # imaginary parts
+    got = weighted_sup_norms(rows, alpha, SWEEP_GRID)
+    want = weighted_sup_norms([row.astype(complex) for row in rows], alpha, SWEEP_GRID)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -374,7 +415,7 @@ def test_only_rows_that_need_it_reach_the_evaluator(monkeypatch):
     for alpha in (0.0, 0.5, 2.0):
         radii, _ = spaces._rings(SWEEP_GRID, alpha, alpha == 0.0)
         swept.clear()
-        weighted_sup_norms(fs, alpha, SWEEP_GRID)
+        weighted_sup_norms([f.array for f in fs], alpha, SWEEP_GRID)
         assert _rings_swept(swept, nonnegative) == []
         assert sorted(_rings_swept(swept, at_clamp)) == radii.tolist()
         assert sorted(_rings_swept(swept, nan)) == radii.tolist()
@@ -409,14 +450,14 @@ def test_stacked_pass_edge_cases(monkeypatch, case, alpha):
     want = np.array([weighted_sup_details(f, alpha, SWEEP_GRID).value for f in fs])
     calls, sweep = [], spaces._ring_sweep
     monkeypatch.setattr(spaces, "_ring_sweep", lambda *args: calls.append(1) or sweep(*args))
-    got = weighted_sup_norms(fs, alpha, SWEEP_GRID)
+    got = weighted_sup_norms([f.array for f in fs], alpha, SWEEP_GRID)
     assert got.shape == (len(fs),)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     if case == "all exact":
         assert calls == []
     if case == "nan":
         swept = _spy_on_grid_path(monkeypatch)
-        weighted_sup_norms(fs, alpha, SWEEP_GRID)
+        weighted_sup_norms([f.array for f in fs], alpha, SWEEP_GRID)
         radii, _ = spaces._rings(SWEEP_GRID, alpha, alpha == 0.0)
         assert sorted(_rings_swept(swept, fs[1])) == radii.tolist()
         assert _rings_swept(swept, fs[2]) == []
@@ -432,13 +473,13 @@ def test_a_report_battery_sweeps_few_ring_rows(monkeypatch):
     full = len(radii) * sum(bool(np.any(f.array.imag) or not np.all(f.array.real >= 0.0))
                             for f in images)
     swept = _spy_on_grid_path(monkeypatch)
-    weighted_sup_norms(images, 1.0, ESTIMATION_GRID)
+    weighted_sup_norms([f.array for f in images], 1.0, ESTIMATION_GRID)
     assert full > 0 and len(swept) <= 0.15 * full
 
 
 def test_stacked_norms_reject_a_negative_alpha():
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        weighted_sup_norms([TaylorSeries((1,))], -1.0, SWEEP_GRID)
+        weighted_sup_norms([TaylorSeries((1,)).array], -1.0, SWEEP_GRID)
 
 
 def test_bloch_norm_needs_a_derivative_evaluator():
